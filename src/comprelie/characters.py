@@ -2,7 +2,8 @@
 
 A character is modeled as a series truncated at word length L.  The
 composition follows the recursion ``xu comp v = sum_i f^i(x)((u comp v) sh
-v^(sh i))`` — finite because the letter endomorphism must be nilpotent —
+v^(sh i)/i!)``, over the divided shuffle powers of v — finite because the
+letter endomorphism must be nilpotent —
 and the group law is ``u diamond v = u comp v + v`` with the zero series as
 identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
@@ -17,11 +18,12 @@ product over channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter, nilpotency_index
 from .prelie import ComPreLieContext
-from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, shuffle
+from .words import Letter, Rat, Tensor, Word, _add_into, shuffle
 
 
 class TruncatedSeries:
@@ -34,9 +36,7 @@ class TruncatedSeries:
             raise ValueError("truncation length must be >= 0")
         t = terms if isinstance(terms, Tensor) else Tensor(terms)
         self.trunc = trunc
-        self.tensor = Tensor(
-            {w: c for w, c in t.items() if len(w) <= trunc}
-        )
+        self.tensor = _truncate(t, trunc)
 
     @classmethod
     def zero(cls, trunc: int) -> "TruncatedSeries":
@@ -81,7 +81,7 @@ class TruncatedSeries:
 
 
 def _truncate(t: Tensor, L: int) -> Tensor:
-    return Tensor({w: c for w, c in t.items() if len(w) <= L})
+    return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
 def _require_nilpotent(ctx: ComPreLieContext) -> int:
@@ -101,40 +101,36 @@ def tilde_compose(
     u._check_compatible(v)
     L = u.trunc
     N = _require_nilpotent(ctx)
-    v_pows = [Tensor.of(EMPTY_WORD)]
-    for _ in range(1, N):
-        v_pows.append(_truncate(shuffle(v_pows[-1], v.tensor), L))
+    # divided powers v^(sh i)/i!, built as v_pows[i-1] sh v / i
+    v_pows = [Tensor.unit()]
+    for i in range(1, N):
+        power = _truncate(shuffle(v_pows[-1], v.tensor), L)
+        v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
     memo: dict[Word, Tensor] = {}
 
     def rec(w: Word) -> Tensor:
         if len(w) == 0:
-            return Tensor.of(EMPTY_WORD)
+            return Tensor.unit()
         hit = memo.get(w)
         if hit is not None:
             return hit
         x, rest = w[0], w[1:]
         base = rec(rest)
-        acc = Tensor()
+        acc: dict[Word, Rat] = {}
         for i in range(N):
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
             mixed = _truncate(shuffle(base, v_pows[i]), L - 1)
-            part = Tensor(
-                {
-                    Word((y,) + t.letters): cy * c
-                    for y, cy in image.items()
-                    for t, c in mixed.items()
-                }
-            )
-            acc = acc + part
-        memo[w] = acc
-        return acc
+            for y, cy in image.items():
+                _add_into(acc, ((Word((y,) + t.letters), c) for t, c in mixed.items()), cy)
+        memo[w] = Tensor._from_clean(acc)
+        return memo[w]
 
-    out = Tensor()
+    out: dict[Word, Rat] = {}
     for w, c in u.items():
-        out = out + rec(w).scale(c)
-    return TruncatedSeries(L, out)
+        _add_into(out, rec(w).items(), c)
+    return TruncatedSeries(L, Tensor._from_clean(out))
 
 
 def diamond(
@@ -210,27 +206,23 @@ def fliess_tilde(
 
     def rec(w: Word) -> Tensor:
         if len(w) == 0:
-            return Tensor.of(EMPTY_WORD)
+            return Tensor.unit()
         hit = memo.get(w)
         if hit is not None:
             return hit
         x, rest = w[0], w[1:]
         base = rec(rest)
-        acc = Tensor(
-            {Word((x,) + t.letters): cf for t, cf in base.items() if len(t) < L}
-        )
+        acc = {Word((x,) + t.letters): cf for t, cf in base.items() if len(t) < L}
         if _letter_index(x) == i:
             mixed = _truncate(shuffle(base, di.tensor), L - 1)
-            acc = acc + Tensor(
-                {Word((x0,) + t.letters): cf for t, cf in mixed.items()}
-            )
-        memo[w] = acc
-        return acc
+            _add_into(acc, ((Word((x0,) + t.letters), cf) for t, cf in mixed.items()))
+        memo[w] = Tensor._from_clean(acc)
+        return memo[w]
 
-    out = Tensor()
+    out: dict[Word, Rat] = {}
     for w, cf in c.series.items():
-        out = out + rec(w).scale(cf)
-    return FliessElement(i, TruncatedSeries(L, out))
+        _add_into(out, rec(w).items(), cf)
+    return FliessElement(i, TruncatedSeries(L, Tensor._from_clean(out)))
 
 
 def fliess_diamond(

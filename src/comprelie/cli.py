@@ -69,6 +69,9 @@ from .words import (
     Rat,
     Tensor,
     Word,
+    _add_into,
+    _split_coeff,
+    _split_signed,
     parse_rational,
     parse_tensor,
     parse_word,
@@ -135,7 +138,7 @@ def _parse_weights(body: str) -> dict[str, Rat]:
         name, value = chunk.split("=", 1)
         try:
             out[name.strip()] = parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad weight {chunk!r}: {exc}") from None
     if not out:
         raise CliError("empty weight list")
@@ -145,9 +148,6 @@ def _parse_weights(body: str) -> dict[str, Rat]:
 # ---------------------------------------------------------------------------
 # expression parsing
 # ---------------------------------------------------------------------------
-
-_COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)\*(.*)$", re.S)
-
 
 def _check_balance(src: str) -> None:
     stack: list[tuple[str, int]] = []
@@ -164,71 +164,29 @@ def _check_balance(src: str) -> None:
         raise CliError(f"unclosed {ch!r} at position {k}")
 
 
-def _split_signed(src: str) -> list[tuple[int, str]]:
-    """Split a linear combination into (sign, chunk) at top level.
-
-    Handles both the spaced separators the printers emit and a bare
-    leading minus; signs inside brackets stay put.
-    """
-    out: list[tuple[int, str]] = []
-    buf: list[str] = []
-    sign = 1
-    depth = 0
-    prev = ""
-    for ch in src:
-        if ch in "[{(":
-            depth += 1
-        elif ch in "]})":
-            depth -= 1
-        if ch in "+-" and depth == 0 and prev not in "*/":
-            term = "".join(buf).strip()
-            if term:
-                out.append((sign, term))
-                buf = []
-                sign = 1 if ch == "+" else -1
-            elif ch == "-":
-                sign = -sign
-            continue
-        buf.append(ch)
-        if not ch.isspace():
-            prev = ch
-    term = "".join(buf).strip()
-    if not term:
-        raise CliError(f"dangling sign or empty term in {src!r}")
-    out.append((sign, term))
-    return out
-
-
-def _split_coeff(term: str) -> tuple[Rat, str]:
-    m = _COEFF_RE.match(term)
-    if m:
-        return parse_rational(m.group(1)), m.group(2).strip()
-    return 1, term
-
-
 def parse_tree_tensor(src: str) -> TreeTensor:
     src = src.strip()
     if src == "0":
         return TreeTensor()
     _check_balance(src)
-    acc = TreeTensor()
+    pairs = []
     for sign, term in _split_signed(src):
         coeff, body = _split_coeff(term)
-        acc = acc + TreeTensor.of(parse_tree(body), sign * coeff)
-    return acc
+        pairs.append((parse_tree(body), sign * coeff))
+    return TreeTensor(pairs)
 
 
 def parse_sym_tensor(src: str) -> SymTensor:
     src = src.strip()
     if src == "0":
         return SymTensor()
-    acc = SymTensor()
+    pairs = []
     for sign, term in _split_signed(src):
         coeff, body = _split_coeff(term)
         factors = [f.strip() for f in body.split(" * ")]
         words = [parse_word(f) for f in factors if f != "1"]
-        acc = acc + SymTensor.of(SymMonomial.of(*words), sign * coeff)
-    return acc
+        pairs.append((SymMonomial.of(*words), sign * coeff))
+    return SymTensor(pairs)
 
 
 def parse_expression(
@@ -330,11 +288,7 @@ def _cmd_coproduct(args) -> int:
     t = _as_tensor_arg(args.expr)
     acc: dict[tuple[Word, SymMonomial], Rat] = {}
     for w, c in t.items():
-        for left, right, coeff in dual_coproduct(ctx, w):
-            key = (left, right)
-            acc[key] = acc.get(key, 0) + c * coeff
-            if acc[key] == 0:
-                del acc[key]
+        _add_into(acc, (((left, right), coeff) for left, right, coeff in dual_coproduct(ctx, w)), c)
     rows = sorted(
         ((word_to_str(l), str(r), c) for (l, r), c in acc.items()),
         key=lambda row: (row[0], row[1]),

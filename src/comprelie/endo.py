@@ -23,6 +23,7 @@ from .words import (
     Rat,
     Tensor,
     Word,
+    _add_into,
     check_coefficient,
     parse_letter,
     parse_rational,
@@ -131,18 +132,8 @@ def apply_endo(f: Endo, v: Tensor) -> Tensor:
     for w, c in v.items():
         if len(w) != 1:
             raise ValueError(f"apply_endo expects single-letter words, got {w}")
-        for y, m in f.image_letter(w[0]).items():
-            key = Word((y,))
-            c2 = acc.get(key, 0) + c * m
-            if c2:
-                acc[key] = c2
-            elif key in acc:
-                del acc[key]
-    return Tensor(acc)
-
-
-def apply_endo_letter(f: Endo, x: Letter) -> dict[Letter, Rat]:
-    return f.image_letter(x)
+        _add_into(acc, ((Word((y,)), m) for y, m in f.image_letter(w[0]).items()), c)
+    return Tensor._from_clean(acc)
 
 
 def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
@@ -159,17 +150,9 @@ def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
 def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
     acc: dict[Letter, Rat] = {x: 1}
     for _ in range(k):
-        nxt: dict[Letter, Rat] = {}
-        for y, c in acc.items():
-            for z, m in f.image_letter(y).items():
-                c2 = nxt.get(z, 0) + c * m
-                if c2:
-                    nxt[z] = c2
-                elif z in nxt:
-                    del nxt[z]
-        acc = nxt
         if not acc:
             break
+        acc = _compose_image(f, acc)
     return acc
 
 
@@ -198,12 +181,7 @@ def nilpotency_index(f: Endo) -> int | None:
 def _compose_image(f: Endo, img: dict[Letter, Rat]) -> dict[Letter, Rat]:
     out: dict[Letter, Rat] = {}
     for y, c in img.items():
-        for z, m in f.image_letter(y).items():
-            c2 = out.get(z, 0) + c * m
-            if c2:
-                out[z] = c2
-            elif z in out:
-                del out[z]
+        _add_into(out, f.image_letter(y).items(), c)
     return out
 
 
@@ -276,16 +254,25 @@ def endo_to_json(f: Endo) -> str:
 
 def endo_from_json(src: str) -> Endo:
     doc = json.loads(src)
+    if not isinstance(doc, dict):
+        raise ValueError("endomorphism JSON must be an object")
     kind = doc.get("kind")
     alphabet = [parse_letter(tok) for tok in doc.get("alphabet", [])]
     if kind == "matrix":
-        entries = [[_entry(e) for e in row] for row in doc["matrix"]]
+        entries = [[_entry(e) for e in row] for row in _field(doc, "matrix")]
         return Endo.matrix(alphabet, entries)
     if kind == "diagonal":
-        return Endo.diagonal({parse_letter(k): _entry(v) for k, v in doc["weights"].items()})
+        weights = _field(doc, "weights")
+        return Endo.diagonal({parse_letter(k): _entry(v) for k, v in weights.items()})
     if kind == "biletter_shift":
         return Endo.biletter_shift([x.name for x in alphabet])
     raise ValueError(f"unknown endomorphism kind in JSON: {kind!r}")
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"{doc['kind']} endomorphism JSON needs a {key!r} key")
+    return doc[key]
 
 
 def _entry(e: object) -> Rat:

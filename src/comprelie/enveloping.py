@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .endo import iterate_endo_letter, nilpotency_index
-from .prelie import ComPreLieContext, prelie
-from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, shuffle, word_to_str
+from .prelie import ComPreLieContext, _prepend_image, prelie
+from .words import EMPTY_WORD, Letter, Lin, Rat, Tensor, Word, _add_into, shuffle, word_to_str
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -33,7 +33,7 @@ from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, shuffle, word_to_str
 
 Elem = Hashable  # basis elements: words here, decorated trees elsewhere
 Mono = tuple  # sorted tuple of Elem
-Lin = dict  # Elem -> Rat or Mono -> Rat
+Raw = dict  # Elem -> Rat or Mono -> Rat
 
 
 class OudomGuin:
@@ -48,20 +48,18 @@ class OudomGuin:
         self.base = base
         self._cache: dict[tuple[Mono, Mono], tuple[tuple[Mono, Rat], ...]] = {}
 
-    def bullet(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Lin:
-        out: Lin = {}
+    def bullet(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Raw:
+        out: Raw = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                for m, c in self._bullet_mono(ma, mb):
-                    _bump(out, m, ca * cb * c)
+                _add_into(out, self._bullet_mono(ma, mb), ca * cb)
         return out
 
-    def star(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Lin:
-        out: Lin = {}
+    def star(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Raw:
+        out: Raw = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                for m, c in self._star_mono(ma, mb):
-                    _bump(out, m, ca * cb * c)
+                _add_into(out, self._star_mono(ma, mb), ca * cb)
         return out
 
     def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
@@ -75,46 +73,33 @@ class OudomGuin:
             out = tuple(self._bullet_mono_elem(a, b[0]).items())
         else:
             rest, last = b[:-1], b[-1]
-            acc: Lin = {}
+            acc: Raw = {}
             for m, c in self._bullet_mono(a, rest):
-                for m2, c2 in self._bullet_mono(m, (last,)):
-                    _bump(acc, m2, c * c2)
-            inner: Lin = {}
+                _add_into(acc, self._bullet_mono(m, (last,)), c)
             for m, c in self._bullet_mono_elem(rest, last).items():
-                for m2, c2 in self._bullet_mono(a, m):
-                    _bump(inner, m2, c * c2)
-            for m, c in inner.items():
-                _bump(acc, m, -c)
+                _add_into(acc, self._bullet_mono(a, m), -c)
             out = tuple(acc.items())
         self._cache[key] = out
         return out
 
-    def _bullet_mono_elem(self, a: Mono, u: Elem) -> Lin:
+    def _bullet_mono_elem(self, a: Mono, u: Elem) -> Raw:
         """Split the action of one element over the factors of ``a``."""
-        acc: Lin = {}
+        acc: Raw = {}
         for i, ai in enumerate(a):
             rest = a[:i] + a[i + 1:]
-            for e, c in self.base(ai, u).items():
-                _bump(acc, tuple(sorted(rest + (e,))), c)
+            _add_into(acc, ((tuple(sorted(rest + (e,))), c) for e, c in self.base(ai, u).items()))
         return acc
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
-        acc: Lin = {}
+        acc: Raw = {}
         k = len(b)
         for mask in range(1 << k):
             inside = tuple(b[j] for j in range(k) if mask >> j & 1)
             outside = tuple(b[j] for j in range(k) if not mask >> j & 1)
-            for m, c in self._bullet_mono(a, inside):
-                _bump(acc, tuple(sorted(m + outside)), c)
+            _add_into(
+                acc, ((tuple(sorted(m + outside)), c) for m, c in self._bullet_mono(a, inside))
+            )
         return tuple(acc.items())
-
-
-def _bump(acc: dict, key, c: Rat) -> None:
-    c2 = acc.get(key, 0) + c
-    if c2:
-        acc[key] = c2
-    elif key in acc:
-        del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +146,10 @@ class SymMonomial:
 ONE = SymMonomial()
 
 
-class SymTensor:
+class SymTensor(Lin):
     """A rational linear combination of symmetric monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[SymMonomial, Rat] | Iterable[tuple[SymMonomial, Rat]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[SymMonomial, Rat] = {}
-        for m, c in items:
-            _bump(acc, m, c)
-        self.terms = acc
-
-    @classmethod
-    def of(cls, m: SymMonomial, coeff: Rat = 1) -> "SymTensor":
-        return cls([(m, coeff)])
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "SymTensor":
@@ -184,61 +158,7 @@ class SymTensor:
     @classmethod
     def from_tensor(cls, t: Tensor) -> "SymTensor":
         """Embed a combination of words as one-factor monomials."""
-        return cls((SymMonomial.of(w), c) for w, c in t.items())
-
-    def coefficient(self, m: SymMonomial) -> Rat:
-        return self.terms.get(m, 0)
-
-    def items(self):
-        return iter(self.terms.items())
-
-    def sorted_items(self) -> list[tuple[SymMonomial, Rat]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._key())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _bump(out, m, c)
-        return SymTensor(out)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _bump(out, m, -c)
-        return SymTensor(out)
-
-    def scale(self, c: Rat) -> "SymTensor":
-        return SymTensor({m: c * v for m, v in self.terms.items()}) if c else SymTensor()
-
-    def __rmul__(self, c: Rat) -> "SymTensor":
-        return self.scale(c)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        from .words import rational_to_str
-        from fractions import Fraction
-
-        chunks = []
-        for m, c in self.sorted_items():
-            c = Fraction(c)
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = str(m) if mag == 1 else f"{rational_to_str(mag)}*{m}"
-            chunks.append(f"{sign} {body}")
-        out = " ".join(chunks)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-    def __repr__(self) -> str:
-        return f"<SymTensor {self}>"
+        return cls._from_clean({SymMonomial.of(w): c for w, c in t.items()})
 
 
 def _engine(ctx: ComPreLieContext) -> OudomGuin:
@@ -253,13 +173,11 @@ def _engine(ctx: ComPreLieContext) -> OudomGuin:
 
 
 def _raw(a: SymTensor | SymMonomial) -> dict[tuple, Rat]:
-    if isinstance(a, SymMonomial):
-        return {a.factors: 1}
-    return {m.factors: c for m, c in a.items()}
+    return {m.factors: c for m, c in SymTensor._coerce(a).items()}
 
 
 def _wrap(d: Mapping[tuple, Rat]) -> SymTensor:
-    return SymTensor((SymMonomial(m), c) for m, c in d.items())
+    return SymTensor._from_clean({SymMonomial(m): c for m, c in d.items()})
 
 
 def extend_bullet(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
@@ -276,19 +194,28 @@ def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMo
 # closed formulas for a word acting on a list of word factors
 # ---------------------------------------------------------------------------
 
-def _prepend_letter_image(image: Mapping[Letter, Rat], t: Tensor) -> Tensor:
-    acc: dict[Word, Rat] = {}
-    for y, cy in image.items():
-        for w, c in t.items():
-            _bump(acc, Word((y,) + w.letters), cy * c)
-    return Tensor(acc)
-
-
-def _shuffle_many(words: list[Word]) -> Tensor:
-    t = Tensor.of(EMPTY_WORD)
-    for w in words:
-        t = shuffle(t, w)
-    return t
+def _distribute(
+    ctx: ComPreLieContext, w: Word, factors: list[Word], shares: int
+) -> Iterator[tuple[Tensor, tuple[Word, ...]]]:
+    """Every assignment of the factors to ``shares`` shares, the first
+    ``len(w)`` of them being the letters of ``w``: yields the word
+    combination in which each letter absorbs its share through an iterated
+    shuffle, with the letter endomorphism applied once per absorbed factor,
+    nesting from the last letter outward; and the factors of any further
+    share, which pass through unchanged."""
+    i = len(w)
+    for assignment in itertools.product(range(shares), repeat=len(factors)):
+        blocks: list[list[Word]] = [[] for _ in range(shares)]
+        for u, b in zip(factors, assignment):
+            blocks[b].append(u)
+        t = Tensor.unit()
+        for b in range(i - 1, -1, -1):
+            for u in blocks[b]:
+                t = shuffle(t, u)
+            acc: dict[Word, Rat] = {}
+            _prepend_image(iterate_endo_letter(ctx.f, len(blocks[b]), w[b]), t.terms.items(), acc)
+            t = Tensor._from_clean(acc)
+        yield t, tuple(u for block in blocks[i:] for u in block)
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
@@ -299,57 +226,23 @@ def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTen
     endomorphism applied as many times as the share size, nesting from the
     last letter outward.
     """
-    k = len(factors)
-    i = len(w)
-    if i == 0:
-        if k == 0:
-            return SymTensor.of(SymMonomial.of(EMPTY_WORD))
-        return SymTensor()
-    acc = Tensor.zero()
-    for assignment in itertools.product(range(i), repeat=k):
-        blocks: list[list[Word]] = [[] for _ in range(i)]
-        for j, b in enumerate(assignment):
-            blocks[b].append(factors[j])
-        t = _shuffle_many(blocks[i - 1])
-        t = _prepend_letter_image(
-            iterate_endo_letter(ctx.f, len(blocks[i - 1]), w[i - 1]), t
-        )
-        for b in range(i - 2, -1, -1):
-            t = shuffle(t, _shuffle_many(blocks[b]))
-            t = _prepend_letter_image(
-                iterate_endo_letter(ctx.f, len(blocks[b]), w[b]), t
-            )
-        acc = acc + t
-    return SymTensor.from_tensor(acc)
+    if len(w) == 0:
+        return SymTensor() if factors else SymTensor.of(SymMonomial.of(EMPTY_WORD))
+    acc: dict[Word, Rat] = {}
+    for t, _ in _distribute(ctx, w, factors, len(w)):
+        _add_into(acc, t.items())
+    return SymTensor.from_tensor(Tensor._from_clean(acc))
 
 
 def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
     """One-pass formula for ``w * (w1 x ... x wk)``: as the closed action,
     with one extra share of factors passing through unchanged."""
-    k = len(factors)
-    i = len(w)
-    if i == 0:
+    if len(w) == 0:
         return SymTensor.of(SymMonomial(tuple(factors) + (EMPTY_WORD,)))
-    out = SymTensor()
-    for assignment in itertools.product(range(i + 1), repeat=k):
-        passthrough = tuple(factors[j] for j in range(k) if assignment[j] == i)
-        blocks: list[list[Word]] = [[] for _ in range(i)]
-        for j, b in enumerate(assignment):
-            if b < i:
-                blocks[b].append(factors[j])
-        t = _shuffle_many(blocks[i - 1])
-        t = _prepend_letter_image(
-            iterate_endo_letter(ctx.f, len(blocks[i - 1]), w[i - 1]), t
-        )
-        for b in range(i - 2, -1, -1):
-            t = shuffle(t, _shuffle_many(blocks[b]))
-            t = _prepend_letter_image(
-                iterate_endo_letter(ctx.f, len(blocks[b]), w[b]), t
-            )
-        out = out + SymTensor(
-            (SymMonomial((wt,) + passthrough), c) for wt, c in t.items()
-        )
-    return out
+    acc: dict[SymMonomial, Rat] = {}
+    for t, passthrough in _distribute(ctx, w, factors, len(w) + 1):
+        _add_into(acc, ((SymMonomial((x,) + passthrough), c) for x, c in t.items()))
+    return SymTensor._from_clean(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +287,11 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
             tail = tuple(Word(t) for t in parts[1:])
             for (t_word, mono), c in _delta_tilde_word(ctx, head).items():
                 merged = SymMonomial(mono.factors + tail)
-                for y, cy in image.items():
-                    key = (Word((y,) + t_word.letters), merged)
-                    _bump(acc, key, c * cy)
+                _add_into(
+                    acc,
+                    (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items()),
+                    c,
+                )
     cache[w] = acc
     return acc
 
@@ -418,12 +313,15 @@ def full_coproduct(ctx: ComPreLieContext, m: SymMonomial) -> PairLin:
     acc: PairLin = {(ONE, ONE): 1}
     for w in m.factors:
         delta_w: PairLin = {(ONE, SymMonomial.of(w)): 1}
-        for (t, mono), c in _delta_tilde_word(ctx, w).items():
-            _bump(delta_w, (SymMonomial.of(t), mono), c)
+        _add_into(
+            delta_w,
+            (((SymMonomial.of(t), mono), c) for (t, mono), c in _delta_tilde_word(ctx, w).items()),
+        )
         nxt: PairLin = {}
         for (a1, b1), c1 in acc.items():
-            for (a2, b2), c2 in delta_w.items():
-                _bump(nxt, (a1.times(a2), b1.times(b2)), c1 * c2)
+            _add_into(
+                nxt, (((a1.times(a2), b1.times(b2)), c2) for (a2, b2), c2 in delta_w.items()), c1
+            )
         acc = nxt
     return acc
 

@@ -11,17 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .words import Rat
-
-
-def _sub_scaled(acc: dict, row: Mapping, c: Rat) -> None:
-    """acc -= c * row, dropping exact zeros."""
-    for k, v in row.items():
-        v2 = acc.get(k, 0) - c * v
-        if v2:
-            acc[k] = v2
-        else:
-            acc.pop(k, None)
+from .words import Rat, _add_into
 
 
 def _div(a: Rat, b: Rat) -> Rat:
@@ -56,7 +46,7 @@ class SpanBasis:
         for k in [k for k in out if k in self.rows]:
             c = out.get(k)
             if c:
-                _sub_scaled(out, self.rows[k], c)
+                _add_into(out, self.rows[k].items(), -c)
         return out
 
     def contains(self, vec: Mapping[Hashable, Rat]) -> bool:
@@ -73,7 +63,7 @@ class SpanBasis:
         for other in self.rows.values():
             c = other.get(pivot)
             if c:
-                _sub_scaled(other, row, c)
+                _add_into(other, row.items(), -c)
         self.rows[pivot] = row
         return True
 
@@ -100,7 +90,7 @@ def express_in(
         for rvec, rcombo in rows:
             c = vec.get(min(rvec), 0)
             if c:
-                _sub_scaled(vec, rvec, c)
+                _add_into(vec, rvec.items(), -c)
                 for j, rc in enumerate(rcombo):
                     if rc:
                         combo[j] -= c * rc
@@ -114,7 +104,7 @@ def express_in(
     for rvec, rcombo in rows:
         c = tgt.get(min(rvec), 0)
         if c:
-            _sub_scaled(tgt, rvec, c)
+            _add_into(tgt, rvec.items(), -c)
             for j, rc in enumerate(rcombo):
                 if rc:
                     out[j] += c * rc

@@ -12,27 +12,18 @@ row recovers the Faa di Bruno bracket [y_k, y_l] = (k-l) y_{k+l}.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
-from .endo import Endo
+from .endo import Endo, diagonal_weights
 from .enveloping import OudomGuin
 from .exactla import express_in
-from .prelie import ComPreLieContext, prelie
+from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, free_bullet, graft_at, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, check_coefficient, parse_word
-
-
-def _bump(acc: dict, key, c: Rat) -> None:
-    c2 = acc.get(key, 0) + c
-    if c2:
-        acc[key] = c2
-    elif key in acc:
-        del acc[key]
+from .words import Letter, Lin, Rat, Tensor, Word, _add_into, check_coefficient, parse_word
 
 
 def _as_letters(w) -> tuple[Letter, ...]:
@@ -114,79 +105,22 @@ def parse_forest(text: str) -> Forest:
     return Forest(tuple(parse_tree(tok) for tok in text.split("*")))
 
 
-class ForestPoly:
+class ForestPoly(Lin):
     """A finitely supported rational combination of forests."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Forest, Rat] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Forest, Rat] = {}
-        for f, c in items:
-            _bump(acc, f, check_coefficient(c))
-        self.terms = acc
-
-    @classmethod
-    def of(cls, f: Forest, coeff: Rat = 1) -> "ForestPoly":
-        return cls([(f, coeff)])
-
-    def items(self):
-        return self.terms.items()
-
-    def support(self):
-        return self.terms.keys()
-
-    def coefficient(self, f: Forest) -> Rat:
-        return self.terms.get(f, 0)
-
-    def scale(self, c: Rat) -> "ForestPoly":
-        check_coefficient(c)
-        return ForestPoly({f: c * v for f, v in self.terms.items()} if c else {})
-
-    def __add__(self, other: "ForestPoly") -> "ForestPoly":
-        acc = dict(self.terms)
-        for f, c in other.terms.items():
-            _bump(acc, f, c)
-        return ForestPoly(acc)
-
-    def __sub__(self, other: "ForestPoly") -> "ForestPoly":
-        return self + other.scale(-1)
+    __slots__ = ()
 
     def __mul__(self, other: "ForestPoly") -> "ForestPoly":
         acc: dict[Forest, Rat] = {}
         for f, c in self.terms.items():
-            for g, c2 in other.terms.items():
-                _bump(acc, f.times(g), c * c2)
-        return ForestPoly(acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ForestPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for f in sorted(self.terms):
-            c = Fraction(self.terms[f])
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = str(f) if mag == 1 else f"{mag}*{f}"
-            chunks.append(f"{sign} {body}")
-        out = " ".join(chunks)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+            _add_into(acc, ((f.times(g), c2) for g, c2 in other.terms.items()), c)
+        return ForestPoly._from_clean(acc)
 
 
 def _as_poly(x) -> ForestPoly:
-    if isinstance(x, ForestPoly):
-        return x
     if isinstance(x, PartitionedTree):
         x = Forest.of(x)
-    return ForestPoly.of(x)
+    return ForestPoly._coerce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +173,7 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
             p = t.parents[p - 1]
         anc[v] = up
     nonroot = [v for v in range(1, t.size + 1) if t.parents[v - 1] is not None]
-    out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
+    cuts: list[tuple[Forest, Forest]] = []
     for mask in range(1 << len(nonroot)):
         cut = [v for j, v in enumerate(nonroot) if mask >> j & 1]
         if any(anc[v] & set(cut) for v in cut):
@@ -249,7 +183,9 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
             below.update(_descendants(kids, v))
         trunk = _part(t, (v for v in range(1, t.size + 1) if v not in below))
         branches = Forest(tuple(_part(t, _descendants(kids, v)) for v in cut))
-        _bump(out, (Forest.of(trunk), branches), 1)
+        cuts.append((Forest.of(trunk), branches))
+    out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
+    _add_into(out, ((cut, 1) for cut in cuts))
     return out
 
 
@@ -263,11 +199,11 @@ def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
             cop = tree_coproduct(t)
             nxt: dict[tuple[Forest, Forest], Rat] = {}
             for (l1, r1), c1 in acc.items():
-                for (l2, r2), c2 in cop.items():
-                    _bump(nxt, (l1.times(l2), r1.times(r2)), c1 * c2)
+                _add_into(
+                    nxt, (((l1.times(l2), r1.times(r2)), c2) for (l2, r2), c2 in cop.items()), c1
+                )
             acc = nxt
-        for key, c2 in acc.items():
-            _bump(out, key, c * c2)
+        _add_into(out, acc.items(), c)
     return out
 
 
@@ -319,11 +255,12 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     for f, c in _as_poly(x).items():
         for i, t in enumerate(f.trees):
             rest = f.trees[:i] + f.trees[i + 1:]
-            for v in range(1, t.size + 1):
-                w = _weight(wmap, t.decorations[v - 1])
-                if w:
-                    _bump(acc, Forest(rest + (graft_at(t, v, leaf),)), c * w)
-    return ForestPoly(acc)
+            weights = [_weight(wmap, dec) for dec in t.decorations]
+            grafts = (
+                (Forest(rest + (graft_at(t, v, leaf),)), w) for v, w in enumerate(weights, 1) if w
+            )
+            _add_into(acc, grafts, c)
+    return ForestPoly._from_clean(acc)
 
 
 def phi_lambda(x, lam: Mapping) -> ForestPoly:
@@ -331,18 +268,15 @@ def phi_lambda(x, lam: Mapping) -> ForestPoly:
     wmap = _weight_map(lam)
     acc: dict[Forest, Rat] = {}
     for f, c in _as_poly(x).items():
-        total: Rat = 0
-        for t in f.trees:
-            for dec in t.decorations:
-                total += _weight(wmap, dec)
+        total = sum(_weight(wmap, dec) for t in f.trees for dec in t.decorations)
         if total:
-            _bump(acc, f, c * total)
-    return ForestPoly(acc)
+            acc[f] = c * total
+    return ForestPoly._from_clean(acc)
 
 
 def tree_projection(x) -> ForestPoly:
     """Keep the single-tree forests; the unit and proper products go to 0."""
-    return ForestPoly({f: c for f, c in _as_poly(x).items() if f.is_tree()})
+    return ForestPoly._from_clean({f: c for f, c in _as_poly(x).items() if f.is_tree()})
 
 
 def t_word(w, lam: Mapping) -> ForestPoly:
@@ -407,15 +341,14 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         raise ValueError("t elements need a nonempty word")
     wmap = _weight_map(lam)
     if mode == "closed":
-        out: dict[tuple[Word, Word], Rat] = {}
+        terms: list[tuple[tuple[Word, Word], Rat]] = []
         for mask in range(1, (1 << n) - 1):
             sub = IndexSubset(tuple(i + 1 for i in range(n) if mask >> i & 1))
-            m = sub.prefix_reach
-            if m == 0:
-                continue
-            weight = sum(_weight(wmap, letters[i]) for i in range(m))
+            weight = sum(_weight(wmap, letters[i]) for i in range(sub.prefix_reach))
             if weight:
-                _bump(out, (sub.subword(letters), sub.complement(n).subword(letters)), weight)
+                terms.append(((sub.subword(letters), sub.complement(n).subword(letters)), weight))
+        out: dict[tuple[Word, Word], Rat] = {}
+        _add_into(out, terms)
         return out
     if mode != "projected":
         raise ValueError(f"unknown mode {mode!r}")
@@ -449,29 +382,10 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
 def dual_prelie_coeff(lam: Mapping, u, v) -> Tensor:
     """The product dual to the cobracket on the t basis: interleave the
     two words every way, weighting each interleaving by the eigenvalues of
-    the left word's letters along the initial run it keeps."""
-    uu, vv = _as_letters(u), _as_letters(v)
-    wmap = _weight_map(lam)
-    k, l = len(uu), len(vv)
-    acc: dict[Word, Rat] = {}
-    for slots in itertools.combinations(range(k + l), k):
-        m = 0
-        for j, p in enumerate(slots):
-            if p != j:
-                break
-            m = j + 1
-        if m == 0:
-            continue
-        weight = sum(_weight(wmap, uu[j]) for j in range(m))
-        if not weight:
-            continue
-        letters: list[Letter | None] = [None] * (k + l)
-        for j, p in enumerate(slots):
-            letters[p] = uu[j]
-        rest = iter(vv)
-        merged = tuple(x if x is not None else next(rest) for x in letters)
-        _bump(acc, Word(merged), weight)
-    return Tensor(acc)
+    the left word's letters along the initial run it keeps.  This is the
+    closed pre-Lie product under the diagonal map of the eigenvalues."""
+    ctx = ComPreLieContext(diagonal_weights(lam))
+    return prelie_closed(ctx, Word(_as_letters(u)), Word(_as_letters(v)))
 
 
 def y_bracket_check(lam: Rat, k: int, l: int, symbol: str = "x") -> tuple[Tensor, Tensor]:
@@ -522,4 +436,4 @@ def _raw_forests(x) -> dict[tuple, Rat]:
 
 
 def _wrap_forests(d: Mapping[tuple, Rat]) -> ForestPoly:
-    return ForestPoly({Forest(m): c for m, c in d.items()})
+    return ForestPoly._from_clean({Forest(m): c for m, c in d.items()})

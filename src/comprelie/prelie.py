@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import Endo, apply_endo_letter, iterate_endo_letter
+from .endo import Endo, iterate_endo_letter
 from .exactla import SpanBasis
-from .words import Letter, Rat, Tensor, Word, shuffle, _shuffle_words, _from_clean
+from .words import Letter, Rat, Tensor, Word, _add_into, _interleavings, _shuffle_words, shuffle
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -39,15 +39,10 @@ class ComPreLieContext:
 def _prepend_image(
     image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: dict[Word, Rat]
 ) -> None:
-    """acc += (sum_y image[y] * y) concatenated before each tail term."""
+    """acc += (sum_y image[y] * y) concatenated before each tail term;
+    ``tail_terms`` is iterated once per letter of the image."""
     for y, cy in image.items():
-        for w, c in tail_terms:
-            key = Word((y,) + w.letters)
-            c2 = acc.get(key, 0) + cy * c
-            if c2:
-                acc[key] = c2
-            elif key in acc:
-                del acc[key]
+        _add_into(acc, ((Word((y,) + w.letters), c) for w, c in tail_terms), cy)
 
 
 def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
@@ -62,7 +57,7 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     # x (w . v)
     _prepend_image({x: 1}, _prelie_words(ctx, w, v), acc)
     # f(x) (w sh v)
-    _prepend_image(apply_endo_letter(ctx.f, x), _shuffle_words(w, v), acc)
+    _prepend_image(ctx.f.image_letter(x), _shuffle_words(w, v), acc)
     out = tuple(acc.items())
     ctx._cache[key] = out
     return out
@@ -70,25 +65,18 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
 
 def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """The pre-Lie product, extended bilinearly."""
-    ta = a if isinstance(a, Tensor) else Tensor.of(a)
-    tb = b if isinstance(b, Tensor) else Tensor.of(b)
+    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc: dict[Word, Rat] = {}
     for u, cu in ta.items():
         for v, cv in tb.items():
-            c = cu * cv
-            for w, m in _prelie_words(ctx, u, v):
-                c2 = acc.get(w, 0) + c * m
-                if c2:
-                    acc[w] = c2
-                elif w in acc:
-                    del acc[w]
-    return _from_clean(acc)
+            _add_into(acc, _prelie_words(ctx, u, v), cu * cv)
+    return Tensor._from_clean(acc)
 
 
 def apply_at(f: Endo, w: Word, i: int) -> Tensor:
     """Apply ``f`` to the letter at position ``i`` (0-based), linearly."""
     acc: dict[Word, Rat] = {}
-    for y, c in apply_endo_letter(f, w[i]).items():
+    for y, c in f.image_letter(w[i]).items():
         acc[Word(w.letters[:i] + (y,) + w.letters[i + 1:])] = c
     return Tensor(acc)
 
@@ -100,31 +88,21 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     each shuffle contributes one term per leading position of ``u`` kept in
     place (the fixed-point prefix), with ``f`` applied there.
     """
-    k, l = len(u), len(v)
-    if k == 0:
-        return Tensor.zero()
-    letters = u.letters + v.letters
+    k = len(u)
     acc: dict[Word, Rat] = {}
-    for positions in itertools.combinations(range(k + l), k):
-        out: list[Letter | None] = [None] * (k + l)
-        for p, x in zip(positions, u.letters):
-            out[p] = x
-        it = iter(v.letters)
-        for p in range(k + l):
-            if out[p] is None:
-                out[p] = next(it)
+    for positions, out in _interleavings(u, v):
         m = 0
         while m < k and positions[m] == m:
             m += 1
         for i in range(m):
-            for y, cy in apply_endo_letter(ctx.f, letters[i]).items():
-                key = Word(tuple(out[:i]) + (y,) + tuple(out[i + 1:]))  # type: ignore[arg-type]
-                c2 = acc.get(key, 0) + cy
-                if c2:
-                    acc[key] = c2
-                elif key in acc:
-                    del acc[key]
-    return Tensor(acc)
+            _add_into(
+                acc,
+                (
+                    (Word(out[:i] + (y,) + out[i + 1:]), cy)
+                    for y, cy in ctx.f.image_letter(out[i]).items()
+                ),
+            )
+    return Tensor._from_clean(acc)
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
@@ -156,7 +134,7 @@ def induced_morphism(
     products, so a violation raises.
     """
     F = _as_letter_map(fmap)
-    tt = t if isinstance(t, Tensor) else Tensor.of(t)
+    tt = Tensor._coerce(t)
     if source is not None and target is not None:
         for w in tt.terms:
             for x in w:
@@ -173,26 +151,18 @@ def induced_morphism(
             ]
             if not terms:
                 break
-        for prefix, cp in terms:
-            key = Word(prefix)
-            c2 = acc.get(key, 0) + cp
-            if c2:
-                acc[key] = c2
-            elif key in acc:
-                del acc[key]
-    return Tensor(acc)
+        _add_into(acc, ((Word(prefix), cp) for prefix, cp in terms))
+    return Tensor._from_clean(acc)
 
 
 def _check_intertwining(F: LetterMap, source: Endo, target: Endo, x: Letter) -> None:
     lhs: dict[Letter, Rat] = {}
-    for y, c in apply_endo_letter(source, x).items():
-        for z, m in F(y).items():
-            lhs[z] = lhs.get(z, 0) + c * m
+    for y, c in source.image_letter(x).items():
+        _add_into(lhs, F(y).items(), c)
     rhs: dict[Letter, Rat] = {}
     for y, c in F(x).items():
-        for z, m in apply_endo_letter(target, y).items():
-            rhs[z] = rhs.get(z, 0) + c * m
-    if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+        _add_into(rhs, target.image_letter(y).items(), c)
+    if lhs != rhs:
         raise ValueError(f"letter map does not intertwine the endomorphisms at {x}")
 
 
@@ -338,7 +308,7 @@ def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
     seen = SpanBasis()
     for x in ctx.alphabet:
         v = Tensor(
-            {Word((y,)): c for y, c in apply_endo_letter(ctx.f, x).items()}
+            {Word((y,)): c for y, c in ctx.f.image_letter(x).items()}
         )
         if v and seen.add(v.terms):
             image_vectors.append(v)

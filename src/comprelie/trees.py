@@ -15,7 +15,6 @@ therefore compare equal structurally.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -24,7 +23,17 @@ from .endo import Endo, iterate_endo_letter
 from .enveloping import ONE, SymMonomial, SymTensor, extend_bullet
 from .exactla import rank_of
 from .prelie import ComPreLieContext
-from .words import Letter, Rat, Tensor, Word, check_coefficient, parse_letter, shuffle
+from .words import (
+    Letter,
+    Lin,
+    Rat,
+    Tensor,
+    Word,
+    _add_into,
+    check_coefficient,
+    parse_letter,
+    shuffle,
+)
 
 
 def vec(mapping: Mapping[Letter, Rat]) -> tuple[tuple[Letter, Rat], ...]:
@@ -145,10 +154,13 @@ class PartitionedTree:
     def __str__(self) -> str:
         return tree_to_str(self)
 
+    def _key(self):
+        return (self.size, str(self))
+
     def __lt__(self, other: "PartitionedTree") -> bool:
         if not isinstance(other, PartitionedTree):
             return NotImplemented
-        return (self.size, str(self)) < (other.size, str(other))
+        return self._key() < other._key()
 
 
 def _nested_from_arrays(decorations, parents, blocks):
@@ -313,103 +325,30 @@ def tree_shuffle(t: PartitionedTree, t2: PartitionedTree) -> PartitionedTree:
     return PartitionedTree.build(decorations, parents, blocks)
 
 
-class TreeTensor:
+class TreeTensor(Lin):
     """A finitely supported rational combination of partitioned trees."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[PartitionedTree, Rat] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[PartitionedTree, Rat] = {}
-        for t, c in items:
-            c2 = acc.get(t, 0) + check_coefficient(c)
-            if c2:
-                acc[t] = c2
-            else:
-                acc.pop(t, None)
-        self.terms = acc
-
-    @classmethod
-    def of(cls, t: PartitionedTree, coeff: Rat = 1) -> "TreeTensor":
-        return cls([(t, coeff)])
-
-    def items(self):
-        return self.terms.items()
-
-    def support(self):
-        return self.terms.keys()
-
-    def coefficient(self, t: PartitionedTree) -> Rat:
-        return self.terms.get(t, 0)
-
-    def add(self, other: "TreeTensor") -> "TreeTensor":
-        acc = dict(self.terms)
-        for t, c in other.items():
-            c2 = acc.get(t, 0) + c
-            if c2:
-                acc[t] = c2
-            else:
-                acc.pop(t, None)
-        return TreeTensor(acc)
-
-    def scale(self, c: Rat) -> "TreeTensor":
-        return TreeTensor({t: c * v for t, v in self.terms.items()})
-
-    def __add__(self, other: "TreeTensor") -> "TreeTensor":
-        return self.add(other)
-
-    def __sub__(self, other: "TreeTensor") -> "TreeTensor":
-        return self.add(other.scale(-1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeTensor):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            (f"{c}*" if c != 1 else "") + str(t) for t, c in self.terms.items()
-        )
-
-
-def _promote(a) -> TreeTensor:
-    return a if isinstance(a, TreeTensor) else TreeTensor.of(a)
+    __slots__ = ()
 
 
 def free_bullet(a, b) -> TreeTensor:
     """The free pre-Lie product: graft the right operand at every vertex
     of the left one, bilinearly."""
-    a, b = _promote(a), _promote(b)
+    a, b = TreeTensor._coerce(a), TreeTensor._coerce(b)
     acc: dict[PartitionedTree, Rat] = {}
     for ta, ca in a.items():
         for tb, cb in b.items():
-            for s in range(1, ta.size + 1):
-                t = graft_at(ta, s, tb)
-                c2 = acc.get(t, 0) + ca * cb
-                if c2:
-                    acc[t] = c2
-                else:
-                    acc.pop(t, None)
-    return TreeTensor(acc)
+            c = ca * cb
+            _add_into(acc, ((graft_at(ta, s, tb), c) for s in range(1, ta.size + 1)))
+    return TreeTensor._from_clean(acc)
 
 
 def shuffle_trees(a, b) -> TreeTensor:
-    a, b = _promote(a), _promote(b)
+    a, b = TreeTensor._coerce(a), TreeTensor._coerce(b)
     acc: dict[PartitionedTree, Rat] = {}
     for ta, ca in a.items():
-        for tb, cb in b.items():
-            t = tree_shuffle(ta, tb)
-            c2 = acc.get(t, 0) + ca * cb
-            if c2:
-                acc[t] = c2
-            else:
-                acc.pop(t, None)
-    return TreeTensor(acc)
+        _add_into(acc, ((tree_shuffle(ta, tb), cb) for tb, cb in b.items()), ca)
+    return TreeTensor._from_clean(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -473,29 +412,15 @@ def _sym_product(tensors: list[Tensor]) -> SymTensor:
     for t in tensors:
         nxt: dict[SymMonomial, Rat] = {}
         for m, c in acc.items():
-            for w, cw in t.items():
-                key = m.times(SymMonomial.of(w))
-                c2 = nxt.get(key, 0) + c * cw
-                if c2:
-                    nxt[key] = c2
-                else:
-                    nxt.pop(key, None)
+            _add_into(nxt, ((m.times(SymMonomial.of(w)), cw) for w, cw in t.items()), c)
         acc = nxt
-    return SymTensor(acc.items())
+    return SymTensor._from_clean(acc)
 
 
 def _single_factor_tensor(s: SymTensor) -> Tensor:
-    acc: dict[Word, Rat] = {}
-    for m, c in s.items():
-        if len(m.factors) != 1:
-            raise ValueError("expected a combination of single words")
-        w = m.factors[0]
-        c2 = acc.get(w, 0) + c
-        if c2:
-            acc[w] = c2
-        else:
-            acc.pop(w, None)
-    return Tensor(acc)
+    if any(len(m.factors) != 1 for m in s.terms):
+        raise ValueError("expected a combination of single words")
+    return Tensor._from_clean({m.factors[0]: c for m, c in s.items()})
 
 
 def universal_eval(
@@ -525,7 +450,7 @@ def universal_eval(
         if not child_blocks:
             return head
         factors = _sym_product([eval_block(b) for b in child_blocks])
-        head_sym = SymTensor((SymMonomial.of(w), c) for w, c in head.items())
+        head_sym = SymTensor.from_tensor(head)
         return _single_factor_tensor(extend_bullet(ctx, head_sym, factors))
 
     def eval_block(block) -> Tensor:
@@ -548,12 +473,7 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
         pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
         acc: dict[Letter, Rat] = {}
         for x, c in pairs:
-            for y, cy in iterate_endo_letter(ctx.f, fert[v - 1], x).items():
-                c2 = acc.get(y, 0) + c * cy
-                if c2:
-                    acc[y] = c2
-                else:
-                    acc.pop(y, None)
+            _add_into(acc, iterate_endo_letter(ctx.f, fert[v - 1], x).items(), c)
         return acc
 
     images = {v: letter_image(v) for v in range(1, t.size + 1)}
@@ -563,18 +483,10 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
         for v in sigma:
             nxt: dict[tuple[Letter, ...], Rat] = {}
             for tup, c in partial.items():
-                for y, cy in images[v].items():
-                    key = tup + (y,)
-                    nxt[key] = nxt.get(key, 0) + c * cy
+                _add_into(nxt, ((tup + (y,), cy) for y, cy in images[v].items()), c)
             partial = nxt
-        for tup, c in partial.items():
-            w = Word(tup)
-            c2 = acc.get(w, 0) + c
-            if c2:
-                acc[w] = c2
-            else:
-                acc.pop(w, None)
-    return Tensor(acc)
+        _add_into(acc, ((Word(tup), c) for tup, c in partial.items()))
+    return Tensor._from_clean(acc)
 
 
 # ---------------------------------------------------------------------------

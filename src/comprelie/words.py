@@ -21,9 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -111,170 +112,166 @@ def word(letters: Iterable[Letter | str]) -> Word:
     return Word(tuple(x if isinstance(x, Letter) else Letter(x) for x in letters))
 
 
-class Tensor:
-    """A finitely supported rational linear combination of words.
+def _add_into(acc: dict, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) -> None:
+    """acc += scale * (each key, coefficient pair), dropping exact zeros.
 
-    Stored zero-free with structural equality; all arithmetic is exact.
+    The one accumulation step behind every linear combination; hot loops
+    call it once per pair of input terms with the product of their
+    coefficients as ``scale``.
+    """
+    if scale == 1:  # skip the multiply: Fraction * 1 is not free
+        for k, c in pairs:
+            c2 = acc.get(k, 0) + c
+            if c2:
+                acc[k] = c2
+            elif k in acc:
+                del acc[k]
+    else:
+        for k, c in pairs:
+            c2 = acc.get(k, 0) + scale * c
+            if c2:
+                acc[k] = c2
+            elif k in acc:
+                del acc[k]
+
+
+class Lin:
+    """A finitely supported rational linear combination of basis keys.
+
+    ``terms`` is a plain zero-free dict from key to coefficient.  Keys are
+    hashable and provide ``_key()``, the sort key that orders printed
+    terms and :meth:`support`.  Subclasses fix the key type; arithmetic
+    returns the subclass and is exact.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Rat] | Iterable[tuple[Word, Rat]] = ()):
+    def __init__(self, terms: Mapping[Hashable, Rat] | Iterable[tuple[Hashable, Rat]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Rat] = {}
-        for w, c in items:
-            check_coefficient(c)
-            c2 = acc.get(w, 0) + c
-            if c2:
-                acc[w] = c2
-            elif w in acc:
-                del acc[w]
-        self.terms = acc
+        self.terms: dict = {}
+        _add_into(self.terms, ((k, check_coefficient(c)) for k, c in items))
 
     @classmethod
-    def zero(cls) -> "Tensor":
-        return cls()
+    def _from_clean(cls, terms: dict):
+        """Wrap an already zero-free dict without re-checking (kernel output)."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
-    def of(cls, w: Word, coeff: Rat = 1) -> "Tensor":
-        t = cls()
-        if coeff:
-            t.terms[w] = check_coefficient(coeff)
-        return t
+    def _coerce(cls, x):
+        """A combination passes through; a bare key becomes its basis vector."""
+        return x if isinstance(x, cls) else cls.of(x)
+
+    @classmethod
+    def zero(cls):
+        return cls._from_clean({})
+
+    @classmethod
+    def of(cls, key, coeff: Rat = 1):
+        check_coefficient(coeff)
+        return cls._from_clean({key: coeff} if coeff else {})
+
+    def coefficient(self, key) -> Rat:
+        return self.terms.get(key, 0)
+
+    def items(self):
+        return self.terms.items()
+
+    def sorted_items(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: kv[0]._key())
+
+    def support(self) -> list:
+        return [k for k, _ in self.sorted_items()]
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        _add_into(out, other.terms.items())
+        return self._from_clean(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        _add_into(out, other.terms.items(), -1)
+        return self._from_clean(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: Rat):
+        check_coefficient(c)
+        return self._from_clean({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, c: Rat):
+        return self.scale(c)
+
+    def __str__(self) -> str:
+        return tensor_to_str(self)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+class Tensor(Lin):
+    """A finitely supported rational linear combination of words."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "Tensor":
         """The empty word with coefficient 1 (unit of shuffle/concatenation)."""
         return cls.of(EMPTY_WORD)
 
-    def coefficient(self, w: Word) -> Rat:
-        return self.terms.get(w, 0)
-
-    def items(self) -> Iterator[tuple[Word, Rat]]:
-        return iter(self.terms.items())
-
-    def sorted_items(self) -> list[tuple[Word, Rat]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._key())
-
-    def support(self) -> list[Word]:
-        return [w for w, _ in self.sorted_items()]
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(frozenset((w, Fraction(c)) for w, c in self.terms.items()))
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        out = dict(self.terms)
-        _add_into(out, other.terms, 1)
-        return _from_clean(out)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return _from_clean(out)
-
-    def __neg__(self) -> "Tensor":
-        return self.scale(-1)
-
-    def scale(self, c: Rat) -> "Tensor":
-        check_coefficient(c)
-        if not c:
-            return Tensor()
-        return _from_clean({w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c: Rat) -> "Tensor":
-        return self.scale(c)
 
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
     def graded_part(self, n: int) -> "Tensor":
-        return _from_clean({w: c for w, c in self.terms.items() if len(w) == n})
-
-    def __str__(self) -> str:
-        return tensor_to_str(self)
-
-    def __repr__(self) -> str:
-        return f"<Tensor {tensor_to_str(self)}>"
-
-
-def _from_clean(terms: dict[Word, Rat]) -> Tensor:
-    """Wrap an already zero-free dict without re-normalizing (internal)."""
-    t = Tensor()
-    t.terms = terms
-    return t
-
-
-def _add_into(acc: dict[Word, Rat], terms: Mapping[Word, Rat], scale: Rat) -> None:
-    for w, c in terms.items():
-        c2 = acc.get(w, 0) + scale * c
-        if c2:
-            acc[w] = c2
-        elif w in acc:
-            del acc[w]
-
-
-def normalize(terms: Mapping[Word, Rat] | Iterable[tuple[Word, Rat]]) -> Tensor:
-    """Merge duplicate words and drop zero coefficients."""
-    return Tensor(terms)
-
-
-def _as_tensor(x: Word | Tensor) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor.of(x)
+        return Tensor._from_clean({w: c for w, c in self.terms.items() if len(w) == n})
 
 
 # ---------------------------------------------------------------------------
 # shuffle / half-shuffle / concatenation / deconcatenation
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """All interleavings of u and v, merged with multiplicities.
-
-    Enumerated by choosing the positions of u's letters among len(u)+len(v)
-    slots, so the term count (with multiplicity) is C(k+l, k).
-    """
-    k, l = len(u), len(v)
-    if k == 0:
-        return ((v, 1),)
-    if l == 0:
-        return ((u, 1),)
-    acc: dict[Word, int] = {}
-    slots = k + l
-    for positions in itertools.combinations(range(slots), k):
-        out: list[Letter | None] = [None] * slots
+def _interleavings(u: Word, v: Word) -> Iterator[tuple[tuple[int, ...], tuple[Letter, ...]]]:
+    """Every (k,l)-interleaving of u and v: the slots that u's letters take
+    among k+l, and the merged letters.  There are C(k+l, k) of them."""
+    n = len(u) + len(v)
+    for positions in itertools.combinations(range(n), len(u)):
+        out: list[Letter | None] = [None] * n
         for p, x in zip(positions, u.letters):
             out[p] = x
         it = iter(v.letters)
-        for p in range(slots):
+        for p in range(n):
             if out[p] is None:
                 out[p] = next(it)
-        w = Word(tuple(out))  # type: ignore[arg-type]
-        acc[w] = acc.get(w, 0) + 1
-    return tuple(acc.items())
+        yield positions, tuple(out)  # type: ignore[misc]
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
+    """All interleavings of u and v, merged with multiplicities."""
+    return tuple(Counter(Word(letters) for _, letters in _interleavings(u, v)).items())
 
 
 def shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """Shuffle product, extended bilinearly."""
-    ta, tb = _as_tensor(a), _as_tensor(b)
+    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc: dict[Word, Rat] = {}
     for w1, c1 in ta.items():
         for w2, c2 in tb.items():
-            c = c1 * c2
-            for w, m in _shuffle_words(w1, w2):
-                c3 = acc.get(w, 0) + c * m
-                if c3:
-                    acc[w] = c3
-                elif w in acc:
-                    del acc[w]
-    return _from_clean(acc)
+            _add_into(acc, _shuffle_words(w1, w2), c1 * c2)
+    return Tensor._from_clean(acc)
 
 
 def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
@@ -284,7 +281,7 @@ def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     letter of ``a`` in front.  ``e < w = 0`` and ``w < e = w`` for nonempty
     ``w``; ``e < e`` raises ValueError (it is left undefined).
     """
-    ta, tb = _as_tensor(a), _as_tensor(b)
+    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     if EMPTY_WORD in ta.terms and EMPTY_WORD in tb.terms:
         raise ValueError("half_shuffle(e, e) is undefined")
     acc: dict[Word, Rat] = {}
@@ -293,33 +290,21 @@ def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
             continue  # e < w = 0
         head, tail = w1[0], w1[1:]
         for w2, c2 in tb.items():
-            c = c1 * c2
-            for w, m in _shuffle_words(tail, w2):
-                key = Word((head,) + w.letters)
-                c3 = acc.get(key, 0) + c * m
-                if c3:
-                    acc[key] = c3
-                elif key in acc:
-                    del acc[key]
-    return _from_clean(acc)
+            _add_into(
+                acc,
+                ((Word((head,) + w.letters), m) for w, m in _shuffle_words(tail, w2)),
+                c1 * c2,
+            )
+    return Tensor._from_clean(acc)
 
 
 def concat(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """Concatenation product, extended bilinearly."""
-    ta, tb = _as_tensor(a), _as_tensor(b)
+    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc: dict[Word, Rat] = {}
     for w1, c1 in ta.items():
-        for w2, c2 in tb.items():
-            _bump(acc, w1 + w2, c1 * c2)
-    return _from_clean(acc)
-
-
-def _bump(acc: dict[Word, Rat], w: Word, c: Rat) -> None:
-    c2 = acc.get(w, 0) + c
-    if c2:
-        acc[w] = c2
-    elif w in acc:
-        del acc[w]
+        _add_into(acc, ((w1 + w2, c2) for w2, c2 in tb.items()), c1)
+    return Tensor._from_clean(acc)
 
 
 def deconcatenate(w: Word) -> list[tuple[Word, Word]]:
@@ -416,6 +401,8 @@ def parse_rational(src: str) -> Rat:
     src = src.strip()
     if "/" in src:
         num, den = src.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {src!r}")
         return Fraction(int(num), int(den))
     return int(src)
 
@@ -425,28 +412,52 @@ def rational_to_str(c: Rat) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _split_terms(src: str) -> list[tuple[int, str]]:
-    """Split a sum "t1 + t2 - t3" into (sign, term) pairs."""
+def _split_signed(src: str) -> list[tuple[int, str]]:
+    """Split a linear combination into (sign, term) pairs at top level.
+
+    The one signed-term splitter of every expression grammar.  A sign
+    right after ``*`` or ``/`` belongs to a number and signs inside
+    brackets stay put; runs of signs combine, so ``a + -b`` is ``a - b``.
+    """
     out: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    started = False
+    buf: list[str] = []
+    sign = 1
+    depth = 0
+    prev = ""
     for ch in src:
-        if ch in "+-" and (not buf or buf[-1] not in "*/"):
+        if ch in "[{(":
+            depth += 1
+        elif ch in "]})":
+            depth -= 1
+        if ch in "+-" and depth == 0 and prev not in ("*", "/"):
             term = "".join(buf).strip()
             if term:
                 out.append((sign, term))
-            elif started and not term:
-                raise ValueError(f"dangling sign in {src!r}")
-            sign = 1 if ch == "+" else -1
-            buf = []
-            started = True
-        else:
-            buf.append(ch)
+                buf = []
+                sign = 1 if ch == "+" else -1
+            elif ch == "-":
+                sign = -sign
+            continue
+        buf.append(ch)
+        if not ch.isspace():
+            prev = ch
     term = "".join(buf).strip()
     if not term:
-        raise ValueError(f"missing final term in {src!r}")
+        raise ValueError(f"dangling sign or empty term in {src!r}")
     out.append((sign, term))
     return out
+
+
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d[\d_]*\s*(?:/\s*[+-]?\d[\d_]*\s*)?")
+
+
+def _split_coeff(term: str) -> tuple[Rat, str]:
+    """Split ``"3/2*body"`` into (3/2, "body"); a term without a leading
+    rational factor has coefficient 1."""
+    head, star, body = term.partition("*")
+    if star and _RATIONAL_RE.fullmatch(head):
+        return parse_rational(head), body.strip()
+    return 1, term
 
 
 def parse_tensor(src: str) -> Tensor:
@@ -458,26 +469,24 @@ def parse_tensor(src: str) -> Tensor:
     if src == "0":
         return Tensor()
     pairs: list[tuple[Word, Rat]] = []
-    for sign, term in _split_terms(src):
-        if "*" in term:
-            coeff_src, word_src = term.split("*", 1)
-            pairs.append((parse_word(word_src), sign * parse_rational(coeff_src)))
-        elif re.fullmatch(r"\d+(/\d+)?", term):
+    for sign, term in _split_signed(src):
+        if re.fullmatch(r"\d+(/\d+)?", term):
             pairs.append((EMPTY_WORD, sign * parse_rational(term)))
         else:
-            pairs.append((parse_word(term), sign))
+            coeff, body = _split_coeff(term)
+            pairs.append((parse_word(body), sign * coeff))
     return Tensor(pairs)
 
 
-def tensor_to_str(t: Tensor) -> str:
+def tensor_to_str(t: Lin) -> str:
+    """The printed form of any linear combination: terms in key order,
+    joined by their signs, coefficients of magnitude 1 left out."""
     if not t:
         return "0"
     chunks: list[str] = []
-    for w, c in t.sorted_items():
-        c = Fraction(c)
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        body = word_to_str(w) if mag == 1 else f"{rational_to_str(mag)}*{word_to_str(w)}"
+    for k, c in t.sorted_items():
+        sign, mag = ("-", -c) if c < 0 else ("+", c)
+        body = str(k) if mag == 1 else f"{rational_to_str(mag)}*{k}"
         chunks.append(f"{sign} {body}")
     out = " ".join(chunks)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]

@@ -18,7 +18,13 @@ from comprelie.characters import (
     inverse,
     tilde_compose,
 )
-from comprelie.endo import Endo, fliess_channel, iterate_endo_letter, transpose_endo
+from comprelie.endo import (
+    Endo,
+    fliess_channel,
+    iterate_endo_letter,
+    nilpotency_index,
+    transpose_endo,
+)
 from comprelie.enveloping import dual_coproduct
 from comprelie.prelie import ComPreLieContext
 from comprelie.words import EMPTY_WORD, Tensor, Word, parse_tensor, parse_word, shuffle
@@ -143,6 +149,27 @@ def test_inverse_roundtrip():
         assert diamond(ctx, u, v) == zero
         assert diamond(ctx, v, u) == zero
         assert inverse(ctx, v) == u
+
+
+def test_index_three_map_group_law():
+    # f^2 != 0 on c, so words starting with c absorb the divided power
+    # v^(sh 2)/2! of v: associativity and inversion both depend on the 1/2!
+    f = Endo.matrix(["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+    assert nilpotency_index(f) == 3
+    ctx = ComPreLieContext(f)
+    rng = random.Random(5)
+
+    def draw(support):
+        coeff = lambda: rng.choice((-1, 1)) * Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        return TruncatedSeries(3, {W(w): coeff() for w in support})
+
+    for _ in range(2):
+        u, v, w = draw(["c", "cb", "a", "bc"]), draw(["a", "b", "c", "ab"]), draw(["b", "c", "ca"])
+        assert diamond(ctx, diamond(ctx, u, v), w) == diamond(ctx, u, diamond(ctx, v, w))
+    zero = TruncatedSeries.zero(3)
+    x = inverse(ctx, u)
+    assert diamond(ctx, u, x) == zero and diamond(ctx, x, u) == zero
+    assert inverse(ctx, x) == u
 
 
 def test_composition_matches_dual_coproduct_evaluation():

@@ -45,8 +45,8 @@ CORPUS = [
     "3*1 - x1 * x1 * x2",
     "e * ab",
     "a[b]",
-    "2*a[b,{c,d}] + d[d]",
-    "a[b] + -2*b[a]",
+    "d[d] + 2*a[b,{c,d}]",
+    "a[b] - 2*b[a]",
     "{a,b[c]}",
 ]
 
@@ -54,6 +54,9 @@ CORPUS = [
 def test_print_parse_round_trip():
     for src in CORPUS:
         assert str(parse_expression(src)) == src
+    # tree combinations print sorted; other orders and "+ -" still parse
+    assert parse_expression("2*a[b,{c,d}] + d[d]") == parse_expression("d[d] + 2*a[b,{c,d}]")
+    assert parse_expression("a[b] + -2*b[a]") == parse_expression("a[b] - 2*b[a]")
 
 
 def test_parse_expression_types():
@@ -196,6 +199,27 @@ def test_usage_exit_codes(capsys):
         main(["not-a-verb"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "endo_json",
+    [
+        None,
+        '{"kind": "matrix", "alphabet": ["a", "b"], "matrix": [["0", "1/0"], ["0", "0"]]}',
+        '{"kind": "matrix", "alphabet": ["a", "b"]}',
+    ],
+    ids=["zero-denominator-coefficient", "zero-denominator-entry", "no-matrix-key"],
+)
+def test_bad_input_exits_two_without_traceback(capsys, tmp_path, endo_json):
+    argv = ["prelie", "1/0*a", "b"]
+    if endo_json is not None:
+        path = tmp_path / "f.json"
+        path.write_text(endo_json)
+        argv = ["prelie", "a", "b", "--endo", f"@{path}"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_format_env_default(capsys, monkeypatch):

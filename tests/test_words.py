@@ -20,7 +20,6 @@ from comprelie.words import (
     deconcatenate_iter,
     half_shuffle,
     lyndon_words,
-    normalize,
     parse_tensor,
     parse_word,
     rational_to_str,
@@ -114,9 +113,10 @@ def test_lyndon_brute_force_agreement():
 
 
 def test_normalize():
-    assert normalize([(W("ab"), 1), (W("cd"), 0)]) == T("ab")
-    assert normalize([(W("ab"), 1), (W("ab"), -1)]) == Tensor.zero()
-    assert normalize([(W("a"), 2), (W("a"), 3)]) == Tensor.of(W("a"), 5)
+    # the constructor merges duplicate words and drops zero coefficients
+    assert Tensor([(W("ab"), 1), (W("cd"), 0)]) == T("ab")
+    assert Tensor([(W("ab"), 1), (W("ab"), -1)]) == Tensor.zero()
+    assert Tensor([(W("a"), 2), (W("a"), 3)]) == Tensor.of(W("a"), 5)
 
 
 # ---------------------------------------------------------------------------
