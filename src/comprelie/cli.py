@@ -182,8 +182,10 @@ def parse_sym_tensor(src: str) -> SymTensor:
         return SymTensor()
     pairs = []
     for sign, term in _split_signed(src):
-        coeff, body = _split_coeff(term)
-        factors = [f.strip() for f in body.split(" * ")]
+        # factors first: in "2 * a" the 2 is a word, in "2*a * b" a coefficient
+        first, *rest = term.split(" * ")
+        coeff, first = _split_coeff(first)
+        factors = [f.strip() for f in (first, *rest)]
         words = [parse_word(f) for f in factors if f != "1"]
         pairs.append((SymMonomial.of(*words), sign * coeff))
     return SymTensor(pairs)

@@ -119,20 +119,12 @@ def _add_into(acc: dict, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
     call it once per pair of input terms with the product of their
     coefficients as ``scale``.
     """
-    if scale == 1:  # skip the multiply: Fraction * 1 is not free
-        for k, c in pairs:
-            c2 = acc.get(k, 0) + c
-            if c2:
-                acc[k] = c2
-            elif k in acc:
-                del acc[k]
-    else:
-        for k, c in pairs:
-            c2 = acc.get(k, 0) + scale * c
-            if c2:
-                acc[k] = c2
-            elif k in acc:
-                del acc[k]
+    for k, c in pairs:
+        c2 = acc.get(k, 0) + scale * c
+        if c2:
+            acc[k] = c2
+        elif k in acc:
+            del acc[k]
 
 
 class Lin:

@@ -45,7 +45,11 @@ def test_tree_tensor_prints_in_key_order():
 
 coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 words = st.lists(st.sampled_from(["a", "b", "x1"]), max_size=3).map(word)
-monomials = st.lists(words, max_size=3).map(lambda ws: SymMonomial.of(*ws))
+# a numeral letter name makes "2 * a" (the words 2 and a) look like a
+# coefficient times a monomial
+monomials = st.lists(
+    st.lists(st.sampled_from(["a", "b", "2"]), max_size=2).map(word), max_size=3
+).map(lambda ws: SymMonomial.of(*ws))
 # every tree with two or more vertices prints a bracket, which is what
 # tells the parser that an expression is a tree combination
 trees = st.sampled_from(
@@ -67,6 +71,13 @@ def test_sym_tensor_print_parse_round_trip(terms):
     assume(any(len(m.factors) >= 2 for m in terms))
     s = SymTensor(terms)
     assert parse_expression(str(s)) == s
+
+
+def test_numeral_first_factor_is_not_a_coefficient():
+    two, a, b = word(["2"]), word(["a"]), word(["b"])
+    assert parse_expression("2 * a") == SymTensor.of(SymMonomial.of(two, a))
+    assert parse_expression("2*a * b") == SymTensor.of(SymMonomial.of(a, b), 2)
+    assert parse_expression("3*2 * a") == SymTensor.of(SymMonomial.of(two, a), 3)
 
 
 @settings(max_examples=25)
