@@ -101,10 +101,11 @@ def tilde_compose(
     u._check_compatible(v)
     L = u.trunc
     N = _require_nilpotent(ctx)
-    # divided powers v^(sh i)/i!, built as v_pows[i-1] sh v / i
+    # divided powers v^(sh i)/i!, built as v_pows[i-1] sh v / i; rec only
+    # shuffles them into words of length <= L-1, so longer words are skipped
     v_pows = [Tensor.unit()]
     for i in range(1, N):
-        power = _truncate(shuffle(v_pows[-1], v.tensor), L)
+        power = shuffle(v_pows[-1], v.tensor, max_len=L - 1)
         v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
     memo: dict[Word, Tensor] = {}
 
@@ -121,7 +122,7 @@ def tilde_compose(
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
-            mixed = _truncate(shuffle(base, v_pows[i]), L - 1)
+            mixed = shuffle(base, v_pows[i], max_len=L - 1)
             for y, cy in image.items():
                 _add_into(acc, ((Word((y,) + t.letters), c) for t, c in mixed.items()), cy)
         memo[w] = Tensor._from_clean(acc)
@@ -143,18 +144,17 @@ def diamond(
 def inverse(ctx: ComPreLieContext, u: TruncatedSeries) -> TruncatedSeries:
     """The diamond-inverse of ``u`` at its truncation.
 
-    Solved as the fixed point v = -(u comp v); each pass fixes one more
-    word length, so convergence within trunc+2 passes is guaranteed —
-    failure indicates a bug, not bad input.
+    Solves v = -(u comp v) one word length at a time.  The length-n part
+    of ``u comp v`` reads only the parts of v shorter than n, so one
+    composition at truncation n, fed the solution at truncation n-1,
+    fixes v up to length n.  The closing check that both diamond products
+    vanish guards the solver: failure indicates a bug, not bad input.
     """
     _require_nilpotent(ctx)
     L = u.trunc
-    v = TruncatedSeries.zero(L)
-    for _ in range(L + 2):
-        nxt = -tilde_compose(ctx, u, v)
-        if nxt == v:
-            break
-        v = nxt
+    v = TruncatedSeries.zero(0)
+    for n in range(L + 1):
+        v = -tilde_compose(ctx, TruncatedSeries(n, u.tensor), TruncatedSeries(n, v.tensor))
     if diamond(ctx, u, v).tensor or diamond(ctx, v, u).tensor:
         raise RuntimeError("inverse iteration failed to converge; internal error")
     return v
@@ -214,7 +214,7 @@ def fliess_tilde(
         base = rec(rest)
         acc = {Word((x,) + t.letters): cf for t, cf in base.items() if len(t) < L}
         if _letter_index(x) == i:
-            mixed = _truncate(shuffle(base, di.tensor), L - 1)
+            mixed = shuffle(base, di.tensor, max_len=L - 1)
             _add_into(acc, ((Word((x0,) + t.letters), cf) for t, cf in mixed.items()))
         memo[w] = Tensor._from_clean(acc)
         return memo[w]

@@ -257,12 +257,20 @@ def endo_from_json(src: str) -> Endo:
     if not isinstance(doc, dict):
         raise ValueError("endomorphism JSON must be an object")
     kind = doc.get("kind")
-    alphabet = [parse_letter(tok) for tok in doc.get("alphabet", [])]
+    tokens = doc.get("alphabet", [])
+    if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+        raise ValueError("endomorphism JSON 'alphabet' must be a list of strings")
+    alphabet = [parse_letter(tok) for tok in tokens]
     if kind == "matrix":
-        entries = [[_entry(e) for e in row] for row in _field(doc, "matrix")]
+        rows = _field(doc, "matrix")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("matrix endomorphism JSON 'matrix' must be a list of lists")
+        entries = [[_entry(e) for e in row] for row in rows]
         return Endo.matrix(alphabet, entries)
     if kind == "diagonal":
         weights = _field(doc, "weights")
+        if not isinstance(weights, dict):
+            raise ValueError("diagonal endomorphism JSON 'weights' must be an object")
         return Endo.diagonal({parse_letter(k): _entry(v) for k, v in weights.items()})
     if kind == "biletter_shift":
         return Endo.biletter_shift([x.name for x in alphabet])

@@ -256,12 +256,22 @@ def _shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(Counter(Word(letters) for _, letters in _interleavings(u, v)).items())
 
 
-def shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
-    """Shuffle product, extended bilinearly."""
+def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> Tensor:
+    """Shuffle product, extended bilinearly.
+
+    With ``max_len``, a pair of words whose lengths sum past it is skipped
+    before any interleaving is built.  Every interleaving of ``w1`` and
+    ``w2`` has length ``|w1| + |w2|``, so the result is exactly the full
+    shuffle restricted to words of length <= ``max_len``; truncated series
+    composition uses this to never build the words it would discard.
+    """
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc: dict[Word, Rat] = {}
     for w1, c1 in ta.items():
+        room = None if max_len is None else max_len - len(w1)
         for w2, c2 in tb.items():
+            if room is not None and len(w2) > room:
+                continue
             _add_into(acc, _shuffle_words(w1, w2), c1 * c2)
     return Tensor._from_clean(acc)
 
@@ -472,13 +482,18 @@ def parse_tensor(src: str) -> Tensor:
 
 def tensor_to_str(t: Lin) -> str:
     """The printed form of any linear combination: terms in key order,
-    joined by their signs, coefficients of magnitude 1 left out."""
+    joined by their signs, coefficients of magnitude 1 left out unless the
+    key itself reads as a rational (the word ``2`` prints as ``1*2``)."""
     if not t:
         return "0"
     chunks: list[str] = []
     for k, c in t.sorted_items():
         sign, mag = ("-", -c) if c < 0 else ("+", c)
-        body = str(k) if mag == 1 else f"{rational_to_str(mag)}*{k}"
+        key = str(k)
+        if mag == 1 and not _RATIONAL_RE.fullmatch(key):
+            body = key
+        else:
+            body = f"{rational_to_str(mag)}*{key}"
         chunks.append(f"{sign} {body}")
     out = " ".join(chunks)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]

@@ -207,8 +207,22 @@ def test_usage_exit_codes(capsys):
         None,
         '{"kind": "matrix", "alphabet": ["a", "b"], "matrix": [["0", "1/0"], ["0", "0"]]}',
         '{"kind": "matrix", "alphabet": ["a", "b"]}',
+        '{"kind": "matrix", "alphabet": ["a", "b"], "matrix": 5}',
+        '{"kind": "matrix", "alphabet": ["a", "b"], "matrix": [5, 6]}',
+        '{"kind": "diagonal", "alphabet": ["a"], "weights": [1]}',
+        '{"kind": "matrix", "alphabet": "ab", "matrix": [[0, 1], [0, 0]]}',
+        '{"kind": "matrix", "alphabet": ["a", 2], "matrix": [[0, 1], [0, 0]]}',
     ],
-    ids=["zero-denominator-coefficient", "zero-denominator-entry", "no-matrix-key"],
+    ids=[
+        "zero-denominator-coefficient",
+        "zero-denominator-entry",
+        "no-matrix-key",
+        "matrix-not-a-list",
+        "matrix-rows-not-lists",
+        "weights-not-an-object",
+        "alphabet-not-a-list",
+        "alphabet-entry-not-a-string",
+    ],
 )
 def test_bad_input_exits_two_without_traceback(capsys, tmp_path, endo_json):
     argv = ["prelie", "1/0*a", "b"]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from comprelie.cli import parse_expression
@@ -44,7 +44,8 @@ def test_tree_tensor_prints_in_key_order():
 
 
 coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
-words = st.lists(st.sampled_from(["a", "b", "x1"]), max_size=3).map(word)
+# the letter 2 makes a one-letter word that prints like a rational
+words = st.lists(st.sampled_from(["a", "b", "x1", "2"]), max_size=3).map(word)
 # a numeral letter name makes "2 * a" (the words 2 and a) look like a
 # coefficient times a monomial
 monomials = st.lists(
@@ -59,6 +60,8 @@ trees = st.sampled_from(
 
 @settings(max_examples=25)
 @given(st.dictionaries(words, coeffs, max_size=4))
+@example({word(["2"]): 1})
+@example({word(["2"]): -1, word([]): 2})
 def test_tensor_print_parse_round_trip(terms):
     t = Tensor(terms)
     assert parse_expression(str(t)) == t
