@@ -467,9 +467,7 @@ def _check_duality(rng: random.Random) -> str | None:
         u = SymMonomial.of(_rand_word(rng, letters, 2))
         v = SymMonomial.of(_rand_word(rng, letters, 1))
         w = _rand_word(rng, letters, 3)
-        lhs = pair_tensor(
-            star(dual_ctx, u, v), SymTensor.of(SymMonomial.of(w))
-        )
+        lhs = pair_tensor(star(dual_ctx, u, v), SymMonomial.of(w))
         rhs = Fraction(0)
         for (a, b), c in full_coproduct(ctx, SymMonomial.of(w)).items():
             rhs += c * sym_pairing(u, a) * sym_pairing(v, b)

@@ -16,6 +16,7 @@ single-letter words), so images compose directly with the word operations.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .words import (
@@ -44,15 +45,19 @@ class Endo:
         self,
         kind: str,
         alphabet: tuple[Letter, ...],
-        columns: dict[Letter, dict[Letter, Rat]] | None = None,
-        weights: dict[Letter, Rat] | None = None,
+        columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None,
+        weights: Mapping[Letter, Rat] | None = None,
     ):
         if kind not in ("matrix", "diagonal", "biletter_shift"):
             raise ValueError(f"unknown endomorphism kind: {kind!r}")
         self.kind = kind
         self.alphabet = alphabet
-        self.columns = columns
-        self.weights = weights
+        # read-only views: contexts cache products under the map, so an
+        # image handed out must not be able to change it
+        self.columns = None if columns is None else MappingProxyType(
+            {x: MappingProxyType(dict(col)) for x, col in columns.items()}
+        )
+        self.weights = None if weights is None else MappingProxyType(dict(weights))
 
     # -- constructors -------------------------------------------------------
 
@@ -102,7 +107,7 @@ class Endo:
     def __repr__(self) -> str:
         return f"<Endo {self.kind} on {len(self.alphabet)} letters>"
 
-    def image_letter(self, x: Letter) -> dict[Letter, Rat]:
+    def image_letter(self, x: Letter) -> Mapping[Letter, Rat]:
         """The image of a single letter as a letter -> coefficient map."""
         if self.kind == "matrix":
             col = self.columns.get(x)

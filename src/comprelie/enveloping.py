@@ -14,18 +14,23 @@ for any basis-level pre-Lie product; the rest of the module instantiates it
 on words, adds the closed one-pass formulas for a word acting on a factor
 list, and builds the dual coproduct that exists when the letter
 endomorphism is locally nilpotent.
+
+The monomial type, the commutative product, the multiplicative extension
+of a coproduct and the diagonal pairing are shared with the forests.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .endo import iterate_endo_letter, nilpotency_index
 from .prelie import ComPreLieContext, _prepend_image, prelie
-from .words import EMPTY_WORD, Letter, Lin, Rat, Tensor, Word, _add_into, shuffle, word_to_str
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, shuffle
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -36,31 +41,48 @@ Mono = tuple  # sorted tuple of Elem
 Raw = dict  # Elem -> Rat or Mono -> Rat
 
 
+def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
+    """Every assignment of the items to ``k`` ordered slots, each item
+    choosing its slot independently: ``k ** len(items)`` tuples of ``k``
+    parts, every part keeping the items' order."""
+    for assignment in itertools.product(range(k), repeat=len(items)):
+        parts: list[list] = [[] for _ in range(k)]
+        for x, slot in zip(items, assignment):
+            parts[slot].append(x)
+        yield tuple(map(tuple, parts))
+
+
 class OudomGuin:
     """Extends a basis-level pre-Lie product to sorted-tuple monomials.
 
     ``base(a, b)`` must return the product of two basis elements as an
     element -> coefficient mapping.  Monomials are kept sorted, so the
-    basis elements must be totally ordered.
+    basis elements must be totally ordered.  The public products take and
+    return combinations of one :class:`SymLin` subclass.
     """
 
     def __init__(self, base: Callable[[Elem, Elem], Mapping[Elem, Rat]]):
         self.base = base
         self._cache: dict[tuple[Mono, Mono], tuple[tuple[Mono, Rat], ...]] = {}
 
-    def bullet(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Raw:
-        out: Raw = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                _add_into(out, self._bullet_mono(ma, mb), ca * cb)
-        return out
+    def bullet(self, cls: type[SymLin], a, b) -> SymLin:
+        """The extended action on combinations of ``cls``'s monomials."""
+        return self._extend(self._bullet_mono, cls, a, b)
 
-    def star(self, a: Mapping[Mono, Rat], b: Mapping[Mono, Rat]) -> Raw:
+    def star(self, cls: type[SymLin], a, b) -> SymLin:
+        """The enveloping product on combinations of ``cls``'s monomials."""
+        return self._extend(self._star_mono, cls, a, b)
+
+    @staticmethod
+    def _extend(mono_op: Callable[[Mono, Mono], Iterable], cls: type[SymLin], a, b) -> SymLin:
+        """A product of factor tuples, extended bilinearly; the output
+        tuples are wrapped back into ``cls``'s monomials."""
+        a, b = cls._coerce(a), cls._coerce(b)
         out: Raw = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                _add_into(out, self._star_mono(ma, mb), ca * cb)
-        return out
+                _add_into(out, mono_op(ma.factors, mb.factors), ca * cb)
+        return cls._from_clean({cls.monomial(m): c for m, c in out.items()})
 
     def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         key = (a, b)
@@ -92,10 +114,7 @@ class OudomGuin:
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         acc: Raw = {}
-        k = len(b)
-        for mask in range(1 << k):
-            inside = tuple(b[j] for j in range(k) if mask >> j & 1)
-            outside = tuple(b[j] for j in range(k) if not mask >> j & 1)
+        for outside, inside in _splittings(b, 2):
             _add_into(
                 acc, ((tuple(sorted(m + outside)), c) for m, c in self._bullet_mono(a, inside))
             )
@@ -103,53 +122,88 @@ class OudomGuin:
 
 
 # ---------------------------------------------------------------------------
-# symmetric monomials of words
+# symmetric monomials and their combinations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class SymMonomial:
-    """A multiset of words; the empty multiset is the unit, distinct from
-    the one-factor monomial on the empty word."""
+class Monomial:
+    """A multiset of basis elements, kept sorted by the elements' ``_key``;
+    the empty multiset is the unit.  Subclasses fix the element type, and
+    monomials of different subclasses never compare equal."""
 
-    factors: tuple[Word, ...] = ()
+    factors: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda w: w._key()))
-        )
+        factors = tuple(self.factors)
+        if len(factors) > 1:
+            factors = tuple(sorted(factors, key=lambda x: x._key()))
+        object.__setattr__(self, "factors", factors)
 
-    @staticmethod
-    def of(*factors: Word) -> "SymMonomial":
-        return SymMonomial(tuple(factors))
+    @classmethod
+    def of(cls, *factors):
+        return cls(factors)
 
-    def times(self, other: "SymMonomial") -> "SymMonomial":
-        return SymMonomial(self.factors + other.factors)
+    def times(self, other):
+        return type(self)(self.factors + other.factors)
 
-    def total_letters(self) -> int:
-        return sum(len(w) for w in self.factors)
+    def symmetry(self, of_factor: Callable[[Elem], int] = lambda x: 1) -> int:
+        """The product of m! * of_factor(x) ** m over the distinct factors x,
+        m being the multiplicity of x: permutations of equal factors times
+        the symmetries ``of_factor`` counts inside each factor."""
+        out = 1
+        for x, m in Counter(self.factors).items():
+            out *= factorial(m) * of_factor(x) ** m
+        return out
 
     def _key(self):
-        return (len(self.factors), tuple(w._key() for w in self.factors))
+        return (len(self.factors), tuple(x._key() for x in self.factors))
 
-    def __lt__(self, other: "SymMonomial") -> bool:
+    def __lt__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
         return self._key() < other._key()
 
     def __str__(self) -> str:
         if not self.factors:
             return "1"
-        return " * ".join(word_to_str(w) for w in self.factors)
+        return " * ".join(str(x) for x in self.factors)
 
     def __repr__(self) -> str:
-        return f"SymMonomial({str(self)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class SymMonomial(Monomial):
+    """A multiset of words; the empty multiset is the unit, distinct from
+    the one-factor monomial on the empty word."""
+
+    __slots__ = ()
+
+    def total_letters(self) -> int:
+        return sum(len(w) for w in self.factors)
 
 
 ONE = SymMonomial()
 
 
-class SymTensor(Lin):
-    """A rational linear combination of symmetric monomials."""
+class SymLin(Lin):
+    """A rational combination of monomials with the commutative product,
+    which multiplies monomials by joining their factor multisets."""
 
     __slots__ = ()
+    monomial: type[Monomial] = Monomial
+
+    def __mul__(self, other):
+        acc: dict = {}
+        for m, c in self.terms.items():
+            _add_into(acc, ((m.times(n), c2) for n, c2 in other.terms.items()), c)
+        return self._from_clean(acc)
+
+
+class SymTensor(SymLin):
+    """A rational linear combination of symmetric monomials of words."""
+
+    __slots__ = ()
+    monomial = SymMonomial
 
     @classmethod
     def unit(cls) -> "SymTensor":
@@ -172,22 +226,14 @@ def _engine(ctx: ComPreLieContext) -> OudomGuin:
     return eng
 
 
-def _raw(a: SymTensor | SymMonomial) -> dict[tuple, Rat]:
-    return {m.factors: c for m, c in SymTensor._coerce(a).items()}
-
-
-def _wrap(d: Mapping[tuple, Rat]) -> SymTensor:
-    return SymTensor._from_clean({SymMonomial(m): c for m, c in d.items()})
-
-
 def extend_bullet(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The pre-Lie action of monomials on monomials."""
-    return _wrap(_engine(ctx).bullet(_raw(a), _raw(b)))
+    return _engine(ctx).bullet(SymTensor, a, b)
 
 
 def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The associative enveloping product."""
-    return _wrap(_engine(ctx).star(_raw(a), _raw(b)))
+    return _engine(ctx).star(SymTensor, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +250,7 @@ def _distribute(
     nesting from the last letter outward; and the factors of any further
     share, which pass through unchanged."""
     i = len(w)
-    for assignment in itertools.product(range(shares), repeat=len(factors)):
-        blocks: list[list[Word]] = [[] for _ in range(shares)]
-        for u, b in zip(factors, assignment):
-            blocks[b].append(u)
+    for blocks in _splittings(factors, shares):
         t = Tensor.unit()
         for b in range(i - 1, -1, -1):
             for u in blocks[b]:
@@ -275,14 +318,11 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
         image = iterate_endo_letter(ctx.f, i, x)
         if not image:
             break
-        # unshuffle u into i+1 ordered (possibly empty) parts — the adjoint
-        # of the iterated shuffle product, so each letter position picks a
-        # part independently; the head part feeds the recursion, the tail
-        # parts multiply into the monomial leg
-        for assignment in itertools.product(range(i + 1), repeat=len(u)):
-            parts: list[tuple[Letter, ...]] = [() for _ in range(i + 1)]
-            for pos, p in enumerate(assignment):
-                parts[p] = parts[p] + (u[pos],)
+        # unshuffle u into i+1 ordered (possibly empty) parts, the adjoint
+        # of the iterated shuffle product; the head part feeds the
+        # recursion, the tail parts multiply into the monomial leg
+        scale = 1 if i < 2 else Fraction(1, factorial(i))
+        for parts in _splittings(u.letters, i + 1):
             head = Word(parts[0])
             tail = tuple(Word(t) for t in parts[1:])
             for (t_word, mono), c in _delta_tilde_word(ctx, head).items():
@@ -290,7 +330,7 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
                 _add_into(
                     acc,
                     (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items()),
-                    c,
+                    c * scale,
                 )
     cache[w] = acc
     return acc
@@ -298,62 +338,72 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
 
 def dual_coproduct(ctx: ComPreLieContext, w: Word) -> list[tuple[Word, SymMonomial, Rat]]:
     """The reduced coproduct of a word, as (word, monomial, coefficient)
-    triples; the full coproduct adds the term 1 (x) w."""
+    triples; the full coproduct adds the term 1 (x) w.
+
+    For ``w = xu``, the f^i(x) term deals the letters of ``u`` into a head,
+    whose coproduct it extends, and i tail parts, which join the monomial;
+    it carries 1/i!, as the monomial forgets the order of the tail parts.
+    """
     return sorted(
         ((t, m, c) for (t, m), c in _delta_tilde_word(ctx, w).items()),
         key=lambda x: (x[0]._key(), x[1]._key()),
     )
 
 
-PairLin = dict[tuple[SymMonomial, SymMonomial], Rat]
+PairLin = dict[tuple[Monomial, Monomial], Rat]
+
+
+def multiplicative_coproduct(m: Monomial, delta_of_factor: Callable[[Elem], PairLin]) -> PairLin:
+    """The coproduct of a monomial as the product of its factors'
+    coproducts, as a (left, right) -> coefficient mapping."""
+    one = type(m)()
+    acc: PairLin = {(one, one): 1}
+    for x in m.factors:
+        delta = delta_of_factor(x)
+        nxt: PairLin = {}
+        for (l1, r1), c1 in acc.items():
+            _add_into(
+                nxt, (((l1.times(l2), r1.times(r2)), c2) for (l2, r2), c2 in delta.items()), c1
+            )
+        acc = nxt
+    return acc
 
 
 def full_coproduct(ctx: ComPreLieContext, m: SymMonomial) -> PairLin:
     """The multiplicative extension of word -> delta(word) + 1 (x) word."""
-    acc: PairLin = {(ONE, ONE): 1}
-    for w in m.factors:
-        delta_w: PairLin = {(ONE, SymMonomial.of(w)): 1}
+
+    def delta_of_word(w: Word) -> PairLin:
+        out: PairLin = {(ONE, SymMonomial.of(w)): 1}
         _add_into(
-            delta_w,
+            out,
             (((SymMonomial.of(t), mono), c) for (t, mono), c in _delta_tilde_word(ctx, w).items()),
         )
-        nxt: PairLin = {}
-        for (a1, b1), c1 in acc.items():
-            _add_into(
-                nxt, (((a1.times(a2), b1.times(b2)), c2) for (a2, b2), c2 in delta_w.items()), c1
-            )
-        acc = nxt
-    return acc
+        return out
+
+    return multiplicative_coproduct(m, delta_of_word)
 
 
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
 
+def diagonal_pairing(a: Lin, b: Lin, weight: Callable[[Hashable], Rat]) -> Rat:
+    """The bilinear pairing in which distinct basis elements are orthogonal
+    and ``k`` pairs with itself to ``weight(k)``."""
+    total: Rat = 0
+    for k, c in a.terms.items():
+        c2 = b.terms.get(k)
+        if c2:
+            total += c * c2 * weight(k)
+    return total
+
+
+def pair_tensor(a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> Rat:
+    """Dual-basis pairing of monomial combinations: a monomial pairs with
+    itself to the number of permutations of its equal factors."""
+    return diagonal_pairing(SymTensor._coerce(a), SymTensor._coerce(b), SymMonomial.symmetry)
+
+
 def sym_pairing(a: SymMonomial, b: SymMonomial) -> Rat:
-    """Dual-basis pairing of monomials: factor multisets must match, and
-    repeated factors contribute their matching count."""
-    if len(a.factors) != len(b.factors):
-        return 0
-    if a.factors != b.factors:  # both are sorted
-        return 0
-    out = 1
-    run = 1
-    for i in range(1, len(a.factors)):
-        if a.factors[i] == a.factors[i - 1]:
-            run += 1
-        else:
-            out *= factorial(run)
-            run = 1
-    out *= factorial(run)
-    return out
-
-
-def pair_tensor(a: SymTensor, b: SymTensor) -> Rat:
-    out: Rat = 0
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            p = sym_pairing(ma, mb)
-            if p:
-                out += ca * cb * p
-    return out
+    """The pairing of two monomials: the weight of the diagonal pairing."""
+    return a.symmetry() if a == b else 0

@@ -12,18 +12,24 @@ row recovers the Faa di Bruno bracket [y_k, y_l] = (k-l) y_{k+l}.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
 from .endo import Endo, diagonal_weights
-from .enveloping import OudomGuin
+from .enveloping import (
+    Monomial,
+    OudomGuin,
+    SymLin,
+    diagonal_pairing,
+    multiplicative_coproduct,
+)
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, free_bullet, graft_at, parse_tree, singleton
-from .words import Letter, Lin, Rat, Tensor, Word, _add_into, check_coefficient, parse_word
+from .words import Letter, Rat, Tensor, Word, _add_into, check_coefficient, parse_word
 
 
 def _as_letters(w) -> tuple[Letter, ...]:
@@ -53,48 +59,34 @@ def _weight(wmap: Mapping[Letter, Rat], x: Letter) -> Rat:
 # forests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Monomial):
     """A multiset of decorated rooted trees; the empty forest is the unit
-    of the product."""
+    of the product.  Forests order by vertex count first."""
 
-    trees: tuple[PartitionedTree, ...] = ()
+    __slots__ = ()
 
     def __post_init__(self):
-        for t in self.trees:
+        for t in self.factors:
             if not isinstance(t, PartitionedTree) or not t.is_rooted_tree():
                 raise ValueError("forest factors must be rooted trees (all blocks singletons)")
             for dec in t.decorations:
                 if not isinstance(dec, Letter) or dec.shift is not None:
                     raise ValueError(f"forest decorations must be plain symbols, got {dec!r}")
-        object.__setattr__(self, "trees", tuple(sorted(self.trees)))
+        super().__post_init__()
 
-    @staticmethod
-    def of(*trees: PartitionedTree) -> "Forest":
-        return Forest(tuple(trees))
-
-    def times(self, other: "Forest") -> "Forest":
-        return Forest(self.trees + other.trees)
+    @property
+    def trees(self) -> tuple[PartitionedTree, ...]:
+        return self.factors
 
     @property
     def n_vertices(self) -> int:
-        return sum(t.size for t in self.trees)
+        return sum(t.size for t in self.factors)
 
     def is_tree(self) -> bool:
-        return len(self.trees) == 1
+        return len(self.factors) == 1
 
     def _key(self):
-        return (self.n_vertices, tuple((t.size, str(t)) for t in self.trees))
-
-    def __lt__(self, other: "Forest") -> bool:
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __str__(self) -> str:
-        if not self.trees:
-            return "1"
-        return " * ".join(str(t) for t in self.trees)
+        return (self.n_vertices, tuple(t._key() for t in self.factors))
 
 
 def parse_forest(text: str) -> Forest:
@@ -105,22 +97,16 @@ def parse_forest(text: str) -> Forest:
     return Forest(tuple(parse_tree(tok) for tok in text.split("*")))
 
 
-class ForestPoly(Lin):
+class ForestPoly(SymLin):
     """A finitely supported rational combination of forests."""
 
     __slots__ = ()
+    monomial = Forest
 
-    def __mul__(self, other: "ForestPoly") -> "ForestPoly":
-        acc: dict[Forest, Rat] = {}
-        for f, c in self.terms.items():
-            _add_into(acc, ((f.times(g), c2) for g, c2 in other.terms.items()), c)
-        return ForestPoly._from_clean(acc)
-
-
-def _as_poly(x) -> ForestPoly:
-    if isinstance(x, PartitionedTree):
-        x = Forest.of(x)
-    return ForestPoly._coerce(x)
+    @classmethod
+    def _coerce(cls, x):
+        """As for any combination, with a tree read as a one-tree forest."""
+        return super()._coerce(Forest.of(x) if isinstance(x, PartitionedTree) else x)
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +151,18 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
     lower vertex.  The root side goes left, the cut-off branches right;
     the empty cut and the total cut give the two unit terms."""
     kids = _children_map(t)
-    anc: dict[int, set[int]] = {}
-    for v in range(1, t.size + 1):
-        up, p = set(), t.parents[v - 1]
-        while p is not None:
-            up.add(p)
-            p = t.parents[p - 1]
-        anc[v] = up
     nonroot = [v for v in range(1, t.size + 1) if t.parents[v - 1] is not None]
-    cuts: list[tuple[Forest, Forest]] = []
-    for mask in range(1 << len(nonroot)):
-        cut = [v for j, v in enumerate(nonroot) if mask >> j & 1]
-        if any(anc[v] & set(cut) for v in cut):
-            continue
-        below: set[int] = set()
-        for v in cut:
-            below.update(_descendants(kids, v))
-        trunk = _part(t, (v for v in range(1, t.size + 1) if v not in below))
-        branches = Forest(tuple(_part(t, _descendants(kids, v)) for v in cut))
-        cuts.append((Forest.of(trunk), branches))
+    below_edge = {v: _descendants(kids, v) for v in nonroot}
     out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
-    _add_into(out, ((cut, 1) for cut in cuts))
+    for k in range(len(nonroot) + 1):
+        for cut in itertools.combinations(nonroot, k):
+            branches = [below_edge[v] for v in cut]
+            below = {u for b in branches for u in b}
+            if len(below) < sum(map(len, branches)):
+                continue  # one cut edge lies below another
+            trunk = _part(t, (v for v in range(1, t.size + 1) if v not in below))
+            cut_off = Forest(tuple(_part(t, b) for b in branches))
+            _add_into(out, [((Forest.of(trunk), cut_off), 1)])
     return out
 
 
@@ -193,17 +170,8 @@ def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
     """The admissible-cut coproduct, multiplicative over forest factors;
     returned as a (left forest, right forest) -> coefficient mapping."""
     out: dict[tuple[Forest, Forest], Rat] = {}
-    for f, c in _as_poly(x).items():
-        acc: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest()): 1}
-        for t in f.trees:
-            cop = tree_coproduct(t)
-            nxt: dict[tuple[Forest, Forest], Rat] = {}
-            for (l1, r1), c1 in acc.items():
-                _add_into(
-                    nxt, (((l1.times(l2), r1.times(r2)), c2) for (l2, r2), c2 in cop.items()), c1
-                )
-            acc = nxt
-        _add_into(out, acc.items(), c)
+    for f, c in ForestPoly._coerce(x).items():
+        _add_into(out, multiplicative_coproduct(f, tree_coproduct).items(), c)
     return out
 
 
@@ -213,33 +181,20 @@ def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
 
 def _tree_sym(t: PartitionedTree) -> int:
     kids = _children_map(t)
-    root = t.root_block[0]
-    branches = Counter(_part(t, _descendants(kids, c)) for c in kids[root])
-    s = 1
-    for sub, m in branches.items():
-        s *= factorial(m) * _tree_sym(sub) ** m
-    return s
+    branches = Forest(tuple(_part(t, _descendants(kids, c)) for c in kids[t.root_block[0]]))
+    return branches.symmetry(_tree_sym)
 
 
 def symmetry_factor(x: Forest | PartitionedTree) -> int:
     """Order of the decoration-preserving automorphism group."""
     f = x if isinstance(x, Forest) else Forest.of(x)
-    s = 1
-    for t, m in Counter(f.trees).items():
-        s *= factorial(m) * _tree_sym(t) ** m
-    return s
+    return f.symmetry(_tree_sym)
 
 
 def pairing(a, b) -> Rat:
     """Bilinear pairing that is diagonal on forests, weighted by the
     symmetry factor."""
-    pa, pb = _as_poly(a), _as_poly(b)
-    total: Rat = 0
-    for f, c in pa.items():
-        c2 = pb.coefficient(f)
-        if c2:
-            total += c * c2 * symmetry_factor(f)
-    return total
+    return diagonal_pairing(ForestPoly._coerce(a), ForestPoly._coerce(b), symmetry_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +207,9 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     leaf = singleton(Letter(d) if isinstance(d, str) else d)
     wmap = _weight_map(lam)
     acc: dict[Forest, Rat] = {}
-    for f, c in _as_poly(x).items():
-        for i, t in enumerate(f.trees):
-            rest = f.trees[:i] + f.trees[i + 1:]
+    for f, c in ForestPoly._coerce(x).items():
+        for i, t in enumerate(f.factors):
+            rest = f.factors[:i] + f.factors[i + 1:]
             weights = [_weight(wmap, dec) for dec in t.decorations]
             grafts = (
                 (Forest(rest + (graft_at(t, v, leaf),)), w) for v, w in enumerate(weights, 1) if w
@@ -267,8 +222,8 @@ def phi_lambda(x, lam: Mapping) -> ForestPoly:
     """Scale each forest by the eigenvalue sum over its vertices."""
     wmap = _weight_map(lam)
     acc: dict[Forest, Rat] = {}
-    for f, c in _as_poly(x).items():
-        total = sum(_weight(wmap, dec) for t in f.trees for dec in t.decorations)
+    for f, c in ForestPoly._coerce(x).items():
+        total = sum(_weight(wmap, dec) for t in f.factors for dec in t.decorations)
         if total:
             acc[f] = c * total
     return ForestPoly._from_clean(acc)
@@ -276,7 +231,7 @@ def phi_lambda(x, lam: Mapping) -> ForestPoly:
 
 def tree_projection(x) -> ForestPoly:
     """Keep the single-tree forests; the unit and proper products go to 0."""
-    return ForestPoly._from_clean({f: c for f, c in _as_poly(x).items() if f.is_tree()})
+    return ForestPoly._from_clean({f: c for f, c in ForestPoly._coerce(x).items() if f.is_tree()})
 
 
 def t_word(w, lam: Mapping) -> ForestPoly:
@@ -340,15 +295,18 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     if n == 0:
         raise ValueError("t elements need a nonempty word")
     wmap = _weight_map(lam)
+    positions = range(1, n + 1)
+    subsets = [IndexSubset(s) for k in range(1, n) for s in itertools.combinations(positions, k)]
+
+    def words(sub: IndexSubset) -> tuple[Word, Word]:
+        return sub.subword(letters), sub.complement(n).subword(letters)
+
     if mode == "closed":
-        terms: list[tuple[tuple[Word, Word], Rat]] = []
-        for mask in range(1, (1 << n) - 1):
-            sub = IndexSubset(tuple(i + 1 for i in range(n) if mask >> i & 1))
+        out: dict[tuple[Word, Word], Rat] = {}
+        for sub in subsets:
             weight = sum(_weight(wmap, letters[i]) for i in range(sub.prefix_reach))
             if weight:
-                terms.append(((sub.subword(letters), sub.complement(n).subword(letters)), weight))
-        out: dict[tuple[Word, Word], Rat] = {}
-        _add_into(out, terms)
+                _add_into(out, [(words(sub), weight)])
         return out
     if mode != "projected":
         raise ValueError(f"unknown mode {mode!r}")
@@ -359,14 +317,7 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     for (left, right), c in ck_coproduct(t_word(letters, wmap)).items():
         if left.is_tree() and right.is_tree():
             target[(left, right)] = c
-    pairs: list[tuple[Word, Word]] = []
-    seen = set()
-    for mask in range(1, (1 << n) - 1):
-        sub = IndexSubset(tuple(i + 1 for i in range(n) if mask >> i & 1))
-        key = (sub.subword(letters), sub.complement(n).subword(letters))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
+    pairs = list(dict.fromkeys(map(words, subsets)))
     vectors = []
     for u, v in pairs:
         tu, tv = t_word(u, wmap), t_word(v, wmap)
@@ -422,18 +373,10 @@ _TREE_ENGINE = OudomGuin(_tree_base)
 
 def forest_bullet(a, b) -> ForestPoly:
     """Grafting extended to forests through the derivation rules."""
-    return _wrap_forests(_TREE_ENGINE.bullet(_raw_forests(a), _raw_forests(b)))
+    return _TREE_ENGINE.bullet(ForestPoly, a, b)
 
 
 def forest_star(a, b) -> ForestPoly:
     """The associative enveloping product on forests, dual to the
     admissible-cut coproduct under the symmetry pairing."""
-    return _wrap_forests(_TREE_ENGINE.star(_raw_forests(a), _raw_forests(b)))
-
-
-def _raw_forests(x) -> dict[tuple, Rat]:
-    return {f.trees: c for f, c in _as_poly(x).items()}
-
-
-def _wrap_forests(d: Mapping[tuple, Rat]) -> ForestPoly:
-    return ForestPoly._from_clean({Forest(m): c for m, c in d.items()})
+    return _TREE_ENGINE.star(ForestPoly, a, b)

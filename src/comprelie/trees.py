@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .endo import Endo, iterate_endo_letter
-from .enveloping import ONE, SymMonomial, SymTensor, extend_bullet
+from .enveloping import SymTensor, extend_bullet
 from .exactla import rank_of
 from .prelie import ComPreLieContext
 from .words import (
@@ -407,16 +408,6 @@ def phi_cpl(t: PartitionedTree, mode: str = "direct") -> Tensor:
     return Tensor(acc)
 
 
-def _sym_product(tensors: list[Tensor]) -> SymTensor:
-    acc: dict[SymMonomial, Rat] = {ONE: 1}
-    for t in tensors:
-        nxt: dict[SymMonomial, Rat] = {}
-        for m, c in acc.items():
-            _add_into(nxt, ((m.times(SymMonomial.of(w)), cw) for w, cw in t.items()), c)
-        acc = nxt
-    return SymTensor._from_clean(acc)
-
-
 def _single_factor_tensor(s: SymTensor) -> Tensor:
     if any(len(m.factors) != 1 for m in s.terms):
         raise ValueError("expected a combination of single words")
@@ -449,7 +440,8 @@ def universal_eval(
         head = image_of(dec)
         if not child_blocks:
             return head
-        factors = _sym_product([eval_block(b) for b in child_blocks])
+        blocks = (SymTensor.from_tensor(eval_block(b)) for b in child_blocks)
+        factors = prod(blocks, start=SymTensor.unit())
         head_sym = SymTensor.from_tensor(head)
         return _single_factor_tensor(extend_bullet(ctx, head_sym, factors))
 

@@ -151,3 +151,18 @@ def test_matrix_shape_validation():
         Endo.matrix(["a", "b"], [[1, 0]])
     with pytest.raises(ValueError):
         Endo.matrix([], [])
+
+
+def test_images_are_read_only():
+    f = fliess_channel(2, 1)
+    x0, x1, x2 = (Letter(f"x{i}") for i in range(3))
+    with pytest.raises(TypeError):
+        f.image_letter(x1)[x2] = 7
+    with pytest.raises(TypeError):
+        f.columns[x1] = {}
+    assert f.image_letter(x1) == {x0: 1}
+    assert f == fliess_channel(2, 1)
+    d = diagonal_weights({"a": 2})
+    with pytest.raises(TypeError):
+        d.weights[Letter("a")] = 5
+    assert d.image_letter(Letter("a")) == {Letter("a"): 2}

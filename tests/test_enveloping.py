@@ -28,6 +28,11 @@ W = parse_word
 
 NIL = Endo.matrix(["a", "b"], [[0, Fraction(1, 2)], [0, 0]])  # b -> a/2 -> 0
 FLIESS = fliess_channel(1, 1)
+# c -> a/2 - 2b/3 -> -2a/3 -> 0: nilpotency index 3, so the dual coproduct
+# deals letters into two tail parts
+UPPER3 = Endo.matrix(
+    ["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+)
 
 
 def S(*srcs: str) -> SymMonomial:
@@ -245,8 +250,20 @@ def _pair_lin_eq(a, b):
 
 
 def test_full_coproduct_coassociative():
-    ctx = ComPreLieContext(NIL)
-    monos = [ONE, S("e"), S("a"), S("b"), S("ab"), S("a", "b"), S("e", "b")]
+    _assert_coassociative(
+        ComPreLieContext(NIL), [ONE, S("e"), S("a"), S("b"), S("ab"), S("a", "b"), S("e", "b")]
+    )
+
+
+def test_full_coproduct_coassociative_index_three():
+    # the f^2 term needs its 1/2!: without it 25 of these 40 words fail
+    letters = UPPER3.alphabet
+    words = [Word(t) for n in range(4) for t in itertools.product(letters, repeat=n)]
+    assert len(words) == 40
+    _assert_coassociative(ComPreLieContext(UPPER3), [SymMonomial.of(w) for w in words])
+
+
+def _assert_coassociative(ctx, monos):
     for m in monos:
         left: dict = {}
         right: dict = {}
@@ -333,3 +350,28 @@ def test_star_is_dual_to_coproduct():
                         if pb:
                             rhs += c * pa * pb
                 assert lhs == rhs, (u, v, w)
+
+
+def test_star_is_dual_to_coproduct_index_three():
+    # <u * v, w> = sum of c <u, a> <v, b> over the coproduct terms a (x) b
+    # of w, for every one-factor u and every v that occur as legs; without
+    # the 1/i! on the f^i term 196 of these 4,354 cases fail
+    from comprelie.endo import transpose_endo
+
+    ctx = ComPreLieContext(UPPER3)
+    dual_ctx = ComPreLieContext(transpose_endo(UPPER3))
+    cases = 0
+    for n in range(4):
+        for w in map(Word, itertools.product(UPPER3.alphabet, repeat=n)):
+            cop = full_coproduct(ctx, SymMonomial.of(w))
+            lefts = {a for a, _ in cop if len(a.factors) == 1}
+            rights = {b for _, b in cop}
+            for u in lefts:
+                for v in rights:
+                    lhs = pair_tensor(star(dual_ctx, u, v), SymMonomial.of(w))
+                    rhs = sum(
+                        c * sym_pairing(u, a) * sym_pairing(v, b) for (a, b), c in cop.items()
+                    )
+                    assert lhs == rhs, (u, v, w)
+                    cases += 1
+    assert cases == 4354

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from comprelie.cli import parse_expression
-from comprelie.enveloping import SymMonomial, SymTensor
-from comprelie.forests import Forest, ForestPoly
+from comprelie.enveloping import ONE, SymMonomial, SymTensor, pair_tensor, sym_pairing
+from comprelie.forests import Forest, ForestPoly, pairing, parse_forest, symmetry_factor
 from comprelie.trees import TreeTensor, all_partitioned_trees, parse_tree
 from comprelie.words import Letter, Tensor, parse_word, word
 
@@ -34,6 +34,36 @@ def test_float_coefficients_are_rejected(cls, key):
         cls.of(key, 0.5)
     with pytest.raises(TypeError):
         cls.of(key).scale(0.5)
+
+
+def test_pairing_is_the_double_sum():
+    # supports overlap without being equal, and monomials repeat factors
+    S = lambda *ws: SymMonomial.of(*map(parse_word, ws))  # noqa: E731
+    a = SymTensor([(S("a", "a"), 2), (S("e", "a", "a"), Fraction(-1, 3)), (S("ab"), 5), (ONE, 1)])
+    b = SymTensor([(S("a", "a"), 3), (S("e", "a", "a"), 4), (S("b", "b", "b"), 7), (ONE, -2)])
+    double = sum(ca * cb * sym_pairing(ma, mb) for ma, ca in a.items() for mb, cb in b.items())
+    assert pair_tensor(a, b) == double == 2 * 3 * 2 - Fraction(1, 3) * 4 * 2 - 2
+    f = ForestPoly([(parse_forest("d * d"), 2), (parse_forest("d[d,d] * d[d,d]"), 3),
+                    (parse_forest("a[b]"), 1), (parse_forest("1"), 5)])
+    g = ForestPoly([(parse_forest("d * d"), Fraction(1, 2)), (parse_forest("d[d,d] * d[d,d]"), -1),
+                    (parse_forest("b[a]"), 1)])
+    double = sum(
+        cf * cg * symmetry_factor(x) for x, cf in f.items() for y, cg in g.items() if x == y
+    )
+    assert pairing(f, g) == double == 2 * Fraction(1, 2) * 2 - 3 * 8
+
+
+def test_words_and_forests_share_the_monomial_layer():
+    assert ONE != Forest() and Forest() != ONE
+    a = SymMonomial.of(parse_word("a"))
+    t = Forest.of(parse_tree("a"))
+    assert a != t and str(a) == str(t) == "a"
+    assert len({ONE, Forest(), a, t}) == 4
+    assert type(a.times(a)) is SymMonomial and type(t.times(t)) is Forest
+    assert type(ONE.times(a)) is SymMonomial and type(Forest().times(t)) is Forest
+    assert str(SymTensor.of(a) * SymTensor.of(a, 2)) == "2*a * a"
+    assert str(ForestPoly.of(t) * ForestPoly.of(t, 2)) == "2*a * a"
+    assert type(ForestPoly.of(t) * ForestPoly.of(t)) is ForestPoly
 
 
 def test_tree_tensor_prints_in_key_order():
