@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import iterate_endo_letter, nilpotency_index
-from .prelie import ComPreLieContext
-from .words import Letter, Rat, Tensor, Word, _add_into, shuffle
+from .endo import iterate_endo_letter
+from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent
+from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, _add_into, _linear, shuffle
 
 
 class TruncatedSeries:
@@ -84,14 +84,18 @@ def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
-def _require_nilpotent(ctx: ComPreLieContext) -> int:
-    n = nilpotency_index(ctx.f)
-    if n is None:
-        raise ValueError(
-            "series composition needs a nilpotent letter endomorphism "
-            "(the correction sum would not terminate)"
-        )
-    return n
+def _compose_words(series: TruncatedSeries, step: Callable[[Letter, Tensor], dict]) -> Tensor:
+    """The linear extension over ``series`` of the map on words that sends
+    e to 1 and xw to step(x, image of w), memoized on the suffixes."""
+    memo: dict[Word, Tensor] = {EMPTY_WORD: Tensor.unit()}
+
+    def rec(w: Word) -> Tensor:
+        hit = memo.get(w)
+        if hit is None:
+            hit = memo[w] = Tensor._from_clean(step(w[0], rec(w[1:])))
+        return hit
+
+    return Tensor._from_clean(_linear(lambda w: rec(w).items(), series.items()))
 
 
 def tilde_compose(
@@ -107,31 +111,17 @@ def tilde_compose(
     for i in range(1, N):
         power = shuffle(v_pows[-1], v.tensor, max_len=L - 1)
         v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
-    memo: dict[Word, Tensor] = {}
 
-    def rec(w: Word) -> Tensor:
-        if len(w) == 0:
-            return Tensor.unit()
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        x, rest = w[0], w[1:]
-        base = rec(rest)
+    def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
         acc: dict[Word, Rat] = {}
         for i in range(N):
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
-            mixed = shuffle(base, v_pows[i], max_len=L - 1)
-            for y, cy in image.items():
-                _add_into(acc, ((Word((y,) + t.letters), c) for t, c in mixed.items()), cy)
-        memo[w] = Tensor._from_clean(acc)
-        return memo[w]
+            _prepend_image(image, shuffle(base, v_pows[i], max_len=L - 1).items(), acc)
+        return acc
 
-    out: dict[Word, Rat] = {}
-    for w, c in u.items():
-        _add_into(out, rec(w).items(), c)
-    return TruncatedSeries(L, Tensor._from_clean(out))
+    return TruncatedSeries(L, _compose_words(u, step))
 
 
 def diamond(
@@ -202,27 +192,15 @@ def fliess_tilde(
     if di.trunc != L:
         raise ValueError(f"mismatched truncations: {di.trunc} vs {L}")
     x0 = Letter("x0")
-    memo: dict[Word, Tensor] = {}
 
-    def rec(w: Word) -> Tensor:
-        if len(w) == 0:
-            return Tensor.unit()
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        x, rest = w[0], w[1:]
-        base = rec(rest)
+    def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
         acc = {Word((x,) + t.letters): cf for t, cf in base.items() if len(t) < L}
         if _letter_index(x) == i:
             mixed = shuffle(base, di.tensor, max_len=L - 1)
             _add_into(acc, ((Word((x0,) + t.letters), cf) for t, cf in mixed.items()))
-        memo[w] = Tensor._from_clean(acc)
-        return memo[w]
+        return acc
 
-    out: dict[Word, Rat] = {}
-    for w, cf in c.series.items():
-        _add_into(out, rec(w).items(), cf)
-    return FliessElement(i, TruncatedSeries(L, Tensor._from_clean(out)))
+    return FliessElement(i, TruncatedSeries(L, _compose_words(c.series, step)))
 
 
 def fliess_diamond(

@@ -69,7 +69,8 @@ from .words import (
     Rat,
     Tensor,
     Word,
-    _add_into,
+    _bilinear,
+    _linear,
     _split_coeff,
     _split_signed,
     parse_rational,
@@ -249,6 +250,15 @@ def _num(c: Rat):
     return int(f) if f.denominator == 1 else str(f)
 
 
+def _emit_pairs(fmt: str, pairs: dict) -> None:
+    """Print a (left, right) -> coefficient mapping as ``l (x) r : c``
+    lines, or as a JSON list, sorted by the printed left and right keys."""
+    rows = sorted(((str(l), str(r), c) for (l, r), c in pairs.items()), key=lambda row: row[:2])
+    lines = [f"{lt} (x) {rt} : {rational_to_str(c)}" for lt, rt, c in rows]
+    payload = [{"left": lt, "right": rt, "coeff": _num(c)} for lt, rt, c in rows]
+    _emit(fmt, lines, payload)
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -261,10 +271,8 @@ def _cmd_prelie(args) -> int:
     ctx = _ctx_from(args)
     a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
     if args.closed:
-        out = Tensor()
-        for u, cu in a.items():
-            for v, cv in b.items():
-                out = out + prelie_closed(ctx, u, v).scale(cu * cv)
+        closed = _bilinear(lambda u, v: prelie_closed(ctx, u, v).items(), a.items(), b.items())
+        out = Tensor._from_clean(closed)
     else:
         out = prelie(ctx, a, b)
     _emit(args.format, [str(out)], {"result": str(out)})
@@ -288,16 +296,8 @@ def _cmd_star(args) -> int:
 def _cmd_coproduct(args) -> int:
     ctx = _ctx_from(args)
     t = _as_tensor_arg(args.expr)
-    acc: dict[tuple[Word, SymMonomial], Rat] = {}
-    for w, c in t.items():
-        _add_into(acc, (((left, right), coeff) for left, right, coeff in dual_coproduct(ctx, w)), c)
-    rows = sorted(
-        ((word_to_str(l), str(r), c) for (l, r), c in acc.items()),
-        key=lambda row: (row[0], row[1]),
-    )
-    lines = [f"{lt} (x) {rt} : {rational_to_str(c)}" for lt, rt, c in rows]
-    payload = [{"left": lt, "right": rt, "coeff": _num(c)} for lt, rt, c in rows]
-    _emit(args.format, lines, payload)
+    pairs = _linear(lambda w: (((l, r), c) for l, r, c in dual_coproduct(ctx, w)), t.items())
+    _emit_pairs(args.format, pairs)
     return 0
 
 
@@ -351,9 +351,7 @@ def _cmd_tree_map(args) -> int:
     value = parse_expression(args.expr)
     if isinstance(value, (Tensor, SymTensor)):
         value = parse_tree_tensor(args.expr)
-    out = Tensor()
-    for t, c in value.terms.items():
-        out = out + phi_cpl(t, mode=args.mode).scale(c)
+    out = Tensor._from_clean(_linear(lambda t: phi_cpl(t, mode=args.mode).items(), value.items()))
     _emit(args.format, [str(out)], {"result": str(out)})
     return 0
 
@@ -366,14 +364,7 @@ def _cmd_fdb(args) -> int:
         return 0
     if args.fdb_verb == "delta":
         lam = _parse_weights(args.weights)
-        pairs = delta_cobracket(parse_word(args.word), lam, mode=args.mode)
-        rows = sorted(
-            ((word_to_str(u), word_to_str(v), c) for (u, v), c in pairs.items()),
-            key=lambda row: (row[0], row[1]),
-        )
-        lines = [f"{u} (x) {v} : {rational_to_str(c)}" for u, v, c in rows]
-        payload = [{"left": u, "right": v, "coeff": _num(c)} for u, v, c in rows]
-        _emit(args.format, lines, payload)
+        _emit_pairs(args.format, delta_cobracket(parse_word(args.word), lam, mode=args.mode))
         return 0
     if args.fdb_verb == "bracket":
         lam = parse_rational(args.eigenvalue)
@@ -523,9 +514,9 @@ def _check_tree_morphism(rng: random.Random) -> str | None:
         pool.extend(all_partitioned_trees(n, [Letter("a"), Letter("b")]))
     for _ in range(4):
         t1, t2 = rng.choice(pool), rng.choice(pool)
-        lhs = Tensor()
-        for t, c in free_bullet(t1, t2).terms.items():
-            lhs = lhs + phi_cpl(t).scale(c)
+        lhs = Tensor._from_clean(
+            _linear(lambda t: phi_cpl(t).items(), free_bullet(t1, t2).items())
+        )
         rhs = prelie(ctx, phi_cpl(t1), phi_cpl(t2))
         if lhs != rhs:
             return f"morphism broke at {t1} . {t2}"

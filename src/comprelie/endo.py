@@ -24,7 +24,7 @@ from .words import (
     Rat,
     Tensor,
     Word,
-    _add_into,
+    _linear,
     check_coefficient,
     parse_letter,
     parse_rational,
@@ -133,12 +133,13 @@ def _as_letter(x: Letter | str) -> Letter:
 
 def apply_endo(f: Endo, v: Tensor) -> Tensor:
     """Linear extension of ``f`` to a degree-one tensor."""
-    acc: dict[Word, Rat] = {}
-    for w, c in v.items():
+
+    def image(w: Word):
         if len(w) != 1:
             raise ValueError(f"apply_endo expects single-letter words, got {w}")
-        _add_into(acc, ((Word((y,)), m) for y, m in f.image_letter(w[0]).items()), c)
-    return Tensor._from_clean(acc)
+        return ((Word((y,)), m) for y, m in f.image_letter(w[0]).items())
+
+    return Tensor._from_clean(_linear(image, v.items()))
 
 
 def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
@@ -183,11 +184,8 @@ def nilpotency_index(f: Endo) -> int | None:
     return None
 
 
-def _compose_image(f: Endo, img: dict[Letter, Rat]) -> dict[Letter, Rat]:
-    out: dict[Letter, Rat] = {}
-    for y, c in img.items():
-        _add_into(out, f.image_letter(y).items(), c)
-    return out
+def _compose_image(f: Endo, img: Mapping[Letter, Rat]) -> dict[Letter, Rat]:
+    return _linear(lambda y: f.image_letter(y).items(), img.items())
 
 
 def transpose_endo(f: Endo) -> Endo:

@@ -28,9 +28,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .endo import iterate_endo_letter, nilpotency_index
-from .prelie import ComPreLieContext, _prepend_image, prelie
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, shuffle
+from .endo import iterate_endo_letter
+from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, shuffle
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -78,10 +78,7 @@ class OudomGuin:
         """A product of factor tuples, extended bilinearly; the output
         tuples are wrapped back into ``cls``'s monomials."""
         a, b = cls._coerce(a), cls._coerce(b)
-        out: Raw = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                _add_into(out, mono_op(ma.factors, mb.factors), ca * cb)
+        out = _bilinear(lambda ma, mb: mono_op(ma.factors, mb.factors), a.items(), b.items())
         return cls._from_clean({cls.monomial(m): c for m, c in out.items()})
 
     def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
@@ -193,10 +190,9 @@ class SymLin(Lin):
     monomial: type[Monomial] = Monomial
 
     def __mul__(self, other):
-        acc: dict = {}
-        for m, c in self.terms.items():
-            _add_into(acc, ((m.times(n), c2) for n, c2 in other.terms.items()), c)
-        return self._from_clean(acc)
+        return self._from_clean(
+            _bilinear(lambda m, n: ((m.times(n), 1),), self.items(), other.items())
+        )
 
 
 class SymTensor(SymLin):
@@ -292,16 +288,6 @@ def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTenso
 # dual coproduct
 # ---------------------------------------------------------------------------
 
-def _require_nilpotent(ctx: ComPreLieContext) -> int:
-    n = nilpotency_index(ctx.f)
-    if n is None:
-        raise ValueError(
-            "the dual coproduct is only defined for a locally nilpotent letter "
-            "endomorphism; this one has no nilpotency index"
-        )
-    return n
-
-
 def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMonomial], Rat]:
     cache = ctx.extras.setdefault("delta_tilde", {})
     hit = cache.get(w)
@@ -359,13 +345,11 @@ def multiplicative_coproduct(m: Monomial, delta_of_factor: Callable[[Elem], Pair
     one = type(m)()
     acc: PairLin = {(one, one): 1}
     for x in m.factors:
-        delta = delta_of_factor(x)
-        nxt: PairLin = {}
-        for (l1, r1), c1 in acc.items():
-            _add_into(
-                nxt, (((l1.times(l2), r1.times(r2)), c2) for (l2, r2), c2 in delta.items()), c1
-            )
-        acc = nxt
+        acc = _bilinear(
+            lambda p, q: (((p[0].times(q[0]), p[1].times(q[1])), 1),),
+            acc.items(),
+            delta_of_factor(x).items(),
+        )
     return acc
 
 

@@ -29,7 +29,7 @@ from .enveloping import (
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, free_bullet, graft_at, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, _add_into, check_coefficient, parse_word
+from .words import Letter, Rat, Tensor, Word, _add_into, _linear, check_coefficient, parse_word
 
 
 def _as_letters(w) -> tuple[Letter, ...]:
@@ -169,10 +169,9 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
 def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
     """The admissible-cut coproduct, multiplicative over forest factors;
     returned as a (left forest, right forest) -> coefficient mapping."""
-    out: dict[tuple[Forest, Forest], Rat] = {}
-    for f, c in ForestPoly._coerce(x).items():
-        _add_into(out, multiplicative_coproduct(f, tree_coproduct).items(), c)
-    return out
+    return _linear(
+        lambda f: multiplicative_coproduct(f, tree_coproduct).items(), ForestPoly._coerce(x).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +205,26 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     by the eigenvalue of the host vertex's symbol.  A derivation."""
     leaf = singleton(Letter(d) if isinstance(d, str) else d)
     wmap = _weight_map(lam)
-    acc: dict[Forest, Rat] = {}
-    for f, c in ForestPoly._coerce(x).items():
+
+    def grafts(f: Forest):
         for i, t in enumerate(f.factors):
             rest = f.factors[:i] + f.factors[i + 1:]
-            weights = [_weight(wmap, dec) for dec in t.decorations]
-            grafts = (
-                (Forest(rest + (graft_at(t, v, leaf),)), w) for v, w in enumerate(weights, 1) if w
-            )
-            _add_into(acc, grafts, c)
-    return ForestPoly._from_clean(acc)
+            for v, dec in enumerate(t.decorations, 1):
+                w = _weight(wmap, dec)
+                if w:
+                    yield Forest(rest + (graft_at(t, v, leaf),)), w
+
+    return ForestPoly._from_clean(_linear(grafts, ForestPoly._coerce(x).items()))
 
 
 def phi_lambda(x, lam: Mapping) -> ForestPoly:
     """Scale each forest by the eigenvalue sum over its vertices."""
     wmap = _weight_map(lam)
-    acc: dict[Forest, Rat] = {}
-    for f, c in ForestPoly._coerce(x).items():
-        total = sum(_weight(wmap, dec) for t in f.factors for dec in t.decorations)
-        if total:
-            acc[f] = c * total
-    return ForestPoly._from_clean(acc)
+
+    def scaled(f: Forest):
+        return ((f, sum(_weight(wmap, dec) for t in f.factors for dec in t.decorations)),)
+
+    return ForestPoly._from_clean(_linear(scaled, ForestPoly._coerce(x).items()))
 
 
 def tree_projection(x) -> ForestPoly:

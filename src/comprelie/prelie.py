@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import Endo, iterate_endo_letter
+from .endo import Endo, _compose_image, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
-from .words import Letter, Rat, Tensor, Word, _add_into, _interleavings, _shuffle_words, shuffle
+from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _interleavings, _linear
+from .words import _shuffle_words, shuffle
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -34,6 +36,20 @@ class ComPreLieContext:
     @property
     def alphabet(self) -> tuple[Letter, ...]:
         return self.f.alphabet
+
+
+def _require_nilpotent(ctx: ComPreLieContext) -> int:
+    """The nilpotency index of the context's map, computed once per
+    context; raises when the map is not nilpotent."""
+    if "nilpotency_index" not in ctx.extras:
+        ctx.extras["nilpotency_index"] = nilpotency_index(ctx.f)
+    n = ctx.extras["nilpotency_index"]
+    if n is None:
+        raise ValueError(
+            "series composition and the dual coproduct need a nilpotent letter "
+            "endomorphism (their sums over powers of f would not terminate)"
+        )
+    return n
 
 
 def _prepend_image(
@@ -66,11 +82,7 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
 def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """The pre-Lie product, extended bilinearly."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    acc: dict[Word, Rat] = {}
-    for u, cu in ta.items():
-        for v, cv in tb.items():
-            _add_into(acc, _prelie_words(ctx, u, v), cu * cv)
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(_bilinear(partial(_prelie_words, ctx), ta.items(), tb.items()))
 
 
 def apply_at(f: Endo, w: Word, i: int) -> Tensor:
@@ -139,30 +151,23 @@ def induced_morphism(
         for w in tt.terms:
             for x in w:
                 _check_intertwining(F, source, target, x)
-    acc: dict[Word, Rat] = {}
-    for w, c in tt.items():
-        terms: list[tuple[tuple[Letter, ...], Rat]] = [((), c)]
-        for x in w:
-            image = F(x)
-            terms = [
-                (prefix + (y,), cp * cy)
-                for prefix, cp in terms
-                for y, cy in image.items()
-            ]
-            if not terms:
-                break
-        _add_into(acc, ((Word(prefix), cp) for prefix, cp in terms))
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(_linear(lambda w: _letterwise(F(x) for x in w).items(), tt.items()))
+
+
+def _letterwise(images: Iterable[Mapping[Letter, Rat]]) -> dict[Word, Rat]:
+    """The words spelled by a sequence of letter combinations, one letter
+    from each, multilinearly; stops at the first image that makes it 0."""
+    acc: dict[tuple[Letter, ...], Rat] = {(): 1}
+    for image in images:
+        acc = _bilinear(lambda p, y: ((p + (y,), 1),), acc.items(), image.items())
+        if not acc:
+            break
+    return {Word(p): c for p, c in acc.items()}
 
 
 def _check_intertwining(F: LetterMap, source: Endo, target: Endo, x: Letter) -> None:
-    lhs: dict[Letter, Rat] = {}
-    for y, c in source.image_letter(x).items():
-        _add_into(lhs, F(y).items(), c)
-    rhs: dict[Letter, Rat] = {}
-    for y, c in F(x).items():
-        _add_into(rhs, target.image_letter(y).items(), c)
-    if lhs != rhs:
+    lhs = _linear(lambda y: F(y).items(), source.image_letter(x).items())
+    if lhs != _compose_image(target, F(x)):
         raise ValueError(f"letter map does not intertwine the endomorphisms at {x}")
 
 
@@ -318,12 +323,7 @@ def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
         for i in range(n):
             for v in image_vectors:
                 for rest in itertools.product(ctx.alphabet, repeat=n - 1):
-                    vec: dict[Word, Rat] = {}
-                    for yw, c in v.items():
-                        letters = rest[:i] + (yw[0],) + rest[i:]
-                        key = Word(letters)
-                        vec[key] = vec.get(key, 0) + c
-                    span.add(vec)
+                    span.add({Word(rest[:i] + yw.letters + rest[i:]): c for yw, c in v.items()})
         if not span.contains(part.terms):
             return False
     return True

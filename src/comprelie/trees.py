@@ -15,15 +15,16 @@ therefore compare equal structurally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .endo import Endo, iterate_endo_letter
 from .enveloping import SymTensor, extend_bullet
 from .exactla import rank_of
-from .prelie import ComPreLieContext
+from .prelie import ComPreLieContext, _letterwise
 from .words import (
     Letter,
     Lin,
@@ -31,6 +32,8 @@ from .words import (
     Tensor,
     Word,
     _add_into,
+    _bilinear,
+    _linear,
     check_coefficient,
     parse_letter,
     shuffle,
@@ -152,11 +155,16 @@ class PartitionedTree:
     def is_rooted_tree(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
+        # printed once per tree: the printed form is also the sort key
         return tree_to_str(self)
 
+    def __str__(self) -> str:
+        return self._text
+
     def _key(self):
-        return (self.size, str(self))
+        return (self.size, self._text)
 
     def __lt__(self, other: "PartitionedTree") -> bool:
         if not isinstance(other, PartitionedTree):
@@ -336,20 +344,21 @@ def free_bullet(a, b) -> TreeTensor:
     """The free pre-Lie product: graft the right operand at every vertex
     of the left one, bilinearly."""
     a, b = TreeTensor._coerce(a), TreeTensor._coerce(b)
-    acc: dict[PartitionedTree, Rat] = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            c = ca * cb
-            _add_into(acc, ((graft_at(ta, s, tb), c) for s in range(1, ta.size + 1)))
-    return TreeTensor._from_clean(acc)
+    return TreeTensor._from_clean(
+        _bilinear(lambda t, t2: ((g, 1) for g in _grafts(t, t2)), a.items(), b.items())
+    )
+
+
+def _grafts(t: PartitionedTree, t2: PartitionedTree) -> Iterator[PartitionedTree]:
+    """``t2`` grafted at each vertex of ``t`` in turn."""
+    return (graft_at(t, s, t2) for s in range(1, t.size + 1))
 
 
 def shuffle_trees(a, b) -> TreeTensor:
     a, b = TreeTensor._coerce(a), TreeTensor._coerce(b)
-    acc: dict[PartitionedTree, Rat] = {}
-    for ta, ca in a.items():
-        _add_into(acc, ((tree_shuffle(ta, tb), cb) for tb, cb in b.items()), ca)
-    return TreeTensor._from_clean(acc)
+    return TreeTensor._from_clean(
+        _bilinear(lambda t, t2: ((tree_shuffle(t, t2), 1),), a.items(), b.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +432,15 @@ def universal_eval(
     blocks; several roots split off one at a time through the shuffle.
     """
 
+    def image_of_letter(x: Letter):
+        if x not in images:
+            raise ValueError(f"no image supplied for decoration {x}")
+        return images[x].items()
+
     def image_of(dec) -> Tensor:
-        if isinstance(dec, Letter):
-            if dec not in images:
-                raise ValueError(f"no image supplied for decoration {dec}")
-            return images[dec]
-        acc = Tensor()
-        for x, c in dec:
-            if x not in images:
-                raise ValueError(f"no image supplied for decoration {x}")
-            acc = acc + images[x].scale(c)
-        return acc
+        return Tensor._from_clean(
+            _linear(image_of_letter, ((dec, 1),) if isinstance(dec, Letter) else dec)
+        )
 
     def eval_node(node) -> Tensor:
         dec, child_blocks = node
@@ -463,21 +470,12 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
     def letter_image(v: int) -> dict[Letter, Rat]:
         dec = t.decorations[v - 1]
         pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
-        acc: dict[Letter, Rat] = {}
-        for x, c in pairs:
-            _add_into(acc, iterate_endo_letter(ctx.f, fert[v - 1], x).items(), c)
-        return acc
+        return _linear(lambda x: iterate_endo_letter(ctx.f, fert[v - 1], x).items(), pairs)
 
     images = {v: letter_image(v) for v in range(1, t.size + 1)}
     acc: dict[Word, Rat] = {}
     for sigma in linear_extensions(t):
-        partial: dict[tuple[Letter, ...], Rat] = {(): 1}
-        for v in sigma:
-            nxt: dict[tuple[Letter, ...], Rat] = {}
-            for tup, c in partial.items():
-                _add_into(nxt, ((tup + (y,), cy) for y, cy in images[v].items()), c)
-            partial = nxt
-        _add_into(acc, ((Word(tup), c) for tup, c in partial.items()))
+        _add_into(acc, _letterwise(images[v] for v in sigma).items())
     return Tensor._from_clean(acc)
 
 
@@ -485,53 +483,40 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
 # enumeration and rank certificates
 # ---------------------------------------------------------------------------
 
-def _with_extra_in_block(t: PartitionedTree, block_index: int, dec) -> PartitionedTree:
-    b = t.blocks[block_index]
-    parent = t.parents[b[0] - 1]
-    new_id = t.size + 1
-    blocks = tuple(
-        bb + (new_id,) if i == block_index else bb for i, bb in enumerate(t.blocks)
-    )
-    return PartitionedTree.build(
-        t.decorations + (dec,), t.parents + (parent,), blocks
-    )
+def _grow(n: int, decorations: Sequence[Letter], step) -> list[PartitionedTree]:
+    """The trees with ``n`` vertices grown from the one-vertex trees, one
+    vertex at a time: ``step(t, d)`` yields the trees that one new
+    ``d``-decorated vertex makes from ``t``.  Deduplicated, sorted by
+    printed form."""
+    if n < 1:
+        raise ValueError("trees have at least one vertex")
+    level: set[PartitionedTree] = {singleton(d) for d in decorations}
+    for _ in range(n - 1):
+        level = {g for t in level for d in decorations for g in step(t, d)}
+    return sorted(level, key=str)
+
+
+def _leaf_grafts_or_joins(t: PartitionedTree, d) -> Iterator[PartitionedTree]:
+    """A new ``d``-decorated vertex as a leaf in its own block under any
+    vertex, or as one more member of any block."""
+    yield from _grafts(t, singleton(d))
+    for i, b in enumerate(t.blocks):
+        parents = t.parents + (t.parents[b[0] - 1],)
+        blocks = t.blocks[:i] + (b + (t.size + 1,),) + t.blocks[i + 1:]
+        yield PartitionedTree.build(t.decorations + (d,), parents, blocks)
 
 
 def all_partitioned_trees(n: int, decorations: Sequence[Letter]) -> list[PartitionedTree]:
     """Every decorated partitioned tree with ``n`` vertices, canonical and
     deduplicated.  Grown one vertex at a time: a new leaf either starts
     its own block under some vertex or joins an existing block."""
-    if n < 1:
-        raise ValueError("trees have at least one vertex")
-    level: set[PartitionedTree] = {singleton(d) for d in decorations}
-    for _ in range(n - 1):
-        nxt: set[PartitionedTree] = set()
-        for t in level:
-            for d in decorations:
-                leaf = singleton(d)
-                for s in range(1, t.size + 1):
-                    nxt.add(graft_at(t, s, leaf))
-                for bi in range(len(t.blocks)):
-                    nxt.add(_with_extra_in_block(t, bi, d))
-        level = nxt
-    return sorted(level, key=lambda t: str(t))
+    return _grow(n, decorations, _leaf_grafts_or_joins)
 
 
 def all_rooted_trees(n: int, decorations: Sequence[Letter]) -> list[PartitionedTree]:
     """Every decorated rooted tree (all blocks singletons) with ``n``
     vertices."""
-    if n < 1:
-        raise ValueError("trees have at least one vertex")
-    level: set[PartitionedTree] = {singleton(d) for d in decorations}
-    for _ in range(n - 1):
-        nxt: set[PartitionedTree] = set()
-        for t in level:
-            for d in decorations:
-                leaf = singleton(d)
-                for s in range(1, t.size + 1):
-                    nxt.add(graft_at(t, s, leaf))
-        level = nxt
-    return sorted(level, key=lambda t: str(t))
+    return _grow(n, decorations, lambda t, d: _grafts(t, singleton(d)))
 
 
 def injectivity_rank(degree: int, symbol: str = "d") -> tuple[int, int]:

@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -127,6 +127,27 @@ def _add_into(acc: dict, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
             del acc[k]
 
 
+def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:
+    """The linear extension of a map given on basis keys: sum c * op(k)
+    over the (key, coefficient) pairs, as a zero-free dict.  ``op``
+    returns (key, coefficient) pairs."""
+    acc: dict = {}
+    for k, c in pairs:
+        _add_into(acc, op(k), c)
+    return acc
+
+
+def _bilinear(op: Callable, pairs_a: Iterable[tuple[Hashable, Rat]], pairs_b: Iterable) -> dict:
+    """The bilinear extension of a product given on basis keys: sum
+    ca * cb * op(ka, kb), as a zero-free dict.  ``pairs_b`` is iterated
+    once per pair of ``pairs_a``."""
+    acc: dict = {}
+    for ka, ca in pairs_a:
+        for kb, cb in pairs_b:
+            _add_into(acc, op(ka, kb), ca * cb)
+    return acc
+
+
 class Lin:
     """A finitely supported rational linear combination of basis keys.
 
@@ -221,9 +242,6 @@ class Tensor(Lin):
         """The empty word with coefficient 1 (unit of shuffle/concatenation)."""
         return cls.of(EMPTY_WORD)
 
-    def __hash__(self) -> int:
-        return hash(frozenset((w, Fraction(c)) for w, c in self.terms.items()))
-
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
@@ -265,6 +283,9 @@ def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> T
     shuffle restricted to words of length <= ``max_len``; truncated series
     composition uses this to never build the words it would discard.
     """
+    # the one product that keeps its own loop: the length test must skip
+    # a pair before any call is made, and a per-pair kernel under
+    # _bilinear made truncated composition about 1.7x slower
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc: dict[Word, Rat] = {}
     for w1, c1 in ta.items():
@@ -274,6 +295,13 @@ def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> T
                 continue
             _add_into(acc, _shuffle_words(w1, w2), c1 * c2)
     return Tensor._from_clean(acc)
+
+
+def _half_shuffle_words(u: Word, v: Word) -> Iterable[tuple[Word, int]]:
+    if len(u) == 0:
+        return ()  # e < w = 0
+    head = (u[0],)
+    return ((Word(head + w.letters), m) for w, m in _shuffle_words(u[1:], v))
 
 
 def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
@@ -286,27 +314,13 @@ def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     if EMPTY_WORD in ta.terms and EMPTY_WORD in tb.terms:
         raise ValueError("half_shuffle(e, e) is undefined")
-    acc: dict[Word, Rat] = {}
-    for w1, c1 in ta.items():
-        if len(w1) == 0:
-            continue  # e < w = 0
-        head, tail = w1[0], w1[1:]
-        for w2, c2 in tb.items():
-            _add_into(
-                acc,
-                ((Word((head,) + w.letters), m) for w, m in _shuffle_words(tail, w2)),
-                c1 * c2,
-            )
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(_bilinear(_half_shuffle_words, ta.items(), tb.items()))
 
 
 def concat(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """Concatenation product, extended bilinearly."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    acc: dict[Word, Rat] = {}
-    for w1, c1 in ta.items():
-        _add_into(acc, ((w1 + w2, c2) for w2, c2 in tb.items()), c1)
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(_bilinear(lambda u, v: ((u + v, 1),), ta.items(), tb.items()))
 
 
 def deconcatenate(w: Word) -> list[tuple[Word, Word]]:

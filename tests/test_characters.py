@@ -317,3 +317,28 @@ def test_fibonacci_dims_count_graded_words():
 def test_fibonacci_rejects_bad_input():
     with pytest.raises(ValueError):
         fibonacci_dims(0, 3)
+
+
+def test_nilpotency_index_is_computed_once_per_context(monkeypatch):
+    import sys
+
+    import comprelie.endo as endo_mod
+
+    calls = []
+    real = endo_mod.nilpotency_index
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "comprelie" and getattr(mod, "nilpotency_index", None) is real:
+            monkeypatch.setattr(mod, "nilpotency_index", counting)
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    u = TruncatedSeries(3, parse_tensor("x1 + 2*x2.x1"))
+    v = TruncatedSeries(3, parse_tensor("x0 - x1.x2"))
+    for w in ("x1.x2", "x2.x1.x1", "x1.x0.x2.x1"):
+        tilde_compose(ctx, u, v)
+        inverse(ctx, u)
+        dual_coproduct(ctx, parse_word(w))
+    assert len(calls) == 1

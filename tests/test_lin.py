@@ -14,7 +14,7 @@ from comprelie.cli import parse_expression
 from comprelie.enveloping import ONE, SymMonomial, SymTensor, pair_tensor, sym_pairing
 from comprelie.forests import Forest, ForestPoly, pairing, parse_forest, symmetry_factor
 from comprelie.trees import TreeTensor, all_partitioned_trees, parse_tree
-from comprelie.words import Letter, Tensor, parse_word, word
+from comprelie.words import Letter, Tensor, _bilinear, _linear, parse_word, word
 
 
 @pytest.mark.parametrize(
@@ -118,3 +118,19 @@ def test_numeral_first_factor_is_not_a_coefficient():
 def test_tree_tensor_print_parse_round_trip(terms):
     t = TreeTensor(terms)
     assert parse_expression(str(t)) == t
+
+
+def test_tensor_is_unhashable():
+    # its terms dict is mutable, so a hash could go stale
+    with pytest.raises(TypeError):
+        hash(Tensor.of(word("a")))
+
+
+def test_extensions_drop_cancelled_terms():
+    pairs = [(word("a"), 1), (word("b"), -1)]
+    assert _linear(lambda w: ((word("c"), 1),), pairs) == {}
+    same = _bilinear(lambda u, v: ((word("c"), 1),), pairs, pairs)
+    assert same == {}
+    # the right pairs are read once per left pair
+    grid = _bilinear(lambda u, v: ((u + v, 1),), pairs, pairs)
+    assert grid == {word("aa"): 1, word("ab"): -1, word("ba"): -1, word("bb"): 1}

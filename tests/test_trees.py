@@ -383,3 +383,21 @@ def test_surjectivity_rank_codimension_two():
     ]
     rows = [dict(phi_into(t, ctx).items()) for t in degree2]
     assert rank_of(rows) == 15
+
+
+def test_sorting_prints_each_tree_once(monkeypatch):
+    # the printed form is the sort key; it is computed once per tree
+    import comprelie.trees as trees_mod
+
+    printed = []
+    real = trees_mod.tree_to_str
+
+    def counting(t):
+        printed.append(t)
+        return real(t)
+
+    monkeypatch.setattr(trees_mod, "tree_to_str", counting)
+    pool = [parse_tree(s) for s in ("a", "a[b]", "{a,b}", "a[b,c]", "a[{b,c}]", "b[a[c]]")]
+    combo = TreeTensor({t: k + 1 for k, t in enumerate(pool)})
+    assert combo.sorted_items() == combo.sorted_items()
+    assert len(printed) == len(pool)
