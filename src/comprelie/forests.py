@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 from .endo import Endo, diagonal_weights
 from .enveloping import (
@@ -28,7 +28,7 @@ from .enveloping import (
 )
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
-from .trees import PartitionedTree, free_bullet, graft_at, parse_tree, singleton
+from .trees import PartitionedTree, _from_nested, _grafts, _nodes, free_bullet, parse_tree, singleton
 from .words import Letter, Rat, Tensor, Word, _add_into, _linear, check_coefficient, parse_word
 
 
@@ -69,7 +69,7 @@ class Forest(Monomial):
         for t in self.factors:
             if not isinstance(t, PartitionedTree) or not t.is_rooted_tree():
                 raise ValueError("forest factors must be rooted trees (all blocks singletons)")
-            for dec in t.decorations:
+            for dec, _ in _nodes(t.root):
                 if not isinstance(dec, Letter) or dec.shift is not None:
                     raise ValueError(f"forest decorations must be plain symbols, got {dec!r}")
         super().__post_init__()
@@ -113,56 +113,28 @@ class ForestPoly(SymLin):
 # admissible cuts
 # ---------------------------------------------------------------------------
 
-def _children_map(t: PartitionedTree) -> dict[int, list[int]]:
-    kids: dict[int, list[int]] = {v: [] for v in range(1, t.size + 1)}
-    for v in range(1, t.size + 1):
-        p = t.parents[v - 1]
-        if p is not None:
-            kids[p].append(v)
-    return kids
-
-
-def _descendants(kids: Mapping[int, list[int]], v: int) -> list[int]:
-    out, stack = [], [v]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(kids[u])
-    return out
-
-
-def _part(t: PartitionedTree, vertices: Iterable[int]) -> PartitionedTree:
-    """The induced subtree on a downward-closed vertex set with one top."""
-    vs = sorted(vertices)
-    index = {v: i + 1 for i, v in enumerate(vs)}
-    parents = []
-    for v in vs:
-        p = t.parents[v - 1]
-        parents.append(index.get(p) if p is not None else None)
-    return PartitionedTree.build(
-        tuple(t.decorations[v - 1] for v in vs),
-        tuple(parents),
-        tuple((i,) for i in range(1, len(vs) + 1)),
-    )
+def _cuts(node) -> Iterator[tuple[tuple, tuple]]:
+    """Admissible cuts below ``node``: pairs (trunk node, cut-off root
+    blocks).  Each child edge is either cut, sending the whole child
+    right, or kept, with the child cut recursively below it."""
+    dec, child_blocks = node
+    choices = [
+        [((), (b,))] + [(((trunk,),), branches) for trunk, branches in _cuts(b[0])]
+        for b in child_blocks
+    ]
+    for picked in itertools.product(*choices):
+        yield (dec, sum((k for k, _ in picked), ())), sum((c for _, c in picked), ())
 
 
 def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
-    """Admissible cuts of one tree: antichains of edges, each named by its
-    lower vertex.  The root side goes left, the cut-off branches right;
-    the empty cut and the total cut give the two unit terms."""
-    kids = _children_map(t)
-    nonroot = [v for v in range(1, t.size + 1) if t.parents[v - 1] is not None]
-    below_edge = {v: _descendants(kids, v) for v in nonroot}
+    """Admissible cuts of one tree: antichains of edges.  The root side
+    goes left, the cut-off branches right; the empty cut and the total
+    cut give the two unit terms.  Cut-off branches are subtrees of a
+    canonical tree, hence canonical; only the trunk is normalized."""
     out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
-    for k in range(len(nonroot) + 1):
-        for cut in itertools.combinations(nonroot, k):
-            branches = [below_edge[v] for v in cut]
-            below = {u for b in branches for u in b}
-            if len(below) < sum(map(len, branches)):
-                continue  # one cut edge lies below another
-            trunk = _part(t, (v for v in range(1, t.size + 1) if v not in below))
-            cut_off = Forest(tuple(_part(t, b) for b in branches))
-            _add_into(out, [((Forest.of(trunk), cut_off), 1)])
+    for trunk, branches in _cuts(t.root[0]):
+        cut_off = Forest(tuple(map(PartitionedTree, branches)))
+        _add_into(out, [((Forest.of(_from_nested((trunk,))), cut_off), 1)])
     return out
 
 
@@ -179,9 +151,8 @@ def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
 # ---------------------------------------------------------------------------
 
 def _tree_sym(t: PartitionedTree) -> int:
-    kids = _children_map(t)
-    branches = Forest(tuple(_part(t, _descendants(kids, c)) for c in kids[t.root_block[0]]))
-    return branches.symmetry(_tree_sym)
+    _, child_blocks = t.root[0]
+    return Forest(tuple(map(PartitionedTree, child_blocks))).symmetry(_tree_sym)
 
 
 def symmetry_factor(x: Forest | PartitionedTree) -> int:
@@ -209,10 +180,10 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     def grafts(f: Forest):
         for i, t in enumerate(f.factors):
             rest = f.factors[:i] + f.factors[i + 1:]
-            for v, dec in enumerate(t.decorations, 1):
+            for dec, g in zip(t.decorations, _grafts(t, leaf)):
                 w = _weight(wmap, dec)
                 if w:
-                    yield Forest(rest + (graft_at(t, v, leaf),)), w
+                    yield Forest(rest + (g,)), w
 
     return ForestPoly._from_clean(_linear(grafts, ForestPoly._coerce(x).items()))
 

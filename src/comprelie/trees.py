@@ -7,15 +7,18 @@ and the root-block merge make the span of these trees the free
 Com-Pre-Lie algebra on the decoration set, and evaluating every linear
 extension turns a tree into a combination of words in indexed letters.
 
-Trees are kept in a canonical form: child blocks of every vertex, and
-vertices inside every block, are sorted by a recursive encoding, and
-vertices are renumbered along a fixed traversal.  Isomorphic trees
-therefore compare equal structurally.
+A tree is held as its root block in a canonical nested form: a node is
+``(decoration, tuple of child blocks)``, a block is a tuple of nodes, and
+both are sorted by a recursive encoding.  Isomorphic trees therefore
+compare equal structurally.  Grafts, joins, the root-block merge and the
+admissible cuts are recursions on this form; the parent and block
+arrays are views derived from it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -57,10 +60,6 @@ def _dec_enc(d) -> tuple:
     return (1, tuple(enc))
 
 
-# nested working form: a node is (decoration, tuple of child blocks), a
-# block is a tuple of nodes; both are kept sorted by their encoding
-
-
 def _norm_node(dec, child_blocks):
     normed = sorted((_norm_block(b) for b in child_blocks), key=lambda p: p[0])
     enc = (_dec_enc(dec), tuple(e for e, _ in normed))
@@ -75,20 +74,29 @@ def _norm_block(nodes):
     return enc, struct
 
 
+def _nodes(block) -> Iterator[tuple]:
+    """The nodes under ``block`` in vertex-number order: the block's own
+    nodes, then the subtree of each of their child blocks in turn."""
+    yield from block
+    for _, child_blocks in block:
+        for b in child_blocks:
+            yield from _nodes(b)
+
+
 @dataclass(frozen=True)
 class PartitionedTree:
-    """Canonical partitioned tree.
+    """Canonical partitioned tree: ``root`` is its root block, in the
+    nested form of the module docstring.
 
+    ``decorations``, ``parents`` and ``blocks`` are views computed once
+    on demand, with vertices numbered in the order of :func:`_nodes`:
     ``decorations[i]`` belongs to vertex i+1, ``parents[i]`` is its parent
     vertex (None for roots) and ``blocks`` lists the partition, root block
-    first.  Instances should be produced by :meth:`build`, :func:`parse_tree`
-    or the algebra operations, which canonicalize; the raw constructor
-    trusts its arguments.
+    first.  :meth:`build` and :func:`parse_tree` validate their input; the
+    raw constructor trusts that its argument is canonical.
     """
 
-    decorations: tuple
-    parents: tuple
-    blocks: tuple
+    root: tuple
 
     @classmethod
     def build(
@@ -133,13 +141,43 @@ class PartitionedTree:
 
     # -- shape access -------------------------------------------------------
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[tuple, tuple, tuple]:
+        decorations: list = []
+        parents: list = []
+        blocks: list = []
+
+        def assign(block, parent: int | None) -> None:
+            ids = tuple(range(len(decorations) + 1, len(decorations) + len(block) + 1))
+            blocks.append(ids)
+            decorations.extend(dec for dec, _ in block)
+            parents.extend(parent for _ in block)
+            for vid, (_, child_blocks) in zip(ids, block):
+                for b in child_blocks:
+                    assign(b, vid)
+
+        assign(self.root, None)
+        return tuple(decorations), tuple(parents), tuple(blocks)
+
     @property
+    def decorations(self) -> tuple:
+        return self._arrays[0]
+
+    @property
+    def parents(self) -> tuple:
+        return self._arrays[1]
+
+    @property
+    def blocks(self) -> tuple:
+        return self._arrays[2]
+
+    @functools.cached_property
     def size(self) -> int:
-        return len(self.decorations)
+        return sum(1 for _ in _nodes(self.root))
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return 1 + sum(len(child_blocks) for _, child_blocks in _nodes(self.root))
 
     @property
     def root_block(self) -> tuple:
@@ -153,7 +191,7 @@ class PartitionedTree:
         return sum(1 for b in self.blocks if self.parents[b[0] - 1] == v)
 
     def is_rooted_tree(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return self.n_blocks == self.size
 
     @functools.cached_property
     def _text(self) -> str:
@@ -187,28 +225,11 @@ def _nested_from_arrays(decorations, parents, blocks):
 
 
 def _from_nested(root_block) -> PartitionedTree:
-    _, struct = _norm_block(root_block)
-    decorations: list = []
-    parents: list = []
-    blocks: list = []
-
-    def assign(block_struct, parent: int | None) -> None:
-        ids = []
-        for dec, _ in block_struct:
-            decorations.append(dec)
-            parents.append(parent)
-            ids.append(len(decorations))
-        blocks.append(tuple(ids))
-        for vid, (_, child_blocks) in zip(ids, block_struct):
-            for cb in child_blocks:
-                assign(cb, vid)
-
-    assign(struct, None)
-    return PartitionedTree(tuple(decorations), tuple(parents), tuple(blocks))
+    return PartitionedTree(_norm_block(root_block)[1])
 
 
 def singleton(dec) -> PartitionedTree:
-    return PartitionedTree((dec,), (None,), ((1,),))
+    return PartitionedTree(((dec, ()),))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +304,6 @@ def parse_tree(text: str) -> PartitionedTree:
 
 
 def tree_to_str(t: PartitionedTree) -> str:
-    nested = _nested_from_arrays(t.decorations, t.parents, t.blocks)
-
     def dec_str(dec) -> str:
         if isinstance(dec, Letter):
             return str(dec)
@@ -301,37 +320,43 @@ def tree_to_str(t: PartitionedTree) -> str:
             return node_str(block[0])
         return "{" + ",".join(node_str(x) for x in block) + "}"
 
-    return block_str(nested)
+    return block_str(t.root)
 
 
 # ---------------------------------------------------------------------------
 # the Com-Pre-Lie operations
 # ---------------------------------------------------------------------------
 
+def _rewrites(block, at_block) -> Iterator[tuple]:
+    """``block`` with one block of its subtree, itself included, replaced
+    by each block that ``at_block`` makes of it.  Blocks are visited in
+    vertex-number order; the results are not canonical."""
+    yield from at_block(block)
+    for i, (dec, child_blocks) in enumerate(block):
+        for j, b in enumerate(child_blocks):
+            for new in _rewrites(b, at_block):
+                kids = child_blocks[:j] + (new,) + child_blocks[j + 1:]
+                yield block[:i] + ((dec, kids),) + block[i + 1:]
+
+
+def _grafted(block, branch) -> Iterator[tuple]:
+    """``block`` with ``branch`` hung under each of its nodes in turn."""
+    for i, (dec, child_blocks) in enumerate(block):
+        yield block[:i] + ((dec, child_blocks + (branch,)),) + block[i + 1:]
+
+
 def graft_at(t: PartitionedTree, s: int, t2: PartitionedTree) -> PartitionedTree:
     """Graft every root of ``t2`` onto vertex ``s`` of ``t``; the blocks of
     both trees survive unchanged."""
     if not 1 <= s <= t.size:
         raise ValueError(f"vertex {s} outside 1..{t.size}")
-    off = t.size
-    decorations = t.decorations + t2.decorations
-    parents = t.parents + tuple(
-        s if p is None else p + off for p in t2.parents
-    )
-    blocks = t.blocks + tuple(tuple(v + off for v in b) for b in t2.blocks)
-    return PartitionedTree.build(decorations, parents, blocks)
+    raw = _rewrites(t.root, lambda b: _grafted(b, t2.root))
+    return _from_nested(next(itertools.islice(raw, s - 1, None)))
 
 
 def tree_shuffle(t: PartitionedTree, t2: PartitionedTree) -> PartitionedTree:
     """Disjoint union with the two root blocks merged into one."""
-    off = t.size
-    decorations = t.decorations + t2.decorations
-    parents = t.parents + tuple(
-        None if p is None else p + off for p in t2.parents
-    )
-    shifted = tuple(tuple(v + off for v in b) for b in t2.blocks)
-    blocks = (t.blocks[0] + shifted[0],) + t.blocks[1:] + shifted[1:]
-    return PartitionedTree.build(decorations, parents, blocks)
+    return _from_nested(t.root + t2.root)
 
 
 class TreeTensor(Lin):
@@ -351,7 +376,7 @@ def free_bullet(a, b) -> TreeTensor:
 
 def _grafts(t: PartitionedTree, t2: PartitionedTree) -> Iterator[PartitionedTree]:
     """``t2`` grafted at each vertex of ``t`` in turn."""
-    return (graft_at(t, s, t2) for s in range(1, t.size + 1))
+    return map(_from_nested, _rewrites(t.root, lambda b: _grafted(b, t2.root)))
 
 
 def shuffle_trees(a, b) -> TreeTensor:
@@ -458,7 +483,7 @@ def universal_eval(
             acc = shuffle(acc, eval_node(node))
         return acc
 
-    return eval_block(_nested_from_arrays(t.decorations, t.parents, t.blocks))
+    return eval_block(t.root)
 
 
 def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
@@ -499,11 +524,9 @@ def _grow(n: int, decorations: Sequence[Letter], step) -> list[PartitionedTree]:
 def _leaf_grafts_or_joins(t: PartitionedTree, d) -> Iterator[PartitionedTree]:
     """A new ``d``-decorated vertex as a leaf in its own block under any
     vertex, or as one more member of any block."""
-    yield from _grafts(t, singleton(d))
-    for i, b in enumerate(t.blocks):
-        parents = t.parents + (t.parents[b[0] - 1],)
-        blocks = t.blocks[:i] + (b + (t.size + 1,),) + t.blocks[i + 1:]
-        yield PartitionedTree.build(t.decorations + (d,), parents, blocks)
+    leaf = (d, ())
+    grown = _rewrites(t.root, lambda b: (*_grafted(b, (leaf,)), b + (leaf,)))
+    return map(_from_nested, grown)
 
 
 def all_partitioned_trees(n: int, decorations: Sequence[Letter]) -> list[PartitionedTree]:

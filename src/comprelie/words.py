@@ -391,7 +391,8 @@ def parse_word(src: str) -> Word:
     ``"e"`` is the empty word; letters are separated by dots when they carry
     multi-character names or shift indices (``"x0.x1"``, ``"0:a.1:a"``).  An
     undotted run of single ASCII letters is read letterwise, so ``"abc"`` is
-    the three-letter word a b c.
+    the three-letter word a b c.  A trailing dot ends a dotted word, so
+    ``"ab."`` is the one-letter word on ``ab`` and ``"e."`` the one on ``e``.
     """
     src = src.strip()
     if src == "e":
@@ -399,7 +400,7 @@ def parse_word(src: str) -> Word:
     if not src:
         raise ValueError("empty word source; use 'e' for the empty word")
     if "." in src or ":" in src:
-        return Word(tuple(parse_letter(tok) for tok in src.split(".")))
+        return Word(tuple(parse_letter(tok) for tok in src.removesuffix(".").split(".")))
     if all(ch.isalpha() for ch in src):
         return Word(tuple(Letter(ch) for ch in src))
     return Word((parse_letter(src),))
@@ -408,6 +409,10 @@ def parse_word(src: str) -> Word:
 def word_to_str(w: Word) -> str:
     if len(w) == 0:
         return "e"
+    name = w[0].name
+    if len(w) == 1 and w[0].shift is None and name.isalpha() and (name == "e" or len(name) > 1):
+        # undotted, the name would read back as the empty word or letterwise
+        return name + "."
     if all(x.shift is None and len(x.name) == 1 and x.name.isalpha() for x in w):
         return "".join(x.name for x in w)
     return ".".join(str(x) for x in w)

@@ -139,6 +139,13 @@ def test_catalan_counts():
     assert count_sigma(4) == 14
 
 
+def test_closed_form_counts_match_enumeration():
+    for n in range(1, 10):
+        assert len(admissible_words(n)) == count_admissible(n)
+    for n in range(10):
+        assert len(sigma_admissible_words(n)) == count_sigma(n)
+
+
 def test_prepend_budget_digit():
     # a suffix-bounded word becomes admissible after prepending its slack
     for n in range(8):

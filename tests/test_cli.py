@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -102,6 +103,16 @@ def test_dyck_count(capsys):
     assert code == 0
     assert out.splitlines()[0] == "admissible: 14"
     assert out.splitlines()[1] == "sigma-admissible: 42"
+
+
+def test_dyck_count_is_closed_form(capsys):
+    # the counts are Catalan numbers; length 40 is far past enumeration
+    code, out, _ = run(capsys, "dyck", "--count", "40")
+    assert code == 0
+    assert out.splitlines() == [
+        f"admissible: {comb(78, 39) // 40}",
+        f"sigma-admissible: {comb(80, 40) // 41}",
+    ]
 
 
 def test_dyck_list_and_path(capsys):

@@ -74,12 +74,14 @@ def test_tree_tensor_prints_in_key_order():
 
 
 coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
-# the letter 2 makes a one-letter word that prints like a rational
-words = st.lists(st.sampled_from(["a", "b", "x1", "2"]), max_size=3).map(word)
+# the letter 2 makes a one-letter word that prints like a rational; the
+# letters e and ab make one-letter words that print like the empty word
+# and like the two-letter word a b
+words = st.lists(st.sampled_from(["a", "b", "x1", "2", "e", "ab"]), max_size=3).map(word)
 # a numeral letter name makes "2 * a" (the words 2 and a) look like a
 # coefficient times a monomial
 monomials = st.lists(
-    st.lists(st.sampled_from(["a", "b", "2"]), max_size=2).map(word), max_size=3
+    st.lists(st.sampled_from(["a", "b", "2", "e", "ab"]), max_size=2).map(word), max_size=3
 ).map(lambda ws: SymMonomial.of(*ws))
 # every tree with two or more vertices prints a bracket, which is what
 # tells the parser that an expression is a tree combination
@@ -92,6 +94,7 @@ trees = st.sampled_from(
 @given(st.dictionaries(words, coeffs, max_size=4))
 @example({word(["2"]): 1})
 @example({word(["2"]): -1, word([]): 2})
+@example({word(["e"]): 1, word(["ab"]): -2, word(["e", "ab"]): 3})
 def test_tensor_print_parse_round_trip(terms):
     t = Tensor(terms)
     assert parse_expression(str(t)) == t
@@ -99,6 +102,7 @@ def test_tensor_print_parse_round_trip(terms):
 
 @settings(max_examples=25)
 @given(st.dictionaries(monomials, coeffs, min_size=1, max_size=4))
+@example({SymMonomial.of(word(["e"]), word(["ab"])): 1})
 def test_sym_tensor_print_parse_round_trip(terms):
     # a combination without a two-factor monomial prints as words
     assume(any(len(m.factors) >= 2 for m in terms))

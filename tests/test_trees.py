@@ -401,3 +401,109 @@ def test_sorting_prints_each_tree_once(monkeypatch):
     combo = TreeTensor({t: k + 1 for k, t in enumerate(pool)})
     assert combo.sorted_items() == combo.sorted_items()
     assert len(printed) == len(pool)
+
+
+def test_kernels_never_validate(monkeypatch):
+    # canonical trees are made on the nested form; only outside input
+    # goes through the validating constructor
+    from comprelie.forests import Forest, ck_coproduct, forest_star, symmetry_factor, t_word
+
+    calls = []
+    real = PartitionedTree.build.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    a, b = Letter("a"), Letter("b")
+    t, t2 = P("a[{b,c[d]}]"), P("{a,b[c]}")
+    f, g = Forest((P("a[b]"), P("b"))), Forest((P("a[b,c]"),))
+    monkeypatch.setattr(PartitionedTree, "build", classmethod(counting))
+    all_partitioned_trees(4, [a, b])
+    free_bullet(t, t2)
+    tree_shuffle(t, t2)
+    forest_star(f, g)
+    ck_coproduct(P("a[b[c],d]"))
+    t_word("abab", {"a": 2, "b": 3})
+    symmetry_factor(P("a[b,b[c,c]]"))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# reference: grafting, the root-block merge and admissible cuts on the
+# parent/block arrays, each result validated by ``build``
+# ---------------------------------------------------------------------------
+
+def _ref_graft_at(t, s, t2):
+    off = t.size
+    decorations = t.decorations + t2.decorations
+    parents = t.parents + tuple(s if p is None else p + off for p in t2.parents)
+    blocks = t.blocks + tuple(tuple(v + off for v in b) for b in t2.blocks)
+    return PartitionedTree.build(decorations, parents, blocks)
+
+
+def _ref_tree_shuffle(t, t2):
+    off = t.size
+    decorations = t.decorations + t2.decorations
+    parents = t.parents + tuple(None if p is None else p + off for p in t2.parents)
+    shifted = tuple(tuple(v + off for v in b) for b in t2.blocks)
+    blocks = (t.blocks[0] + shifted[0],) + t.blocks[1:] + shifted[1:]
+    return PartitionedTree.build(decorations, parents, blocks)
+
+
+def _ref_part(t, vertices):
+    vs = sorted(vertices)
+    index = {v: i + 1 for i, v in enumerate(vs)}
+    parents = tuple(None if t.parents[v - 1] is None else index.get(t.parents[v - 1]) for v in vs)
+    return PartitionedTree.build(
+        tuple(t.decorations[v - 1] for v in vs), parents, tuple((i,) for i in range(1, len(vs) + 1))
+    )
+
+
+def _ref_tree_coproduct(t):
+    from comprelie.forests import Forest
+
+    kids = {v: [] for v in range(1, t.size + 1)}
+    for v, p in enumerate(t.parents, start=1):
+        if p is not None:
+            kids[p].append(v)
+
+    def descendants(v):
+        out, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(kids[u])
+        return out
+
+    nonroot = [v for v in range(1, t.size + 1) if t.parents[v - 1] is not None]
+    below_edge = {v: descendants(v) for v in nonroot}
+    out = {(Forest(), Forest.of(t)): 1}
+    for k in range(len(nonroot) + 1):
+        for cut in itertools.combinations(nonroot, k):
+            branches = [below_edge[v] for v in cut]
+            below = {u for br in branches for u in br}
+            if len(below) < sum(map(len, branches)):
+                continue  # one cut edge lies below another
+            trunk = _ref_part(t, (v for v in range(1, t.size + 1) if v not in below))
+            key = (Forest.of(trunk), Forest(tuple(_ref_part(t, br) for br in branches)))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_nested_operations_match_the_array_reference():
+    from comprelie.forests import tree_coproduct
+
+    ab = [Letter("a"), Letter("b")]
+    trees = [t for n in range(1, 5) for t in all_partitioned_trees(n, ab)]
+    small = [t for t in trees if t.size <= 2]
+    for t in trees:
+        assert PartitionedTree.build(t.decorations, t.parents, t.blocks) == t
+        for t2 in small:
+            assert tree_shuffle(t, t2) == _ref_tree_shuffle(t, t2)
+            for s in range(1, t.size + 1):
+                g = graft_at(t, s, t2)
+                assert g == _ref_graft_at(t, s, t2)
+                assert PartitionedTree.build(g.decorations, g.parents, g.blocks) == g
+    for t in (t for n in range(1, 6) for t in all_rooted_trees(n, ab)):
+        assert tree_coproduct(t) == _ref_tree_coproduct(t)
