@@ -173,9 +173,7 @@ def _letter_index(x: Letter) -> int:
     raise ValueError(f"expected an input-alphabet letter x0..xn, got {x}")
 
 
-def fliess_tilde(
-    c: FliessElement, d: Sequence[TruncatedSeries], trunc: int | None = None
-) -> FliessElement:
+def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElement:
     """Reduced composition of a single-channel series with an n-tuple.
 
     Each letter x_j of a word prepends itself; when j matches the channel
@@ -187,7 +185,7 @@ def fliess_tilde(
     i = c.channel
     if i > n:
         raise ValueError(f"channel {i} outside the {n}-tuple of inner series")
-    L = c.series.trunc if trunc is None else trunc
+    L = c.series.trunc
     di = d[i - 1]
     if di.trunc != L:
         raise ValueError(f"mismatched truncations: {di.trunc} vs {L}")

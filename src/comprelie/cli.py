@@ -61,7 +61,6 @@ from .trees import (
     TreeTensor,
     all_partitioned_trees,
     free_bullet,
-    parse_tree,
     phi_cpl,
 )
 from .words import (
@@ -71,8 +70,6 @@ from .words import (
     Word,
     _bilinear,
     _linear,
-    _split_coeff,
-    _split_signed,
     parse_rational,
     parse_tensor,
     parse_word,
@@ -166,30 +163,12 @@ def _check_balance(src: str) -> None:
 
 
 def parse_tree_tensor(src: str) -> TreeTensor:
-    src = src.strip()
-    if src == "0":
-        return TreeTensor()
-    _check_balance(src)
-    pairs = []
-    for sign, term in _split_signed(src):
-        coeff, body = _split_coeff(term)
-        pairs.append((parse_tree(body), sign * coeff))
-    return TreeTensor(pairs)
+    _check_balance(src.strip())
+    return TreeTensor.parse(src)
 
 
 def parse_sym_tensor(src: str) -> SymTensor:
-    src = src.strip()
-    if src == "0":
-        return SymTensor()
-    pairs = []
-    for sign, term in _split_signed(src):
-        # factors first: in "2 * a" the 2 is a word, in "2*a * b" a coefficient
-        first, *rest = term.split(" * ")
-        coeff, first = _split_coeff(first)
-        factors = [f.strip() for f in (first, *rest)]
-        words = [parse_word(f) for f in factors if f != "1"]
-        pairs.append((SymMonomial.of(*words), sign * coeff))
-    return SymTensor(pairs)
+    return SymTensor.parse(src)
 
 
 def parse_expression(

@@ -292,7 +292,7 @@ def _entry(e: object) -> Rat:
     if isinstance(e, int):
         return e
     if isinstance(e, float):
-        if e != int(e):
+        if not e.is_integer():  # infinities and NaN included
             raise ValueError(f"non-integral float entry {e!r}; use a 'p/q' string")
         return int(e)
     raise ValueError(f"bad matrix entry: {e!r}")

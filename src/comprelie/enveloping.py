@@ -31,6 +31,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, shuffle
+from .words import _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -184,7 +185,9 @@ ONE = SymMonomial()
 
 class SymLin(Lin):
     """A rational combination of monomials with the commutative product,
-    which multiplies monomials by joining their factor multisets."""
+    which multiplies monomials by joining their factor multisets.
+    Subclasses name the monomial class and ``_read_factor``, the reader
+    of one printed factor."""
 
     __slots__ = ()
     monomial: type[Monomial] = Monomial
@@ -194,12 +197,21 @@ class SymLin(Lin):
             _bilinear(lambda m, n: ((m.times(n), 1),), self.items(), other.items())
         )
 
+    @classmethod
+    def _read_term(cls, term: str) -> tuple[Monomial, Rat]:
+        # factors first: in "2 * a" the 2 is a factor, in "2*a * b" a coefficient
+        first, *rest = term.split(" * ")
+        coeff, first = _split_coeff(first)
+        factors = [f.strip() for f in (first, *rest)]
+        return cls.monomial.of(*(cls._read_factor(f) for f in factors if f != "1")), coeff
+
 
 class SymTensor(SymLin):
     """A rational linear combination of symmetric monomials of words."""
 
     __slots__ = ()
     monomial = SymMonomial
+    _read_factor = staticmethod(parse_word)
 
     @classmethod
     def unit(cls) -> "SymTensor":

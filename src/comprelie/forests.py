@@ -67,9 +67,11 @@ class Forest(Monomial):
 
     def __post_init__(self):
         for t in self.factors:
-            if not isinstance(t, PartitionedTree) or not t.is_rooted_tree():
+            # one walk of the nodes serves both checks, the rooted one first
+            nodes = list(_nodes(t.root)) if isinstance(t, PartitionedTree) else None
+            if nodes is None or len(t.root) != 1 or any(len(b) != 1 for _, bs in nodes for b in bs):
                 raise ValueError("forest factors must be rooted trees (all blocks singletons)")
-            for dec, _ in _nodes(t.root):
+            for dec, _ in nodes:
                 if not isinstance(dec, Letter) or dec.shift is not None:
                     raise ValueError(f"forest decorations must be plain symbols, got {dec!r}")
         super().__post_init__()
@@ -102,6 +104,7 @@ class ForestPoly(SymLin):
 
     __slots__ = ()
     monomial = Forest
+    _read_factor = staticmethod(parse_tree)
 
     @classmethod
     def _coerce(cls, x):
@@ -180,7 +183,7 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     def grafts(f: Forest):
         for i, t in enumerate(f.factors):
             rest = f.factors[:i] + f.factors[i + 1:]
-            for dec, g in zip(t.decorations, _grafts(t, leaf)):
+            for (dec, _), g in zip(_nodes(t.root), _grafts(t, leaf)):  # both in vertex order
                 w = _weight(wmap, dec)
                 if w:
                     yield Forest(rest + (g,)), w
@@ -193,7 +196,7 @@ def phi_lambda(x, lam: Mapping) -> ForestPoly:
     wmap = _weight_map(lam)
 
     def scaled(f: Forest):
-        return ((f, sum(_weight(wmap, dec) for t in f.factors for dec in t.decorations)),)
+        return ((f, sum(_weight(wmap, dec) for t in f.factors for dec, _ in _nodes(t.root))),)
 
     return ForestPoly._from_clean(_linear(scaled, ForestPoly._coerce(x).items()))
 

@@ -9,10 +9,11 @@ extension turns a tree into a combination of words in indexed letters.
 
 A tree is held as its root block in a canonical nested form: a node is
 ``(decoration, tuple of child blocks)``, a block is a tuple of nodes, and
-both are sorted by a recursive encoding.  Isomorphic trees therefore
-compare equal structurally.  Grafts, joins, the root-block merge and the
-admissible cuts are recursions on this form; the parent and block
-arrays are views derived from it.
+both are sorted by a recursive encoding, so isomorphic trees compare
+equal.  Grafts, joins, the root-block merge and the admissible cuts are
+recursions on this form; the word maps are one fold over it, which sums
+the linear extensions by shuffling subtrees.  The parent and block
+arrays are views derived from it, built only for the public accessors.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .endo import Endo, iterate_endo_letter
 from .enveloping import SymTensor, extend_bullet
 from .exactla import rank_of
-from .prelie import ComPreLieContext, _letterwise
+from .prelie import ComPreLieContext
 from .words import (
     Letter,
     Lin,
     Rat,
     Tensor,
     Word,
-    _add_into,
     _bilinear,
     _linear,
+    _split_coeff,
     check_coefficient,
+    concat,
     parse_letter,
     shuffle,
 )
@@ -364,6 +366,11 @@ class TreeTensor(Lin):
 
     __slots__ = ()
 
+    @classmethod
+    def _read_term(cls, term: str) -> tuple[PartitionedTree, Rat]:
+        coeff, body = _split_coeff(term)
+        return parse_tree(body), coeff
+
 
 def free_bullet(a, b) -> TreeTensor:
     """The free pre-Lie product: graft the right operand at every vertex
@@ -408,6 +415,21 @@ def linear_extensions(t: PartitionedTree) -> list[tuple[int, ...]]:
     return out
 
 
+def _fold(block, node_value) -> Tensor:
+    """A block's value: the shuffle of its nodes' values; a node's value is
+    ``node_value(decoration, [value of each child block])``.  A forest's
+    linear extensions interleave its trees', so writing each node's letter
+    before the shuffle of its child values sums the linear extensions."""
+    values = (node_value(dec, [_fold(b, node_value) for b in bs]) for dec, bs in block)
+    return functools.reduce(shuffle, values)
+
+
+def _headed(image: Mapping[Letter, Rat], kids: list[Tensor]) -> Tensor:
+    """The letter combination ``image`` before the shuffle of ``kids``."""
+    head = Tensor._from_clean({Word((y,)): c for y, c in image.items()})
+    return concat(head, functools.reduce(shuffle, kids, Tensor.unit()))
+
+
 def _symbol_name(dec) -> str:
     if not isinstance(dec, Letter) or dec.shift is not None:
         raise ValueError(f"expected a plain symbol decoration, got {dec!r}")
@@ -419,33 +441,22 @@ _BILETTER_CTX = ComPreLieContext(Endo.biletter_shift())
 
 def phi_cpl(t: PartitionedTree, mode: str = "direct") -> Tensor:
     """The word image of a symbol-decorated tree: one biword per linear
-    extension, pairing each vertex's symbol with its fertility.
+    extension, pairing each vertex's symbol with its fertility.  The
+    direct mode folds the tree: a node writes that letter before the
+    shuffle of its subtrees' values.
 
     ``mode="recursive"`` instead evaluates the universal morphism sending
     the one-vertex tree on d to the indexed letter 0:d, exercising the
     generic pre-Lie machinery; both modes agree.
     """
-    if mode == "recursive":
-        images = {
-            Letter(_symbol_name(dec)): Tensor.of(Word((Letter(_symbol_name(dec), 0),)))
-            for dec in t.decorations
-        }
-        return universal_eval(_BILETTER_CTX, t, images)
-    if mode != "direct":
+    if mode not in ("direct", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
-    fert = [t.fertility(v) for v in range(1, t.size + 1)]
-    names = [_symbol_name(dec) for dec in t.decorations]
-    acc: dict[Word, Rat] = {}
-    for sigma in linear_extensions(t):
-        w = Word(tuple(Letter(names[v - 1], fert[v - 1]) for v in sigma))
-        acc[w] = acc.get(w, 0) + 1
-    return Tensor(acc)
-
-
-def _single_factor_tensor(s: SymTensor) -> Tensor:
-    if any(len(m.factors) != 1 for m in s.terms):
-        raise ValueError("expected a combination of single words")
-    return Tensor._from_clean({m.factors[0]: c for m, c in s.items()})
+    # read in vertex order, so the first bad decoration is the one reported
+    names = {dec: _symbol_name(dec) for dec, _ in _nodes(t.root)}
+    if mode == "recursive":
+        images = {Letter(n): Tensor.of(Word((Letter(n, 0),))) for n in names.values()}
+        return universal_eval(_BILETTER_CTX, t, images)
+    return _fold(t.root, lambda dec, kids: _headed({Letter(names[dec], len(kids)): 1}, kids))
 
 
 def universal_eval(
@@ -453,8 +464,9 @@ def universal_eval(
 ) -> Tensor:
     """Evaluate the Com-Pre-Lie morphism fixed by the decoration images.
 
-    A single-rooted tree is its root acting on the product of its child
-    blocks; several roots split off one at a time through the shuffle.
+    A fold of the tree: a node is its decoration's image acting, through
+    ``extend_bullet``, on the product of its child blocks' values; the
+    nodes of a block combine through the shuffle.
     """
 
     def image_of_letter(x: Letter):
@@ -462,46 +474,32 @@ def universal_eval(
             raise ValueError(f"no image supplied for decoration {x}")
         return images[x].items()
 
-    def image_of(dec) -> Tensor:
-        return Tensor._from_clean(
-            _linear(image_of_letter, ((dec, 1),) if isinstance(dec, Letter) else dec)
-        )
-
-    def eval_node(node) -> Tensor:
-        dec, child_blocks = node
-        head = image_of(dec)
-        if not child_blocks:
+    def node_value(dec, kids: list[Tensor]) -> Tensor:
+        pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
+        head = Tensor._from_clean(_linear(image_of_letter, pairs))
+        if not kids:
             return head
-        blocks = (SymTensor.from_tensor(eval_block(b)) for b in child_blocks)
-        factors = prod(blocks, start=SymTensor.unit())
-        head_sym = SymTensor.from_tensor(head)
-        return _single_factor_tensor(extend_bullet(ctx, head_sym, factors))
+        factors = prod(map(SymTensor.from_tensor, kids), start=SymTensor.unit())
+        out = extend_bullet(ctx, SymTensor.from_tensor(head), factors)
+        if any(len(m.factors) != 1 for m in out.terms):
+            raise ValueError("expected a combination of single words")
+        return Tensor._from_clean({m.factors[0]: c for m, c in out.items()})
 
-    def eval_block(block) -> Tensor:
-        acc = eval_node(block[0])
-        for node in block[1:]:
-            acc = shuffle(acc, eval_node(node))
-        return acc
-
-    return eval_block(t.root)
+    return _fold(t.root, node_value)
 
 
 def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
     """Evaluate a vector-decorated tree in the word algebra of ``ctx``:
     each linear extension contributes the product of f^fertility applied
-    to the vertex decorations, multilinearly."""
-    fert = [t.fertility(v) for v in range(1, t.size + 1)]
+    to the vertex decorations, multilinearly.  A fold of the tree, in
+    which a node writes f^k of its decoration, k its fertility."""
 
-    def letter_image(v: int) -> dict[Letter, Rat]:
-        dec = t.decorations[v - 1]
+    def node_value(dec, kids: list[Tensor]) -> Tensor:
         pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
-        return _linear(lambda x: iterate_endo_letter(ctx.f, fert[v - 1], x).items(), pairs)
+        image = _linear(lambda x: iterate_endo_letter(ctx.f, len(kids), x).items(), pairs)
+        return _headed(image, kids)
 
-    images = {v: letter_image(v) for v in range(1, t.size + 1)}
-    acc: dict[Word, Rat] = {}
-    for sigma in linear_extensions(t):
-        _add_into(acc, _letterwise(images[v] for v in sigma).items())
-    return Tensor._from_clean(acc)
+    return _fold(t.root, node_value)
 
 
 # ---------------------------------------------------------------------------

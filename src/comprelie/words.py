@@ -231,6 +231,16 @@ class Lin:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
 
+    @classmethod
+    def parse(cls, src: str):
+        """Read a printed combination back: ``0``, or signed terms that
+        the subclass's ``_read_term`` turns into (key, coefficient)."""
+        src = src.strip()
+        if src == "0":
+            return cls()
+        terms = [(sign, cls._read_term(term)) for sign, term in _split_signed(src)]
+        return cls((key, sign * c) for sign, (key, c) in terms)
+
 
 class Tensor(Lin):
     """A finitely supported rational linear combination of words."""
@@ -242,8 +252,13 @@ class Tensor(Lin):
         """The empty word with coefficient 1 (unit of shuffle/concatenation)."""
         return cls.of(EMPTY_WORD)
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+    @classmethod
+    def _read_term(cls, term: str) -> tuple[Word, Rat]:
+        # a bare rational stands for that multiple of the empty word
+        if re.fullmatch(r"\d+(/\d+)?", term):
+            return EMPTY_WORD, parse_rational(term)
+        coeff, body = _split_coeff(term)
+        return parse_word(body), coeff
 
     def graded_part(self, n: int) -> "Tensor":
         return Tensor._from_clean({w: c for w, c in self.terms.items() if len(w) == n})
@@ -486,17 +501,7 @@ def parse_tensor(src: str) -> Tensor:
 
     A bare rational stands for that multiple of the empty word.
     """
-    src = src.strip()
-    if src == "0":
-        return Tensor()
-    pairs: list[tuple[Word, Rat]] = []
-    for sign, term in _split_signed(src):
-        if re.fullmatch(r"\d+(/\d+)?", term):
-            pairs.append((EMPTY_WORD, sign * parse_rational(term)))
-        else:
-            coeff, body = _split_coeff(term)
-            pairs.append((parse_word(body), sign * coeff))
-    return Tensor(pairs)
+    return Tensor.parse(src)
 
 
 def tensor_to_str(t: Lin) -> str:

@@ -4,11 +4,15 @@ separate usage errors (2) from failed checks (1)."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from comprelie.characters import TruncatedSeries
 from comprelie.cli import (
@@ -284,3 +288,82 @@ def test_emit_report_failure_exits_one(capsys):
     assert json.loads(capsys.readouterr().out)[1]["witness"] == "broke at a.b"
     assert emit_report([{"check": "good", "status": "pass"}], "text") == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any short input from the grammar alphabet, and any JSON map
+# file, exits 0 or 2 and raises nothing out of main
+# ---------------------------------------------------------------------------
+
+GRAMMAR = "abex01:2./*+- []{},"
+fuzz_exprs = st.text(alphabet=GRAMMAR, max_size=8)
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(alphabet="ab01/:x-", max_size=4)
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# the floats JSON can spell: infinities and NaN among them
+floats = st.floats() | st.sampled_from([float("inf"), float("-inf"), float("nan"), 0.5, 2.0])
+entries = st.integers(-3, 3) | floats | st.text(alphabet="0123/-ab", max_size=4) | st.none()
+alphabets = st.lists(st.sampled_from(["a", "b", "x1", "0:a", "a b", 2]), max_size=3)
+endo_docs = (
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("matrix"),
+            "alphabet": alphabets,
+            "matrix": st.lists(st.lists(entries, max_size=3), max_size=3),
+        }
+    )
+    | st.fixed_dictionaries(
+        {
+            "kind": st.just("diagonal"),
+            "alphabet": alphabets,
+            "weights": st.dictionaries(st.sampled_from(["a", "b", "1:a", ""]), entries, max_size=2),
+        }
+    )
+    | st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["matrix", "diagonal", "biletter_shift"]) | json_leaves,
+            "alphabet": alphabets | json_docs,
+            "matrix": json_docs,
+            "weights": json_docs,
+        }
+    )
+    | json_docs
+)
+
+
+def _exit_code(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["prelie", "bracket", "star", "coproduct", "tree-map"]),
+    fuzz_exprs,
+    fuzz_exprs,
+    st.booleans(),
+)
+def test_fuzz_expressions_exit_zero_or_two(verb, left, right, as_json):
+    argv = (["--format", "json"] if as_json else []) + [verb, left]
+    if verb not in ("coproduct", "tree-map"):
+        argv.append(right)
+    assert _exit_code(argv) in (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(endo_docs, st.sampled_from(["prelie", "coproduct", "star"]))
+@example({"kind": "matrix", "alphabet": ["a"], "matrix": [[float("inf")]]}, "prelie")
+def test_fuzz_endo_json_exits_zero_or_two(tmp_path_factory, doc, verb):
+    path = tmp_path_factory.getbasetemp() / "fuzz_endo.json"
+    path.write_text(json.dumps(doc))
+    args = ["a", "x1"] if verb != "coproduct" else ["x1.a"]
+    assert _exit_code([verb, *args, "--endo", f"@{path}"]) in (0, 2)

@@ -84,6 +84,18 @@ def test_forest_validation():
         Forest.of(P("1:a"))
 
 
+def test_forest_validation_order():
+    # a block below the root counts, and the rooted check comes first
+    with pytest.raises(ValueError, match="rooted"):
+        Forest.of(P("a[b[{c,d}]]"))
+    with pytest.raises(ValueError, match="rooted"):
+        Forest.of(P("1:a[{b,c}]"))
+    with pytest.raises(ValueError, match="plain symbols"):
+        Forest((P("a[b]"), P("b[c[2:d]]")))
+    with pytest.raises(ValueError, match="rooted"):
+        Forest.of(parse_word("ab"))
+
+
 def test_symmetry_factors():
     assert symmetry_factor(P("a")) == 1
     assert symmetry_factor(P("a[b,b]")) == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from comprelie.cli import parse_expression
 from comprelie.enveloping import ONE, SymMonomial, SymTensor, pair_tensor, sym_pairing
 from comprelie.forests import Forest, ForestPoly, pairing, parse_forest, symmetry_factor
-from comprelie.trees import TreeTensor, all_partitioned_trees, parse_tree
+from comprelie.trees import TreeTensor, all_partitioned_trees, all_rooted_trees, parse_tree
 from comprelie.words import Letter, Tensor, _bilinear, _linear, parse_word, word
 
 
@@ -122,6 +122,36 @@ def test_numeral_first_factor_is_not_a_coefficient():
 def test_tree_tensor_print_parse_round_trip(terms):
     t = TreeTensor(terms)
     assert parse_expression(str(t)) == t
+
+
+# the letter 2 makes a one-tree forest that prints like a rational, and
+# the empty forest prints as 1
+forests = st.lists(
+    st.sampled_from(
+        [t for n in (1, 2, 3) for t in all_rooted_trees(n, [Letter("a"), Letter("b"), Letter("2")])]
+    ),
+    max_size=3,
+).map(lambda ts: Forest(tuple(ts)))
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(forests, coeffs, max_size=4))
+@example({Forest(): -1, Forest.of(parse_tree("d")): 3, Forest.of(parse_tree("c"), parse_tree("a[b]")): 2})
+@example({Forest.of(parse_tree("2")): 1, Forest.of(parse_tree("2"), parse_tree("a")): -3})
+def test_forest_poly_print_parse_round_trip(terms):
+    f = ForestPoly(terms)
+    assert ForestPoly.parse(str(f)) == f
+
+
+def test_one_parser_for_every_combination():
+    assert str(ForestPoly.parse("2*c * a[b] + 3*d - 1")) == "-1*1 + 3*d + 2*c * a[b]"
+    assert TreeTensor.parse("a[b] + -2*b[a]") == parse_expression("a[b] - 2*b[a]")
+    assert SymTensor.parse("3*1 - x1 * x1 * x2") == parse_expression("3*1 - x1 * x1 * x2")
+    assert Tensor.parse("-2*e + 3/2*ab") == parse_expression("-2*e + 3/2*ab")
+    for cls in (Tensor, SymTensor, TreeTensor, ForestPoly):
+        assert cls.parse(" 0 ") == cls()
+    with pytest.raises(ValueError, match="rooted"):
+        ForestPoly.parse("a * {b,c}")
 
 
 def test_tensor_is_unhashable():

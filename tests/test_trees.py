@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,10 +10,16 @@ from fractions import Fraction
 import pytest
 
 from comprelie.admissible import is_admissible, is_sigma_admissible
-from comprelie.endo import Endo
+from comprelie.endo import Endo, iterate_endo_letter
 from comprelie.enveloping import SymMonomial, extend_bullet
 from comprelie.exactla import rank_of
-from comprelie.prelie import ComPreLieContext, induced_morphism, prelie, specialization_map
+from comprelie.prelie import (
+    ComPreLieContext,
+    _letterwise,
+    induced_morphism,
+    prelie,
+    specialization_map,
+)
 from comprelie.trees import (
     PartitionedTree,
     TreeTensor,
@@ -31,7 +38,7 @@ from comprelie.trees import (
     universal_eval,
     vec,
 )
-from comprelie.words import Letter, Tensor, Word, parse_tensor, shuffle
+from comprelie.words import Letter, Tensor, Word, _add_into, _linear, parse_tensor, shuffle
 
 T = parse_tensor
 P = parse_tree
@@ -507,3 +514,90 @@ def test_nested_operations_match_the_array_reference():
                 assert PartitionedTree.build(g.decorations, g.parents, g.blocks) == g
     for t in (t for n in range(1, 6) for t in all_rooted_trees(n, ab)):
         assert tree_coproduct(t) == _ref_tree_coproduct(t)
+
+
+# ---------------------------------------------------------------------------
+# reference: the word images as sums over linear extensions on the
+# vertex-numbered arrays; the library folds the nested form instead
+# ---------------------------------------------------------------------------
+
+def _ref_phi_cpl(t):
+    fert = [t.fertility(v) for v in range(1, t.size + 1)]
+    names = [dec.name for dec in t.decorations]
+    acc = {}
+    for sigma in linear_extensions(t):
+        w = Word(tuple(Letter(names[v - 1], fert[v - 1]) for v in sigma))
+        acc[w] = acc.get(w, 0) + 1
+    return Tensor(acc)
+
+
+def _ref_phi_into(t, ctx):
+    fert = [t.fertility(v) for v in range(1, t.size + 1)]
+
+    def letter_image(v):
+        dec = t.decorations[v - 1]
+        pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
+        return _linear(lambda x: iterate_endo_letter(ctx.f, fert[v - 1], x).items(), pairs)
+
+    images = {v: letter_image(v) for v in range(1, t.size + 1)}
+    acc = {}
+    for sigma in linear_extensions(t):
+        _add_into(acc, _letterwise(images[v] for v in sigma).items())
+    return Tensor._from_clean(acc)
+
+
+def test_folds_match_the_linear_extension_reference():
+    ctx = ComPreLieContext(FRAC)
+    a, b = Letter("a"), Letter("b")
+    trees = [t for n in range(1, 6) for t in all_partitioned_trees(n, [a, b])]
+    assert len(trees) == 1160
+    for t in trees:
+        ref = _ref_phi_cpl(t)
+        assert phi_cpl(t) == ref
+        assert phi_cpl(t, mode="recursive") == ref
+        assert phi_into(t, ctx) == _ref_phi_into(t, ctx)
+    mixed = [a, vec({a: 2, b: Fraction(-1, 3)})]
+    for t in (t for n in range(1, 5) for t in all_partitioned_trees(n, mixed)):
+        assert phi_into(t, ctx) == _ref_phi_into(t, ctx)
+
+
+def test_maps_never_build_the_arrays(monkeypatch):
+    # the maps read the nested form; the parent and block arrays are
+    # built only for the public accessors, build and graft_at's index
+    from comprelie.forests import (
+        Forest,
+        ck_coproduct,
+        delta_cobracket,
+        forest_star,
+        n_d,
+        phi_lambda,
+        t_word,
+    )
+
+    built = []
+    real = PartitionedTree.__dict__["_arrays"].func
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    arrays = functools.cached_property(counting)
+    arrays.__set_name__(PartitionedTree, "_arrays")
+    monkeypatch.setattr(PartitionedTree, "_arrays", arrays)
+    lam = {"a": 2, "b": 3}
+    ctx = ComPreLieContext(FRAC)
+    t = P("a[{b[a],a},b]")
+    phi_cpl(P("{a[b],b[{a,b}]}"))
+    phi_cpl(P("{a[b],a[{a,b}]}"), mode="recursive")
+    phi_into(t, ctx)
+    universal_eval(ctx, P("b[{a[b],a}]"), {x: Tensor.of(Word((x,))) for x in FRAC.alphabet})
+    injectivity_rank(4)
+    tw = t_word("abba", lam)
+    n_d(tw, "a", lam)
+    phi_lambda(tw, lam)
+    delta_cobracket("aab", lam, mode="closed")
+    delta_cobracket("bab", lam, mode="projected")
+    forest_star(Forest((P("a[b]"), P("b"))), Forest((P("b[a,a]"),)))
+    ck_coproduct(P("b[a[b],a]"))
+    assert built == []
+    assert phi_into(t, ctx) == _ref_phi_into(t, ctx) and built == [t]
