@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
-from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent
+from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, graded_series
 from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, _add_into, _linear, shuffle
 
 
@@ -226,7 +226,4 @@ def fibonacci_dims(n: int, k_max: int) -> list[int]:
         raise ValueError("n must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    dims = [0, 1]
-    while len(dims) <= k_max:
-        dims.append(n * dims[-1] + dims[-2])
-    return dims[: k_max + 1]
+    return graded_series([0, n, 1], 1, k_max).coefficients

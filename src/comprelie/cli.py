@@ -162,15 +162,6 @@ def _check_balance(src: str) -> None:
         raise CliError(f"unclosed {ch!r} at position {k}")
 
 
-def parse_tree_tensor(src: str) -> TreeTensor:
-    _check_balance(src.strip())
-    return TreeTensor.parse(src)
-
-
-def parse_sym_tensor(src: str) -> SymTensor:
-    return SymTensor.parse(src)
-
-
 def parse_expression(
     src: str, trunc: int | None = None
 ) -> Tensor | SymTensor | TreeTensor | TruncatedSeries:
@@ -186,9 +177,9 @@ def parse_expression(
     _check_balance(src)
     try:
         if "[" in src or "{" in src:
-            return parse_tree_tensor(src)
+            return TreeTensor.parse(src)
         if " * " in src:
-            return parse_sym_tensor(src)
+            return SymTensor.parse(src)
         t = parse_tensor(src)
     except ValueError as exc:
         raise CliError(f"bad expression {src!r}: {exc}") from None
@@ -206,7 +197,7 @@ def _as_tensor_arg(src: str) -> Tensor:
 
 def _as_sym_arg(src: str) -> SymTensor:
     try:
-        return parse_sym_tensor(src)
+        return SymTensor.parse(src)
     except ValueError as exc:
         raise CliError(f"bad monomial expression {src!r}: {exc}") from None
 
@@ -329,7 +320,7 @@ def _cmd_dyck(args) -> int:
 def _cmd_tree_map(args) -> int:
     value = parse_expression(args.expr)
     if isinstance(value, (Tensor, SymTensor)):
-        value = parse_tree_tensor(args.expr)
+        value = TreeTensor.parse(args.expr)
     out = Tensor._from_clean(_linear(lambda t: phi_cpl(t, mode=args.mode).items(), value.items()))
     _emit(args.format, [str(out)], {"result": str(out)})
     return 0
@@ -696,10 +687,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

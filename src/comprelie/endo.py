@@ -1,6 +1,6 @@
 """Linear endomorphisms of the letter space.
 
-Three representations cover everything the library needs:
+Three kinds cover everything the library needs:
 
 * ``matrix`` — a square rational matrix over a finite ordered alphabet;
   entry ``[i][j]`` is the coefficient of letter ``i`` in the image of
@@ -8,6 +8,10 @@ Three representations cover everything the library needs:
 * ``diagonal`` — one rational weight per letter;
 * ``biletter_shift`` — the raise-the-index map ``k:d -> (k+1):d`` on the
   (lazily materialized, infinite) alphabet of indexed letters.
+
+The two finite kinds share one stored form, the column table
+``letter -> image``; a diagonal map is the table ``{x: {x: w}}``.  The
+shift is a rule on the letter and stores no table.
 
 Values of the endomorphism are degree-one tensors (linear combinations of
 single-letter words), so images compose directly with the word operations.
@@ -39,14 +43,13 @@ class Endo:
     or the presets :func:`fliess_channel` / :func:`diagonal_weights`.
     """
 
-    __slots__ = ("kind", "alphabet", "columns", "weights")
+    __slots__ = ("kind", "alphabet", "columns")
 
     def __init__(
         self,
         kind: str,
         alphabet: tuple[Letter, ...],
         columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None,
-        weights: Mapping[Letter, Rat] | None = None,
     ):
         if kind not in ("matrix", "diagonal", "biletter_shift"):
             raise ValueError(f"unknown endomorphism kind: {kind!r}")
@@ -57,7 +60,6 @@ class Endo:
         self.columns = None if columns is None else MappingProxyType(
             {x: MappingProxyType(dict(col)) for x, col in columns.items()}
         )
-        self.weights = None if weights is None else MappingProxyType(dict(weights))
 
     # -- constructors -------------------------------------------------------
 
@@ -84,13 +86,21 @@ class Endo:
     @classmethod
     def diagonal(cls, weights: Mapping[Letter | str, Rat]) -> "Endo":
         wmap = {_as_letter(k): check_coefficient(v) for k, v in weights.items()}
-        return cls("diagonal", tuple(sorted(wmap)), weights=wmap)
+        columns = {x: {x: w} if w else {} for x, w in wmap.items()}
+        return cls("diagonal", tuple(sorted(wmap)), columns=columns)
 
     @classmethod
     def biletter_shift(cls, decorations: Sequence[str] = ()) -> "Endo":
         """The shift ``k:d -> (k+1):d``.  An empty ``decorations`` list means
         every decoration symbol is allowed."""
         return cls("biletter_shift", tuple(Letter(d) for d in decorations))
+
+    @property
+    def weights(self) -> Mapping[Letter, Rat] | None:
+        """The weight of each letter of a diagonal map, in input order."""
+        if self.kind != "diagonal":
+            return None
+        return MappingProxyType({x: col.get(x, 0) for x, col in self.columns.items()})
 
     # -- basic protocol -----------------------------------------------------
 
@@ -101,7 +111,6 @@ class Endo:
             self.kind == other.kind
             and self.alphabet == other.alphabet
             and self.columns == other.columns
-            and self.weights == other.weights
         )
 
     def __repr__(self) -> str:
@@ -109,16 +118,11 @@ class Endo:
 
     def image_letter(self, x: Letter) -> Mapping[Letter, Rat]:
         """The image of a single letter as a letter -> coefficient map."""
-        if self.kind == "matrix":
+        if self.columns is not None:
             col = self.columns.get(x)
             if col is None:
                 raise ValueError(f"letter {x} outside the alphabet of this endomorphism")
             return col
-        if self.kind == "diagonal":
-            if x not in self.weights:
-                raise ValueError(f"letter {x} outside the alphabet of this endomorphism")
-            lam = self.weights[x]
-            return {x: lam} if lam else {}
         # biletter shift
         if x.shift is None:
             raise ValueError(f"biletter shift needs indexed letters, got plain {x}")
@@ -133,24 +137,21 @@ def _as_letter(x: Letter | str) -> Letter:
 
 def apply_endo(f: Endo, v: Tensor) -> Tensor:
     """Linear extension of ``f`` to a degree-one tensor."""
+    return iterate_endo(f, 1, v)
+
+
+def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
+    """Apply ``f`` a total of ``k`` times; ``k = 0`` is the identity.
+    The linear extension of :func:`iterate_endo_letter`."""
+    if k < 0:
+        raise ValueError("iteration count must be >= 0")
 
     def image(w: Word):
         if len(w) != 1:
             raise ValueError(f"apply_endo expects single-letter words, got {w}")
-        return ((Word((y,)), m) for y, m in f.image_letter(w[0]).items())
+        return ((Word((y,)), m) for y, m in iterate_endo_letter(f, k, w[0]).items())
 
     return Tensor._from_clean(_linear(image, v.items()))
-
-
-def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
-    """Apply ``f`` a total of ``k`` times; ``k = 0`` is the identity."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(k):
-        if not v:
-            break
-        v = apply_endo(f, v)
-    return v
 
 
 def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
@@ -171,8 +172,6 @@ def nilpotency_index(f: Endo) -> int | None:
     """
     if f.kind == "biletter_shift":
         return None
-    if f.kind == "diagonal":
-        return 1 if all(lam == 0 for lam in f.weights.values()) else None
     n = len(f.alphabet)
     images: dict[Letter, dict[Letter, Rat]] = {x: {x: 1} for x in f.alphabet}
     for power in range(1, n + 1):
@@ -189,19 +188,18 @@ def _compose_image(f: Endo, img: Mapping[Letter, Rat]) -> dict[Letter, Rat]:
 
 
 def transpose_endo(f: Endo) -> Endo:
-    """Matrix transpose in the letter basis; diagonal maps are self-dual.
+    """Matrix transpose in the letter basis, of the same kind (diagonal
+    maps are self-dual).
 
     The biletter shift is rejected: its transpose would lower indices on an
     infinite alphabet and is never needed.
     """
-    if f.kind == "diagonal":
-        return f
-    if f.kind == "matrix":
-        rows: dict[Letter, dict[Letter, Rat]] = {x: {} for x in f.alphabet}
+    if f.columns is not None:
+        rows: dict[Letter, dict[Letter, Rat]] = {x: {} for x in f.columns}
         for j, col in f.columns.items():
             for i, c in col.items():
                 rows[i][j] = c
-        return Endo("matrix", f.alphabet, columns=rows)
+        return Endo(f.kind, f.alphabet, columns=rows)
     raise ValueError("the biletter shift has no transpose here (infinite alphabet)")
 
 

@@ -161,10 +161,14 @@ class Monomial:
             return NotImplemented
         return self._key() < other._key()
 
+    # a factor printed as 1 would read back as the unit: subclasses print
+    # it in a form their factor reader maps back to the factor
+    one_factor = "1"
+
     def __str__(self) -> str:
         if not self.factors:
             return "1"
-        return " * ".join(str(x) for x in self.factors)
+        return " * ".join(self.one_factor if str(x) == "1" else str(x) for x in self.factors)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -175,6 +179,7 @@ class SymMonomial(Monomial):
     the one-factor monomial on the empty word."""
 
     __slots__ = ()
+    one_factor = "1."
 
     def total_letters(self) -> int:
         return sum(len(w) for w in self.factors)

@@ -3,7 +3,8 @@
 Vectors are mappings ``basis key -> rational`` with orderable, hashable keys
 (words, monomials, tree isoclasses...).  :class:`SpanBasis` keeps a reduced
 row-echelon set of rows so that rank growth, membership, and coordinates are
-cheap to query while vectors stream in.
+cheap to query while vectors stream in; :func:`express_in` solves for
+coordinates by reducing through the same basis.
 """
 
 from __future__ import annotations
@@ -79,33 +80,13 @@ def express_in(
 
     When the vectors are dependent one valid solution is returned.
     """
-    n = len(vectors)
-    # row i is reduced by all earlier rows, so eliminating pivots in
-    # insertion order never reintroduces an earlier pivot
-    rows: list[tuple[dict, list[Rat]]] = []  # (reduced vector, combination)
-    for i, v in enumerate(vectors):
-        vec = {k: c for k, c in v.items() if c}
-        combo: list[Rat] = [0] * n
-        combo[i] = 1
-        for rvec, rcombo in rows:
-            c = vec.get(min(rvec), 0)
-            if c:
-                _add_into(vec, rvec.items(), -c)
-                for j, rc in enumerate(rcombo):
-                    if rc:
-                        combo[j] -= c * rc
-        if vec:
-            inv = vec[min(vec)]
-            vec = {k: _div(c, inv) for k, c in vec.items()}
-            combo = [_div(c, inv) if c else 0 for c in combo]
-            rows.append((vec, combo))
-    tgt = {k: c for k, c in target.items() if c}
-    out: list[Rat] = [0] * n
-    for rvec, rcombo in rows:
-        c = tgt.get(min(rvec), 0)
-        if c:
-            _add_into(tgt, rvec.items(), -c)
-            for j, rc in enumerate(rcombo):
-                if rc:
-                    out[j] += c * rc
-    return None if tgt else out
+    # each vector carries a marker key (1, i) after its keys (0, k); a
+    # marker sorts after every basis key, so it becomes a pivot only once
+    # no basis key is left, and the target's residue holds -c_i at (1, i)
+    span = SpanBasis(
+        {**{(0, k): c for k, c in v.items()}, (1, i): 1} for i, v in enumerate(vectors)
+    )
+    residue = span.reduce({(0, k): c for k, c in target.items()})
+    if any(k[0] == 0 for k in residue):
+        return None
+    return [-residue.get((1, i), 0) for i in range(len(vectors))]

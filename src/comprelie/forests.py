@@ -64,6 +64,7 @@ class Forest(Monomial):
     of the product.  Forests order by vertex count first."""
 
     __slots__ = ()
+    one_factor = "{1}"
 
     def __post_init__(self):
         for t in self.factors:

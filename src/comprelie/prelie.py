@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import Endo, _compose_image, iterate_endo_letter, nilpotency_index
+from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _interleavings, _linear
 from .words import _shuffle_words, shuffle
@@ -221,6 +221,7 @@ def graded_series(dims_of_v: Sequence[int], n_shift: int, trunc: int) -> GradedS
     if dims_of_v and dims_of_v[0] != 0:
         raise ValueError("degree-0 letters are not allowed (dims_of_v[0] must be 0)")
     fv = list(dims_of_v[: trunc + 1]) + [0] * max(0, trunc + 1 - len(dims_of_v))
+    letter_degrees = [d for d in range(1, trunc + 1) if fv[d]]
     bigraded: dict[tuple[int, int], int] = {}
     coeffs = [0] * (trunc + 1)
     power = [0] * (trunc + 1)  # F_V(X)^k, coefficient list
@@ -235,8 +236,8 @@ def graded_series(dims_of_v: Sequence[int], n_shift: int, trunc: int) -> GradedS
         nxt = [0] * (trunc + 1)
         for d1 in range(trunc + 1):
             if power[d1]:
-                for d2 in range(1, trunc + 1 - d1):
-                    if fv[d2]:
+                for d2 in letter_degrees:
+                    if d1 + d2 <= trunc:
                         nxt[d1 + d2] += power[d1] * fv[d2]
         power = nxt
         if not any(power):
@@ -309,14 +310,8 @@ def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
         return True
     if t.coefficient(Word(())):
         return False
-    image_vectors: list[Tensor] = []
     seen = SpanBasis()
-    for x in ctx.alphabet:
-        v = Tensor(
-            {Word((y,)): c for y, c in ctx.f.image_letter(x).items()}
-        )
-        if v and seen.add(v.terms):
-            image_vectors.append(v)
+    image_vectors = [v for v in image_span_letters(ctx.f) if seen.add(v.terms)]
     for n in sorted({len(w) for w in t.terms}):
         part = t.graded_part(n)
         span = SpanBasis()

@@ -165,4 +165,11 @@ def test_images_are_read_only():
     d = diagonal_weights({"a": 2})
     with pytest.raises(TypeError):
         d.weights[Letter("a")] = 5
+    with pytest.raises(TypeError):
+        d.image_letter(Letter("a"))[Letter("a")] = 5
     assert d.image_letter(Letter("a")) == {Letter("a"): 2}
+
+
+def test_diagonal_maps_store_a_column_table():
+    a, b = Letter("a"), Letter("b")
+    assert diagonal_weights({"a": 2, "b": 0}).columns == {a: {a: 2}, b: {}}

@@ -74,19 +74,19 @@ def test_tree_tensor_prints_in_key_order():
 
 
 coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
-# the letter 2 makes a one-letter word that prints like a rational; the
+# the letters 2 and 1 make one-letter words that print like rationals; the
 # letters e and ab make one-letter words that print like the empty word
 # and like the two-letter word a b
-words = st.lists(st.sampled_from(["a", "b", "x1", "2", "e", "ab"]), max_size=3).map(word)
+words = st.lists(st.sampled_from(["a", "b", "x1", "2", "1", "e", "ab"]), max_size=3).map(word)
 # a numeral letter name makes "2 * a" (the words 2 and a) look like a
-# coefficient times a monomial
+# coefficient times a monomial, and the word 1 looks like the unit
 monomials = st.lists(
-    st.lists(st.sampled_from(["a", "b", "2", "e", "ab"]), max_size=2).map(word), max_size=3
+    st.lists(st.sampled_from(["a", "b", "2", "1", "e", "ab"]), max_size=2).map(word), max_size=3
 ).map(lambda ws: SymMonomial.of(*ws))
 # every tree with two or more vertices prints a bracket, which is what
 # tells the parser that an expression is a tree combination
 trees = st.sampled_from(
-    [t for n in (2, 3) for t in all_partitioned_trees(n, [Letter("a"), Letter("b")])]
+    [t for n in (2, 3) for t in all_partitioned_trees(n, [Letter("a"), Letter("b"), Letter("1")])]
 )
 
 
@@ -103,6 +103,7 @@ def test_tensor_print_parse_round_trip(terms):
 @settings(max_examples=25)
 @given(st.dictionaries(monomials, coeffs, min_size=1, max_size=4))
 @example({SymMonomial.of(word(["e"]), word(["ab"])): 1})
+@example({SymMonomial.of(word(["1"])): 3, SymMonomial.of(word(["a"]), word(["b"])): 1})
 def test_sym_tensor_print_parse_round_trip(terms):
     # a combination without a two-factor monomial prints as words
     assume(any(len(m.factors) >= 2 for m in terms))
@@ -124,11 +125,15 @@ def test_tree_tensor_print_parse_round_trip(terms):
     assert parse_expression(str(t)) == t
 
 
-# the letter 2 makes a one-tree forest that prints like a rational, and
-# the empty forest prints as 1
+# the letter 2 makes a one-tree forest that prints like a rational, the
+# letter 1 one that prints like the unit, and the empty forest prints as 1
 forests = st.lists(
     st.sampled_from(
-        [t for n in (1, 2, 3) for t in all_rooted_trees(n, [Letter("a"), Letter("b"), Letter("2")])]
+        [
+            t
+            for n in (1, 2, 3)
+            for t in all_rooted_trees(n, [Letter("a"), Letter("b"), Letter("2"), Letter("1")])
+        ]
     ),
     max_size=3,
 ).map(lambda ts: Forest(tuple(ts)))
@@ -138,6 +143,7 @@ forests = st.lists(
 @given(st.dictionaries(forests, coeffs, max_size=4))
 @example({Forest(): -1, Forest.of(parse_tree("d")): 3, Forest.of(parse_tree("c"), parse_tree("a[b]")): 2})
 @example({Forest.of(parse_tree("2")): 1, Forest.of(parse_tree("2"), parse_tree("a")): -3})
+@example({Forest.of(parse_tree("1")): 1})
 def test_forest_poly_print_parse_round_trip(terms):
     f = ForestPoly(terms)
     assert ForestPoly.parse(str(f)) == f
