@@ -162,14 +162,11 @@ def _check_balance(src: str) -> None:
         raise CliError(f"unclosed {ch!r} at position {k}")
 
 
-def parse_expression(
-    src: str, trunc: int | None = None
-) -> Tensor | SymTensor | TreeTensor | TruncatedSeries:
+def parse_expression(src: str) -> Tensor | SymTensor | TreeTensor:
     """Parse any printed expression back into its algebra.
 
     Brackets select tree combinations, a spaced " * " selects symmetric
-    monomials, anything else is a word combination; ``trunc`` wraps the
-    word case in a truncated series.
+    monomials, anything else is a word combination.
     """
     src = src.strip()
     if not src:
@@ -180,12 +177,9 @@ def parse_expression(
             return TreeTensor.parse(src)
         if " * " in src:
             return SymTensor.parse(src)
-        t = parse_tensor(src)
+        return parse_tensor(src)
     except ValueError as exc:
         raise CliError(f"bad expression {src!r}: {exc}") from None
-    if trunc is not None:
-        return TruncatedSeries(trunc, t)
-    return t
 
 
 def _as_tensor_arg(src: str) -> Tensor:

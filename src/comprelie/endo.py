@@ -20,6 +20,7 @@ single-letter words), so images compose directly with the word operations.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -36,6 +37,7 @@ from .words import (
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Endo:
     """A linear endomorphism of the span of letters.
 
@@ -43,23 +45,21 @@ class Endo:
     or the presets :func:`fliess_channel` / :func:`diagonal_weights`.
     """
 
-    __slots__ = ("kind", "alphabet", "columns")
+    kind: str
+    alphabet: tuple[Letter, ...]
+    columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None
 
-    def __init__(
-        self,
-        kind: str,
-        alphabet: tuple[Letter, ...],
-        columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None,
-    ):
-        if kind not in ("matrix", "diagonal", "biletter_shift"):
-            raise ValueError(f"unknown endomorphism kind: {kind!r}")
-        self.kind = kind
-        self.alphabet = alphabet
+    __hash__ = None  # equal maps compare equal, but column mappings have no hash
+
+    def __post_init__(self):
+        if self.kind not in ("matrix", "diagonal", "biletter_shift"):
+            raise ValueError(f"unknown endomorphism kind: {self.kind!r}")
         # read-only views: contexts cache products under the map, so an
         # image handed out must not be able to change it
-        self.columns = None if columns is None else MappingProxyType(
-            {x: MappingProxyType(dict(col)) for x, col in columns.items()}
-        )
+        if self.columns is not None:
+            object.__setattr__(self, "columns", MappingProxyType(
+                {x: MappingProxyType(dict(col)) for x, col in self.columns.items()}
+            ))
 
     # -- constructors -------------------------------------------------------
 
@@ -103,15 +103,6 @@ class Endo:
         return MappingProxyType({x: col.get(x, 0) for x, col in self.columns.items()})
 
     # -- basic protocol -----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.alphabet == other.alphabet
-            and self.columns == other.columns
-        )
 
     def __repr__(self) -> str:
         return f"<Endo {self.kind} on {len(self.alphabet)} letters>"

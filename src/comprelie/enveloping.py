@@ -282,8 +282,6 @@ def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTen
     endomorphism applied as many times as the share size, nesting from the
     last letter outward.
     """
-    if len(w) == 0:
-        return SymTensor() if factors else SymTensor.of(SymMonomial.of(EMPTY_WORD))
     acc: dict[Word, Rat] = {}
     for t, _ in _distribute(ctx, w, factors, len(w)):
         _add_into(acc, t.items())
@@ -293,8 +291,6 @@ def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTen
 def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
     """One-pass formula for ``w * (w1 x ... x wk)``: as the closed action,
     with one extra share of factors passing through unchanged."""
-    if len(w) == 0:
-        return SymTensor.of(SymMonomial(tuple(factors) + (EMPTY_WORD,)))
     acc: dict[SymMonomial, Rat] = {}
     for t, passthrough in _distribute(ctx, w, factors, len(w) + 1):
         _add_into(acc, ((SymMonomial((x,) + passthrough), c) for x, c in t.items()))

@@ -6,14 +6,16 @@ symmetry count puts it in duality with the enveloping algebra of the free
 pre-Lie algebra on the symbols.  When every symbol carries an eigenvalue,
 iterated leaf grafting produces elements t_w indexed by words; their span
 is closed under the coproduct, and the induced cobracket dualizes to the
-weighted-interleaving pre-Lie product on words.  Rescaling the one-symbol
-row recovers the Faa di Bruno bracket [y_k, y_l] = (k-l) y_{k+l}.
+weighted-interleaving pre-Lie product on words.  Both routes to the
+cobracket read one deshuffle list; the closed one is the transpose of
+``prelie_closed`` under the diagonal map, sharing its fixed-prefix rule.
+Rescaling the one-symbol row recovers the Faa di Bruno bracket
+[y_k, y_l] = (k-l) y_{k+l}.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping
@@ -23,13 +25,15 @@ from .enveloping import (
     Monomial,
     OudomGuin,
     SymLin,
+    _splittings,
     diagonal_pairing,
     multiplicative_coproduct,
 )
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, _from_nested, _grafts, _nodes, free_bullet, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, _add_into, _linear, check_coefficient, parse_word
+from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, check_coefficient
+from .words import parse_word
 
 
 def _as_letters(w) -> tuple[Letter, ...]:
@@ -38,14 +42,6 @@ def _as_letters(w) -> tuple[Letter, ...]:
     if isinstance(w, Word):
         return w.letters
     return tuple(w)
-
-
-def _weight_map(lam: Mapping) -> dict[Letter, Rat]:
-    out: dict[Letter, Rat] = {}
-    for k, v in lam.items():
-        x = Letter(k) if isinstance(k, str) else k
-        out[x] = check_coefficient(v)
-    return out
 
 
 def _weight(wmap: Mapping[Letter, Rat], x: Letter) -> Rat:
@@ -179,7 +175,7 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     """Graft one ``d``-decorated leaf at every vertex, each graft weighted
     by the eigenvalue of the host vertex's symbol.  A derivation."""
     leaf = singleton(Letter(d) if isinstance(d, str) else d)
-    wmap = _weight_map(lam)
+    wmap = Endo.diagonal(lam).weights
 
     def grafts(f: Forest):
         for i, t in enumerate(f.factors):
@@ -194,7 +190,7 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
 
 def phi_lambda(x, lam: Mapping) -> ForestPoly:
     """Scale each forest by the eigenvalue sum over its vertices."""
-    wmap = _weight_map(lam)
+    wmap = Endo.diagonal(lam).weights
 
     def scaled(f: Forest):
         return ((f, sum(_weight(wmap, dec) for t in f.factors for dec, _ in _nodes(t.root))),)
@@ -223,63 +219,34 @@ def t_word(w, lam: Mapping) -> ForestPoly:
 # the cobracket on t elements and its dual product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexSubset:
-    """Strictly increasing 1-based positions in a word.  ``prefix_reach``
-    is the largest i with 1..i all selected (0 when 1 is missing)."""
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if list(self.positions) != sorted(set(self.positions)) or (
-            self.positions and self.positions[0] < 1
-        ):
-            raise ValueError("positions must be strictly increasing and 1-based")
-
-    @property
-    def prefix_reach(self) -> int:
-        m = 0
-        for i, p in enumerate(self.positions, start=1):
-            if p != i:
-                break
-            m = i
-        return m
-
-    def subword(self, letters: tuple[Letter, ...]) -> Word:
-        return Word(tuple(letters[p - 1] for p in self.positions))
-
-    def complement(self, n: int) -> "IndexSubset":
-        chosen = set(self.positions)
-        return IndexSubset(tuple(p for p in range(1, n + 1) if p not in chosen))
-
-
 def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, Word], Rat]:
     """Cobracket of ``t_w``, expressed in the t basis as a
     (left word, right word) -> coefficient mapping.
 
-    The closed mode sums over proper position subsets, weighting each by
-    the eigenvalues along its initial run.  The projected mode cuts the
-    tree expansion of t_w, keeps the tree x tree part and solves for the
-    t-basis coordinates; it needs all weights nonzero so the t elements
-    stay independent.
+    Both modes read one list: the splittings of the positions of w into
+    two nonempty parts, the subwords u and v.  The closed mode weights
+    each by the eigenvalues of w along the prefix that u keeps in place;
+    it is the transpose of ``prelie_closed`` under the diagonal map of
+    the eigenvalues (see :func:`dual_prelie_coeff`).  The projected mode
+    cuts the tree expansion of t_w, keeps the tree x tree part and solves
+    for the t-basis coordinates; it needs all weights nonzero so the t
+    elements stay independent.
     """
     letters = _as_letters(w)
-    n = len(letters)
-    if n == 0:
+    if not letters:
         raise ValueError("t elements need a nonempty word")
-    wmap = _weight_map(lam)
-    positions = range(1, n + 1)
-    subsets = [IndexSubset(s) for k in range(1, n) for s in itertools.combinations(positions, k)]
+    wmap = Endo.diagonal(lam).weights
+    splittings = [s for s in _splittings(tuple(range(len(letters))), 2) if all(s)]
 
-    def words(sub: IndexSubset) -> tuple[Word, Word]:
-        return sub.subword(letters), sub.complement(n).subword(letters)
+    def words(parts: tuple[tuple[int, ...], ...]) -> tuple[Word, ...]:
+        return tuple(Word(tuple(letters[p] for p in part)) for part in parts)
 
     if mode == "closed":
         out: dict[tuple[Word, Word], Rat] = {}
-        for sub in subsets:
-            weight = sum(_weight(wmap, letters[i]) for i in range(sub.prefix_reach))
+        for s in splittings:
+            weight = sum(_weight(wmap, letters[i]) for i in range(_fixed_prefix(s[0])))
             if weight:
-                _add_into(out, [(words(sub), weight)])
+                _add_into(out, [(words(s), weight)])
         return out
     if mode != "projected":
         raise ValueError(f"unknown mode {mode!r}")
@@ -290,7 +257,7 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     for (left, right), c in ck_coproduct(t_word(letters, wmap)).items():
         if left.is_tree() and right.is_tree():
             target[(left, right)] = c
-    pairs = list(dict.fromkeys(map(words, subsets)))
+    pairs = list(dict.fromkeys(map(words, splittings)))
     vectors = []
     for u, v in pairs:
         tu, tv = t_word(u, wmap), t_word(v, wmap)

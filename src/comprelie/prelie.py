@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
-from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _interleavings, _linear
-from .words import _shuffle_words, shuffle
+from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
+from .words import _linear, _shuffle_words, shuffle
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -100,13 +100,9 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     each shuffle contributes one term per leading position of ``u`` kept in
     place (the fixed-point prefix), with ``f`` applied there.
     """
-    k = len(u)
     acc: dict[Word, Rat] = {}
     for positions, out in _interleavings(u, v):
-        m = 0
-        while m < k and positions[m] == m:
-            m += 1
-        for i in range(m):
+        for i in range(_fixed_prefix(positions)):
             _add_into(
                 acc,
                 (
@@ -197,16 +193,44 @@ def specialization_map(f: Endo, assignment: Mapping[str, Letter | str]) -> Lette
 
 @dataclass
 class GradedSeries:
-    """Dimensions by degree, plus the (degree, word count) refinement."""
+    """Dimensions by degree, plus the (degree, word count) refinement.
+
+    ``letters`` maps each letter degree to the dimension of its letter
+    space (nonzero entries up to the truncation); ``shift`` is N.
+    """
 
     coefficients: list[int]
     truncation: int
-    bigraded: dict[tuple[int, int], int]
+    letters: dict[int, int]
+    shift: int
 
     def dimension(self, degree: int) -> int:
         if not 0 <= degree <= self.truncation:
             raise ValueError(f"degree {degree} outside truncation {self.truncation}")
         return self.coefficients[degree]
+
+    @cached_property
+    def bigraded(self) -> dict[tuple[int, int], int]:
+        """(degree, word count) -> number of words, read off the powers of
+        F_V(X) on first use; its degree sums are the coefficients."""
+        trunc = self.truncation
+        bigraded: dict[tuple[int, int], int] = {}
+        power = [0] * (trunc + 1)  # F_V(X)^k, coefficient list
+        power[0] = 1
+        k = 0
+        while any(power):
+            for d in range(trunc + 1):
+                if power[d] and d + self.shift <= trunc:
+                    bigraded[(d + self.shift, k)] = power[d]
+            k += 1
+            nxt = [0] * (trunc + 1)
+            for d1 in range(trunc + 1):
+                if power[d1]:
+                    for d2, n in self.letters.items():
+                        if d1 + d2 <= trunc:
+                            nxt[d1 + d2] += power[d1] * n
+            power = nxt
+        return bigraded
 
 
 def graded_series(dims_of_v: Sequence[int], n_shift: int, trunc: int) -> GradedSeries:
@@ -216,33 +240,17 @@ def graded_series(dims_of_v: Sequence[int], n_shift: int, trunc: int) -> GradedS
     degree-0 slot must be 0 (otherwise word count would not bound degree and
     the coefficients would diverge).  ``n_shift`` is the common degree shift
     N added to every word (the empty word has degree exactly N).  Setting
-    Y = 1 gives the plain degree series.
+    Y = 1 gives the plain degree series, computed by the recurrence
+    c_d = [d = N] + sum_e F_V[e] c_(d-e) over the letter degrees e.
     """
     if dims_of_v and dims_of_v[0] != 0:
         raise ValueError("degree-0 letters are not allowed (dims_of_v[0] must be 0)")
-    fv = list(dims_of_v[: trunc + 1]) + [0] * max(0, trunc + 1 - len(dims_of_v))
-    letter_degrees = [d for d in range(1, trunc + 1) if fv[d]]
-    bigraded: dict[tuple[int, int], int] = {}
-    coeffs = [0] * (trunc + 1)
-    power = [0] * (trunc + 1)  # F_V(X)^k, coefficient list
-    power[0] = 1
-    k = 0
-    while True:
-        for d in range(trunc + 1):
-            if power[d] and d + n_shift <= trunc:
-                bigraded[(d + n_shift, k)] = power[d]
-                coeffs[d + n_shift] += power[d]
-        k += 1
-        nxt = [0] * (trunc + 1)
-        for d1 in range(trunc + 1):
-            if power[d1]:
-                for d2 in letter_degrees:
-                    if d1 + d2 <= trunc:
-                        nxt[d1 + d2] += power[d1] * fv[d2]
-        power = nxt
-        if not any(power):
-            break
-    return GradedSeries(coeffs, trunc, bigraded)
+    letters = {e: n for e, n in enumerate(dims_of_v[: trunc + 1]) if n}
+    coeffs: list[int] = []
+    for d in range(trunc + 1):
+        below = sum(n * coeffs[d - e] for e, n in letters.items() if e <= d)
+        coeffs.append(int(d == n_shift) + below)
+    return GradedSeries(coeffs, trunc, letters, n_shift)
 
 
 # ---------------------------------------------------------------------------

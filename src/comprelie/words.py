@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -281,6 +281,15 @@ def _interleavings(u: Word, v: Word) -> Iterator[tuple[tuple[int, ...], tuple[Le
             if out[p] is None:
                 out[p] = next(it)
         yield positions, tuple(out)  # type: ignore[misc]
+
+
+def _fixed_prefix(positions: Sequence[int]) -> int:
+    """The largest m with ``positions[j] == j`` for every j < m: how many
+    leading slots an interleaving leaves in place (0-based)."""
+    m = 0
+    while m < len(positions) and positions[m] == m:
+        m += 1
+    return m
 
 
 @functools.lru_cache(maxsize=None)

@@ -314,6 +314,20 @@ def test_fibonacci_dims_count_graded_words():
         assert counts == fibonacci_dims(n, 8)
 
 
+def test_fibonacci_dims_memory_is_linear_in_the_degree():
+    # the plain series needs no (degree, word count) table
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        dims = fibonacci_dims(2, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims[:6] == [0, 1, 2, 5, 12, 29]
+    assert peak < 2 * 1024 * 1024
+
+
 def test_fibonacci_rejects_bad_input():
     with pytest.raises(ValueError):
         fibonacci_dims(0, 3)

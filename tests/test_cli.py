@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comprelie.characters import TruncatedSeries
 from comprelie.cli import (
     CliError,
     emit_report,
@@ -68,9 +67,6 @@ def test_parse_expression_types():
     assert isinstance(parse_expression("x1 + e"), Tensor)
     assert isinstance(parse_expression("x1 * x2"), SymTensor)
     assert isinstance(parse_expression("a[b,c]"), TreeTensor)
-    series = parse_expression("x1 + x0.x0.x0", trunc=2)
-    assert isinstance(series, TruncatedSeries)
-    assert str(series) == "x1"  # the long word fell off
 
 
 def test_parse_expression_errors():

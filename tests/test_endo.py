@@ -170,6 +170,17 @@ def test_images_are_read_only():
     assert d.image_letter(Letter("a")) == {Letter("a"): 2}
 
 
+def test_fields_cannot_be_rebound():
+    # contexts cache products under the map, so the map itself is frozen
+    f = fliess_channel(2, 1)
+    for name, value in (("kind", "diagonal"), ("alphabet", ()), ("columns", {})):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    assert f == fliess_channel(2, 1)
+    with pytest.raises(TypeError):
+        hash(f)
+
+
 def test_diagonal_maps_store_a_column_table():
     a, b = Letter("a"), Letter("b")
     assert diagonal_weights({"a": 2, "b": 0}).columns == {a: {a: 2}, b: {}}

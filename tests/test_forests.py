@@ -15,7 +15,6 @@ from comprelie.exactla import rank_of
 from comprelie.forests import (
     Forest,
     ForestPoly,
-    IndexSubset,
     ck_coproduct,
     delta_cobracket,
     dual_prelie_coeff,
@@ -285,15 +284,6 @@ def test_one_symbol_row_five_regression():
 # the cobracket and its dual product
 # ---------------------------------------------------------------------------
 
-def test_index_subset():
-    s = IndexSubset((1, 2, 5))
-    assert s.prefix_reach == 2
-    assert IndexSubset((2, 3)).prefix_reach == 0
-    assert s.complement(6).positions == (3, 4, 6)
-    with pytest.raises(ValueError):
-        IndexSubset((2, 1))
-
-
 def test_cobracket_closed_small():
     assert delta_cobracket("a", LAM) == {}
     assert delta_cobracket("ab", LAM) == {(W("a"), W("b")): 2}
@@ -309,6 +299,23 @@ def test_cobracket_modes_agree():
     for w in ("ab", "abc", "aab", "aba"):
         closed = delta_cobracket(w, lam, mode="closed")
         assert closed == delta_cobracket(w, lam, mode="projected")
+
+
+def test_cobracket_is_dual_to_the_closed_product():
+    # the coefficient of (u, v) in delta(t_w) is that of w in u . v
+    def words(n):
+        return [Word(p) for p in itertools.product(AB, repeat=n)]
+
+    for lam in ({"a": 2, "b": Fraction(1, 3)}, {"a": 0, "b": -1}):
+        for n in range(1, 5):
+            for w in words(n):
+                dual = {
+                    (u, v): dual_prelie_coeff(lam, u, v).coefficient(w)
+                    for k in range(1, n)
+                    for u in words(k)
+                    for v in words(n - k)
+                }
+                assert delta_cobracket(w, lam) == {uv: c for uv, c in dual.items() if c}
 
 
 def test_cobracket_mode_errors():

@@ -400,11 +400,13 @@ def test_series_bigraded_refinement():
     assert gs.bigraded[(5, 1)] == 1
     assert gs.bigraded[(5, 2)] == 4
     assert gs.bigraded[(6, 2)] == 4
-    # degree sums match the univariate series
-    for d in range(9):
-        assert gs.coefficients[d] == sum(
-            v for (deg, _k), v in gs.bigraded.items() if deg == d
-        )
+    # degree sums of the power table match the recurrence's coefficients
+    for args in (([0, 2, 1], 3, 8), ([0, 1, 1], 1, 12), ([0, 0, 3, 1], 0, 10)):
+        gs = graded_series(*args)
+        for d in range(args[2] + 1):
+            assert gs.coefficients[d] == sum(
+                v for (deg, _k), v in gs.bigraded.items() if deg == d
+            )
 
 
 def test_series_rejects_degree_zero_letters():

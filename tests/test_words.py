@@ -15,6 +15,7 @@ from comprelie.words import (
     Letter,
     Tensor,
     Word,
+    _fixed_prefix,
     concat,
     deconcatenate,
     deconcatenate_iter,
@@ -207,6 +208,14 @@ def test_shuffle_recursion(x, u, y, v):
 def test_shuffle_term_count(u, v):
     total = sum(abs(c) for _, c in shuffle(u, v).items())
     assert total == comb(len(u) + len(v), len(u))
+
+
+def test_fixed_prefix():
+    # the leading slots an interleaving leaves in place
+    assert _fixed_prefix((0, 1, 4)) == 2
+    assert _fixed_prefix((1, 2)) == 0
+    assert _fixed_prefix((0, 1, 2)) == 3
+    assert _fixed_prefix(()) == 0
 
 
 def _coproduct(t: Tensor) -> dict[tuple[Word, Word], int]:
