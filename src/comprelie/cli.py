@@ -281,6 +281,11 @@ def _cmd_series(args) -> int:
     return 0
 
 
+# words listed by one `dyck --list`: length 12 (266,798 words, about 3 s)
+# fits, length 13 (950,912 words) does not; the count grows about 4x per step
+_DYCK_LIST_BUDGET = 300_000
+
+
 def _cmd_dyck(args) -> int:
     if args.count is not None:
         a, s = count_admissible(args.count), count_sigma(args.count)
@@ -291,6 +296,12 @@ def _cmd_dyck(args) -> int:
         )
         return 0
     if args.list is not None:
+        total = count_admissible(args.list) + count_sigma(args.list)
+        if total > _DYCK_LIST_BUDGET:
+            raise CliError(
+                f"dyck --list {args.list} would list {total} words, over the budget of "
+                f"{_DYCK_LIST_BUDGET}; use --count for the numbers"
+            )
         words = admissible_words(args.list)
         sigmas = sigma_admissible_words(args.list)
         lines = ["admissible: " + " ".join(upper_to_str(w) for w in words)]

@@ -22,6 +22,7 @@ of a coproduct and the diagonal pairing are shared with the forests.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, shuffle
-from .words import _split_coeff, parse_word
+from .words import _cache, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -80,7 +81,7 @@ class OudomGuin:
         tuples are wrapped back into ``cls``'s monomials."""
         a, b = cls._coerce(a), cls._coerce(b)
         out = _bilinear(lambda ma, mb: mono_op(ma.factors, mb.factors), a.items(), b.items())
-        return cls._from_clean({cls.monomial(m): c for m, c in out.items()})
+        return cls._from_clean({cls.monomial._from_clean(m): c for m, c in out.items()})
 
     def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         key = (a, b)
@@ -107,14 +108,14 @@ class OudomGuin:
         acc: Raw = {}
         for i, ai in enumerate(a):
             rest = a[:i] + a[i + 1:]
-            _add_into(acc, ((tuple(sorted(rest + (e,))), c) for e, c in self.base(ai, u).items()))
+            _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u).items()))
         return acc
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         acc: Raw = {}
         for outside, inside in _splittings(b, 2):
             _add_into(
-                acc, ((tuple(sorted(m + outside)), c) for m, c in self._bullet_mono(a, inside))
+                acc, ((_sorted(m + outside), c) for m, c in self._bullet_mono(a, inside))
             )
         return tuple(acc.items())
 
@@ -123,26 +124,56 @@ class OudomGuin:
 # symmetric monomials and their combinations
 # ---------------------------------------------------------------------------
 
+_by_key = operator.methodcaller("_key")
+
+
+def _sorted(factors: tuple) -> tuple:
+    """A factor tuple in its canonical order, by the factors' cached keys."""
+    return tuple(sorted(factors, key=_by_key)) if len(factors) > 1 else factors
+
+
 @dataclass(frozen=True, slots=True)
 class Monomial:
     """A multiset of basis elements, kept sorted by the elements' ``_key``;
     the empty multiset is the unit.  Subclasses fix the element type, and
-    monomials of different subclasses never compare equal."""
+    monomials of different subclasses never compare equal.  The hash and
+    the sort key are computed on first use, as for words."""
 
     factors: tuple = ()
+    _hash: int = _cache()
+    _sort_key: tuple = _cache()
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        if len(factors) > 1:
-            factors = tuple(sorted(factors, key=lambda x: x._key()))
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", _sorted(tuple(self.factors)))
+
+    @classmethod
+    def _from_clean(cls, factors: tuple):
+        """Wrap factors already checked by the caller (kernel output):
+        sorted, not validated again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", _sorted(factors))
+        return out
 
     @classmethod
     def of(cls, *factors):
         return cls(factors)
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.factors,)))
+            return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.factors,)
+
     def times(self, other):
-        return type(self)(self.factors + other.factors)
+        """The product: the union of two factor multisets of one class,
+        both already checked, so the result is not checked again."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot multiply {type(self).__name__} by {type(other).__name__}")
+        return self._from_clean(self.factors + other.factors)
 
     def symmetry(self, of_factor: Callable[[Elem], int] = lambda x: 1) -> int:
         """The product of m! * of_factor(x) ** m over the distinct factors x,
@@ -153,8 +184,17 @@ class Monomial:
             out *= factorial(m) * of_factor(x) ** m
         return out
 
-    def _key(self):
-        return (len(self.factors), tuple(x._key() for x in self.factors))
+    def _degree(self) -> int:
+        """The first entry of the sort key: the number of factors."""
+        return len(self.factors)
+
+    def _key(self) -> tuple:
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = (self._degree(), *[x._key() for x in self.factors])
+            object.__setattr__(self, "_sort_key", key)
+            return key
 
     def __lt__(self, other) -> bool:
         if type(other) is not type(self):

@@ -55,22 +55,29 @@ def _weight(wmap: Mapping[Letter, Rat], x: Letter) -> Rat:
 # forests
 # ---------------------------------------------------------------------------
 
+def _check_factor(t) -> None:
+    """Raise unless ``t`` is a rooted tree decorated by plain symbols."""
+    # one walk of the nodes serves both checks, the rooted one first
+    nodes = list(_nodes(t.root)) if isinstance(t, PartitionedTree) else None
+    if nodes is None or len(t.root) != 1 or any(len(b) != 1 for _, bs in nodes for b in bs):
+        raise ValueError("forest factors must be rooted trees (all blocks singletons)")
+    for dec, _ in nodes:
+        if not isinstance(dec, Letter) or dec.shift is not None:
+            raise ValueError(f"forest decorations must be plain symbols, got {dec!r}")
+
+
 class Forest(Monomial):
     """A multiset of decorated rooted trees; the empty forest is the unit
-    of the product.  Forests order by vertex count first."""
+    of the product.  Forests order by vertex count first.  The public
+    constructor checks every factor; the kernels, whose factors are grafts
+    and cuts of checked trees, build through ``_from_clean``."""
 
     __slots__ = ()
     one_factor = "{1}"
 
     def __post_init__(self):
         for t in self.factors:
-            # one walk of the nodes serves both checks, the rooted one first
-            nodes = list(_nodes(t.root)) if isinstance(t, PartitionedTree) else None
-            if nodes is None or len(t.root) != 1 or any(len(b) != 1 for _, bs in nodes for b in bs):
-                raise ValueError("forest factors must be rooted trees (all blocks singletons)")
-            for dec, _ in nodes:
-                if not isinstance(dec, Letter) or dec.shift is not None:
-                    raise ValueError(f"forest decorations must be plain symbols, got {dec!r}")
+            _check_factor(t)
         super().__post_init__()
 
     @property
@@ -84,8 +91,8 @@ class Forest(Monomial):
     def is_tree(self) -> bool:
         return len(self.factors) == 1
 
-    def _key(self):
-        return (self.n_vertices, tuple(t._key() for t in self.factors))
+    def _degree(self) -> int:
+        return self.n_vertices
 
 
 def parse_forest(text: str) -> Forest:
@@ -133,8 +140,8 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
     canonical tree, hence canonical; only the trunk is normalized."""
     out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
     for trunk, branches in _cuts(t.root[0]):
-        cut_off = Forest(tuple(map(PartitionedTree, branches)))
-        _add_into(out, [((Forest.of(_from_nested((trunk,))), cut_off), 1)])
+        cut_off = Forest._from_clean(tuple(map(PartitionedTree, branches)))
+        _add_into(out, [((Forest._from_clean((_from_nested((trunk,)),)), cut_off), 1)])
     return out
 
 
@@ -152,7 +159,7 @@ def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
 
 def _tree_sym(t: PartitionedTree) -> int:
     _, child_blocks = t.root[0]
-    return Forest(tuple(map(PartitionedTree, child_blocks))).symmetry(_tree_sym)
+    return Forest._from_clean(tuple(map(PartitionedTree, child_blocks))).symmetry(_tree_sym)
 
 
 def symmetry_factor(x: Forest | PartitionedTree) -> int:
@@ -175,6 +182,7 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     """Graft one ``d``-decorated leaf at every vertex, each graft weighted
     by the eigenvalue of the host vertex's symbol.  A derivation."""
     leaf = singleton(Letter(d) if isinstance(d, str) else d)
+    _check_factor(leaf)
     wmap = Endo.diagonal(lam).weights
 
     def grafts(f: Forest):
@@ -183,7 +191,7 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
             for (dec, _), g in zip(_nodes(t.root), _grafts(t, leaf)):  # both in vertex order
                 w = _weight(wmap, dec)
                 if w:
-                    yield Forest(rest + (g,)), w
+                    yield Forest._from_clean(rest + (g,)), w
 
     return ForestPoly._from_clean(_linear(grafts, ForestPoly._coerce(x).items()))
 

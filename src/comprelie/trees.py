@@ -36,6 +36,7 @@ from .words import (
     Tensor,
     Word,
     _bilinear,
+    _cache,
     _linear,
     _split_coeff,
     check_coefficient,
@@ -85,7 +86,7 @@ def _nodes(block) -> Iterator[tuple]:
             yield from _nodes(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionedTree:
     """Canonical partitioned tree: ``root`` is its root block, in the
     nested form of the module docstring.
@@ -94,11 +95,26 @@ class PartitionedTree:
     on demand, with vertices numbered in the order of :func:`_nodes`:
     ``decorations[i]`` belongs to vertex i+1, ``parents[i]`` is its parent
     vertex (None for roots) and ``blocks`` lists the partition, root block
-    first.  :meth:`build` and :func:`parse_tree` validate their input; the
-    raw constructor trusts that its argument is canonical.
+    first.  The hash and the sort key, which is the size and the printed
+    form, are also computed once, as for words.  :meth:`build` and
+    :func:`parse_tree` validate their input; the raw constructor trusts
+    that its argument is canonical.
     """
 
     root: tuple
+    _hash: int = _cache()
+    _sort_key: tuple = _cache()
+    _views: tuple = _cache()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.root,)))
+            return self._hash
+
+    def __reduce__(self):
+        return PartitionedTree, (self.root,)
 
     @classmethod
     def build(
@@ -143,39 +159,28 @@ class PartitionedTree:
 
     # -- shape access -------------------------------------------------------
 
-    @functools.cached_property
     def _arrays(self) -> tuple[tuple, tuple, tuple]:
-        decorations: list = []
-        parents: list = []
-        blocks: list = []
-
-        def assign(block, parent: int | None) -> None:
-            ids = tuple(range(len(decorations) + 1, len(decorations) + len(block) + 1))
-            blocks.append(ids)
-            decorations.extend(dec for dec, _ in block)
-            parents.extend(parent for _ in block)
-            for vid, (_, child_blocks) in zip(ids, block):
-                for b in child_blocks:
-                    assign(b, vid)
-
-        assign(self.root, None)
-        return tuple(decorations), tuple(parents), tuple(blocks)
+        try:
+            return self._views
+        except AttributeError:
+            object.__setattr__(self, "_views", _arrays_of(self.root))
+            return self._views
 
     @property
     def decorations(self) -> tuple:
-        return self._arrays[0]
+        return self._arrays()[0]
 
     @property
     def parents(self) -> tuple:
-        return self._arrays[1]
+        return self._arrays()[1]
 
     @property
     def blocks(self) -> tuple:
-        return self._arrays[2]
+        return self._arrays()[2]
 
-    @functools.cached_property
+    @property
     def size(self) -> int:
-        return sum(1 for _ in _nodes(self.root))
+        return self._key()[0]
 
     @property
     def n_blocks(self) -> int:
@@ -195,21 +200,40 @@ class PartitionedTree:
     def is_rooted_tree(self) -> bool:
         return self.n_blocks == self.size
 
-    @functools.cached_property
-    def _text(self) -> str:
-        # printed once per tree: the printed form is also the sort key
-        return tree_to_str(self)
-
     def __str__(self) -> str:
-        return self._text
+        return self._key()[1]
 
-    def _key(self):
-        return (self.size, self._text)
+    def _key(self) -> tuple:
+        try:
+            return self._sort_key
+        except AttributeError:
+            size = sum(1 for _ in _nodes(self.root))
+            object.__setattr__(self, "_sort_key", (size, tree_to_str(self)))
+            return self._sort_key
 
     def __lt__(self, other: "PartitionedTree") -> bool:
         if not isinstance(other, PartitionedTree):
             return NotImplemented
         return self._key() < other._key()
+
+
+def _arrays_of(root) -> tuple[tuple, tuple, tuple]:
+    """The decoration, parent and block arrays of the tree on ``root``."""
+    decorations: list = []
+    parents: list = []
+    blocks: list = []
+
+    def assign(block, parent: int | None) -> None:
+        ids = tuple(range(len(decorations) + 1, len(decorations) + len(block) + 1))
+        blocks.append(ids)
+        decorations.extend(dec for dec, _ in block)
+        parents.extend(parent for _ in block)
+        for vid, (_, child_blocks) in zip(ids, block):
+            for b in child_blocks:
+                assign(b, vid)
+
+    assign(root, None)
+    return tuple(decorations), tuple(parents), tuple(blocks)
 
 
 def _nested_from_arrays(decorations, parents, blocks):

@@ -22,7 +22,7 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -36,6 +36,19 @@ def check_coefficient(c: object) -> Rat:
     raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__}: {c!r}")
 
 
+# Basis keys (Letter, Word, Monomial, PartitionedTree) are frozen and
+# hashed or sorted many times each, so each one computes its hash and its
+# sort key on first use and keeps them in two fields outside equality.
+# The hash is the dataclass formula over the compared fields, so hash
+# values (and with them set and dict order) do not change; nothing is
+# computed at construction, which the kernels do far more often.  Pickles
+# carry the compared fields only: a hash of strings differs between
+# processes.
+def _cache():
+    """A field that holds a value computed on first use."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Letter:
     """A basis symbol, optionally carrying a natural shift index.
@@ -47,9 +60,26 @@ class Letter:
 
     name: str
     shift: int | None = None
+    _hash: int = _cache()
+    _sort_key: tuple = _cache()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.name, self.shift)))
+            return self._hash
+
+    def __reduce__(self):
+        return Letter, (self.name, self.shift)
 
     def _key(self) -> tuple[str, int]:
-        return (self.name, -1 if self.shift is None else self.shift)
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = (self.name, -1 if self.shift is None else self.shift)
+            object.__setattr__(self, "_sort_key", key)
+            return key
 
     def __lt__(self, other: "Letter") -> bool:
         return self._key() < other._key()
@@ -71,6 +101,18 @@ class Word:
     """An immutable word; supports len/iteration/slicing and concatenation."""
 
     letters: tuple[Letter, ...] = ()
+    _hash: int = _cache()
+    _sort_key: tuple = _cache()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.letters,)))
+            return self._hash
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -87,9 +129,15 @@ class Word:
         """Concatenation."""
         return Word(self.letters + other.letters)
 
-    def _key(self):
-        # length-lexicographic: the canonical term order
-        return (len(self.letters), tuple(x._key() for x in self.letters))
+    def _key(self) -> tuple:
+        # length-lexicographic, the canonical term order: the length, then
+        # the letters' own cached keys, shared rather than copied
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = (len(self.letters), *[x._key() for x in self.letters])
+            object.__setattr__(self, "_sort_key", key)
+            return key
 
     def __lt__(self, other: "Word") -> bool:
         return self._key() < other._key()

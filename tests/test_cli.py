@@ -5,6 +5,7 @@ separate usage errors (2) from failed checks (1)."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from comprelie import cli
 from comprelie.cli import (
     CliError,
     emit_report,
@@ -363,3 +365,29 @@ def test_fuzz_endo_json_exits_zero_or_two(tmp_path_factory, doc, verb):
     path.write_text(json.dumps(doc))
     args = ["a", "x1"] if verb != "coproduct" else ["x1.a"]
     assert _exit_code([verb, *args, "--endo", f"@{path}"]) in (0, 2)
+
+
+def test_dyck_list_over_budget_exits_two_before_listing(capsys, monkeypatch):
+    def enumerate_words(n):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(cli, "admissible_words", enumerate_words)
+    monkeypatch.setattr(cli, "sigma_admissible_words", enumerate_words)
+    code, out, err = run(capsys, "dyck", "--list", "20")
+    assert code == 2 and out == ""
+    assert str(comb(38, 19) // 20 + comb(40, 20) // 21) in err  # the count, 8,331,383,610
+    assert run(capsys, "dyck", "--list", "13")[0] == 2  # 950,912 words, just over
+
+
+def test_dyck_list_within_budget_prints_as_before(capsys):
+    assert run(capsys, "dyck", "--list", "3")[1] == (
+        "admissible: 200 110\nsigma-admissible: 000 100 200 010 110\n"
+    )
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        for n in range(1, 11):
+            code, out, _ = run(capsys, "--format", fmt, "dyck", "--list", str(n))
+            assert code == 0
+            digest.update(out.encode())
+    # the text and JSON listings for n = 1..10 as printed before the budget
+    assert digest.hexdigest() == "b99dd0828dd634e83adb04ac1d58e6b64c6ad7b3511a8c594d1750c2eec63e2c"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -574,16 +573,16 @@ def test_maps_never_build_the_arrays(monkeypatch):
         t_word,
     )
 
+    from comprelie import trees
+
     built = []
-    real = PartitionedTree.__dict__["_arrays"].func
+    real = trees._arrays_of
 
-    def counting(self):
-        built.append(self)
-        return real(self)
+    def counting(root):
+        built.append(PartitionedTree(root))
+        return real(root)
 
-    arrays = functools.cached_property(counting)
-    arrays.__set_name__(PartitionedTree, "_arrays")
-    monkeypatch.setattr(PartitionedTree, "_arrays", arrays)
+    monkeypatch.setattr(trees, "_arrays_of", counting)
     lam = {"a": 2, "b": 3}
     ctx = ComPreLieContext(FRAC)
     t = P("a[{b[a],a},b]")
