@@ -14,6 +14,16 @@ equal.  Grafts, joins, the root-block merge and the admissible cuts are
 recursions on this form; the word maps are one fold over it, which sums
 the linear extensions by shuffling subtrees.  The parent and block
 arrays are views derived from it, built only for the public accessors.
+
+Normalising keeps one memo, ``_ENCODINGS``, keyed by each canonical block
+(the nested tuple itself) and holding its encoding.  An operation hands
+the untouched blocks of its operands on by reference, so they are found
+there and only the path it touched is re-encoded and re-sorted; the
+result shares the untouched blocks with its operands.  A hit returns the
+caller's own block, not the stored one: ``vec({a: 2})`` and
+``vec({a: Fraction(2)})`` are equal, and each tree keeps its own
+coefficient types.  The memo is emptied once it holds
+``_ENCODINGS_BOUND`` blocks.
 """
 
 from __future__ import annotations
@@ -70,10 +80,23 @@ def _norm_node(dec, child_blocks):
     return enc, struct
 
 
+_ENCODINGS: dict[tuple, tuple] = {}
+_ENCODINGS_BOUND = 2**16
+
+
 def _norm_block(nodes):
+    """The encoding and canonical form of the block ``nodes``.  A block
+    equal to one in ``_ENCODINGS`` is canonical, so it comes back as it
+    is, sharing its objects with the caller; only a new block is sorted."""
+    enc = _ENCODINGS.get(nodes)
+    if enc is not None:
+        return enc, nodes
     normed = sorted((_norm_node(dec, bs) for dec, bs in nodes), key=lambda p: p[0])
     enc = tuple(e for e, _ in normed)
     struct = tuple(s for _, s in normed)
+    if len(_ENCODINGS) >= _ENCODINGS_BOUND:
+        _ENCODINGS.clear()
+    _ENCODINGS[struct] = enc
     return enc, struct
 
 
@@ -251,6 +274,8 @@ def _nested_from_arrays(decorations, parents, blocks):
 
 
 def _from_nested(root_block) -> PartitionedTree:
+    """The tree on the canonical form of ``root_block``; sub-blocks that
+    are already canonical, found in ``_ENCODINGS``, are kept as they are."""
     return PartitionedTree(_norm_block(root_block)[1])
 
 

@@ -600,3 +600,108 @@ def test_maps_never_build_the_arrays(monkeypatch):
     ck_coproduct(P("b[a[b],a]"))
     assert built == []
     assert phi_into(t, ctx) == _ref_phi_into(t, ctx) and built == [t]
+
+
+# ---------------------------------------------------------------------------
+# the memo of canonical block encodings
+# ---------------------------------------------------------------------------
+
+def _scrambled(block, rng):
+    """``block`` with its nodes, and every node's child blocks, in random
+    order at every level: equal as a tree, not canonical as a tuple."""
+    nodes = [(dec, tuple(_scrambled(b, rng) for b in bs)) for dec, bs in block]
+    rng.shuffle(nodes)
+    return tuple((dec, tuple(rng.sample(bs, len(bs)))) for dec, bs in nodes)
+
+
+def _warm_and_cold(raws):
+    from comprelie import trees
+
+    warm = [trees._from_nested(raw) for raw in raws]
+    cold = []
+    for raw in raws:
+        trees._ENCODINGS.clear()
+        cold.append(trees._from_nested(raw))
+    return warm, cold
+
+
+def test_warm_memo_normalises_like_an_empty_one():
+    rng = random.Random(11)
+    a, b = Letter("a"), Letter("b")
+    plain = [t for n in range(1, 6) for t in all_partitioned_trees(n, [a, b])]
+    mixed = [
+        PartitionedTree.build(t.decorations, t.parents, t.blocks)
+        for n in range(1, 5)
+        for t in all_partitioned_trees(n, [a, vec({a: 2, b: Fraction(-1, 3)}), vec({b: Fraction(4)})])
+    ]
+    for expected in (plain, mixed):
+        warm, cold = _warm_and_cold([_scrambled(t.root, rng) for t in expected])
+        assert warm == cold == expected
+        assert [repr(t.root) for t in warm] == [repr(t.root) for t in cold]
+
+
+def test_memo_hit_keeps_the_callers_coefficient_types():
+    from comprelie import trees
+
+    a, b = Letter("a"), Letter("b")
+    two, two_q = vec({a: 2}), vec({a: Fraction(2)})
+    assert two == two_q
+
+    def coeff_types(t):
+        return [type(c) for dec, _ in trees._nodes(t.root) if not isinstance(dec, Letter) for _, c in dec]
+
+    for first, second in ((two_q, two), (two, two_q)):
+        trees._ENCODINGS.clear()
+        for dec in (first, second):
+            t = PartitionedTree.build((dec,), (None,), ((1,),))
+            assert coeff_types(t) == [type(dec[0][1])]
+        for dec in (first, second):
+            t = PartitionedTree.build((b, dec), (None, 1), ((1,), (2,)))
+            assert coeff_types(t) == [type(dec[0][1])]
+            g = graft_at(singleton(a), 1, t)
+            assert coeff_types(g) == [type(dec[0][1])]
+
+
+def test_memo_stays_under_its_bound(monkeypatch):
+    from comprelie import trees
+
+    ab = [Letter("a"), Letter("b")]
+    expected = [t for n in range(1, 5) for t in all_partitioned_trees(n, ab)]
+    sizes = []
+    real = trees._norm_block
+
+    def watched(nodes):
+        out = real(nodes)
+        sizes.append(len(trees._ENCODINGS))
+        return out
+
+    monkeypatch.setattr(trees, "_ENCODINGS_BOUND", 8)
+    monkeypatch.setattr(trees, "_ENCODINGS", {})
+    monkeypatch.setattr(trees, "_norm_block", watched)
+    got = [t for n in range(1, 5) for t in all_partitioned_trees(n, ab)]
+    assert len(got) > 8 and max(sizes) == 8
+    assert got == expected
+    assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
+
+
+def test_graft_shares_the_blocks_it_did_not_touch():
+    # vertex 1 is the first root node; the other root nodes' child blocks
+    # are untouched and must be held by reference, not re-normalised
+    from comprelie import trees
+
+    t = P("{a[b[c]],a[{b,c}],b[a,c[{a,b}]]}")
+    t2 = P("c[b]")
+    untouched = [blk for _, bs in t.root[1:] for blk in bs]
+
+    def held(g):
+        return {id(blk) for _, bs in g.root for blk in bs}
+
+    g = graft_at(t, 1, t2)
+    assert g == _ref_graft_at(t, 1, t2)
+    assert untouched and all(id(blk) in held(g) for blk in untouched)
+    assert id(t2.root) in held(g)
+    # control: normalised from an empty memo, nothing is shared
+    trees._ENCODINGS.clear()
+    cold = graft_at(t, 1, t2)
+    assert cold == g
+    assert not any(id(blk) in held(cold) for blk in untouched)
