@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -275,7 +276,21 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _series_chars(n: int, k_max: int) -> int:
+    """About how many characters ``series`` prints.  The dimensions grow
+    like r**k, r = (n + sqrt(n^2 + 4)) / 2, so the last one has about
+    k_max * log10(r) digits and all of them half of k_max**2 * log10(r)."""
+    log_r = math.log10(n) + math.log10((1 + math.sqrt(1 + 4 / (n * n))) / 2)
+    return round(k_max * k_max * log_r / 2)
+
+
 def _cmd_series(args) -> int:
+    chars = _series_chars(args.fliess, max(args.max, 0)) if args.fliess >= 1 else 0
+    if chars > _SERIES_BUDGET:
+        raise CliError(
+            f"series --max {args.max} would print about {chars} characters, "
+            f"over the budget of {_SERIES_BUDGET}"
+        )
     dims = fibonacci_dims(args.fliess, args.max)
     _emit(args.format, [",".join(str(d) for d in dims)], {"dims": dims})
     return 0
@@ -284,6 +299,10 @@ def _cmd_series(args) -> int:
 # words listed by one `dyck --list`: length 12 (266,798 words, about 3 s)
 # fits, length 13 (950,912 words) does not; the count grows about 4x per step
 _DYCK_LIST_BUDGET = 300_000
+
+# characters printed by one `series`: --fliess 2 --max 5000 (4.8 MB, under a
+# second) fits, and --max 12000 would pass CPython's 4300-digit print limit
+_SERIES_BUDGET = 5_000_000
 
 
 def _cmd_dyck(args) -> int:

@@ -22,7 +22,6 @@ of a coproduct and the diagonal pairing are shared with the forests.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, shuffle
-from .words import _cache, _split_coeff, parse_word
+from .words import BasisKey, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -124,24 +123,19 @@ class OudomGuin:
 # symmetric monomials and their combinations
 # ---------------------------------------------------------------------------
 
-_by_key = operator.methodcaller("_key")
-
-
 def _sorted(factors: tuple) -> tuple:
     """A factor tuple in its canonical order, by the factors' cached keys."""
-    return tuple(sorted(factors, key=_by_key)) if len(factors) > 1 else factors
+    return tuple(sorted(factors, key=BasisKey._key)) if len(factors) > 1 else factors
 
 
 @dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(BasisKey):
     """A multiset of basis elements, kept sorted by the elements' ``_key``;
     the empty multiset is the unit.  Subclasses fix the element type, and
-    monomials of different subclasses never compare equal.  The hash and
-    the sort key are computed on first use, as for words."""
+    monomials of different subclasses never compare equal."""
 
     factors: tuple = ()
-    _hash: int = _cache()
-    _sort_key: tuple = _cache()
+    __hash__ = BasisKey.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _sorted(tuple(self.factors)))
@@ -158,15 +152,8 @@ class Monomial:
     def of(cls, *factors):
         return cls(factors)
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.factors,)))
-            return self._hash
-
-    def __reduce__(self):
-        return type(self), (self.factors,)
+    def _fields(self) -> tuple:
+        return (self.factors,)
 
     def times(self, other):
         """The product: the union of two factor multisets of one class,
@@ -188,18 +175,8 @@ class Monomial:
         """The first entry of the sort key: the number of factors."""
         return len(self.factors)
 
-    def _key(self) -> tuple:
-        try:
-            return self._sort_key
-        except AttributeError:
-            key = (self._degree(), *[x._key() for x in self.factors])
-            object.__setattr__(self, "_sort_key", key)
-            return key
-
-    def __lt__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() < other._key()
+    def _make_key(self) -> tuple:
+        return (self._degree(), *[x._key() for x in self.factors])
 
     # a factor printed as 1 would read back as the unit: subclasses print
     # it in a form their factor reader maps back to the factor

@@ -266,12 +266,12 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         if left.is_tree() and right.is_tree():
             target[(left, right)] = c
     pairs = list(dict.fromkeys(map(words, splittings)))
-    vectors = []
-    for u, v in pairs:
-        tu, tv = t_word(u, wmap), t_word(v, wmap)
-        vectors.append(
-            {(f, g): a * b for f, a in tu.items() for g, b in tv.items()}
-        )
+    # one t_word per distinct subword: the same u or v recurs across splittings
+    t_of = {x: t_word(x, wmap) for x in dict.fromkeys(part for pair in pairs for part in pair)}
+    vectors = [
+        {(f, g): a * b for f, a in t_of[u].items() for g, b in t_of[v].items()}
+        for u, v in pairs
+    ]
     coeffs = express_in(vectors, target)
     if coeffs is None:
         raise RuntimeError("cobracket landed outside the t basis; internal error")

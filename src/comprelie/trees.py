@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -40,13 +40,13 @@ from .enveloping import SymTensor, extend_bullet
 from .exactla import rank_of
 from .prelie import ComPreLieContext
 from .words import (
+    BasisKey,
     Letter,
     Lin,
     Rat,
     Tensor,
     Word,
     _bilinear,
-    _cache,
     _linear,
     _split_coeff,
     check_coefficient,
@@ -110,7 +110,7 @@ def _nodes(block) -> Iterator[tuple]:
 
 
 @dataclass(frozen=True, slots=True)
-class PartitionedTree:
+class PartitionedTree(BasisKey):
     """Canonical partitioned tree: ``root`` is its root block, in the
     nested form of the module docstring.
 
@@ -118,26 +118,17 @@ class PartitionedTree:
     on demand, with vertices numbered in the order of :func:`_nodes`:
     ``decorations[i]`` belongs to vertex i+1, ``parents[i]`` is its parent
     vertex (None for roots) and ``blocks`` lists the partition, root block
-    first.  The hash and the sort key, which is the size and the printed
-    form, are also computed once, as for words.  :meth:`build` and
-    :func:`parse_tree` validate their input; the raw constructor trusts
-    that its argument is canonical.
+    first.  The sort key is the size and the printed form.  :meth:`build`
+    and :func:`parse_tree` validate their input; the raw constructor
+    trusts that its argument is canonical.
     """
 
     root: tuple
-    _hash: int = _cache()
-    _sort_key: tuple = _cache()
-    _views: tuple = _cache()
+    _views: tuple = field(init=False, repr=False, compare=False)
+    __hash__ = BasisKey.__hash__
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.root,)))
-            return self._hash
-
-    def __reduce__(self):
-        return PartitionedTree, (self.root,)
+    def _fields(self) -> tuple:
+        return (self.root,)
 
     @classmethod
     def build(
@@ -183,11 +174,9 @@ class PartitionedTree:
     # -- shape access -------------------------------------------------------
 
     def _arrays(self) -> tuple[tuple, tuple, tuple]:
-        try:
-            return self._views
-        except AttributeError:
+        if getattr(self, "_views", None) is None:
             object.__setattr__(self, "_views", _arrays_of(self.root))
-            return self._views
+        return self._views
 
     @property
     def decorations(self) -> tuple:
@@ -226,18 +215,8 @@ class PartitionedTree:
     def __str__(self) -> str:
         return self._key()[1]
 
-    def _key(self) -> tuple:
-        try:
-            return self._sort_key
-        except AttributeError:
-            size = sum(1 for _ in _nodes(self.root))
-            object.__setattr__(self, "_sort_key", (size, tree_to_str(self)))
-            return self._sort_key
-
-    def __lt__(self, other: "PartitionedTree") -> bool:
-        if not isinstance(other, PartitionedTree):
-            return NotImplemented
-        return self._key() < other._key()
+    def _make_key(self) -> tuple:
+        return (sum(1 for _ in _nodes(self.root)), tree_to_str(self))
 
 
 def _arrays_of(root) -> tuple[tuple, tuple, tuple]:

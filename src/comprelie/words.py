@@ -22,7 +22,7 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -36,21 +36,55 @@ def check_coefficient(c: object) -> Rat:
     raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__}: {c!r}")
 
 
-# Basis keys (Letter, Word, Monomial, PartitionedTree) are frozen and
-# hashed or sorted many times each, so each one computes its hash and its
-# sort key on first use and keeps them in two fields outside equality.
-# The hash is the dataclass formula over the compared fields, so hash
-# values (and with them set and dict order) do not change; nothing is
-# computed at construction, which the kernels do far more often.  Pickles
-# carry the compared fields only: a hash of strings differs between
-# processes.
-def _cache():
-    """A field that holds a value computed on first use."""
-    return field(init=False, repr=False, compare=False)
+class BasisKey:
+    """The hash, sort key, order and pickle of every basis key.
+
+    Basis keys (Letter, Word, Monomial, PartitionedTree) are frozen and
+    hashed or sorted many times each, so each one computes its hash and
+    its sort key on first use and keeps them in two slots outside
+    equality; an unset slot reads as None, so no first use raises.  The
+    hash is the dataclass formula over the compared fields, so hash
+    values (and with them set and dict order) do not change; nothing is
+    computed at construction, which the kernels do far more often.
+    Pickles carry the compared fields only: a hash of strings differs
+    between processes.  A key class is a frozen slots dataclass on this
+    base that gives ``_fields()``, its compared fields in order, and
+    ``_make_key()``, and restates ``__hash__ = BasisKey.__hash__``, or the
+    dataclass would add its own uncached hash.
+    """
+
+    __slots__ = ("_hash", "_sort_key")
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def _key(self) -> tuple:
+        key = getattr(self, "_sort_key", None)
+        if key is None:
+            key = self._make_key()
+            object.__setattr__(self, "_sort_key", key)
+        return key
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __le__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 @dataclass(frozen=True, slots=True)
-class Letter:
+class Letter(BasisKey):
     """A basis symbol, optionally carrying a natural shift index.
 
     Plain letters (``shift is None``) render as their name; shifted letters
@@ -60,32 +94,13 @@ class Letter:
 
     name: str
     shift: int | None = None
-    _hash: int = _cache()
-    _sort_key: tuple = _cache()
+    __hash__ = BasisKey.__hash__
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.name, self.shift)))
-            return self._hash
+    def _fields(self) -> tuple:
+        return (self.name, self.shift)
 
-    def __reduce__(self):
-        return Letter, (self.name, self.shift)
-
-    def _key(self) -> tuple[str, int]:
-        try:
-            return self._sort_key
-        except AttributeError:
-            key = (self.name, -1 if self.shift is None else self.shift)
-            object.__setattr__(self, "_sort_key", key)
-            return key
-
-    def __lt__(self, other: "Letter") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Letter") -> bool:
-        return self._key() <= other._key()
+    def _make_key(self) -> tuple[str, int]:
+        return (self.name, -1 if self.shift is None else self.shift)
 
     def __str__(self) -> str:
         if self.shift is None:
@@ -97,22 +112,14 @@ class Letter:
 
 
 @dataclass(frozen=True, slots=True)
-class Word:
+class Word(BasisKey):
     """An immutable word; supports len/iteration/slicing and concatenation."""
 
     letters: tuple[Letter, ...] = ()
-    _hash: int = _cache()
-    _sort_key: tuple = _cache()
+    __hash__ = BasisKey.__hash__
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.letters,)))
-            return self._hash
-
-    def __reduce__(self):
-        return Word, (self.letters,)
+    def _fields(self) -> tuple:
+        return (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -129,21 +136,10 @@ class Word:
         """Concatenation."""
         return Word(self.letters + other.letters)
 
-    def _key(self) -> tuple:
+    def _make_key(self) -> tuple:
         # length-lexicographic, the canonical term order: the length, then
         # the letters' own cached keys, shared rather than copied
-        try:
-            return self._sort_key
-        except AttributeError:
-            key = (len(self.letters), *[x._key() for x in self.letters])
-            object.__setattr__(self, "_sort_key", key)
-            return key
-
-    def __lt__(self, other: "Word") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Word") -> bool:
-        return self._key() <= other._key()
+        return (len(self.letters), *[x._key() for x in self.letters])
 
     def __str__(self) -> str:
         return word_to_str(self)

@@ -391,3 +391,27 @@ def test_dyck_list_within_budget_prints_as_before(capsys):
             digest.update(out.encode())
     # the text and JSON listings for n = 1..10 as printed before the budget
     assert digest.hexdigest() == "b99dd0828dd634e83adb04ac1d58e6b64c6ad7b3511a8c594d1750c2eec63e2c"
+
+
+def test_series_size_estimate_follows_the_output(capsys):
+    for n, k_max in ((1, 300), (2, 300), (7, 200), (1000, 100)):
+        code, out, _ = run(capsys, "series", "--fliess", str(n), "--max", str(k_max))
+        assert code == 0
+        assert abs(cli._series_chars(n, k_max) - len(out)) <= 0.05 * len(out)
+
+
+def test_series_over_budget_exits_two_before_any_work(capsys, monkeypatch):
+    def dims(n, k_max):
+        raise AssertionError("computed before the budget check")
+
+    monkeypatch.setattr(cli, "fibonacci_dims", dims)
+    # --max 12000 passes CPython's 4300-digit limit on printing an int;
+    # --max 10000 would print 19 MB
+    for n, k_max in ((2, 12000), (2, 10000), (1, 10**9), (10**400, 1000)):
+        code, out, err = run(capsys, "series", "--fliess", str(n), "--max", str(k_max))
+        assert code == 2 and out == ""
+        assert str(cli._series_chars(n, k_max)) in err
+    # bad arguments keep their own messages
+    monkeypatch.undo()
+    assert "k_max" in run(capsys, "series", "--fliess", "2", "--max", "-100000")[2]
+    assert "n must be" in run(capsys, "series", "--fliess", "0", "--max", "100000")[2]

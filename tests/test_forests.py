@@ -10,6 +10,7 @@ from math import comb, factorial
 
 import pytest
 
+from comprelie import forests
 from comprelie.endo import Endo
 from comprelie.exactla import rank_of
 from comprelie.forests import (
@@ -296,7 +297,8 @@ def test_cobracket_closed_small():
 
 def test_cobracket_modes_agree():
     lam = {"a": 2, "b": Fraction(1, 3), "c": -1}
-    for w in ("ab", "abc", "aab", "aba"):
+    short = ["".join(t) for n in range(1, 6) for t in itertools.product("ab", repeat=n)]
+    for w in ("abc", *short):  # every word of length 1-5 over {a, b}
         closed = delta_cobracket(w, lam, mode="closed")
         assert closed == delta_cobracket(w, lam, mode="projected")
 
@@ -495,3 +497,22 @@ def test_star_dual_to_coproduct():
                         )
                         assert pairing(star, c) == rhs
     assert pairing(forest_star(F("1"), F("d")), F("d")) == 1
+
+
+def test_projected_cobracket_builds_each_t_word_once(monkeypatch):
+    calls: list = []
+    t_word_once = forests.t_word
+
+    def counting(w, lam):
+        calls.append(tuple(w))
+        return t_word_once(w, lam)
+
+    monkeypatch.setattr(forests, "t_word", counting)
+    w = W("abab")
+    n = len(w)
+    subwords = {
+        tuple(w[i] for i in s) for k in range(1, n) for s in itertools.combinations(range(n), k)
+    }
+    delta_cobracket(w, LAM, mode="projected")
+    # the whole word once for the target, then each distinct subword once
+    assert len(calls) == len(set(calls)) == 1 + len(subwords)

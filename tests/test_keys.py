@@ -1,20 +1,27 @@
 """The basis keys (letters, words, monomials, forests, partitioned trees)
 hash and sort through values each computes once: the hash is the one the
 dataclass formula gives, the order is the one the uncached keys give, and
-the public forest constructors still check their factors."""
+the public forest constructors still check their factors.  One base class,
+``words.BasisKey``, defines the hash, the sort key, the order and the
+pickle for all of them, and their first use raises no exception."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
-from comprelie.enveloping import SymMonomial, SymTensor
+from comprelie.enveloping import Monomial, SymMonomial, SymTensor
 from comprelie.forests import Forest, ForestPoly, n_d, parse_forest
 from comprelie.trees import PartitionedTree, all_partitioned_trees, all_rooted_trees, parse_tree
-from comprelie.words import Letter, Word, parse_word, word
+from comprelie.words import BasisKey, Letter, Word, parse_word, word
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
 
 A, B, A1 = Letter("a"), Letter("b"), Letter("a", 1)
 WORDS = [Word(t) for n in range(4) for t in itertools.product((A, B, A1), repeat=n)]
@@ -155,3 +162,104 @@ def test_trusted_forests_are_sorted():
     t, u = parse_tree("b"), parse_tree("a[b]")
     assert Forest._from_clean((u, t)) == Forest((t, u)) == Forest._from_clean((t, u))
     assert SymTensor.of(SymMonomial._from_clean((parse_word("b"), parse_word("a")))) == SymTensor.parse("a * b")
+
+
+def exception_events(fn) -> list[tuple[str, str]]:
+    """(function, exception type) of every exception raised in Python code
+    while ``fn`` runs, caught or not."""
+    events: list[tuple[str, str]] = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            events.append((frame.f_code.co_name, arg[0].__name__))
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(before)
+    return events
+
+
+def test_the_tracer_sees_a_caught_exception():
+    def caught():
+        try:
+            return Letter("a").missing
+        except AttributeError:
+            return None
+
+    assert exception_events(caught) == [("caught", "AttributeError")]
+
+
+def test_first_use_of_fresh_keys_raises_nothing():
+    def first_uses():
+        # names no other test uses, so every key and letter here is new
+        w = Word((Letter("p"), Letter("q", 3)))
+        m = SymMonomial.of(parse_word("qp"), Word((Letter("r"),)))
+        t = parse_tree("p[q,{r,s}]")
+        f = Forest((parse_tree("s[p]"), parse_tree("q")))
+        for key in (w, m, t, f):
+            hash(key), key._key()
+        t.parents
+
+    assert exception_events(first_uses) == []
+
+
+@pytest.mark.parametrize("cls", [Letter, Word, Monomial, SymMonomial, Forest, PartitionedTree])
+def test_one_definition_of_hash_and_key(cls):
+    # a frozen dataclass that loses ``__hash__ = BasisKey.__hash__`` gets
+    # the uncached field hash back: equal values, so only this sees it
+    assert cls.__hash__ is BasisKey.__hash__
+    assert cls._key is BasisKey._key
+    assert cls.__lt__ is BasisKey.__lt__ and cls.__reduce__ is BasisKey.__reduce__
+
+
+def test_keys_of_different_types_do_not_order():
+    with pytest.raises(TypeError):
+        Letter("a") < Word(())
+    with pytest.raises(TypeError):
+        SymMonomial() <= Forest()
+
+
+def cache_idioms(source: str) -> list[tuple[str, int]]:
+    """(what, line) of each ``except AttributeError`` handler, alone or in
+    a tuple, and each call of a function named ``_cache``."""
+    found: list[tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "AttributeError" for t in types):
+                found.append(("except AttributeError", node.lineno))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "_cache":
+                found.append(("_cache()", node.lineno))
+    return found
+
+
+def test_the_detector_sees_the_old_idiom():
+    hand_written = (
+        "def _cache():\n"
+        "    return field(init=False)\n"
+        "class K:\n"
+        "    _hash: int = _cache()\n"
+        "    def __hash__(self):\n"
+        "        try:\n"
+        "            return self._hash\n"
+        "        except (KeyError, AttributeError):\n"
+        "            return 0\n"
+    )
+    assert cache_idioms(hand_written) == [("_cache()", 4), ("except AttributeError", 8)]
+
+
+def test_no_cache_idiom_is_left_in_the_package():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    seen = [
+        (path.name, what)
+        for path in paths
+        for what, _ in cache_idioms(path.read_text(encoding="utf-8"))
+    ]
+    assert seen == []
