@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, graded_series
-from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, _add_into, _linear, shuffle
+from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, _add_into, _linear, _Sum, shuffle
 
 
 class TruncatedSeries:
@@ -113,13 +113,13 @@ def tilde_compose(
         v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
 
     def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
-        acc: dict[Word, Rat] = {}
+        acc = _Sum()
         for i in range(N):
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
             _prepend_image(image, shuffle(base, v_pows[i], max_len=L - 1).items(), acc)
-        return acc
+        return acc.result()
 
     return TruncatedSeries(L, _compose_words(u, step))
 
@@ -192,11 +192,11 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     x0 = Letter("x0")
 
     def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
-        acc = {Word((x,) + t.letters): cf for t, cf in base.items() if len(t) < L}
+        acc = _Sum((Word((x,) + t.letters), cf) for t, cf in base.items() if len(t) < L)
         if _letter_index(x) == i:
             mixed = shuffle(base, di.tensor, max_len=L - 1)
             _add_into(acc, ((Word((x0,) + t.letters), cf) for t, cf in mixed.items()))
-        return acc
+        return acc.result()
 
     return FliessElement(i, TruncatedSeries(L, _compose_words(c.series, step)))
 

@@ -276,20 +276,40 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _log_r(n: int) -> float:
+    """log10 of r = (n + sqrt(n^2 + 4)) / 2, the growth rate of the
+    ``series`` dimensions: d_k = (r**k - (-1/r)**k) / sqrt(n^2 + 4)."""
+    return math.log10(n) + math.log10((1 + math.sqrt(1 + 4 / (n * n))) / 2)
+
+
 def _series_chars(n: int, k_max: int) -> int:
-    """About how many characters ``series`` prints.  The dimensions grow
-    like r**k, r = (n + sqrt(n^2 + 4)) / 2, so the last one has about
-    k_max * log10(r) digits and all of them half of k_max**2 * log10(r)."""
-    log_r = math.log10(n) + math.log10((1 + math.sqrt(1 + 4 / (n * n))) / 2)
-    return round(k_max * k_max * log_r / 2)
+    """About how many characters ``series`` prints: the last dimension
+    has about k_max * log10(r) digits and all of them half of
+    k_max**2 * log10(r)."""
+    return round(k_max * k_max * _log_r(n) / 2)
+
+
+def _series_digits(n: int, k_max: int) -> int:
+    """About how many digits the last dimension ``series`` prints has:
+    d_k is within 1 of r**k / sqrt(n^2 + 4)."""
+    return int(k_max * _log_r(n) - math.log10(n * n + 4) / 2) + 1
 
 
 def _cmd_series(args) -> int:
-    chars = _series_chars(args.fliess, max(args.max, 0)) if args.fliess >= 1 else 0
+    k_max = max(args.max, 0)
+    chars = _series_chars(args.fliess, k_max) if args.fliess >= 1 else 0
     if chars > _SERIES_BUDGET:
         raise CliError(
             f"series --max {args.max} would print about {chars} characters, "
             f"over the budget of {_SERIES_BUDGET}"
+        )
+    # CPython refuses to print an int longer than this limit (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _series_digits(args.fliess, k_max) if args.fliess >= 1 else 0
+    if limit and digits > limit:
+        raise CliError(
+            f"series --max {args.max} would print a dimension of about {digits} digits, "
+            f"over Python's limit of {limit} digits for printing one integer"
         )
     dims = fibonacci_dims(args.fliess, args.max)
     _emit(args.format, [",".join(str(d) for d in dims)], {"dims": dims})

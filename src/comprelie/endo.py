@@ -20,7 +20,7 @@ single-letter words), so images compose directly with the word operations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -48,6 +48,8 @@ class Endo:
     kind: str
     alphabet: tuple[Letter, ...]
     columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None
+    # (k, x) -> f^k(x) for 1 <= k <= n on a finite map; see iterate_endo_letter
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None  # equal maps compare equal, but column mappings have no hash
 
@@ -146,12 +148,24 @@ def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
 
 
 def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
-    acc: dict[Letter, Rat] = {x: 1}
-    for _ in range(k):
-        if not acc:
-            break
-        acc = _compose_image(f, acc)
-    return acc
+    """f^k(x), a fresh letter -> coefficient dict.
+
+    On a finite map of n letters the powers up to f^n are kept on ``f``,
+    at most n * n images; the kernels ask for powers below the nilpotency
+    index, itself at most n.  A higher power starts from f^n, and the
+    biletter shift, whose alphabet is infinite, keeps none."""
+    top = min(k, len(f.alphabet)) if f.columns is not None else 0
+    memo = f._powers
+    j = max(top, 0)
+    while j and (j, x) not in memo:
+        j -= 1
+    img = memo[(j, x)] if j else {x: 1}
+    while j < k and img:
+        j += 1
+        img = _compose_image(f, img)
+        if j <= top:
+            memo[(j, x)] = img
+    return dict(img)
 
 
 def nilpotency_index(f: Endo) -> int | None:

@@ -30,7 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, shuffle
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum, shuffle
 from .words import BasisKey, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
@@ -93,30 +93,30 @@ class OudomGuin:
             out = tuple(self._bullet_mono_elem(a, b[0]).items())
         else:
             rest, last = b[:-1], b[-1]
-            acc: Raw = {}
+            acc = _Sum()
             for m, c in self._bullet_mono(a, rest):
                 _add_into(acc, self._bullet_mono(m, (last,)), c)
             for m, c in self._bullet_mono_elem(rest, last).items():
                 _add_into(acc, self._bullet_mono(a, m), -c)
-            out = tuple(acc.items())
+            out = tuple(acc.result().items())
         self._cache[key] = out
         return out
 
     def _bullet_mono_elem(self, a: Mono, u: Elem) -> Raw:
         """Split the action of one element over the factors of ``a``."""
-        acc: Raw = {}
+        acc = _Sum()
         for i, ai in enumerate(a):
             rest = a[:i] + a[i + 1:]
             _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u).items()))
-        return acc
+        return acc.result()
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
-        acc: Raw = {}
+        acc = _Sum()
         for outside, inside in _splittings(b, 2):
             _add_into(
                 acc, ((_sorted(m + outside), c) for m, c in self._bullet_mono(a, inside))
             )
-        return tuple(acc.items())
+        return tuple(acc.result().items())
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,9 @@ def _distribute(
         for b in range(i - 1, -1, -1):
             for u in blocks[b]:
                 t = shuffle(t, u)
-            acc: dict[Word, Rat] = {}
+            acc = _Sum()
             _prepend_image(iterate_endo_letter(ctx.f, len(blocks[b]), w[b]), t.terms.items(), acc)
-            t = Tensor._from_clean(acc)
+            t = Tensor._from_clean(acc.result())
         yield t, tuple(u for block in blocks[i:] for u in block)
 
 
@@ -299,19 +299,19 @@ def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTen
     endomorphism applied as many times as the share size, nesting from the
     last letter outward.
     """
-    acc: dict[Word, Rat] = {}
+    acc = _Sum()
     for t, _ in _distribute(ctx, w, factors, len(w)):
         _add_into(acc, t.items())
-    return SymTensor.from_tensor(Tensor._from_clean(acc))
+    return SymTensor.from_tensor(Tensor._from_clean(acc.result()))
 
 
 def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
     """One-pass formula for ``w * (w1 x ... x wk)``: as the closed action,
     with one extra share of factors passing through unchanged."""
-    acc: dict[SymMonomial, Rat] = {}
+    acc = _Sum()
     for t, passthrough in _distribute(ctx, w, factors, len(w) + 1):
         _add_into(acc, ((SymMonomial((x,) + passthrough), c) for x, c in t.items()))
-    return SymTensor._from_clean(acc)
+    return SymTensor._from_clean(acc.result())
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
         cache[w] = out
         return out
     x, u = w[0], w[1:]
-    acc: dict[tuple[Word, SymMonomial], Rat] = {}
+    acc = _Sum()
     for i in range(n):
         image = iterate_endo_letter(ctx.f, i, x)
         if not image:
@@ -348,8 +348,8 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
                     (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items()),
                     c * scale,
                 )
-    cache[w] = acc
-    return acc
+    out = cache[w] = acc.result()
+    return out
 
 
 def dual_coproduct(ctx: ComPreLieContext, w: Word) -> list[tuple[Word, SymMonomial, Rat]]:
@@ -387,12 +387,12 @@ def full_coproduct(ctx: ComPreLieContext, m: SymMonomial) -> PairLin:
     """The multiplicative extension of word -> delta(word) + 1 (x) word."""
 
     def delta_of_word(w: Word) -> PairLin:
-        out: PairLin = {(ONE, SymMonomial.of(w)): 1}
+        acc = _Sum((((ONE, SymMonomial.of(w)), 1),))
         _add_into(
-            out,
+            acc,
             (((SymMonomial.of(t), mono), c) for (t, mono), c in _delta_tilde_word(ctx, w).items()),
         )
-        return out
+        return acc.result()
 
     return multiplicative_coproduct(m, delta_of_word)
 

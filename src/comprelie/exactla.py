@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .words import Rat, _add_into
+from .words import Rat, _add_into, _Sum
 
 
 def _div(a: Rat, b: Rat) -> Rat:
@@ -41,14 +41,14 @@ class SpanBasis:
 
     def reduce(self, vec: Mapping[Hashable, Rat]) -> dict[Hashable, Rat]:
         """The residue of ``vec`` modulo the current span."""
-        out = {k: v for k, v in vec.items() if v}
+        acc = _Sum(vec.items())
         # in reduced form a subtraction never reintroduces a pivot key,
         # so one pass over the pivots initially present is enough
-        for k in [k for k in out if k in self.rows]:
-            c = out.get(k)
+        for k in [k for k in acc.keys() if k in self.rows]:
+            c = acc.get(k)
             if c:
-                _add_into(out, self.rows[k].items(), -c)
-        return out
+                _add_into(acc, self.rows[k].items(), -c)
+        return acc.result()
 
     def contains(self, vec: Mapping[Hashable, Rat]) -> bool:
         return not self.reduce(vec)
@@ -61,10 +61,12 @@ class SpanBasis:
         pivot = min(red)
         inv = red[pivot]
         row = {k: _div(v, inv) for k, v in red.items()}
-        for other in self.rows.values():
+        for k, other in self.rows.items():
             c = other.get(pivot)
             if c:
-                _add_into(other, row.items(), -c)
+                acc = _Sum(other.items())
+                _add_into(acc, row.items(), -c)
+                self.rows[k] = acc.result()
         self.rows[pivot] = row
         return True
 

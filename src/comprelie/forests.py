@@ -32,8 +32,8 @@ from .enveloping import (
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, _from_nested, _grafts, _nodes, free_bullet, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, check_coefficient
-from .words import parse_word
+from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Sum
+from .words import check_coefficient, parse_word
 
 
 def _as_letters(w) -> tuple[Letter, ...]:
@@ -138,11 +138,11 @@ def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
     goes left, the cut-off branches right; the empty cut and the total
     cut give the two unit terms.  Cut-off branches are subtrees of a
     canonical tree, hence canonical; only the trunk is normalized."""
-    out: dict[tuple[Forest, Forest], Rat] = {(Forest(), Forest.of(t)): 1}
+    acc = _Sum((((Forest(), Forest.of(t)), 1),))
     for trunk, branches in _cuts(t.root[0]):
         cut_off = Forest._from_clean(tuple(map(PartitionedTree, branches)))
-        _add_into(out, [((Forest._from_clean((_from_nested((trunk,)),)), cut_off), 1)])
-    return out
+        _add_into(acc, (((Forest._from_clean((_from_nested((trunk,)),)), cut_off), 1),))
+    return acc.result()
 
 
 def ck_coproduct(x) -> dict[tuple[Forest, Forest], Rat]:
@@ -250,12 +250,12 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         return tuple(Word(tuple(letters[p] for p in part)) for part in parts)
 
     if mode == "closed":
-        out: dict[tuple[Word, Word], Rat] = {}
+        acc = _Sum()
         for s in splittings:
             weight = sum(_weight(wmap, letters[i]) for i in range(_fixed_prefix(s[0])))
             if weight:
-                _add_into(out, [(words(s), weight)])
-        return out
+                _add_into(acc, ((words(s), weight),))
+        return acc.result()
     if mode != "projected":
         raise ValueError(f"unknown mode {mode!r}")
     for x in letters:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _linear, _shuffle_words, shuffle
+from .words import _linear, _shuffle_words, _Sum, shuffle
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -53,7 +53,7 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
 
 
 def _prepend_image(
-    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: dict[Word, Rat]
+    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: _Sum
 ) -> None:
     """acc += (sum_y image[y] * y) concatenated before each tail term;
     ``tail_terms`` is iterated once per letter of the image."""
@@ -69,12 +69,12 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     if hit is not None:
         return hit
     x, w = u[0], u[1:]
-    acc: dict[Word, Rat] = {}
+    acc = _Sum()
     # x (w . v)
     _prepend_image({x: 1}, _prelie_words(ctx, w, v), acc)
     # f(x) (w sh v)
     _prepend_image(ctx.f.image_letter(x), _shuffle_words(w, v), acc)
-    out = tuple(acc.items())
+    out = tuple(acc.result().items())
     ctx._cache[key] = out
     return out
 
@@ -100,7 +100,7 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     each shuffle contributes one term per leading position of ``u`` kept in
     place (the fixed-point prefix), with ``f`` applied there.
     """
-    acc: dict[Word, Rat] = {}
+    acc = _Sum()
     for positions, out in _interleavings(u, v):
         for i in range(_fixed_prefix(positions)):
             _add_into(
@@ -110,7 +110,7 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
                     for y, cy in ctx.f.image_letter(out[i]).items()
                 ),
             )
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(acc.result())
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:

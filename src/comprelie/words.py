@@ -24,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -156,40 +157,117 @@ def word(letters: Iterable[Letter | str]) -> Word:
     return Word(tuple(x if isinstance(x, Letter) else Letter(x) for x in letters))
 
 
-def _add_into(acc: dict, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) -> None:
+class _Sum:
+    """A sum of (key, coefficient) pairs being formed, kept exact without
+    Fraction arithmetic: one int numerator per key over one running common
+    denominator ``den``.
+
+    A term whose value times ``den`` is not an integer grows ``den`` to the
+    least multiple that makes it one, rescaling the numerators held; sums
+    of ints never grow it.  Keys stay in the order in which they became
+    nonzero, and a key that cancels to exact zero is dropped.  A key's
+    coefficient comes out a Fraction if and only if a Fraction contributed
+    to it since it last cancelled (``frac`` holds those keys), the rule
+    Python's own ``int``/``Fraction`` arithmetic follows.
+    """
+
+    __slots__ = ("num", "den", "frac")
+
+    def __init__(self, pairs: Iterable[tuple[Hashable, Rat]] | None = None):
+        self.num: dict = {}  # key -> nonzero int numerator over den
+        self.den = 1
+        self.frac: set = set()
+        if pairs is not None:
+            _add_into(self, pairs)
+
+    def _grow(self, g: int) -> None:
+        """Multiply the common denominator by ``g``."""
+        self.den *= g
+        num = self.num
+        for k in num:
+            num[k] *= g
+
+    def keys(self):
+        return self.num.keys()
+
+    def get(self, k) -> Rat:
+        """The coefficient of ``k`` so far (0 when absent)."""
+        n = self.num.get(k, 0)
+        return Fraction(n, self.den) if k in self.frac else n // self.den
+
+    def result(self) -> dict:
+        """The sum as a zero-free dict of int and Fraction coefficients,
+        each converted once.  The accumulator is spent: it may hand over
+        its own dict."""
+        num, den, frac = self.num, self.den, self.frac
+        if not frac:
+            return num if den == 1 else {k: n // den for k, n in num.items()}
+        return {k: Fraction(n, den) if k in frac else n // den for k, n in num.items()}
+
+
+def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) -> None:
     """acc += scale * (each key, coefficient pair), dropping exact zeros.
 
     The one accumulation step behind every linear combination; hot loops
     call it once per pair of input terms with the product of their
-    coefficients as ``scale``.
+    coefficients as ``scale``.  A coefficient or scale that is not an
+    exact rational raises TypeError.
     """
+    num, frac = acc.num, acc.frac
+    if type(scale) is int:
+        sfrac = False
+        mult = scale * acc.den  # an int coefficient c adds c * mult to a numerator
+    else:
+        sfrac = isinstance(scale, Fraction)
+        if not sfrac:
+            check_coefficient(scale)
+        sd = scale.denominator
+        if acc.den % sd:
+            acc._grow(sd // gcd(acc.den, sd))
+        mult = scale.numerator * (acc.den // sd)
     for k, c in pairs:
-        c2 = acc.get(k, 0) + scale * c
-        if c2:
-            acc[k] = c2
-        elif k in acc:
-            del acc[k]
+        if type(c) is int:
+            v = num.get(k, 0) + c * mult
+            flag = sfrac
+        else:
+            flag = isinstance(c, Fraction)
+            if not flag:
+                check_coefficient(c)
+                flag = sfrac
+            cd = c.denominator
+            if mult % cd:
+                g = cd // gcd(mult, cd)
+                acc._grow(g)
+                mult *= g
+            v = num.get(k, 0) + c.numerator * (mult // cd)
+        if v:
+            num[k] = v
+            if flag:
+                frac.add(k)
+        elif k in num:
+            del num[k]
+            frac.discard(k)
 
 
 def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:
     """The linear extension of a map given on basis keys: sum c * op(k)
     over the (key, coefficient) pairs, as a zero-free dict.  ``op``
     returns (key, coefficient) pairs."""
-    acc: dict = {}
+    acc = _Sum()
     for k, c in pairs:
         _add_into(acc, op(k), c)
-    return acc
+    return acc.result()
 
 
 def _bilinear(op: Callable, pairs_a: Iterable[tuple[Hashable, Rat]], pairs_b: Iterable) -> dict:
     """The bilinear extension of a product given on basis keys: sum
     ca * cb * op(ka, kb), as a zero-free dict.  ``pairs_b`` is iterated
     once per pair of ``pairs_a``."""
-    acc: dict = {}
+    acc = _Sum()
     for ka, ca in pairs_a:
         for kb, cb in pairs_b:
             _add_into(acc, op(ka, kb), ca * cb)
-    return acc
+    return acc.result()
 
 
 class Lin:
@@ -205,8 +283,7 @@ class Lin:
 
     def __init__(self, terms: Mapping[Hashable, Rat] | Iterable[tuple[Hashable, Rat]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict = {}
-        _add_into(self.terms, ((k, check_coefficient(c)) for k, c in items))
+        self.terms: dict = _Sum(items).result()
 
     @classmethod
     def _from_clean(cls, terms: dict):
@@ -250,14 +327,15 @@ class Lin:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        _add_into(out, other.terms.items())
-        return self._from_clean(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        _add_into(out, other.terms.items(), -1)
-        return self._from_clean(out)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        acc = _Sum(self.terms.items())
+        _add_into(acc, other.terms.items(), sign)
+        return self._from_clean(acc.result())
 
     def __neg__(self):
         return self.scale(-1)
@@ -355,14 +433,14 @@ def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> T
     # a pair before any call is made, and a per-pair kernel under
     # _bilinear made truncated composition about 1.7x slower
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    acc: dict[Word, Rat] = {}
+    acc = _Sum()
     for w1, c1 in ta.items():
         room = None if max_len is None else max_len - len(w1)
         for w2, c2 in tb.items():
             if room is not None and len(w2) > room:
                 continue
             _add_into(acc, _shuffle_words(w1, w2), c1 * c2)
-    return Tensor._from_clean(acc)
+    return Tensor._from_clean(acc.result())
 
 
 def _half_shuffle_words(u: Word, v: Word) -> Iterable[tuple[Word, int]]:

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -24,6 +25,7 @@ from comprelie.cli import (
     parse_expression,
     run_verify,
 )
+from comprelie.characters import fibonacci_dims
 from comprelie.endo import Endo, fliess_channel, save_endo
 from comprelie.enveloping import SymTensor
 from comprelie.trees import TreeTensor
@@ -415,3 +417,22 @@ def test_series_over_budget_exits_two_before_any_work(capsys, monkeypatch):
     monkeypatch.undo()
     assert "k_max" in run(capsys, "series", "--fliess", "2", "--max", "-100000")[2]
     assert "n must be" in run(capsys, "series", "--fliess", "0", "--max", "100000")[2]
+
+
+def test_series_past_the_int_print_limit_exits_two_before_any_work(capsys, monkeypatch):
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("sized for CPython's default limit of 4300 digits")
+    for n, k_max in ((1, 300), (2, 301), (7, 200), (1000, 100), (10**6, 50)):
+        digits = len(str(fibonacci_dims(n, k_max)[-1]))
+        assert abs(cli._series_digits(n, k_max) - digits) <= 1
+
+    def dims(n, k_max):
+        raise AssertionError("computed before the digit check")
+
+    monkeypatch.setattr(cli, "fibonacci_dims", dims)
+    # about 3.4 M characters, inside the budget, but the last dimension
+    # has about 4,500 digits
+    assert cli._series_chars(1000, 1500) <= cli._SERIES_BUDGET
+    code, out, err = run(capsys, "series", "--fliess", "1000", "--max", "1500")
+    assert code == 2 and out == ""
+    assert str(cli._series_digits(1000, 1500)) in err and "4300" in err

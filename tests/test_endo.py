@@ -184,3 +184,31 @@ def test_fields_cannot_be_rebound():
 def test_diagonal_maps_store_a_column_table():
     a, b = Letter("a"), Letter("b")
     assert diagonal_weights({"a": 2, "b": 0}).columns == {a: {a: 2}, b: {}}
+
+
+UPPER = [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+
+
+def test_letter_powers_are_kept_per_map_and_handed_out_fresh():
+    f = Endo.matrix(list("abc"), UPPER)
+    c = Letter("c")
+    first = iterate_endo_letter(f, 2, c)
+    assert first == {Letter("a"): Fraction(-2, 3)}
+    first[Letter("b")] = 5  # a caller's copy: the kept power is untouched
+    assert iterate_endo_letter(f, 2, c) == {Letter("a"): Fraction(-2, 3)}
+    assert iterate_endo_letter(f, 3, c) == {}
+    assert set(f._powers) == {(1, c), (2, c), (3, c)}
+    assert f == Endo.matrix(list("abc"), UPPER)  # the memo is outside equality
+    with pytest.raises(ValueError):
+        iterate_endo_letter(f, 1, Letter("z"))
+    assert (1, Letter("z")) not in f._powers
+    shift = Endo.biletter_shift()
+    assert iterate_endo_letter(shift, 2, Letter("d", 0)) == {Letter("d", 2): 1}
+    assert shift._powers == {}
+    # past the alphabet size nothing more is kept
+    assert iterate_endo_letter(f, 10, c) == {}
+    a = Letter("a")
+    g = diagonal_weights({"a": 2})
+    assert iterate_endo_letter(g, 5, a) == {a: 32}
+    assert set(g._powers) == {(1, a)}
+    assert iterate_endo_letter(g, 0, a) == iterate_endo_letter(g, -1, a) == {a: 1}

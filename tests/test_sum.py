@@ -1,0 +1,186 @@
+"""The exact accumulator behind every kernel (``words._Sum``/``_add_into``)
+against plain ``int``/``Fraction`` dict arithmetic: the same values, the
+same coefficient types and the same key order."""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import comprelie as cp
+from comprelie.words import Letter, Word, _add_into, _Sum
+
+
+class RefSum:
+    """The reference accumulation: a plain dict summed with Python's own
+    arithmetic, a key dropped when it cancels to exact zero."""
+
+    def __init__(self, pairs=None):
+        self.terms: dict = {}
+        if pairs is not None:
+            ref_add_into(self, pairs)
+
+    def keys(self):
+        return self.terms.keys()
+
+    def get(self, k):
+        return self.terms.get(k, 0)
+
+    def result(self) -> dict:
+        return self.terms
+
+
+def ref_add_into(acc: RefSum, pairs, scale=1) -> None:
+    terms = acc.terms
+    for k, c in pairs:
+        c2 = terms.get(k, 0) + scale * c
+        if c2:
+            terms[k] = c2
+        elif k in terms:
+            del terms[k]
+
+
+def typed(d: dict) -> list:
+    """Keys in order with each coefficient's value and exact type."""
+    return [(k, type(c), c) for k, c in d.items()]
+
+
+def typed_deep(x):
+    """The typed form of a library output: combinations, dicts, lists,
+    tuples and scalars, recursively."""
+    terms = getattr(x, "terms", None)
+    if isinstance(terms, dict):
+        return (type(x).__name__, typed(terms))
+    inner = getattr(x, "tensor", None)
+    if inner is not None:
+        return (type(x).__name__, x.trunc, typed_deep(inner))
+    if isinstance(x, dict):
+        return typed(x)
+    if isinstance(x, (list, tuple)):
+        return [typed_deep(e) for e in x]
+    return (type(x), x)
+
+
+KEYS = st.sampled_from("abcde")
+INTS = st.integers(-3, 3)
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6)))
+RATS = st.one_of(INTS, FRACTIONS)
+CALLS = st.lists(st.tuples(RATS, st.lists(st.tuples(KEYS, RATS), max_size=6)), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CALLS)
+# a key cancels to exact zero through a Fraction, then comes back with ints
+@example([(1, [("a", Fraction(1, 2)), ("a", Fraction(-1, 2))]), (1, [("a", 3), ("b", 1)])])
+# a new denominator arrives after pure ints and forces a rescale
+@example([(2, [("a", 1), ("b", -5)]), (Fraction(1, 3), [("b", 2), ("c", 1)]), (1, [("a", 1)])])
+# Fraction(n, 1), as a value and as a scale, still makes a Fraction
+@example([(1, [("a", Fraction(2, 1)), ("b", 2)]), (Fraction(3, 1), [("c", 1)])])
+# a zero Fraction term turns an int coefficient into a Fraction
+@example([(1, [("a", 2)]), (Fraction(0), [("a", 1)]), (1, [("b", Fraction(0)), ("a", 0)])])
+def test_the_accumulator_matches_plain_arithmetic(calls):
+    acc, ref = _Sum(), RefSum()
+    for scale, pairs in calls:
+        _add_into(acc, pairs, scale)
+        ref_add_into(ref, pairs, scale)
+        assert list(acc.keys()) == list(ref.keys())
+        for k in "abcde":
+            assert (type(acc.get(k)), acc.get(k)) == (type(ref.get(k)), ref.get(k))
+    assert typed(acc.result()) == typed(ref.result())
+
+
+def test_the_accumulator_rejects_floats():
+    with pytest.raises(TypeError):
+        _Sum([("a", 0.5)])
+    with pytest.raises(TypeError):
+        _add_into(_Sum(), [("a", 1)], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# end to end: every kernel on the accumulator, then on the reference
+# ---------------------------------------------------------------------------
+
+FULL3 = [[1, 2, -1], [Fraction(1, 2), 0, 3], [-2, 1, Fraction(1, 3)]]
+UPPER3 = [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+
+
+def _maps():
+    # built afresh for every run: an Endo keeps its letter powers
+    return {
+        "FULL3": cp.Endo.matrix(list("abc"), FULL3),
+        "UPPER3": cp.Endo.matrix(list("abc"), UPPER3),
+        "fliess(2,1)": cp.fliess_channel(2, 1),
+    }
+
+
+def _sample(name: str, f: cp.Endo) -> list:
+    """Seeded outputs of every accumulating operation under ``f``."""
+    rng = random.Random(f"accumulator:{name}")
+    ctx = cp.ComPreLieContext(f)
+    letters = f.alphabet
+
+    def word(n):
+        return Word(tuple(rng.choice(letters) for _ in range(n)))
+
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+    def combo(n_terms, max_len):
+        return cp.Tensor({word(rng.randint(1, max_len)): coeff() for _ in range(n_terms)})
+
+    def mono(*ws):
+        return cp.SymMonomial.of(*ws)
+
+    out = []
+    for _ in range(3):
+        u, v = word(rng.randint(1, 3)), word(rng.randint(1, 2))
+        x, y = combo(3, 2), combo(3, 2)
+        a, b = mono(word(1), word(2)), mono(word(1), word(1))
+        w, factors = word(2), [word(1), word(2)]
+        out += [
+            cp.prelie(ctx, x, y),
+            cp.lie_bracket(ctx, x, y),
+            cp.prelie_closed(ctx, u, v),
+            cp.star(ctx, a, b),
+            cp.extend_bullet(ctx, mono(w), mono(*factors)),
+            cp.closed_action(ctx, w, factors),
+        ]
+    g = cp.Tensor({Word((z,)): rng.choice((-2, -1, 1, 2)) for z in letters})
+    out.append(cp.span_dimension_of_products(ctx, [g, g.scale(Fraction(1, 2))], 3))
+    if cp.nilpotency_index(f) is not None:
+        for _ in range(2):
+            out.append(cp.dual_coproduct(ctx, word(4)))
+            s = cp.TruncatedSeries(4, {word(rng.randint(1, 3)): coeff() for _ in range(4)})
+            t = cp.TruncatedSeries(4, {word(rng.randint(1, 3)): coeff() for _ in range(3)})
+            out += [cp.tilde_compose(ctx, s, t), cp.inverse(ctx, s)]
+    return out
+
+
+def _reference_route(monkeypatch) -> None:
+    """Put the reference accumulation behind every kernel: each comprelie
+    module looks ``_Sum`` and ``_add_into`` up at call time."""
+    patched = set()
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("comprelie") and hasattr(mod, "_Sum"):
+            monkeypatch.setattr(mod, "_Sum", RefSum)
+            monkeypatch.setattr(mod, "_add_into", ref_add_into)
+            patched.add(mod.__name__)
+    assert {"comprelie.words", "comprelie.prelie", "comprelie.enveloping",
+            "comprelie.characters", "comprelie.exactla"} <= patched
+
+
+@pytest.mark.parametrize("name", ["FULL3", "UPPER3", "fliess(2,1)"])
+def test_every_kernel_matches_the_reference_accumulation(name, monkeypatch):
+    fast = _sample(name, _maps()[name])
+    with monkeypatch.context() as m:
+        _reference_route(m)
+        slow = _sample(name, _maps()[name])
+    assert typed_deep(fast) == typed_deep(slow)
+    # the sample reaches both coefficient types
+    flat = repr(typed_deep(fast))
+    assert "Fraction" in flat and "<class 'int'>" in flat

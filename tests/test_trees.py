@@ -37,7 +37,7 @@ from comprelie.trees import (
     universal_eval,
     vec,
 )
-from comprelie.words import Letter, Tensor, Word, _add_into, _linear, parse_tensor, shuffle
+from comprelie.words import Letter, Tensor, Word, _linear, parse_tensor, shuffle
 
 T = parse_tensor
 P = parse_tree
@@ -541,8 +541,9 @@ def _ref_phi_into(t, ctx):
     images = {v: letter_image(v) for v in range(1, t.size + 1)}
     acc = {}
     for sigma in linear_extensions(t):
-        _add_into(acc, _letterwise(images[v] for v in sigma).items())
-    return Tensor._from_clean(acc)
+        for w, c in _letterwise(images[v] for v in sigma).items():
+            acc[w] = acc.get(w, 0) + c
+    return Tensor(acc)
 
 
 def test_folds_match_the_linear_extension_reference():
