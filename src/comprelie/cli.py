@@ -271,9 +271,35 @@ def _cmd_compose(args) -> int:
     L = args.trunc
     u = TruncatedSeries(L, _as_tensor_arg(args.left))
     v = TruncatedSeries(L, _as_tensor_arg(args.right))
+    letters = set(ctx.alphabet).union(*(w.letters for w in (*u.tensor.terms, *v.tensor.terms)))
+    lu, lv = (max(map(len, s.tensor.terms), default=0) for s in (u, v))
+    terms = _compose_terms(len(letters), L, lu, lv)
+    if terms > _COMPOSE_BUDGET:
+        raise CliError(
+            f"compose --trunc {L} could print at least {terms} terms, "
+            f"over the budget of {_COMPOSE_BUDGET}"
+        )
     out = tilde_compose(ctx, u, v) if args.tilde else diamond(ctx, u, v)
     _emit(args.format, [str(out)], {"trunc": L, "result": str(out)})
     return 0
+
+
+def _compose_terms(letters: int, trunc: int, lu: int, lv: int) -> int:
+    """At most how many terms ``compose`` prints: the number of words of
+    length 1..E over ``letters`` letters, counted only until it passes
+    the budget.  E is the truncation or, if shorter, the longest word the
+    composition can build from words of length at most ``lu`` (left) and
+    ``lv`` (right): each left letter brings at most one right word per
+    power of the map below its nilpotency index, and a map on n letters
+    has index at most n."""
+    longest = min(trunc, max(lv, lu * (1 + (letters - 1) * lv)))
+    total, power = 0, 1
+    for _ in range(longest):
+        power *= letters
+        total += power
+        if total > _COMPOSE_BUDGET:
+            break
+    return total
 
 
 def _log_r(n: int) -> float:
@@ -319,6 +345,12 @@ def _cmd_series(args) -> int:
 # words listed by one `dyck --list`: length 12 (266,798 words, about 3 s)
 # fits, length 13 (950,912 words) does not; the count grows about 4x per step
 _DYCK_LIST_BUDGET = 300_000
+
+# terms printed by one `compose`: --trunc 8 over 3 letters (9,840 words)
+# fits, and under a nilpotency-index-3 map on {a,b,c} with every word of
+# length <= 3 on both sides (9,129 terms printed) composes in 7.4 s on a
+# 2-CPU Xeon VM with CPython 3.11; --trunc 9 (29,523 words) does not fit
+_COMPOSE_BUDGET = 10_000
 
 # characters printed by one `series`: --fliess 2 --max 5000 (4.8 MB, under a
 # second) fits, and --max 12000 would pass CPython's 4300-digit print limit

@@ -63,6 +63,12 @@ class Endo:
                 {x: MappingProxyType(dict(col)) for x, col in self.columns.items()}
             ))
 
+    def __reduce__(self):
+        # the read-only views do not pickle: rebuild from plain column
+        # dicts, and leave the letter powers to be recomputed
+        columns = None if self.columns is None else {x: dict(c) for x, c in self.columns.items()}
+        return type(self), (self.kind, self.alphabet, columns)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

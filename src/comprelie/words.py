@@ -160,49 +160,68 @@ def word(letters: Iterable[Letter | str]) -> Word:
 class _Sum:
     """A sum of (key, coefficient) pairs being formed, kept exact without
     Fraction arithmetic: one int numerator per key over one running common
-    denominator ``den``.
+    denominator ``den``, each numerator in a slot of one list.
 
-    A term whose value times ``den`` is not an integer grows ``den`` to the
-    least multiple that makes it one, rescaling the numerators held; sums
-    of ints never grow it.  Keys stay in the order in which they became
-    nonzero, and a key that cancels to exact zero is dropped.  A key's
-    coefficient comes out a Fraction if and only if a Fraction contributed
-    to it since it last cancelled (``frac`` holds those keys), the rule
+    ``pos`` maps each live key to its slot, so a term costs one dict probe;
+    the numerators ``num`` and the Fraction flags (``frac``, the set of
+    flagged slots, made on the first Fraction) are read and written by
+    slot, and hash no key.  A term whose value times ``den`` is not an
+    integer grows ``den`` to the least multiple that makes it one,
+    rescaling the list; sums of ints never grow it.  A key that cancels to
+    exact zero leaves ``pos`` and a dead zero slot behind, and takes a
+    fresh slot if it comes back, so keys stay in the order in which they
+    became nonzero.  A key's coefficient comes out a Fraction if and only
+    if a Fraction contributed to it since it last cancelled, the rule
     Python's own ``int``/``Fraction`` arithmetic follows.
     """
 
-    __slots__ = ("num", "den", "frac")
+    __slots__ = ("pos", "num", "den", "frac")
 
     def __init__(self, pairs: Iterable[tuple[Hashable, Rat]] | None = None):
-        self.num: dict = {}  # key -> nonzero int numerator over den
+        self.pos: dict = {}  # live key -> slot
+        self.num: list = []  # slot -> int numerator over den; 0 in a dead slot
         self.den = 1
-        self.frac: set = set()
+        self.frac: set | None = None  # slots a Fraction reached
         if pairs is not None:
             _add_into(self, pairs)
 
     def _grow(self, g: int) -> None:
         """Multiply the common denominator by ``g``."""
         self.den *= g
-        num = self.num
-        for k in num:
-            num[k] *= g
+        self.num[:] = [n * g for n in self.num]  # in place: _add_into holds the list
 
     def keys(self):
-        return self.num.keys()
+        return self.pos.keys()
 
     def get(self, k) -> Rat:
         """The coefficient of ``k`` so far (0 when absent)."""
-        n = self.num.get(k, 0)
-        return Fraction(n, self.den) if k in self.frac else n // self.den
+        i = self.pos.get(k)
+        if i is None:
+            return 0
+        frac = self.frac
+        if frac and i in frac:
+            return Fraction(self.num[i], self.den)
+        return self.num[i] // self.den
 
     def result(self) -> dict:
         """The sum as a zero-free dict of int and Fraction coefficients,
-        each converted once.  The accumulator is spent: it may hand over
-        its own dict."""
-        num, den, frac = self.num, self.den, self.frac
-        if not frac:
-            return num if den == 1 else {k: n // den for k, n in num.items()}
-        return {k: Fraction(n, den) if k in frac else n // den for k, n in num.items()}
+        each converted once, in the order of ``pos``."""
+        pos, num, den = self.pos, self.num, self.den
+        if self.frac:
+            frac = self.frac
+            return {k: Fraction(num[i], den) if i in frac else num[i] // den for k, i in pos.items()}
+        if not num:
+            return {}
+        v = num[0]
+        if num.count(v) == len(num):
+            # every slot holds v (one key, or every term alike, and no
+            # dead slot unless all are): a copy of pos keeps its stored
+            # hashes and calls no __hash__
+            return _fromkeys(pos, v // den)
+        return {k: num[i] // den for k, i in pos.items()}
+
+
+_fromkeys = dict.fromkeys  # bound once: most sums end in one key
 
 
 def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) -> None:
@@ -213,7 +232,7 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
     coefficients as ``scale``.  A coefficient or scale that is not an
     exact rational raises TypeError.
     """
-    num, frac = acc.num, acc.frac
+    pos, num, frac = acc.pos, acc.num, acc.frac
     if type(scale) is int:
         sfrac = False
         mult = scale * acc.den  # an int coefficient c adds c * mult to a numerator
@@ -225,9 +244,10 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
         if acc.den % sd:
             acc._grow(sd // gcd(acc.den, sd))
         mult = scale.numerator * (acc.den // sd)
+    n = len(num)  # the next free slot
     for k, c in pairs:
         if type(c) is int:
-            v = num.get(k, 0) + c * mult
+            d = c * mult
             flag = sfrac
         else:
             flag = isinstance(c, Fraction)
@@ -239,14 +259,24 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
                 g = cd // gcd(mult, cd)
                 acc._grow(g)
                 mult *= g
-            v = num.get(k, 0) + c.numerator * (mult // cd)
-        if v:
-            num[k] = v
-            if flag:
-                frac.add(k)
-        elif k in num:
-            del num[k]
-            frac.discard(k)
+            d = c.numerator * (mult // cd)
+        i = pos.setdefault(k, n)  # the one probe
+        if i == n:  # a new key
+            if not d:
+                del pos[k]
+                continue
+            num.append(d)
+            n += 1
+        else:
+            d += num[i]
+            num[i] = d
+            if not d:  # cancelled: the slot stays dead
+                del pos[k]
+                continue
+        if flag:
+            if frac is None:
+                frac = acc.frac = set()
+            frac.add(i)
 
 
 def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:

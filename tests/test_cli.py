@@ -436,3 +436,34 @@ def test_series_past_the_int_print_limit_exits_two_before_any_work(capsys, monke
     code, out, err = run(capsys, "series", "--fliess", "1000", "--max", "1500")
     assert code == 2 and out == ""
     assert str(cli._series_digits(1000, 1500)) in err and "4300" in err
+
+
+def test_compose_size_estimate_bounds_the_output(capsys):
+    # words of length 1..E over the letters; E is the truncation or the
+    # longest word the inputs can build, whichever is shorter
+    assert cli._compose_terms(2, 3, 5, 5) == 2 + 4 + 8
+    assert cli._compose_terms(3, 50, 1, 1) == 3 + 9 + 27
+    assert cli._compose_terms(1, 10**9, 4, 2) == 4 * (1 + 0 * 2)
+    # counting stops once past the budget, so a huge truncation costs nothing
+    assert cli._COMPOSE_BUDGET < cli._compose_terms(2, 10**9, 10, 10) < 2 * cli._COMPOSE_BUDGET
+    # the `cli` bench composes at --trunc 3..4 over fliess(2,1)'s 3 letters
+    assert cli._compose_terms(3, 4, 4, 4) * 50 < cli._COMPOSE_BUDGET
+    cases = [("x1 + 1/2*x2.x1", "x1.x2 - x2", 5), ("x1", "x2", 40), ("x1.x1 + x2", "x2.x2", 6)]
+    for left, right, L in cases:
+        code, out, _ = run(capsys, "--format", "json", "compose", left, right, "--trunc", str(L))
+        assert code == 0
+        result = Tensor.parse(json.loads(out)["result"])
+        lu, lv = (max(len(w) for w in Tensor.parse(s).terms) for s in (left, right))
+        assert len(result.terms) <= cli._compose_terms(3, L, lu, lv)
+
+
+def test_compose_over_budget_exits_two_before_any_work(capsys, monkeypatch):
+    def compose(ctx, u, v):
+        raise AssertionError("composed before the budget check")
+
+    monkeypatch.setattr(cli, "tilde_compose", compose)
+    monkeypatch.setattr(cli, "diamond", compose)
+    for flags in ((), ("--tilde",)):
+        code, out, err = run(capsys, "compose", "x1.x2.x0 + x1.x1", "x1.x2.x0", "--trunc", "9", *flags)
+        assert code == 2 and out == ""
+        assert str(cli._compose_terms(3, 9, 3, 3)) in err  # 29,523 words of length <= 9

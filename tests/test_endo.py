@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from comprelie.endo import (
     nilpotency_index,
     transpose_endo,
 )
+from comprelie.prelie import ComPreLieContext, prelie
 from comprelie.words import Letter, Tensor, Word, parse_tensor, parse_word
 
 W = parse_word
@@ -212,3 +214,34 @@ def test_letter_powers_are_kept_per_map_and_handed_out_fresh():
     assert iterate_endo_letter(g, 5, a) == {a: 32}
     assert set(g._powers) == {(1, a)}
     assert iterate_endo_letter(g, 0, a) == iterate_endo_letter(g, -1, a) == {a: 1}
+
+
+def test_maps_and_contexts_pickle_without_their_letter_powers():
+    maps = [
+        Endo.matrix("ab", [[0, 1], [0, 0]]),
+        Endo.matrix(list("abc"), UPPER),
+        diagonal_weights({"a": 2, "b": Fraction(1, 3), "c": 0}),
+        fliess_channel(2, 1),
+        Endo.biletter_shift(),
+        Endo.biletter_shift(["d"]),
+    ]
+    for f in maps:
+        letters = f.alphabet if f.columns is not None else (Letter("d", 0), Letter("d", 3))
+        for x in letters:
+            iterate_endo_letter(f, 2, x)  # fill the memo first
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.kind == f.kind and g.alphabet == f.alphabet
+        assert g._powers == {}
+        for x in letters:
+            assert g.image_letter(x) == f.image_letter(x)
+            for k in range(4):
+                assert iterate_endo_letter(g, k, x) == iterate_endo_letter(f, k, x)
+        if g.columns is not None:
+            with pytest.raises(TypeError):  # still read-only
+                g.columns[letters[0]][letters[0]] = 1
+    ctx = ComPreLieContext(Endo.matrix(list("abc"), UPPER))
+    x, y = Tensor({W("ab"): Fraction(1, 2), W("c"): 3}), Tensor.of(W("bc"))
+    expected = prelie(ctx, x, y)
+    back = pickle.loads(pickle.dumps(ctx))
+    assert back == ctx
+    assert prelie(back, x, y) == expected == prelie(ComPreLieContext(ctx.f), x, y)

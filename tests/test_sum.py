@@ -13,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import comprelie as cp
+from comprelie import forests
+from comprelie.enveloping import OudomGuin
 from comprelie.words import Letter, Word, _add_into, _Sum
 
 
@@ -81,6 +83,10 @@ CALLS = st.lists(st.tuples(RATS, st.lists(st.tuples(KEYS, RATS), max_size=6)), m
 @example([(2, [("a", 1), ("b", -5)]), (Fraction(1, 3), [("b", 2), ("c", 1)]), (1, [("a", 1)])])
 # Fraction(n, 1), as a value and as a scale, still makes a Fraction
 @example([(1, [("a", Fraction(2, 1)), ("b", 2)]), (Fraction(3, 1), [("c", 1)])])
+# a key cancels, a new denominator rescales the numerators (the cancelled
+# key's dead slot too), and the key comes back last, an int this time
+@example([(1, [("a", Fraction(1, 2)), ("b", 1), ("a", Fraction(-1, 2))]),
+          (Fraction(1, 3), [("c", 1)]), (1, [("a", 5)])])
 # a zero Fraction term turns an int coefficient into a Fraction
 @example([(1, [("a", 2)]), (Fraction(0), [("a", 1)]), (1, [("b", Fraction(0)), ("a", 0)])])
 def test_the_accumulator_matches_plain_arithmetic(calls):
@@ -92,6 +98,50 @@ def test_the_accumulator_matches_plain_arithmetic(calls):
         for k in "abcde":
             assert (type(acc.get(k)), acc.get(k)) == (type(ref.get(k)), ref.get(k))
     assert typed(acc.result()) == typed(ref.result())
+
+
+class CountedKey:
+    """A key that counts the calls to its ``__hash__``."""
+
+    hashes = 0
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self) -> int:
+        CountedKey.hashes += 1
+        return hash(self.name)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CountedKey) and self.name == other.name
+
+
+def _hashes(action) -> int:
+    CountedKey.hashes = 0
+    action()
+    return CountedKey.hashes
+
+
+def test_a_term_hashes_its_key_once_and_a_rescale_none():
+    a, b, c = (CountedKey(x) for x in "abc")
+    acc = _Sum()
+    # a new key, a present key, an int, a Fraction: one hash per term
+    assert _hashes(lambda: _add_into(acc, [(a, 1), (b, Fraction(1, 2)), (a, 2)])) == 3
+    assert _hashes(lambda: _add_into(acc, [(a, 3), (b, 1), (a, Fraction(1, 2))], 2)) == 3
+    # a new denominator forces a rescale of every numerator held
+    assert _hashes(lambda: _add_into(acc, [(b, Fraction(1, 7))])) == 1
+    assert _hashes(lambda: _add_into(acc, [(a, 1)], Fraction(1, 5))) == 1
+    assert acc.den == 70
+    assert _hashes(lambda: acc._grow(3)) == 0
+    # b cancels and leaves a dead slot; c is live
+    _add_into(acc, [(b, -acc.get(b)), (c, 1)])
+    assert list(acc.keys()) == [a, c]
+    assert _hashes(lambda: acc.result()) <= 2
+    assert acc.result() == {a: Fraction(51, 5), c: 1}
+    # a sum of one value copies its key map with the hashes stored there
+    alike = _Sum([(a, 2), (b, 2)])
+    assert _hashes(lambda: alike.result()) == 0
+    assert alike.result() == {a: 2, b: 2}
 
 
 def test_the_accumulator_rejects_floats():
@@ -158,6 +208,27 @@ def _sample(name: str, f: cp.Endo) -> list:
             s = cp.TruncatedSeries(4, {word(rng.randint(1, 3)): coeff() for _ in range(4)})
             t = cp.TruncatedSeries(4, {word(rng.randint(1, 3)): coeff() for _ in range(3)})
             out += [cp.tilde_compose(ctx, s, t), cp.inverse(ctx, s)]
+    if name.startswith("fliess"):
+        s, t, r = (cp.TruncatedSeries(4, {word(rng.randint(1, 3)): coeff() for _ in range(4)})
+                   for _ in range(3))
+        out.append(cp.fliess_tilde(cp.FliessElement(1, s), (t, r)).series)
+    # the tree-side sums, on trees decorated by a and b
+    ab = [Letter("a"), Letter("b")]
+    pool = [t for n in (1, 2, 3) for t in cp.all_rooted_trees(n, ab)]
+
+    def forest(k):
+        return cp.Forest(tuple(rng.choice(pool) for _ in range(k)))
+
+    lam = {"a": coeff(), "b": Fraction(rng.randint(1, 4), rng.randint(1, 3))}
+    for _ in range(2):
+        fa = cp.ForestPoly({forest(2): coeff(), forest(1): coeff()})
+        fb = cp.ForestPoly({forest(rng.randint(1, 2)): coeff()})
+        out += [
+            cp.forest_star(fa, fb),
+            cp.ck_coproduct(fa),
+            forests.tree_coproduct(rng.choice(pool)),
+            cp.delta_cobracket(Word(tuple(rng.choice(ab) for _ in range(4))), lam, mode="closed"),
+        ]
     return out
 
 
@@ -172,12 +243,18 @@ def _reference_route(monkeypatch) -> None:
             patched.add(mod.__name__)
     assert {"comprelie.words", "comprelie.prelie", "comprelie.enveloping",
             "comprelie.characters", "comprelie.exactla"} <= patched
+    assert "comprelie.forests" in patched
 
 
 @pytest.mark.parametrize("name", ["FULL3", "UPPER3", "fliess(2,1)"])
 def test_every_kernel_matches_the_reference_accumulation(name, monkeypatch):
-    fast = _sample(name, _maps()[name])
+    # forest products are kept by one engine for the process: start both
+    # routes from an empty one
     with monkeypatch.context() as m:
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(forests._tree_base))
+        fast = _sample(name, _maps()[name])
+    with monkeypatch.context() as m:
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(forests._tree_base))
         _reference_route(m)
         slow = _sample(name, _maps()[name])
     assert typed_deep(fast) == typed_deep(slow)
