@@ -113,8 +113,9 @@ def tilde_compose(
         v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
 
     def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
-        acc = _Sum()
-        for i in range(N):
+        # i = 0: f^0(x) = x before base, the unit shuffle left out
+        acc = _Sum((Word((x,) + t.letters), c) for t, c in base.items() if len(t) < L)
+        for i in range(1, N):
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break

@@ -766,6 +766,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too long or too deeply nested", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -177,19 +177,14 @@ def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
 def nilpotency_index(f: Endo) -> int | None:
     """Least N with the N-th power identically zero, or None.
 
-    For a matrix on n letters a nilpotent map satisfies f^n = 0, so the
-    search stops at n.  A diagonal map is nilpotent only when every weight
-    is zero; the biletter shift never is.
+    A nilpotent map on n letters has f^n = 0: the search reads f^k, k <= n,
+    from the powers :func:`iterate_endo_letter` keeps on ``f``.  A diagonal
+    map is nilpotent only when it is zero; the biletter shift never is.
     """
     if f.kind == "biletter_shift":
         return None
-    n = len(f.alphabet)
-    images: dict[Letter, dict[Letter, Rat]] = {x: {x: 1} for x in f.alphabet}
-    for power in range(1, n + 1):
-        images = {
-            x: _compose_image(f, img) for x, img in images.items()
-        }
-        if all(not img for img in images.values()):
+    for power in range(1, len(f.alphabet) + 1):
+        if not any(iterate_endo_letter(f, power, x) for x in f.alphabet):
             return power
     return None
 

@@ -25,11 +25,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import iterate_endo_letter
-from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, prelie
+from .prelie import ComPreLieContext, _prelie_words, _prepend_image, _require_nilpotent
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum, shuffle
 from .words import BasisKey, _split_coeff, parse_word
 
@@ -56,13 +57,13 @@ def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
 class OudomGuin:
     """Extends a basis-level pre-Lie product to sorted-tuple monomials.
 
-    ``base(a, b)`` must return the product of two basis elements as an
-    element -> coefficient mapping.  Monomials are kept sorted, so the
+    ``base(a, b)`` must return the product of two basis elements as
+    (element, coefficient) pairs.  Monomials are kept sorted, so the
     basis elements must be totally ordered.  The public products take and
     return combinations of one :class:`SymLin` subclass.
     """
 
-    def __init__(self, base: Callable[[Elem, Elem], Mapping[Elem, Rat]]):
+    def __init__(self, base: Callable[[Elem, Elem], Iterable[tuple[Elem, Rat]]]):
         self.base = base
         self._cache: dict[tuple[Mono, Mono], tuple[tuple[Mono, Rat], ...]] = {}
 
@@ -107,7 +108,7 @@ class OudomGuin:
         acc = _Sum()
         for i, ai in enumerate(a):
             rest = a[:i] + a[i + 1:]
-            _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u).items()))
+            _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u)))
         return acc.result()
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
@@ -245,25 +246,21 @@ class SymTensor(SymLin):
         return cls._from_clean({SymMonomial.of(w): c for w, c in t.items()})
 
 
-def _engine(ctx: ComPreLieContext) -> OudomGuin:
-    eng = ctx.extras.get("oudom_guin")
-    if eng is None:
-        def base(u: Word, v: Word) -> Mapping[Word, Rat]:
-            return prelie(ctx, u, v).terms
-
-        eng = OudomGuin(base)
-        ctx.extras["oudom_guin"] = eng
-    return eng
+def _engine_of(ctx: ComPreLieContext) -> OudomGuin:
+    """The context's engine over its pre-Lie product of words."""
+    if ctx._word_engine is None:
+        ctx._word_engine = OudomGuin(partial(_prelie_words, ctx))
+    return ctx._word_engine
 
 
 def extend_bullet(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The pre-Lie action of monomials on monomials."""
-    return _engine(ctx).bullet(SymTensor, a, b)
+    return _engine_of(ctx).bullet(SymTensor, a, b)
 
 
 def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The associative enveloping product."""
-    return _engine(ctx).star(SymTensor, a, b)
+    return _engine_of(ctx).star(SymTensor, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +316,12 @@ def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTenso
 # ---------------------------------------------------------------------------
 
 def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMonomial], Rat]:
-    cache = ctx.extras.setdefault("delta_tilde", {})
-    hit = cache.get(w)
+    hit = ctx._coproducts.get(w)
     if hit is not None:
         return hit
     n = _require_nilpotent(ctx)
     if len(w) == 0:
-        out = {(EMPTY_WORD, ONE): 1}
-        cache[w] = out
-        return out
+        return {(EMPTY_WORD, ONE): 1}
     x, u = w[0], w[1:]
     acc = _Sum()
     for i in range(n):
@@ -348,7 +342,7 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
                     (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items()),
                     c * scale,
                 )
-    out = cache[w] = acc.result()
+    out = ctx._coproducts[w] = acc.result()
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .endo import Endo, diagonal_weights
 from .enveloping import (
@@ -312,8 +312,8 @@ def y_bracket_check(lam: Rat, k: int, l: int, symbol: str = "x") -> tuple[Tensor
 # the enveloping product on forests
 # ---------------------------------------------------------------------------
 
-def _tree_base(t1: PartitionedTree, t2: PartitionedTree) -> Mapping[PartitionedTree, Rat]:
-    return free_bullet(t1, t2).terms
+def _tree_base(t1: PartitionedTree, t2: PartitionedTree) -> Iterable[tuple[PartitionedTree, Rat]]:
+    return free_bullet(t1, t2).items()
 
 
 _TREE_ENGINE = OudomGuin(_tree_base)

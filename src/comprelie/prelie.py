@@ -25,25 +25,32 @@ LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 @dataclass
 class ComPreLieContext:
-    """A letter endomorphism together with memo caches for its products."""
+    """A letter endomorphism ``f`` and the memos of what it induces, each
+    filled on first use: the pre-Lie products of words, the reduced dual
+    coproducts of words and the Oudom-Guin engine on words (the last two
+    kept by ``enveloping``), and the nilpotency index of ``f``.  Equality,
+    repr and pickle see ``f`` alone: a pickled copy starts with no memos."""
 
     f: Endo
-    _cache: dict[tuple[Word, Word], tuple[tuple[Word, Rat], ...]] = field(
-        default_factory=dict, repr=False
-    )
-    extras: dict = field(default_factory=dict, repr=False)  # caches of other layers
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _coproducts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _word_engine: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return type(self), (self.f,)
 
     @property
     def alphabet(self) -> tuple[Letter, ...]:
         return self.f.alphabet
 
+    @cached_property
+    def _nilpotency(self) -> int | None:
+        return nilpotency_index(self.f)
+
 
 def _require_nilpotent(ctx: ComPreLieContext) -> int:
-    """The nilpotency index of the context's map, computed once per
-    context; raises when the map is not nilpotent."""
-    if "nilpotency_index" not in ctx.extras:
-        ctx.extras["nilpotency_index"] = nilpotency_index(ctx.f)
-    n = ctx.extras["nilpotency_index"]
+    """The nilpotency index of ``ctx.f``; raises when it is not nilpotent."""
+    n = ctx._nilpotency
     if n is None:
         raise ValueError(
             "series composition and the dual coproduct need a nilpotent letter "
@@ -65,7 +72,7 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     if len(u) == 0:
         return ()
     key = (u, v)
-    hit = ctx._cache.get(key)
+    hit = ctx._products.get(key)
     if hit is not None:
         return hit
     x, w = u[0], u[1:]
@@ -75,7 +82,7 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     # f(x) (w sh v)
     _prepend_image(ctx.f.image_letter(x), _shuffle_words(w, v), acc)
     out = tuple(acc.result().items())
-    ctx._cache[key] = out
+    ctx._products[key] = out
     return out
 
 

@@ -467,3 +467,12 @@ def test_compose_over_budget_exits_two_before_any_work(capsys, monkeypatch):
         code, out, err = run(capsys, "compose", "x1.x2.x0 + x1.x1", "x1.x2.x0", "--trunc", "9", *flags)
         assert code == 2 and out == ""
         assert str(cli._compose_terms(3, 9, 3, 3)) in err  # 29,523 words of length <= 9
+
+
+def test_deep_inputs_exit_two_without_a_traceback(capsys):
+    long_word = ".".join(["x1"] * 3000)
+    nested = "a[" * 1200 + "b" + "]" * 1200
+    for argv in (["prelie", long_word, "x2"], ["coproduct", long_word], ["tree-map", nested]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -103,6 +103,27 @@ def test_no_shuffled_pair_is_longer_than_the_truncation(f, monkeypatch):
         assert pair_lengths and max(pair_lengths) <= L - 1
 
 
+@pytest.mark.parametrize("f", MAPS, ids=["fliess(2,1)", "index-3"])
+def test_composition_never_shuffles_by_the_unit(f, monkeypatch):
+    # f^0(x) = x only prepends x: with no empty word in v, no shuffle has
+    # an empty right operand
+    right_operands: list[Word] = []
+    inner = words._shuffle_words
+
+    def counting(u, v):
+        right_operands.append(v)
+        return inner(u, v)
+
+    monkeypatch.setattr(words, "_shuffle_words", counting)
+    ctx = ComPreLieContext(f)
+    rng = random.Random(7 + len(f.alphabet))
+    for L in (2, 3, 4):
+        u, v = (random_tensor(L, ctx.alphabet, rng) for _ in range(2))
+        v = Tensor({w: c for w, c in v.items() if len(w)})
+        tilde_compose(ctx, TruncatedSeries(L, u), TruncatedSeries(L, v))
+    assert right_operands and all(len(w) for w in right_operands)
+
+
 def test_inverse_runs_its_diamond_check(monkeypatch):
     ctx = ComPreLieContext(INDEX3)
     u = TruncatedSeries(3, Tensor.of(word("ca"), Fraction(1, 2)))

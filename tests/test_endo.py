@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,38 @@ def test_maps_and_contexts_pickle_without_their_letter_powers():
     back = pickle.loads(pickle.dumps(ctx))
     assert back == ctx
     assert prelie(back, x, y) == expected == prelie(ComPreLieContext(ctx.f), x, y)
+
+
+def _matrix_power_index(f: Endo) -> int | None:
+    """The least k <= n with M^k = 0 for the map's n x n matrix, by plain
+    matrix products; None when no such k exists."""
+    letters = f.alphabet
+    m = [[f.columns[y].get(x, 0) for y in letters] for x in letters]
+    n = len(letters)
+    power = m
+    for k in range(1, n + 1):
+        if not any(any(row) for row in power):
+            return k
+        power = [[sum(power[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return None
+
+
+def test_nilpotency_index_matches_matrix_powers():
+    rng = random.Random(5)
+    maps = [fliess_channel(2, 1), fliess_channel(3, 2), Endo.matrix(list("abc"), UPPER),
+            diagonal_weights({"a": 0, "b": 0}), diagonal_weights({"a": 0, "b": 2}),
+            Endo.diagonal({"a": Fraction(1, 2)})]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        entries = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if j > i else 0
+                    for j in range(n)] for i in range(n)]
+        f = Endo.matrix([f"l{i}" for i in range(n)], entries)
+        maps += [f, transpose_endo(f)]
+    indices = set()
+    for f in maps:
+        expected = _matrix_power_index(f)
+        assert nilpotency_index(f) == expected
+        assert nilpotency_index(pickle.loads(pickle.dumps(f))) == expected
+        indices.add(expected)
+    assert {None, 1, 2, 3, 4} <= indices

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from comprelie.characters import TruncatedSeries, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel, iterate_endo_letter
 from comprelie.enveloping import (
     ONE,
@@ -375,3 +377,46 @@ def test_star_is_dual_to_coproduct_index_three():
                     assert lhs == rhs, (u, v, w)
                     cases += 1
     assert cases == 4354
+
+
+@pytest.mark.parametrize("f", [UPPER3, FLIESS], ids=["index-3", "fliess(1,1)"])
+def test_contexts_compare_and_pickle_by_their_map_alone(f):
+    a, b = f.alphabet[:2]
+    u, v = Word((a, b)), Word((b,))
+    series = TruncatedSeries(3, Tensor({u: Fraction(1, 2), v: 3}))
+    inner = TruncatedSeries(3, Tensor({Word((a,)): -1, u: 2}))
+
+    def outputs(ctx):
+        return [
+            prelie(ctx, Tensor.of(u), Tensor.of(v)),
+            star(ctx, SymMonomial.of(u), SymMonomial.of(v, u)),
+            extend_bullet(ctx, SymMonomial.of(v), SymMonomial.of(u, v)),
+            dual_coproduct(ctx, Word((a, b, b))),
+            full_coproduct(ctx, SymMonomial.of(u, v)),
+            tilde_compose(ctx, series, inner),
+            inverse(ctx, series),
+        ]
+
+    ctx = ComPreLieContext(f)
+    expected = outputs(ctx)
+    assert ctx._products and ctx._coproducts and ctx._word_engine is not None
+    assert ctx._nilpotency is not None  # every memo is filled
+    fresh = ComPreLieContext(f)
+    assert ctx == fresh and repr(ctx) == repr(fresh) == f"ComPreLieContext(f={f!r})"
+    back = pickle.loads(pickle.dumps(ctx))
+    assert len(pickle.dumps(ctx)) == len(pickle.dumps(fresh))
+    assert back == ctx and back.f == f
+    assert not back._products and not back._coproducts and back._word_engine is None
+    assert "_nilpotency" not in vars(back)
+    got = outputs(back)
+    assert typed(got) == typed(expected)
+
+
+def typed(x):
+    """The outputs with each coefficient's type, in key order."""
+    terms = getattr(x, "terms", getattr(getattr(x, "tensor", None), "terms", x))
+    if isinstance(terms, dict):
+        return [(k, typed(c)) for k, c in terms.items()]
+    if isinstance(x, (list, tuple)):
+        return [typed(e) for e in x]
+    return (type(x), x)
