@@ -20,50 +20,18 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from typing import Sequence
 
-from .admissible import (
-    admissible_words,
-    count_admissible,
-    count_sigma,
-    from_dyck,
-    parse_upper,
-    sigma_admissible_words,
-    to_dyck,
-    upper_to_str,
-)
-from .characters import (
-    TruncatedSeries,
-    diamond,
-    fibonacci_dims,
-    inverse,
-    tilde_compose,
-)
-from .endo import Endo, diagonal_weights, fliess_channel, load_endo, transpose_endo
-from .enveloping import (
-    SymMonomial,
-    SymTensor,
-    dual_coproduct,
-    full_coproduct,
-    pair_tensor,
-    star,
-    sym_pairing,
-)
-from .forests import delta_cobracket, t_word, y_bracket_check
-from .prelie import ComPreLieContext, lie_bracket, prelie, prelie_closed
-from .trees import (
-    TreeTensor,
-    all_partitioned_trees,
-    free_bullet,
-    phi_cpl,
-)
+# Each verb imports the layers it calls where it calls them, and ``json``
+# only where it prints JSON, so a process loads and compiles only what its
+# verb uses: ``prelie`` never loads the trees.
 from .words import (
     Letter,
     Rat,
@@ -101,6 +69,8 @@ def parse_endo_spec(spec: str) -> Endo:
     optional decoration names) bumps every shift index; ``@path`` or a
     ``.json`` path loads a serialized endomorphism.
     """
+    from .endo import Endo, diagonal_weights, fliess_channel, load_endo
+
     spec = spec.strip()
     if spec.startswith("@"):
         return load_endo(spec[1:])
@@ -175,8 +145,12 @@ def parse_expression(src: str) -> Tensor | SymTensor | TreeTensor:
     _check_balance(src)
     try:
         if "[" in src or "{" in src:
+            from .trees import TreeTensor
+
             return TreeTensor.parse(src)
         if " * " in src:
+            from .enveloping import SymTensor
+
             return SymTensor.parse(src)
         return parse_tensor(src)
     except ValueError as exc:
@@ -191,6 +165,8 @@ def _as_tensor_arg(src: str) -> Tensor:
 
 
 def _as_sym_arg(src: str) -> SymTensor:
+    from .enveloping import SymTensor
+
     try:
         return SymTensor.parse(src)
     except ValueError as exc:
@@ -203,6 +179,8 @@ def _as_sym_arg(src: str) -> SymTensor:
 
 def _emit(fmt: str, lines: Sequence[str], payload) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         for line in lines:
@@ -229,10 +207,14 @@ def _emit_pairs(fmt: str, pairs: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _ctx_from(args) -> ComPreLieContext:
+    from .prelie import ComPreLieContext
+
     return ComPreLieContext(parse_endo_spec(args.endo))
 
 
 def _cmd_prelie(args) -> int:
+    from .prelie import prelie, prelie_closed
+
     ctx = _ctx_from(args)
     a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
     if args.closed:
@@ -245,6 +227,8 @@ def _cmd_prelie(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from .prelie import lie_bracket
+
     ctx = _ctx_from(args)
     out = lie_bracket(ctx, _as_tensor_arg(args.left), _as_tensor_arg(args.right))
     _emit(args.format, [str(out)], {"result": str(out)})
@@ -252,6 +236,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_star(args) -> int:
+    from .enveloping import star
+
     ctx = _ctx_from(args)
     out = star(ctx, _as_sym_arg(args.left), _as_sym_arg(args.right))
     _emit(args.format, [str(out)], {"result": str(out)})
@@ -259,6 +245,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
+    from .enveloping import dual_coproduct
+
     ctx = _ctx_from(args)
     t = _as_tensor_arg(args.expr)
     pairs = _linear(lambda w: (((l, r), c) for l, r, c in dual_coproduct(ctx, w)), t.items())
@@ -267,6 +255,8 @@ def _cmd_coproduct(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .characters import TruncatedSeries, diamond, tilde_compose
+
     ctx = _ctx_from(args)
     L = args.trunc
     u = TruncatedSeries(L, _as_tensor_arg(args.left))
@@ -322,6 +312,8 @@ def _series_digits(n: int, k_max: int) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .characters import fibonacci_dims
+
     k_max = max(args.max, 0)
     chars = _series_chars(args.fliess, k_max) if args.fliess >= 1 else 0
     if chars > _SERIES_BUDGET:
@@ -358,6 +350,9 @@ _SERIES_BUDGET = 5_000_000
 
 
 def _cmd_dyck(args) -> int:
+    from .admissible import admissible_words, count_admissible, count_sigma, from_dyck
+    from .admissible import parse_upper, sigma_admissible_words, to_dyck, upper_to_str
+
     if args.count is not None:
         a, s = count_admissible(args.count), count_sigma(args.count)
         _emit(
@@ -394,8 +389,10 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_tree_map(args) -> int:
+    from .trees import TreeTensor, phi_cpl
+
     value = parse_expression(args.expr)
-    if isinstance(value, (Tensor, SymTensor)):
+    if not isinstance(value, TreeTensor):
         value = TreeTensor.parse(args.expr)
     out = Tensor._from_clean(_linear(lambda t: phi_cpl(t, mode=args.mode).items(), value.items()))
     _emit(args.format, [str(out)], {"result": str(out)})
@@ -403,6 +400,8 @@ def _cmd_tree_map(args) -> int:
 
 
 def _cmd_fdb(args) -> int:
+    from .forests import delta_cobracket, t_word, y_bracket_check
+
     if args.fdb_verb == "t-word":
         lam = _parse_weights(args.weights)
         poly = t_word(parse_word(args.word), lam)
@@ -434,6 +433,8 @@ def _rand_word(rng: random.Random, letters: Sequence[Letter], max_len: int) -> W
 
 
 def _rand_endo(rng: random.Random, names: Sequence[str]) -> Endo:
+    from .endo import Endo
+
     n = len(names)
     entries = [
         [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
@@ -454,6 +455,8 @@ def _check_shuffle(rng: random.Random) -> str | None:
 
 
 def _check_prelie_axioms(rng: random.Random) -> str | None:
+    from .prelie import ComPreLieContext, prelie
+
     ctx = ComPreLieContext(_rand_endo(rng, ["a", "b"]))
     ab = [Letter("a"), Letter("b")]
     for _ in range(6):
@@ -472,6 +475,8 @@ def _check_prelie_axioms(rng: random.Random) -> str | None:
 
 
 def _check_prelie_closed(rng: random.Random) -> str | None:
+    from .prelie import ComPreLieContext, prelie, prelie_closed
+
     ctx = ComPreLieContext(_rand_endo(rng, ["a", "b"]))
     ab = [Letter("a"), Letter("b")]
     for _ in range(8):
@@ -482,6 +487,10 @@ def _check_prelie_closed(rng: random.Random) -> str | None:
 
 
 def _check_star(rng: random.Random) -> str | None:
+    from .endo import fliess_channel
+    from .enveloping import SymMonomial, SymTensor, star
+    from .prelie import ComPreLieContext
+
     ctx = ComPreLieContext(fliess_channel(2, 1))
     letters = [Letter("x0"), Letter("x1"), Letter("x2")]
     for _ in range(4):
@@ -495,6 +504,10 @@ def _check_star(rng: random.Random) -> str | None:
 
 
 def _check_duality(rng: random.Random) -> str | None:
+    from .endo import fliess_channel, transpose_endo
+    from .enveloping import SymMonomial, full_coproduct, pair_tensor, star, sym_pairing
+    from .prelie import ComPreLieContext
+
     # the star on the transposed side is dual to the coproduct
     f = fliess_channel(2, 1)
     ctx = ComPreLieContext(f)
@@ -514,6 +527,10 @@ def _check_duality(rng: random.Random) -> str | None:
 
 
 def _check_inverse(rng: random.Random) -> str | None:
+    from .characters import TruncatedSeries, diamond, inverse
+    from .endo import fliess_channel
+    from .prelie import ComPreLieContext
+
     ctx = ComPreLieContext(fliess_channel(2, 1))
     letters = [Letter("x0"), Letter("x1"), Letter("x2")]
     pool = [
@@ -533,6 +550,8 @@ def _check_inverse(rng: random.Random) -> str | None:
 
 
 def _check_dims(rng: random.Random) -> str | None:
+    from .characters import fibonacci_dims
+
     expected = {1: [0, 1, 1, 2, 3, 5], 2: [0, 1, 2, 5, 12, 29]}
     for n, dims in expected.items():
         got = fibonacci_dims(n, 5)
@@ -542,6 +561,8 @@ def _check_dims(rng: random.Random) -> str | None:
 
 
 def _check_dyck(rng: random.Random) -> str | None:
+    from .admissible import admissible_words, from_dyck, to_dyck, upper_to_str
+
     catalan = [1, 1, 2, 5, 14, 42]
     for n in range(1, 6):
         words = admissible_words(n)
@@ -554,6 +575,10 @@ def _check_dyck(rng: random.Random) -> str | None:
 
 
 def _check_tree_morphism(rng: random.Random) -> str | None:
+    from .endo import Endo
+    from .prelie import ComPreLieContext, prelie
+    from .trees import all_partitioned_trees, free_bullet, phi_cpl
+
     ctx = ComPreLieContext(Endo.biletter_shift())
     pool = []
     for n in (1, 2, 3):
@@ -570,6 +595,8 @@ def _check_tree_morphism(rng: random.Random) -> str | None:
 
 
 def _check_tree_routes(rng: random.Random) -> str | None:
+    from .trees import all_partitioned_trees, phi_cpl
+
     pool = []
     for n in (1, 2, 3, 4):
         pool.extend(all_partitioned_trees(n, [Letter("d")]))
@@ -580,6 +607,8 @@ def _check_tree_routes(rng: random.Random) -> str | None:
 
 
 def _check_fdb_modes(rng: random.Random) -> str | None:
+    from .forests import delta_cobracket
+
     lam = {
         "a": Fraction(rng.randint(1, 5)),
         "b": Fraction(rng.randint(1, 5), rng.randint(1, 3)),
@@ -595,6 +624,8 @@ def _check_fdb_modes(rng: random.Random) -> str | None:
 
 
 def _check_y_bracket(rng: random.Random) -> str | None:
+    from .forests import y_bracket_check
+
     lam = Fraction(rng.randint(1, 6), rng.randint(1, 4))
     k, l = rng.randint(1, 3), rng.randint(1, 3)
     try:
@@ -621,11 +652,18 @@ _CHECKS = [
 
 
 def run_verify(seed: int) -> list[dict]:
-    """Run every invariant check with its own seeded stream; the report
-    is deterministic for a fixed seed."""
+    """Run every invariant check with its own seeded stream.
+
+    Each entry names the check, its status, the witness of a failure and
+    ``elapsed_ms``, the check's wall time in milliseconds, which includes
+    importing any layer the check is the first to use.  Everything but
+    ``elapsed_ms`` is deterministic for a fixed seed, and the text report
+    leaves the timing out, so it is byte-identical from run to run.
+    """
     results = []
     for k, (name, fn) in enumerate(_CHECKS):
         rng = random.Random(f"{seed}:{k}")
+        start = time.perf_counter()
         try:
             witness = fn(rng)
         except Exception as exc:  # a crash is a failure, not an abort
@@ -633,12 +671,15 @@ def run_verify(seed: int) -> list[dict]:
         entry = {"check": name, "status": "pass" if witness is None else "fail"}
         if witness is not None:
             entry["witness"] = witness
+        entry["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
         results.append(entry)
     return results
 
 
 def emit_report(results: list[dict], fmt: str) -> int:
     if fmt == "json":
+        import json
+
         print(json.dumps(results))
     else:
         for entry in results:

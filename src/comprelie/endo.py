@@ -19,7 +19,6 @@ single-letter words), so images compose directly with the word operations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -244,7 +243,12 @@ def diagonal_weights(weights: Mapping[str, Rat]) -> Endo:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+# ``json`` is imported where it is used: most processes never save or load a
+# map, and importing it costs about 2 ms of start-up.
+
 def endo_to_json(f: Endo) -> str:
+    import json
+
     doc: dict = {"alphabet": [str(x) for x in f.alphabet], "kind": f.kind}
     if f.kind == "matrix":
         idx = {x: i for i, x in enumerate(f.alphabet)}
@@ -260,6 +264,8 @@ def endo_to_json(f: Endo) -> str:
 
 
 def endo_from_json(src: str) -> Endo:
+    import json
+
     doc = json.loads(src)
     if not isinstance(doc, dict):
         raise ValueError("endomorphism JSON must be an object")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comprelie import cli
+from comprelie import admissible, characters, cli
 from comprelie.cli import (
     CliError,
     emit_report,
@@ -276,6 +276,17 @@ def test_verify_passes_and_is_deterministic(capsys):
     }
 
 
+def test_verify_json_times_each_check(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--seed", "3")
+    assert code == 0
+    for entry in json.loads(out):
+        elapsed = entry["elapsed_ms"]
+        assert type(elapsed) in (int, float) and elapsed >= 0
+    # the text report carries no timing, so it repeats byte for byte
+    _, text, _ = run(capsys, "verify", "--seed", "3")
+    assert text == "".join(f"pass  {e['check']}\n" for e in run_verify(3))
+
+
 def test_emit_report_failure_exits_one(capsys):
     results = [
         {"check": "good", "status": "pass"},
@@ -373,8 +384,8 @@ def test_dyck_list_over_budget_exits_two_before_listing(capsys, monkeypatch):
     def enumerate_words(n):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(cli, "admissible_words", enumerate_words)
-    monkeypatch.setattr(cli, "sigma_admissible_words", enumerate_words)
+    monkeypatch.setattr(admissible, "admissible_words", enumerate_words)
+    monkeypatch.setattr(admissible, "sigma_admissible_words", enumerate_words)
     code, out, err = run(capsys, "dyck", "--list", "20")
     assert code == 2 and out == ""
     assert str(comb(38, 19) // 20 + comb(40, 20) // 21) in err  # the count, 8,331,383,610
@@ -406,7 +417,7 @@ def test_series_over_budget_exits_two_before_any_work(capsys, monkeypatch):
     def dims(n, k_max):
         raise AssertionError("computed before the budget check")
 
-    monkeypatch.setattr(cli, "fibonacci_dims", dims)
+    monkeypatch.setattr(characters, "fibonacci_dims", dims)
     # --max 12000 passes CPython's 4300-digit limit on printing an int;
     # --max 10000 would print 19 MB
     for n, k_max in ((2, 12000), (2, 10000), (1, 10**9), (10**400, 1000)):
@@ -429,7 +440,7 @@ def test_series_past_the_int_print_limit_exits_two_before_any_work(capsys, monke
     def dims(n, k_max):
         raise AssertionError("computed before the digit check")
 
-    monkeypatch.setattr(cli, "fibonacci_dims", dims)
+    monkeypatch.setattr(characters, "fibonacci_dims", dims)
     # about 3.4 M characters, inside the budget, but the last dimension
     # has about 4,500 digits
     assert cli._series_chars(1000, 1500) <= cli._SERIES_BUDGET
@@ -461,8 +472,8 @@ def test_compose_over_budget_exits_two_before_any_work(capsys, monkeypatch):
     def compose(ctx, u, v):
         raise AssertionError("composed before the budget check")
 
-    monkeypatch.setattr(cli, "tilde_compose", compose)
-    monkeypatch.setattr(cli, "diamond", compose)
+    monkeypatch.setattr(characters, "tilde_compose", compose)
+    monkeypatch.setattr(characters, "diamond", compose)
     for flags in ((), ("--tilde",)):
         code, out, err = run(capsys, "compose", "x1.x2.x0 + x1.x1", "x1.x2.x0", "--trunc", "9", *flags)
         assert code == 2 and out == ""
