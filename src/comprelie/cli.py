@@ -27,7 +27,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Each verb imports the layers it calls where it calls them, and ``json``
 # only where it prints JSON, so a process loads and compiles only what its
@@ -217,6 +217,7 @@ def _cmd_prelie(args) -> int:
 
     ctx = _ctx_from(args)
     a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
+    _check_prelie_budget("prelie", ctx, itertools.product(a.terms, b.terms))
     if args.closed:
         closed = _bilinear(lambda u, v: prelie_closed(ctx, u, v).items(), a.items(), b.items())
         out = Tensor._from_clean(closed)
@@ -230,9 +231,37 @@ def _cmd_bracket(args) -> int:
     from .prelie import lie_bracket
 
     ctx = _ctx_from(args)
-    out = lie_bracket(ctx, _as_tensor_arg(args.left), _as_tensor_arg(args.right))
+    a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
+    ab, ba = itertools.product(a.terms, b.terms), itertools.product(b.terms, a.terms)
+    _check_prelie_budget("bracket", ctx, itertools.chain(ab, ba))
+    out = lie_bracket(ctx, a, b)
     _emit(args.format, [str(out)], {"result": str(out)})
     return 0
+
+
+def _check_prelie_budget(verb: str, ctx: ComPreLieContext, pairs: Iterable) -> None:
+    letters = _prelie_letters(ctx, pairs)
+    if letters > _PRELIE_BUDGET:
+        raise CliError(
+            f"{verb} could write at least {letters} letters of words, "
+            f"over the budget of {_PRELIE_BUDGET}"
+        )
+
+
+def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable[tuple[Word, Word]]) -> int:
+    """At most how many letters the pre-Lie products of the word pairs
+    write: for each pair (u, v) and each letter u_j, the loop feeds its
+    accumulator |f(u_j)| * C(|u|-1-j+|v|, |v|) words of |u|+|v| letters.
+    Counted only until it passes the budget."""
+    total = 0
+    for u, v in pairs:
+        for j, x in enumerate(u):
+            images = len(ctx.f.image_letter(x))
+            if images:
+                total += images * math.comb(len(u) - 1 - j + len(v), len(v)) * (len(u) + len(v))
+                if total > _PRELIE_BUDGET:
+                    return total
+    return total
 
 
 def _cmd_star(args) -> int:
@@ -249,9 +278,49 @@ def _cmd_coproduct(args) -> int:
 
     ctx = _ctx_from(args)
     t = _as_tensor_arg(args.expr)
+    rows = _coproduct_terms(ctx, t.terms)
+    if rows > _COPRODUCT_BUDGET:
+        raise CliError(
+            f"coproduct could print at least {rows} rows, over the budget of {_COPRODUCT_BUDGET}"
+        )
     pairs = _linear(lambda w: (((l, r), c) for l, r, c in dual_coproduct(ctx, w)), t.items())
     _emit_pairs(args.format, pairs)
     return 0
+
+
+def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word]) -> int:
+    """At most how many rows ``coproduct`` prints: the sum over the words
+    of G(|w|), the number of terms the dual coproduct generates.  G(0) = 1
+    and G(n) = sum_{i<N} m_i sum_h C(n-1, h) i^(n-1-h) G(h): the f^i term
+    of a word deals its other n-1 letters into a head of h letters, whose
+    terms it extends, and i tail parts; N is the nilpotency index of the
+    map and m_i the most letters in an image of f^i.  Counted only until
+    it passes the budget."""
+    from .endo import iterate_endo_letter
+    from .prelie import _require_nilpotent
+
+    lengths = [len(w) for w in words]
+    if not lengths:
+        return 0  # no word: nothing to refuse, whatever the map
+    m = [
+        max((len(iterate_endo_letter(ctx.f, i, x)) for x in ctx.alphabet), default=0)
+        for i in range(_require_nilpotent(ctx))
+    ]
+    g, longest = [1], max(lengths)
+    # G is nondecreasing (its i = 0 term is G(n-1)), so its last value
+    # bounds every longer word once it passes the budget
+    while len(g) <= longest and g[-1] <= _COPRODUCT_BUDGET:
+        n = len(g)
+        g.append(m[0] * g[-1] + sum(
+            m[i] * sum(math.comb(n - 1, h) * i ** (n - 1 - h) * g[h] for h in range(n))
+            for i in range(1, len(m))
+        ))
+    total = 0
+    for n in lengths:
+        total += g[min(n, len(g) - 1)]
+        if total > _COPRODUCT_BUDGET:
+            break
+    return total
 
 
 def _cmd_compose(args) -> int:
@@ -343,6 +412,18 @@ _DYCK_LIST_BUDGET = 300_000
 # length <= 3 on both sides (9,129 terms printed) composes in 7.4 s on a
 # 2-CPU Xeon VM with CPython 3.11; --trunc 9 (29,523 words) does not fit
 _COMPOSE_BUDGET = 10_000
+
+# letters of the words written by one `prelie` or `bracket`: x1^150 . x2
+# under fliess(2,1) (11,325 words of 151 letters, 1,710,075 letters) fits and
+# prints 5.2 MB in 2.0 s at 79 MB peak RSS on a 2-CPU Xeon VM with CPython
+# 3.11; x1^200 . x2 (20,100 words of 201 letters, 4,040,100) does not
+_PRELIE_BUDGET = 2_000_000
+
+# rows generated by one `coproduct`, as estimated: every word of 11 letters
+# under fliess(2,1) (4,213,597; x1^11 prints 5,902 rows in 3.0 s) and c^8
+# under a nilpotency-index-3 map on {a,b,c} (4,262,318; 38,679 rows in 8.4 s,
+# same VM) fit; 12 letters under fliess(2,1) (27,644,437) do not
+_COPRODUCT_BUDGET = 5_000_000
 
 # characters printed by one `series`: --fliess 2 --max 5000 (4.8 MB, under a
 # second) fits, and --max 12000 would pass CPython's 4300-digit print limit
@@ -503,6 +584,22 @@ def _check_star(rng: random.Random) -> str | None:
     return None
 
 
+def _check_closed_action(rng: random.Random) -> str | None:
+    from .enveloping import SymMonomial, closed_action, extend_bullet
+    from .prelie import ComPreLieContext
+
+    ctx = ComPreLieContext(_rand_endo(rng, ["a", "b"]))
+    ab = [Letter("a"), Letter("b")]
+    for _ in range(4):
+        w = _rand_word(rng, ab, 2)
+        factors = [_rand_word(rng, ab, 2) for _ in range(rng.randint(1, 2))]
+        engine = extend_bullet(ctx, SymMonomial.of(w), SymMonomial.of(*factors))
+        if engine != closed_action(ctx, w, factors):
+            listed = ", ".join(word_to_str(u) for u in factors)
+            return f"routes disagree at {word_to_str(w)} acting on {listed}"
+    return None
+
+
 def _check_duality(rng: random.Random) -> str | None:
     from .endo import fliess_channel, transpose_endo
     from .enveloping import SymMonomial, full_coproduct, pair_tensor, star, sym_pairing
@@ -648,6 +745,7 @@ _CHECKS = [
     ("tree-map-routes", _check_tree_routes),
     ("cobracket-modes", _check_fdb_modes),
     ("y-bracket", _check_y_bracket),
+    ("envelope-closed-action", _check_closed_action),
 ]
 
 

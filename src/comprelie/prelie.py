@@ -1,8 +1,9 @@
 """The Com-Pre-Lie structure induced on words by a letter endomorphism.
 
-The product is defined recursively on word lengths: the empty word acts as
-zero on the left, and ``xw . w' = x(w . w') + f(x)(w sh w')``.  A closed
-form expands the same product as a sum over shuffle position-subsets with a
+The product is defined by a recursion on the left word: the empty word acts
+as zero, and ``xw . w' = x(w . w') + f(x)(w sh w')``; it is computed by the
+unrolled sum ``u . v = sum_j u[:j] f(u_j) (u[j+1:] sh v)``.  A closed form
+expands the same product over shuffle position-subsets with a
 fixed-point-prefix count; both are exposed and cross-checked.  The module
 also provides the antisymmetrized bracket, letterwise induced morphisms,
 Hilbert-style dimension series, and rank computations for generated spans.
@@ -60,29 +61,27 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
 
 
 def _prepend_image(
-    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: _Sum
+    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: _Sum,
+    head: tuple[Letter, ...] = (),
 ) -> None:
-    """acc += (sum_y image[y] * y) concatenated before each tail term;
+    """acc += head (sum_y image[y] * y) concatenated before each tail term;
     ``tail_terms`` is iterated once per letter of the image."""
     for y, cy in image.items():
-        _add_into(acc, ((Word((y,) + w.letters), c) for w, c in tail_terms), cy)
+        front = head + (y,)
+        _add_into(acc, ((Word(front + w.letters), c) for w, c in tail_terms), cy)
 
 
 def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
-    if len(u) == 0:
-        return ()
-    key = (u, v)
-    hit = ctx._products.get(key)
+    hit = ctx._products.get((u, v))
     if hit is not None:
         return hit
-    x, w = u[0], u[1:]
     acc = _Sum()
-    # x (w . v)
-    _prepend_image({x: 1}, _prelie_words(ctx, w, v), acc)
-    # f(x) (w sh v)
-    _prepend_image(ctx.f.image_letter(x), _shuffle_words(w, v), acc)
-    out = tuple(acc.result().items())
-    ctx._products[key] = out
+    # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
+    for j in range(len(u) - 1, -1, -1):
+        image = ctx.f.image_letter(u[j])
+        if image:
+            _prepend_image(image, _shuffle_words(u[j + 1:], v), acc, u.letters[:j])
+    out = ctx._products[u, v] = tuple(acc.result().items())
     return out
 
 

@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
+import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comprelie import admissible, characters, cli
+from comprelie import admissible, characters, cli, enveloping
 from comprelie.cli import (
     CliError,
     emit_report,
@@ -27,9 +30,10 @@ from comprelie.cli import (
 )
 from comprelie.characters import fibonacci_dims
 from comprelie.endo import Endo, fliess_channel, save_endo
-from comprelie.enveloping import SymTensor
+from comprelie.enveloping import SymTensor, dual_coproduct
+from comprelie.prelie import ComPreLieContext, lie_bracket, prelie
 from comprelie.trees import TreeTensor
-from comprelie.words import Tensor
+from comprelie.words import Letter, Tensor, Word
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -478,6 +482,96 @@ def test_compose_over_budget_exits_two_before_any_work(capsys, monkeypatch):
         code, out, err = run(capsys, "compose", "x1.x2.x0 + x1.x1", "x1.x2.x0", "--trunc", "9", *flags)
         assert code == 2 and out == ""
         assert str(cli._compose_terms(3, 9, 3, 3)) in err  # 29,523 words of length <= 9
+
+
+X1, X2 = Letter("x1"), Letter("x2")
+UPPER3 = Endo.matrix(list("abc"), [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+
+
+def test_prelie_size_estimate_bounds_the_output(capsys):
+    ctx = ComPreLieContext(fliess_channel(2, 1))  # x1 -> x0; x0, x2 -> 0
+    # x1^n . x2 writes n(n+1)/2 words of n+1 letters
+    assert cli._prelie_letters(ctx, [(Word((X1,) * 4), Word((X2,)))]) == 10 * 5
+    assert cli._prelie_letters(ctx, [(Word((X2,) * 2999 + (X1,)), Word((X2,)))]) == 3001
+    # counting stops once past the budget
+    counted = cli._prelie_letters(ctx, [(Word((X1,) * 3000), Word((X2,)))])
+    assert cli._PRELIE_BUDGET < counted < 3000 * 3001 // 2 * 3001
+    rng = random.Random("prelie estimate")
+    for f in (fliess_channel(2, 1), UPPER3):
+        ctx = ComPreLieContext(f)
+
+        def combo(max_len):
+            return Tensor({
+                Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(0, max_len)))):
+                    Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                for _ in range(rng.randint(1, 3))
+            })
+
+        for _ in range(20):
+            a, b = combo(4), combo(3)
+            ab = list(itertools.product(a.terms, b.terms))
+            ba = [(v, u) for u, v in ab]
+            written = sum(len(w) for w in prelie(ctx, a, b).terms)
+            assert written <= cli._prelie_letters(ctx, ab)
+            written = sum(len(w) for w in lie_bracket(ctx, a, b).terms)
+            assert written <= cli._prelie_letters(ctx, ab + ba)
+    code, out, _ = run(capsys, "prelie", ".".join(["x2"] * 2999 + ["x1"]), "x2")
+    assert code == 0 and out == ".".join(["x2"] * 2999 + ["x0", "x2"]) + "\n"
+
+
+def test_coproduct_size_estimate_bounds_the_output():
+    # G(n) under fliess(2,1) (N = 2, one letter in every image) is the
+    # Bell number B(n+1)
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    bell = [1, 2, 5, 15, 52, 203]
+    assert [cli._coproduct_terms(ctx, [Word((X1,) * n)]) for n in range(6)] == bell
+    assert cli._coproduct_terms(ctx, [Word((X1,) * 3), Word((X2,) * 4)]) == 15 + 52
+    assert cli._coproduct_terms(ctx, []) == 0
+    # counting stops once past the budget, so a long word costs nothing
+    assert cli._coproduct_terms(ctx, [Word((X1,) * 3000)]) == 27644437  # G(12)
+    rng = random.Random("coproduct estimate")
+    for f in (fliess_channel(2, 1), UPPER3):
+        ctx = ComPreLieContext(f)
+        for _ in range(15):
+            w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(0, 6))))
+            assert len(dual_coproduct(ctx, w)) <= cli._coproduct_terms(ctx, [w])
+
+
+def test_the_bench_inputs_fit_the_budgets_by_a_wide_margin():
+    # the `cli` bench, under fliess(2,1): `prelie` of combinations of at
+    # most 3 words of length <= 3 by at most 3 of length <= 2, `coproduct`
+    # of words of 3-4 letters; x1 is the one letter with a nonzero image
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    worst = [(Word((X1,) * 3), Word((X1,) * 2))] * 9
+    assert cli._prelie_letters(ctx, worst) * 1000 < cli._PRELIE_BUDGET
+    assert cli._prelie_letters(ctx, worst + [(v, u) for u, v in worst]) * 1000 < cli._PRELIE_BUDGET
+    assert cli._coproduct_terms(ctx, [Word((X1,) * 4)]) * 1000 < cli._COPRODUCT_BUDGET
+
+
+def test_prelie_bracket_and_coproduct_over_budget_exit_two_before_any_work(capsys, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the budget check")
+
+    kernels = importlib.import_module("comprelie.prelie")
+    for module, name in ((kernels, "_prelie_words"), (kernels, "prelie_closed"),
+                         (enveloping, "_delta_tilde_word"), (enveloping, "dual_coproduct")):
+        monkeypatch.setattr(module, name, kernel)
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    long, x2 = Word((X1,) * 3000), Word((X2,))
+    letters = cli._prelie_letters(ctx, [(long, x2)])
+    both = cli._prelie_letters(ctx, [(x2, long), (long, x2)])
+    rows = cli._coproduct_terms(ctx, [Word((X1, X2) * 8)])
+    cases = [
+        (["prelie", str(long), "x2"], letters),
+        (["prelie", "--closed", str(long), "x2"], letters),
+        (["bracket", "x2", str(long)], both),
+        (["coproduct", ".".join(["x1", "x2"] * 8)], rows),
+    ]
+    for argv, estimate in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"at least {estimate} " in err
 
 
 def test_deep_inputs_exit_two_without_a_traceback(capsys):

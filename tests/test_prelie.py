@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -110,6 +111,71 @@ def test_bilinearity():
         - Fraction(1, 3) * prelie(ctx, W("ab"), W("ba"))
     )
     assert prelie(ctx, a, b) == expanded
+
+
+def recursive_prelie(f: Endo, u: Word, v: Word) -> dict:
+    """The defining recursion ``xw . v = x(w . v) + f(x)(w sh v)``, run
+    literally on a plain dict with Python's own arithmetic, a key dropped
+    when it cancels to exact zero: the reference for the runtime's
+    unrolled sum."""
+    out: dict = {}
+
+    def add(t: Word, c) -> None:
+        c2 = out.get(t, 0) + c
+        if c2:
+            out[t] = c2
+        else:
+            out.pop(t, None)
+
+    if len(u) == 0:
+        return out
+    x, w = u[0], u[1:]
+    for t, c in recursive_prelie(f, w, v).items():
+        add(Word((x,) + t.letters), c)
+    for y, cy in f.image_letter(x).items():
+        for t, c in shuffle(w, v).items():
+            add(Word((y,) + t.letters), cy * c)
+    return out
+
+
+def typed(d: dict) -> list:
+    """Keys in order with each coefficient's value and exact type."""
+    return [(k, type(c), c) for k, c in d.items()]
+
+
+def test_the_unrolled_sum_matches_the_recursion():
+    # 100 random rational maps on 1-3 letters, some entries zero (so some
+    # letters are skipped) and some Fraction(n, 1); 4 pairs of words each
+    rng = random.Random("unrolled")
+    values = (0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 1))
+    cases = 0
+    for _ in range(100):
+        names = ["a", "b", "c"][: rng.randint(1, 3)]
+        f = Endo.matrix(names, [[rng.choice(values) for _ in names] for _ in names])
+        ctx = ctx_of(f)
+        letters = f.alphabet
+        for _ in range(4):
+            u = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))))
+            v = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 4))))
+            assert typed(prelie(ctx, u, v).terms) == typed(recursive_prelie(f, u, v)), (f, u, v)
+            cases += 1
+    assert cases >= 300
+
+
+def test_a_long_left_word_is_computed():
+    # one frame per letter would pass the interpreter's recursion limit
+    x0, x1, x2 = (Letter(n) for n in ("x0", "x1", "x2"))
+    ctx = ctx_of(fliess_channel(2, 1))  # x1 -> x0, x0 and x2 -> 0
+    out = prelie(ctx, Word((x2,) * 2999 + (x1,)), Word((x2,)))
+    assert typed(out.terms) == [(Word((x2,) * 2999 + (x0, x2)), int, 1)]
+
+
+def test_the_memo_holds_only_the_pairs_asked_for():
+    ctx = ctx_of(FRAC)
+    prelie(ctx, W("abba"), W("ba"))
+    assert list(ctx._products) == [(W("abba"), W("ba"))]
+    prelie(ctx, T("a + 2*ab"), T("b"))
+    assert list(ctx._products) == [(W("abba"), W("ba")), (W("a"), W("b")), (W("ab"), W("b"))]
 
 
 # ---------------------------------------------------------------------------
