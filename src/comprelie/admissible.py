@@ -11,9 +11,10 @@ the enumerations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
+
+from .words import Frozen, _set
 
 UpperWord = tuple[int, ...]
 
@@ -77,16 +78,14 @@ def sigma_factorize(w: Sequence[int]) -> list[UpperWord] | None:
     return out
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Frozen):
     """A lattice path of R (right) and U (up) steps staying weakly below
-    the diagonal, from (0,0) to (n,n)."""
+    the diagonal, from (0,0) to (n,n).  Paths are frozen, compare and
+    hash by their steps."""
 
-    steps: str
-
-    def __post_init__(self):
+    def __init__(self, steps: str):
         height = 0
-        for ch in self.steps:
+        for ch in steps:
             if ch == "R":
                 height += 1
             elif ch == "U":
@@ -97,6 +96,18 @@ class DyckPath:
                 raise ValueError(f"steps must be 'R' or 'U', got {ch!r}")
         if height != 0:
             raise ValueError("path does not end on the diagonal")
+        _set(self, "steps", steps)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __repr__(self) -> str:
+        return f"DyckPath(steps={self.steps!r})"
 
     @property
     def semilength(self) -> int:

@@ -17,13 +17,13 @@ product over channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, graded_series
-from .words import EMPTY_WORD, Letter, Rat, Tensor, Word, _add_into, _linear, _Sum, shuffle
+from .words import EMPTY_WORD, Frozen, Letter, Rat, Tensor, Word, _add_into, _linear, _set, _Sum
+from .words import shuffle
 
 
 class TruncatedSeries:
@@ -155,17 +155,26 @@ def inverse(ctx: ComPreLieContext, u: TruncatedSeries) -> TruncatedSeries:
 # input-output series over {x0, ..., xn}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FliessElement:
+class FliessElement(Frozen):
     """A single-channel input-output series: the component index together
-    with a scalar series over {x0, ..., xn}."""
+    with a scalar series over {x0, ..., xn}.  Elements compare by both."""
 
-    channel: int
-    series: TruncatedSeries
+    def __init__(self, channel: int, series: TruncatedSeries):
+        if channel < 1:
+            raise ValueError(f"channel must be >= 1, got {channel}")
+        _set(self, "channel", channel)
+        _set(self, "series", series)
 
-    def __post_init__(self):
-        if self.channel < 1:
-            raise ValueError(f"channel must be >= 1, got {self.channel}")
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.channel, self.series) == (other.channel, other.series)
+
+    def __hash__(self) -> int:
+        return hash((self.channel, self.series))
+
+    def __repr__(self) -> str:
+        return f"FliessElement(channel={self.channel!r}, series={self.series!r})"
 
 
 def _letter_index(x: Letter) -> int:

@@ -19,16 +19,17 @@ single-letter words), so images compose directly with the word operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .words import (
+    Frozen,
     Letter,
     Rat,
     Tensor,
     Word,
     _linear,
+    _set,
     check_coefficient,
     parse_letter,
     parse_rational,
@@ -36,31 +37,44 @@ from .words import (
 )
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Endo:
+class Endo(Frozen):
     """A linear endomorphism of the span of letters.
 
     Construct via :meth:`matrix`, :meth:`diagonal`, :meth:`biletter_shift`
     or the presets :func:`fliess_channel` / :func:`diagonal_weights`.
+    Maps compare by kind, alphabet and columns.
     """
 
-    kind: str
-    alphabet: tuple[Letter, ...]
-    columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None
-    # (k, x) -> f^k(x) for 1 <= k <= n on a finite map; see iterate_endo_letter
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "alphabet", "columns", "_powers")
 
-    __hash__ = None  # equal maps compare equal, but column mappings have no hash
-
-    def __post_init__(self):
-        if self.kind not in ("matrix", "diagonal", "biletter_shift"):
-            raise ValueError(f"unknown endomorphism kind: {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        alphabet: tuple[Letter, ...],
+        columns: Mapping[Letter, Mapping[Letter, Rat]] | None = None,
+    ):
+        if kind not in ("matrix", "diagonal", "biletter_shift"):
+            raise ValueError(f"unknown endomorphism kind: {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "alphabet", alphabet)
         # read-only views: contexts cache products under the map, so an
         # image handed out must not be able to change it
-        if self.columns is not None:
-            object.__setattr__(self, "columns", MappingProxyType(
-                {x: MappingProxyType(dict(col)) for x, col in self.columns.items()}
-            ))
+        if columns is not None:
+            columns = MappingProxyType(
+                {x: MappingProxyType(dict(col)) for x, col in columns.items()}
+            )
+        _set(self, "columns", columns)
+        # (k, x) -> f^k(x) for 1 <= k <= n on a finite map; see iterate_endo_letter
+        _set(self, "_powers", {})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.alphabet, self.columns) == (
+            other.kind, other.alphabet, other.columns
+        )
+
+    __hash__ = None  # equal maps compare equal, but column mappings have no hash
 
     def __reduce__(self):
         # the read-only views do not pickle: rebuild from plain column

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -32,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prelie_words, _prepend_image, _require_nilpotent
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum, shuffle
-from .words import BasisKey, _split_coeff, parse_word
+from .words import BasisKey, _set, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -129,24 +128,29 @@ def _sorted(factors: tuple) -> tuple:
     return tuple(sorted(factors, key=BasisKey._key)) if len(factors) > 1 else factors
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial(BasisKey):
     """A multiset of basis elements, kept sorted by the elements' ``_key``;
     the empty multiset is the unit.  Subclasses fix the element type, and
     monomials of different subclasses never compare equal."""
 
-    factors: tuple = ()
-    __hash__ = BasisKey.__hash__
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", _sorted(tuple(self.factors)))
+    def __init__(self, factors: Iterable = ()):
+        _set(self, "factors", _sorted(tuple(factors)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.factors == other.factors
+
+    __hash__ = BasisKey.__hash__
 
     @classmethod
     def _from_clean(cls, factors: tuple):
         """Wrap factors already checked by the caller (kernel output):
         sorted, not validated again."""
         out = object.__new__(cls)
-        object.__setattr__(out, "factors", _sorted(factors))
+        _set(out, "factors", _sorted(factors))
         return out
 
     @classmethod
@@ -320,6 +324,21 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
     if hit is not None:
         return hit
     n = _require_nilpotent(ctx)
+    # a leading letter x with f(x) = 0 has only its i = 0 term, so
+    # delta(x u) = x delta(u): strip a run of them in one loop, not one
+    # recursion each.  A letter outside the map's alphabet ends the run:
+    # the recursion below reads f(x) only when the index n exceeds 1, and
+    # raises then, so the zero map takes any letter
+    k = 0
+    for x in w.letters:
+        if x not in ctx.f.columns or iterate_endo_letter(ctx.f, 1, x):
+            break
+        k += 1
+    if k:
+        prefix = w.letters[:k]
+        rest = _delta_tilde_word(ctx, Word(w.letters[k:])).items()
+        out = ctx._coproducts[w] = {(Word(prefix + t.letters), m): c for (t, m), c in rest}
+        return out
     if len(w) == 0:
         return {(EMPTY_WORD, ONE): 1}
     x, u = w[0], w[1:]

@@ -75,10 +75,11 @@ class Forest(Monomial):
     __slots__ = ()
     one_factor = "{1}"
 
-    def __post_init__(self):
-        for t in self.factors:
+    def __init__(self, factors: Iterable[PartitionedTree] = ()):
+        factors = tuple(factors)
+        for t in factors:
             _check_factor(t)
-        super().__post_init__()
+        super().__init__(factors)
 
     @property
     def trees(self) -> tuple[PartitionedTree, ...]:

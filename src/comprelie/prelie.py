@@ -12,7 +12,6 @@ Hilbert-style dimension series, and rank computations for generated spans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,18 +23,27 @@ from .words import _linear, _shuffle_words, _Sum, shuffle
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 
-@dataclass
 class ComPreLieContext:
     """A letter endomorphism ``f`` and the memos of what it induces, each
     filled on first use: the pre-Lie products of words, the reduced dual
     coproducts of words and the Oudom-Guin engine on words (the last two
     kept by ``enveloping``), and the nilpotency index of ``f``.  Equality,
-    repr and pickle see ``f`` alone: a pickled copy starts with no memos."""
+    repr and pickle see ``f`` alone: a pickled copy starts with no memos.
+    A context is unhashable, as its map is."""
 
-    f: Endo
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _coproducts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _word_engine: object = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, f: Endo):
+        self.f = f
+        self._products: dict = {}
+        self._coproducts: dict = {}
+        self._word_engine: object = None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.f == other.f
+
+    def __repr__(self) -> str:
+        return f"ComPreLieContext(f={self.f!r})"
 
     def __reduce__(self):
         return type(self), (self.f,)
@@ -197,18 +205,35 @@ def specialization_map(f: Endo, assignment: Mapping[str, Letter | str]) -> Lette
 # dimension series
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GradedSeries:
     """Dimensions by degree, plus the (degree, word count) refinement.
 
     ``letters`` maps each letter degree to the dimension of its letter
-    space (nonzero entries up to the truncation); ``shift`` is N.
+    space (nonzero entries up to the truncation); ``shift`` is N.  Series
+    compare by these four fields and are unhashable.
     """
 
-    coefficients: list[int]
-    truncation: int
-    letters: dict[int, int]
-    shift: int
+    def __init__(
+        self, coefficients: list[int], truncation: int, letters: dict[int, int], shift: int
+    ):
+        self.coefficients = coefficients
+        self.truncation = truncation
+        self.letters = letters
+        self.shift = shift
+
+    def _fields(self) -> tuple:
+        return (self.coefficients, self.truncation, self.letters, self.shift)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"GradedSeries(coefficients={self.coefficients!r}, "
+            f"truncation={self.truncation!r}, letters={self.letters!r}, shift={self.shift!r})"
+        )
 
     def dimension(self, degree: int) -> int:
         if not 0 <= degree <= self.truncation:

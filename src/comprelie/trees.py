@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -48,6 +47,7 @@ from .words import (
     Word,
     _bilinear,
     _linear,
+    _set,
     _split_coeff,
     check_coefficient,
     concat,
@@ -109,7 +109,6 @@ def _nodes(block) -> Iterator[tuple]:
             yield from _nodes(b)
 
 
-@dataclass(frozen=True, slots=True)
 class PartitionedTree(BasisKey):
     """Canonical partitioned tree: ``root`` is its root block, in the
     nested form of the module docstring.
@@ -123,9 +122,20 @@ class PartitionedTree(BasisKey):
     trusts that its argument is canonical.
     """
 
-    root: tuple
-    _views: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("root", "_views")
+
+    def __init__(self, root: tuple):
+        _set(self, "root", root)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.root == other.root
+
     __hash__ = BasisKey.__hash__
+
+    def __repr__(self) -> str:
+        return f"PartitionedTree(root={self.root!r})"
 
     def _fields(self) -> tuple:
         return (self.root,)
@@ -175,7 +185,7 @@ class PartitionedTree(BasisKey):
 
     def _arrays(self) -> tuple[tuple, tuple, tuple]:
         if getattr(self, "_views", None) is None:
-            object.__setattr__(self, "_views", _arrays_of(self.root))
+            _set(self, "_views", _arrays_of(self.root))
         return self._views
 
     @property

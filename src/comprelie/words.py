@@ -22,7 +22,6 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -37,21 +36,40 @@ def check_coefficient(c: object) -> Rat:
     raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__}: {c!r}")
 
 
-class BasisKey:
+_set = object.__setattr__  # how a frozen value fills its fields
+
+
+class Frozen:
+    """A value whose fields are set once, by its ``__init__`` through
+    ``object.__setattr__``: assigning or deleting an attribute raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BasisKey(Frozen):
     """The hash, sort key, order and pickle of every basis key.
 
     Basis keys (Letter, Word, Monomial, PartitionedTree) are frozen and
     hashed or sorted many times each, so each one computes its hash and
     its sort key on first use and keeps them in two slots outside
     equality; an unset slot reads as None, so no first use raises.  The
-    hash is the dataclass formula over the compared fields, so hash
-    values (and with them set and dict order) do not change; nothing is
-    computed at construction, which the kernels do far more often.
-    Pickles carry the compared fields only: a hash of strings differs
-    between processes.  A key class is a frozen slots dataclass on this
-    base that gives ``_fields()``, its compared fields in order, and
-    ``_make_key()``, and restates ``__hash__ = BasisKey.__hash__``, or the
-    dataclass would add its own uncached hash.
+    hash is ``hash(self._fields())``, the hash of the tuple of compared
+    fields, so hash values (and with them set and dict order) never
+    depend on the caches; nothing is computed at construction, which the
+    kernels do far more often.  Pickles carry the compared fields only: a
+    hash of strings differs between processes.  A key class is a slotted
+    class on this base that gives ``_fields()``, its compared fields in
+    order, ``_make_key()`` and an ``__eq__`` that compares the fields of
+    two keys of exactly one type, and restates ``__hash__ =
+    BasisKey.__hash__``, which a class that defines ``__eq__`` would
+    otherwise lose.
     """
 
     __slots__ = ("_hash", "_sort_key")
@@ -60,14 +78,14 @@ class BasisKey:
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash(self._fields())
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def _key(self) -> tuple:
         key = getattr(self, "_sort_key", None)
         if key is None:
             key = self._make_key()
-            object.__setattr__(self, "_sort_key", key)
+            _set(self, "_sort_key", key)
         return key
 
     def __lt__(self, other) -> bool:
@@ -84,7 +102,6 @@ class BasisKey:
         return type(self), self._fields()
 
 
-@dataclass(frozen=True, slots=True)
 class Letter(BasisKey):
     """A basis symbol, optionally carrying a natural shift index.
 
@@ -93,8 +110,17 @@ class Letter(BasisKey):
     with plain letters sorting before any shifted letter of the same name.
     """
 
-    name: str
-    shift: int | None = None
+    __slots__ = ("name", "shift")
+
+    def __init__(self, name: str, shift: int | None = None):
+        _set(self, "name", name)
+        _set(self, "shift", shift)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.name == other.name and self.shift == other.shift
+
     __hash__ = BasisKey.__hash__
 
     def _fields(self) -> tuple:
@@ -112,11 +138,19 @@ class Letter(BasisKey):
         return f"Letter({str(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Word(BasisKey):
     """An immutable word; supports len/iteration/slicing and concatenation."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        _set(self, "letters", letters)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.letters == other.letters
+
     __hash__ = BasisKey.__hash__
 
     def _fields(self) -> tuple:

@@ -581,3 +581,12 @@ def test_deep_inputs_exit_two_without_a_traceback(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_coproduct_of_a_long_zero_image_word(capsys):
+    # the size estimate under the zero map is one row, and the letters
+    # with zero image are stripped in a loop, so 3,000 of them compute
+    word = "a" * 3000
+    code, out, err = run(capsys, "coproduct", word, "--endo", "diag(a=0)")
+    assert code == 0 and err == ""
+    assert out == f"{word} (x) 1 : 1\n"

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from comprelie.characters import TruncatedSeries, inverse, tilde_compose
-from comprelie.endo import Endo, fliess_channel, iterate_endo_letter
+from comprelie.endo import Endo, fliess_channel, iterate_endo_letter, nilpotency_index
 from comprelie.enveloping import (
     ONE,
+    _delta_tilde_word,
+    _splittings,
     SymMonomial,
     SymTensor,
     closed_action,
@@ -24,7 +28,7 @@ from comprelie.enveloping import (
     sym_pairing,
 )
 from comprelie.prelie import ComPreLieContext, prelie
-from comprelie.words import EMPTY_WORD, Tensor, Word, parse_word, shuffle
+from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, _add_into, _Sum, parse_word, shuffle
 
 W = parse_word
 
@@ -245,6 +249,63 @@ def test_delta_rejects_non_nilpotent():
     ctx = ComPreLieContext(Endo.diagonal({"a": 1}))
     with pytest.raises(ValueError, match="nilpotent"):
         dual_coproduct(ctx, W("a"))
+
+
+def delta_by_recursion(ctx: ComPreLieContext, w: Word) -> dict:
+    """The reduced coproduct by the recursion on the first letter, one
+    frame per letter: the f^i(x) term of ``x u`` deals u into a head,
+    whose coproduct it extends, and i tail parts, with weight 1/i!."""
+    if len(w) == 0:
+        return {(EMPTY_WORD, ONE): 1}
+    x, u = w[0], w[1:]
+    acc = _Sum()
+    for i in range(nilpotency_index(ctx.f)):
+        image = iterate_endo_letter(ctx.f, i, x)
+        if not image:
+            break
+        scale = 1 if i < 2 else Fraction(1, factorial(i))
+        for parts in _splittings(u.letters, i + 1):
+            tail = tuple(Word(t) for t in parts[1:])
+            for (t, mono), c in delta_by_recursion(ctx, Word(parts[0])).items():
+                merged = SymMonomial(mono.factors + tail)
+                pairs = (((Word((y,) + t.letters), merged), cy) for y, cy in image.items())
+                _add_into(acc, pairs, c * scale)
+    return acc.result()
+
+
+@pytest.mark.parametrize("f", [NIL, UPPER3, FLIESS, Endo.diagonal({"a": 0, "b": 0})])
+def test_delta_matches_the_recursion_in_values_types_and_order(f):
+    # NIL and UPPER3 send a to 0, as the zero map sends every letter, so
+    # runs of leading zero-image letters are stripped in a loop
+    rng = random.Random(f"delta {f.alphabet}")
+    for _ in range(40):
+        w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(0, 5))))
+        ctx = ComPreLieContext(f)
+        got = [(k, type(c), c) for k, c in _delta_tilde_word(ctx, w).items()]
+        assert got == [(k, type(c), c) for k, c in delta_by_recursion(ctx, w).items()]
+
+
+def test_long_runs_of_zero_image_letters_need_no_recursion():
+    # 3,000 letters, past the recursion limit: delta(x u) = x delta(u)
+    # when f(x) = 0, one loop step per letter
+    a, b = Letter("a"), Letter("b")
+    w = Word((a,) * 3000)
+    assert dual_coproduct(ComPreLieContext(Endo.diagonal({"a": 0})), w) == [(w, ONE, 1)]
+    # f(a) = b, f(b) = 0: b^2000 a is b^2000 times delta(a)
+    ctx = ComPreLieContext(Endo.matrix("ab", [[0, 0], [1, 0]]))
+    got = dual_coproduct(ctx, Word((b,) * 2000 + (a,)))
+    assert [(type(c), c) for _, _, c in got] == [(int, 1), (int, 1)]
+    assert [(t, m) for t, m, _ in got] == [
+        (Word((b,) * 2000 + (a,)), ONE),
+        (Word((b,) * 2001), SymMonomial.of(EMPTY_WORD)),
+    ]
+    # the zero map has index 1, so the recursion never reads f(x) and takes
+    # a letter outside its alphabet; the strip leaves such a letter to it
+    zero = ComPreLieContext(Endo.diagonal({"a": 0}))
+    mixed = Word((a, b, a))
+    assert _delta_tilde_word(zero, mixed) == delta_by_recursion(zero, mixed) == {(mixed, ONE): 1}
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        dual_coproduct(ctx, Word((a, Letter("z"))))
 
 
 def _pair_lin_eq(a, b):

@@ -8,7 +8,6 @@ pickle for all of them, and their first use raises no exception."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import itertools
 import pickle
 import sys
@@ -36,9 +35,14 @@ FORESTS = [
 ]
 
 
+COMPARED = {Letter: ("name", "shift"), Word: ("letters",), PartitionedTree: ("root",)}
+
+
 def dataclass_hash(x) -> int:
-    """The hash a frozen dataclass generates: its compared fields, as a tuple."""
-    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare))
+    """The hash a frozen dataclass generates: its compared fields, in
+    order, as a tuple (a monomial or forest compares its factors)."""
+    names = COMPARED.get(type(x), ("factors",))
+    return hash(tuple(getattr(x, name) for name in names))
 
 
 def reference_key(x) -> tuple:
