@@ -79,6 +79,10 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"<TruncatedSeries L={self.trunc} {self.tensor}>"
 
+    def __reduce__(self):
+        # slots without __getstate__ do not pickle below protocol 2
+        return type(self), (self.trunc, self.tensor)
+
 
 def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})

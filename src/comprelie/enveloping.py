@@ -326,12 +326,10 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
     n = _require_nilpotent(ctx)
     # a leading letter x with f(x) = 0 has only its i = 0 term, so
     # delta(x u) = x delta(u): strip a run of them in one loop, not one
-    # recursion each.  A letter outside the map's alphabet ends the run:
-    # the recursion below reads f(x) only when the index n exceeds 1, and
-    # raises then, so the zero map takes any letter
+    # recursion each (reading f(x) refuses a letter outside the alphabet)
     k = 0
     for x in w.letters:
-        if x not in ctx.f.columns or iterate_endo_letter(ctx.f, 1, x):
+        if ctx.f.image_letter(x):
             break
         k += 1
     if k:

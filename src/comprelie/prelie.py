@@ -290,16 +290,17 @@ def graded_series(dims_of_v: Sequence[int], n_shift: int, trunc: int) -> GradedS
 
 def span_dimension_of_products(
     ctx: ComPreLieContext,
-    generators: Sequence[Tensor],
+    generators: Iterable[Tensor],
     degree: int,
     ops: Sequence[str] = ("prelie", "shuffle"),
 ) -> int:
     """Dimension of the degree-``degree`` part of the generated subalgebra.
 
-    Generators are split into their length-homogeneous parts, then closed
-    under the requested products (length adds under both), tracking ranks
-    with exact row reduction until nothing grows.  Intended for small
-    degrees (<= 5); the cost is polynomial in the basis sizes but those grow
+    Both products add word length, so the degree-d part is spanned by the
+    generators' degree-d parts and the products ``op(a, b)`` of basis
+    vectors a, b of the degrees d1 + d2 = d below it: the degrees are
+    filled once each, from 1 up, by exact row reduction.  ``generators``
+    is iterated once.  Intended for small degrees (<= 5); the bases grow
     quickly with the alphabet.
     """
     if degree < 1:
@@ -307,60 +308,41 @@ def span_dimension_of_products(
     unknown = set(ops) - {"prelie", "shuffle"}
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
-    spans: dict[int, SpanBasis] = {d: SpanBasis() for d in range(1, degree + 1)}
-    fresh: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
-    independent: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
-
-    def feed(t: Tensor) -> None:
-        for d in range(1, degree + 1):
-            part = t.graded_part(d)
-            if part and spans[d].add(part.terms):
-                fresh[d].append(part)
-
+    products = [op for name, op in (("prelie", partial(prelie, ctx)), ("shuffle", shuffle))
+                if name in ops]
+    parts: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:
-        feed(g)
-    while any(fresh.values()):
-        batch, fresh = fresh, {d: [] for d in range(1, degree + 1)}
-        for d, vecs in batch.items():
-            independent[d].extend(vecs)
-        for d1, vecs1 in independent.items():
-            for d2, vecs2 in independent.items():
-                if d1 + d2 > degree:
-                    continue
-                for a in vecs1:
-                    for b in vecs2:
-                        if a not in batch.get(d1, ()) and b not in batch.get(d2, ()):
-                            continue  # at least one factor must be new
-                        if "prelie" in ops:
-                            feed(prelie(ctx, a, b))
-                        if "shuffle" in ops:
-                            feed(shuffle(a, b))
-    return spans[degree].rank
+        for d, found in parts.items():
+            part = g.graded_part(d)
+            if part:
+                found.append(part)
+    basis: dict[int, list[Tensor]] = {}
+    for d, found in parts.items():
+        span = SpanBasis()
+        made = (op(a, b) for e in range(1, d) for a in basis[e] for b in basis[d - e]
+                for op in products)
+        basis[d] = [t for t in itertools.chain(found, made) if span.add(t.terms)]
+    return span.rank
 
 
 def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
     """Membership in the span of words with >= 1 position inside Im(f).
 
-    The degree-n test space is spanned, for each position i, by words with
-    an Im(f) basis vector substituted at i and arbitrary letters elsewhere.
-    The zero tensor counts as a member; a nonzero degree-0 part never is.
+    That span is the kernel of the letterwise projection modulo Im(f):
+    reducing a letter by a basis of Im(f) is a projection of the letter
+    space with kernel Im(f), so t is a member exactly when its letterwise
+    residue is 0.  The zero tensor is a member; a nonzero degree-0 part
+    never is, nor is a word with a letter outside the alphabet.
     """
-    if not t:
-        return True
-    if t.coefficient(Word(())):
+    if not t or t.coefficient(Word(())):
+        return not t
+    image = SpanBasis(v.terms for v in image_span_letters(ctx.f))
+    residue = {
+        x: {w[0]: c for w, c in image.reduce({Word((x,)): 1}).items()} for x in ctx.alphabet
+    }
+    if any(x not in residue for w in t.terms for x in w):
         return False
-    seen = SpanBasis()
-    image_vectors = [v for v in image_span_letters(ctx.f) if seen.add(v.terms)]
-    for n in sorted({len(w) for w in t.terms}):
-        part = t.graded_part(n)
-        span = SpanBasis()
-        for i in range(n):
-            for v in image_vectors:
-                for rest in itertools.product(ctx.alphabet, repeat=n - 1):
-                    span.add({Word(rest[:i] + yw.letters + rest[i:]): c for yw, c in v.items()})
-        if not span.contains(part.terms):
-            return False
-    return True
+    return not _linear(lambda w: _letterwise(residue[x] for x in w).items(), t.items())
 
 
 def associativity_witness(

@@ -49,6 +49,7 @@ from .words import (
     _linear,
     _set,
     _split_coeff,
+    _split_signed,
     check_coefficient,
     concat,
     parse_letter,
@@ -280,7 +281,8 @@ _DELIMS = set("[]{},")
 
 
 def parse_tree(text: str) -> PartitionedTree:
-    """Read ``d[child,...]`` / ``{t1,t2}`` notation, e.g. ``a[{b[c],d}]``."""
+    """Read ``d[child,...]`` / ``{t1,t2}`` notation, e.g. ``a[{b[c],d}]``;
+    a decoration ``(2*a+-1/2*b)`` is the vector ``vec({a: 2, b: -1/2})``."""
     pos = 0
 
     def skip_ws() -> None:
@@ -288,9 +290,19 @@ def parse_tree(text: str) -> PartitionedTree:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse_name() -> Letter:
+    def parse_name():
         nonlocal pos
         start = pos
+        if text[pos : pos + 1] == "(":  # a vector decoration, as printed
+            pos = text.find(")", start) + 1
+            if not pos:
+                raise ValueError(f"unclosed decoration at position {start} in {text!r}")
+            combo: dict[Letter, Rat] = {}
+            for sign, term in _split_signed(text[start + 1 : pos - 1]):
+                c, name = _split_coeff(term)
+                x = parse_letter(name)
+                combo[x] = combo.get(x, 0) + sign * c
+            return vec(combo)
         while pos < len(text) and not text[pos].isspace() and text[pos] not in _DELIMS:
             pos += 1
         if pos == start:

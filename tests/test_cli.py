@@ -32,7 +32,7 @@ from comprelie.characters import fibonacci_dims
 from comprelie.endo import Endo, fliess_channel, save_endo
 from comprelie.enveloping import SymTensor, dual_coproduct
 from comprelie.prelie import ComPreLieContext, lie_bracket, prelie
-from comprelie.trees import TreeTensor
+from comprelie.trees import TreeTensor, all_partitioned_trees, linear_extensions, parse_tree, phi_cpl
 from comprelie.words import Letter, Tensor, Word
 
 
@@ -214,6 +214,9 @@ def test_usage_exit_codes(capsys):
     # a diagonal map is not nilpotent, so the dual coproduct must refuse
     code, _, err = run(capsys, "coproduct", "a", "--endo", "diag(a=2)")
     assert code == 2 and "nilpotent" in err
+    # the zero map (index 1) reads f(x) only to strip zero-image letters
+    code, out, err = run(capsys, "coproduct", "zab", "--endo", "diag(a=0)")
+    assert code == 2 and out == "" and "letter z outside the alphabet" in err
     with pytest.raises(SystemExit) as exc:
         main(["not-a-verb"])
     assert exc.value.code == 2
@@ -546,6 +549,21 @@ def test_the_bench_inputs_fit_the_budgets_by_a_wide_margin():
     assert cli._prelie_letters(ctx, worst) * 1000 < cli._PRELIE_BUDGET
     assert cli._prelie_letters(ctx, worst + [(v, u) for u, v in worst]) * 1000 < cli._PRELIE_BUDGET
     assert cli._coproduct_terms(ctx, [Word((X1,) * 4)]) * 1000 < cli._COPRODUCT_BUDGET
+    # `tree-map` of one partitioned tree on 2-4 vertices over {a, b}
+    trees = [t for n in (2, 3, 4) for t in all_partitioned_trees(n, [Letter("a"), Letter("b")])]
+    assert max(cli._tree_map_words([t]) for t in trees) == 24  # the flat forest on 4
+    assert 24 * 200 < min(cli._TREE_MAP_BUDGET.values())
+
+
+def test_the_tree_map_estimate_counts_the_linear_extensions():
+    trees = [t for n in range(1, 6) for t in all_partitioned_trees(n, [Letter("a")])]
+    trees += [parse_tree("a[b[c,d],{e,f[g]},h]"), parse_tree("{a[b],c[d[e]]}")]
+    for t in trees:
+        assert cli._tree_map_words([t]) == len(linear_extensions(t)) >= len(phi_cpl(t).terms)
+    # with distinct decorations each linear extension writes its own word
+    assert [len(phi_cpl(t).terms) for t in trees[-2:]] == [cli._tree_map_words([t]) for t in trees[-2:]]
+    assert cli._tree_map_words(trees[:3]) == sum(len(linear_extensions(t)) for t in trees[:3])
+    assert cli._tree_map_words([]) == 0
 
 
 def test_prelie_bracket_and_coproduct_over_budget_exit_two_before_any_work(capsys, monkeypatch):
@@ -572,6 +590,29 @@ def test_prelie_bracket_and_coproduct_over_budget_exit_two_before_any_work(capsy
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"at least {estimate} " in err
+
+
+def test_tree_map_over_budget_exits_two_before_any_work(capsys, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the budget check")
+
+    trees = importlib.import_module("comprelie.trees")
+    monkeypatch.setattr(trees, "phi_cpl", kernel)
+    def star(n: int) -> str:
+        return "a[" + ",".join(f"b{i}" for i in range(n - 1)) + "]"
+
+    cases = [
+        (["tree-map", star(10)], 362880),
+        (["tree-map", star(9), "--mode", "recursive"], 40320),
+        (["tree-map", f"{star(8)} + 2*{{a0,a1,a2,a3,a4,a5,a6,a7,a8}}"], 5040 + 362880),
+    ]
+    for argv, words in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"up to {words} words" in err
+    with pytest.raises(AssertionError, match="before the budget"):
+        main(["tree-map", star(9)])  # within both budgets: the kernel is reached
 
 
 def test_deep_inputs_exit_two_without_a_traceback(capsys):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comprelie.endo import Endo, apply_endo, diagonal_weights, fliess_channel
+from comprelie.endo import Endo, apply_endo, diagonal_weights, fliess_channel, image_span_letters
+from comprelie.exactla import SpanBasis
 from comprelie.prelie import (
     ComPreLieContext,
     apply_at,
@@ -392,6 +393,87 @@ def test_image_span_negative_case():
     assert image_span_contains(ctx, Tensor.of(W("ab")))
 
 
+def enumerated_image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
+    """Membership by enumerating the test space: in degree n it is spanned,
+    for each position i, by the words with an Im(f) basis vector at i and
+    any letters elsewhere.  The reference for the runtime's letterwise
+    residue."""
+    if not t:
+        return True
+    if t.coefficient(Word(())):
+        return False
+    seen = SpanBasis()
+    image_vectors = [v for v in image_span_letters(ctx.f) if seen.add(v.terms)]
+    for n in sorted({len(w) for w in t.terms}):
+        part = t.graded_part(n)
+        span = SpanBasis()
+        for i in range(n):
+            for v in image_vectors:
+                for rest in itertools.product(ctx.alphabet, repeat=n - 1):
+                    span.add({Word(rest[:i] + yw.letters + rest[i:]): c for yw, c in v.items()})
+        if not span.contains(part.terms):
+            return False
+    return True
+
+
+# a rank-2 map of nilpotency index 3 on three letters: c -> b -> a -> 0
+INDEX3 = Endo.matrix(list("abc"), [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
+
+
+def random_map(rng: random.Random, names: str) -> Endo:
+    values = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    return Endo.matrix(list(names), [[rng.choice(values) for _ in names] for _ in names])
+
+
+def test_the_letterwise_residue_matches_the_enumeration():
+    # 50 maps on 1-3 letters (random ones, the zero map, a diagonal map and
+    # INDEX3), 24 tensors each: half of them sums of words with an Im(f)
+    # vector put at one position, so that many are members
+    rng = random.Random("residue")
+    maps = [INDEX3, NIL, FRAC, diagonal_weights({"a": 1, "b": 0, "c": 0}),
+            Endo.matrix(["a", "b"], [[0, 0], [0, 0]])]
+    maps += [random_map(rng, "abc"[: rng.randint(1, 3)]) for _ in range(45)]
+    values = (1, -1, 2, Fraction(1, 3), Fraction(-3, 2))
+    cases = members = 0
+    for f in maps:
+        ctx = ctx_of(f)
+        letters = f.alphabet
+        images = image_span_letters(f)
+
+        def random_word(n: int) -> Word:
+            return Word(tuple(rng.choice(letters) for _ in range(n)))
+
+        for k in range(24):
+            t = Tensor({})
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(1, 3)
+                if k % 2 and images:
+                    i = rng.randrange(n)
+                    v, rest = rng.choice(images), random_word(n - 1)
+                    t = t + rng.choice(values) * concat(concat(rest[:i], v), rest[i:])
+                else:
+                    t = t + Tensor.of(random_word(n), rng.choice(values))
+            expected = enumerated_image_span_contains(ctx, t)
+            assert image_span_contains(ctx, t) == expected, (f, t)
+            cases += 1
+            members += expected
+    assert cases >= 1000 and 300 <= members < cases
+
+
+def test_image_span_edge_answers_are_kept():
+    for f in (INDEX3, diagonal_weights({"a": 1, "b": 0})):
+        ctx = ctx_of(f)
+        for t in (Tensor({}), Tensor.of(Word(())), T("a + 2*e"), Tensor.of(W("az")), T("za")):
+            assert image_span_contains(ctx, t) == enumerated_image_span_contains(ctx, t), t
+        assert image_span_contains(ctx, Tensor({}))
+        assert not image_span_contains(ctx, Tensor.of(Word(())))
+        assert not image_span_contains(ctx, Tensor.of(W("az")))  # z is outside the alphabet
+    shift = ctx_of(Endo.biletter_shift(["d"]))
+    for check in (image_span_contains, enumerated_image_span_contains):
+        with pytest.raises(ValueError):
+            check(shift, Tensor.of(Word((Letter("d", 1),))))
+
+
 # ---------------------------------------------------------------------------
 # induced morphisms
 # ---------------------------------------------------------------------------
@@ -515,3 +597,69 @@ def test_span_prelie_only_vs_full():
     )
     assert full == 4
     assert prelie_only == 4  # images f(x)y already fill degree 2 here
+
+
+def fixpoint_span_dimension(
+    ctx: ComPreLieContext, generators: list[Tensor], degree: int, ops=("prelie", "shuffle")
+) -> int:
+    """The generated subalgebra by a batch fixpoint: the graded parts of the
+    generators are closed under the products, pairing each new independent
+    vector with every independent vector of a degree that fits, until no
+    degree grows.  The reference for the runtime's degree-by-degree fill."""
+    spans = {d: SpanBasis() for d in range(1, degree + 1)}
+    fresh: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
+    independent: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
+
+    def feed(t: Tensor) -> None:
+        for d in range(1, degree + 1):
+            part = t.graded_part(d)
+            if part and spans[d].add(part.terms):
+                fresh[d].append(part)
+
+    for g in generators:
+        feed(g)
+    while any(fresh.values()):
+        batch, fresh = fresh, {d: [] for d in range(1, degree + 1)}
+        for d, vecs in batch.items():
+            independent[d].extend(vecs)
+        for d1, vecs1 in independent.items():
+            for d2, vecs2 in independent.items():
+                if d1 + d2 > degree:
+                    continue
+                for a in vecs1:
+                    for b in vecs2:
+                        if a not in batch.get(d1, ()) and b not in batch.get(d2, ()):
+                            continue  # at least one factor must be new
+                        if "prelie" in ops:
+                            feed(prelie(ctx, a, b))
+                        if "shuffle" in ops:
+                            feed(shuffle(a, b))
+    return spans[degree].rank
+
+
+def test_the_degree_by_degree_fill_matches_the_fixpoint():
+    # 4 maps (INDEX3 among them) x 3 op sets x 18 generator sets, at
+    # degrees 2-4: generators mix lengths 0-5, so some parts fall outside
+    rng = random.Random("fill")
+    maps = [INDEX3, FRAC, NIL, diagonal_weights({"a": 1, "b": 0, "c": 2})]
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    cases = 0
+    for f in maps:
+        ctx = ctx_of(f)
+        letters = f.alphabet
+        for ops in (("prelie",), ("shuffle",), ("prelie", "shuffle")):
+            for k in range(18):
+                degree = (2, 3, 3, 4)[k % 4] if len(letters) < 3 or k % 3 else 3
+                gens = []
+                for _ in range(rng.randint(1, 3)):
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        n = rng.choice((0, 1, 1, 1, 2, 2, 3, 5))
+                        terms[Word(tuple(rng.choice(letters) for _ in range(n)))] = rng.choice(values)
+                    gens.append(Tensor(terms))
+                expected = fixpoint_span_dimension(ctx, gens, degree, ops)
+                assert span_dimension_of_products(ctx, iter(gens), degree, ops) == expected, (
+                    f, ops, gens, degree
+                )
+                cases += 1
+    assert cases >= 200

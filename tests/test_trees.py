@@ -63,8 +63,23 @@ def test_parse_str_round_trip():
         assert P(str(t)) == t
 
 
+def test_vector_decorations_read_back():
+    # every tree on 1-4 vertices over a letter and two vectors, one with a
+    # negative fraction (printed "+-1/3") and one with a shifted letter
+    a, b = Letter("a"), Letter("b")
+    decs = [a, vec({a: 2, b: Fraction(-1, 3)}), vec({Letter("b", 1): Fraction(4)})]
+    trees = [t for n in range(1, 5) for t in all_partitioned_trees(n, decs)]
+    assert len(trees) > 100 and any("+-1/3*b" in str(t) for t in trees)
+    for t in trees:
+        assert P(str(t)) == t, str(t)
+    t = PartitionedTree.build((vec({a: 2, b: Fraction(1, 2)}), Letter("c")), (None, 1), ((1,), (2,)))
+    assert str(t) == "(2*a+1/2*b)[c]"
+    assert P("(2*a+1/2*b)[c]") == P(" ( 2*a + b - 1/2*b + 0*a )[ c ]") == t
+    assert TreeTensor.parse("3*(2*a+1/2*b)[c] - (2*a+1/2*b)[c]") == TreeTensor({t: 2})
+
+
 def test_parse_errors():
-    for bad in ("", "a[b", "{a,b", "a[b]]", "a[,b]", "{}", "a b"):
+    for bad in ("", "a[b", "{a,b", "a[b]]", "a[,b]", "{}", "a b", "(2*a", "(2*a+)[b]", "(a+b"):
         with pytest.raises(ValueError):
             P(bad)
 

@@ -144,11 +144,12 @@ def test_paths_and_fliess_elements():
         MAP, Endo.diagonal({"a": 2}), Endo.biletter_shift(["d"]), ComPreLieContext(MAP),
         graded_series([0, 2, 1], 1, 5), DyckPath("RRUU"),
         FliessElement(2, TruncatedSeries(2, parse_tensor("x0 - 1/2*x1.x2"))),
+        TruncatedSeries(3, parse_tensor("2/3*x1.x0 + x2")),
     ],
     ids=lambda v: type(v).__name__,
 )
 def test_pickle_round_trip(x):
-    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(x, protocol))
         assert type(copy) is type(x) and copy == x and repr(copy) == repr(x)
 
