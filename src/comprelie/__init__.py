@@ -28,8 +28,8 @@ _EXPORTS = {
     "iterate_endo load_endo nilpotency_index save_endo transpose_endo",
     "prelie": "ComPreLieContext associativity_witness image_span_contains induced_morphism "
     "lie_bracket prelie prelie_closed span_dimension_of_products",
-    "enveloping": "SymMonomial SymTensor closed_action closed_star dual_coproduct extend_bullet "
-    "full_coproduct pair_tensor star sym_pairing",
+    "enveloping": "SymMonomial SymTensor closed_action dual_coproduct extend_bullet full_coproduct "
+    "pair_tensor star sym_pairing",
     "characters": "FliessElement TruncatedSeries diamond fibonacci_dims fliess_diamond "
     "fliess_tilde inverse tilde_compose",
     "trees": "PartitionedTree TreeTensor all_partitioned_trees all_rooted_trees free_bullet "

@@ -92,19 +92,39 @@ def _check_star(rng: random.Random) -> str | None:
     return None
 
 
-def _check_closed_action(rng: random.Random) -> str | None:
-    from .enveloping import SymMonomial, closed_action, extend_bullet
-    from .prelie import ComPreLieContext
+def _check_extension_rules(rng: random.Random) -> str | None:
+    from .endo import Endo
+    from .enveloping import ONE, SymMonomial, SymTensor, extend_bullet
+    from .prelie import ComPreLieContext, prelie
 
-    ctx = ComPreLieContext(_rand_endo(rng, ["a", "b"]))
-    ab = [Letter("a"), Letter("b")]
-    for _ in range(4):
-        w = _rand_word(rng, ab, 2)
-        factors = [_rand_word(rng, ab, 2) for _ in range(rng.randint(1, 2))]
-        engine = extend_bullet(ctx, SymMonomial.of(w), SymMonomial.of(*factors))
-        if engine != closed_action(ctx, w, factors):
-            listed = ", ".join(word_to_str(u) for u in factors)
-            return f"routes disagree at {word_to_str(w)} acting on {listed}"
+    # the three rules that define the extension, under a random map and a
+    # strictly upper triangular one with nonzero entries (index 3)
+    def entry() -> Fraction:
+        return Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+
+    index3 = Endo.matrix(["a", "b", "c"], [[0, entry(), entry()], [0, 0, entry()], [0, 0, 0]])
+    for f in (_rand_endo(rng, ["a", "b"]), index3):
+        ctx = ComPreLieContext(f)
+        letters = list(f.alphabet)
+        for _ in range(2):
+            a = SymMonomial.of(_rand_word(rng, letters, 2), _rand_word(rng, letters, 2))
+            b = SymMonomial.of(*(_rand_word(rng, letters, 2) for _ in range(rng.randint(0, 1))))
+            u = _rand_word(rng, letters, 2)
+            if extend_bullet(ctx, a, ONE) != SymTensor.of(a):
+                return f"A . 1 != A at {a}"
+            split = SymTensor()
+            for i, ai in enumerate(a.factors):
+                rest = SymTensor.of(SymMonomial(a.factors[:i] + a.factors[i + 1:]))
+                split = split + rest * SymTensor.from_tensor(prelie(ctx, ai, u))
+            one_u = SymMonomial.of(u)
+            if extend_bullet(ctx, a, one_u) != split:
+                return f"one word does not split over the factors at {a} . {word_to_str(u)}"
+            lhs = extend_bullet(ctx, a, b.times(one_u))
+            rhs = extend_bullet(ctx, extend_bullet(ctx, a, b), one_u) - extend_bullet(
+                ctx, a, extend_bullet(ctx, b, one_u)
+            )
+            if lhs != rhs:
+                return f"A . (B u) != (A . B) . u - A . (B . u) at {a}, {b}, {word_to_str(u)}"
     return None
 
 
@@ -253,5 +273,5 @@ CHECKS = [
     ("tree-map-routes", _check_tree_routes),
     ("cobracket-modes", _check_fdb_modes),
     ("y-bracket", _check_y_bracket),
-    ("envelope-closed-action", _check_closed_action),
+    ("envelope-extension-rules", _check_extension_rules),
 ]

@@ -426,12 +426,11 @@ _COPRODUCT_BUDGET = 5_000_000
 _SERIES_BUDGET = 5_000_000
 
 
-# words printed by one `tree-map`, by mode: in the direct mode the star on 9
-# vertices (40,320 words) prints in 1.9 s at 58 MB peak RSS on a 2-CPU Xeon VM
+# words printed by one `tree-map`, in either mode: the star on 9 vertices
+# (40,320 words) prints in 1.4-2.0 s at 59-64 MB peak RSS on a 2-CPU Xeon VM
 # with CPython 3.11, and the star on 10 (362,880 words) takes 17.2 s at 407
-# MB.  The recursive mode slows with the children of a vertex, so its budget
-# is lower: the star on 8 vertices (5,040 words) takes 5.3 s at 159 MB there
-_TREE_MAP_BUDGET = {"direct": 50_000, "recursive": 6_000}
+# MB in the direct mode there
+_TREE_MAP_BUDGET = 50_000
 
 
 def _cmd_dyck(args) -> int:
@@ -479,11 +478,11 @@ def _cmd_tree_map(args) -> int:
     value = parse_expression(args.expr)
     if not isinstance(value, TreeTensor):
         value = TreeTensor.parse(args.expr)
-    words, budget = _tree_map_words(value.terms), _TREE_MAP_BUDGET[args.mode]
-    if words > budget:
+    words = _tree_map_words(value.terms)
+    if words > _TREE_MAP_BUDGET:
         raise CliError(
             f"tree-map --mode {args.mode} could print up to {words} words, "
-            f"over the budget of {budget}"
+            f"over the budget of {_TREE_MAP_BUDGET}"
         )
     out = Tensor._from_clean(_linear(lambda t: phi_cpl(t, mode=args.mode).items(), value.items()))
     _emit(args.format, [str(out)], {"result": str(out)})

@@ -7,13 +7,13 @@ algebra: the extension obeys
 2. ``A . (B x u) = (A . B) . u - A . (B . u)``;
 3. the action of a single element splits over the factors of ``A``.
 
+One element acting on a monomial is the symmetric brace ``a{b1,...,bk}``.
 With the extended action the product ``A * B = (A . B') x B''`` (sum over
 splittings of B's factor multiset) is associative — the enveloping algebra
-of the underlying Lie algebra.  The engine below implements that recursion
-for any basis-level pre-Lie product; the rest of the module instantiates it
-on words, adds the closed one-pass formulas for a word acting on a factor
-list, and builds the dual coproduct that exists when the letter
-endomorphism is locally nilpotent.
+of the underlying Lie algebra.  The engine below builds both from any
+brace; the rest of the module gives the brace of words and builds the
+dual coproduct that exists when the letter endomorphism is locally
+nilpotent.
 
 The monomial type, the commutative product, the multiplicative extension
 of a coproduct and the diagonal pairing are shared with the forests.
@@ -39,7 +39,6 @@ from .words import BasisKey, _set, _split_coeff, parse_word
 
 Elem = Hashable  # basis elements: words here, decorated trees elsewhere
 Mono = tuple  # sorted tuple of Elem
-Raw = dict  # Elem -> Rat or Mono -> Rat
 
 
 def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
@@ -54,16 +53,17 @@ def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
 
 
 class OudomGuin:
-    """Extends a basis-level pre-Lie product to sorted-tuple monomials.
+    """Extends a pre-Lie product to sorted-tuple monomials through its
+    symmetric brace: ``brace(a, factors)`` returns ``a{b1,...,bk}``, one
+    basis element acting on a tuple of them, as (element, coefficient)
+    pairs, a key possibly repeated.  A monomial deals the right operand
+    between its first factor and the rest; the unit acts as zero on every
+    monomial but the unit.  Monomials are kept sorted, so the basis
+    elements must be totally ordered.  The public products take and
+    return combinations of one :class:`SymLin` subclass."""
 
-    ``base(a, b)`` must return the product of two basis elements as
-    (element, coefficient) pairs.  Monomials are kept sorted, so the
-    basis elements must be totally ordered.  The public products take and
-    return combinations of one :class:`SymLin` subclass.
-    """
-
-    def __init__(self, base: Callable[[Elem, Elem], Iterable[tuple[Elem, Rat]]]):
-        self.base = base
+    def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]]):
+        self.brace = brace
         self._cache: dict[tuple[Mono, Mono], tuple[tuple[Mono, Rat], ...]] = {}
 
     def bullet(self, cls: type[SymLin], a, b) -> SymLin:
@@ -87,28 +87,19 @@ class OudomGuin:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if len(b) == 0:
-            out = ((a, 1),)
-        elif len(b) == 1:
-            out = tuple(self._bullet_mono_elem(a, b[0]).items())
-        else:
-            rest, last = b[:-1], b[-1]
-            acc = _Sum()
-            for m, c in self._bullet_mono(a, rest):
-                _add_into(acc, self._bullet_mono(m, (last,)), c)
-            for m, c in self._bullet_mono_elem(rest, last).items():
-                _add_into(acc, self._bullet_mono(a, m), -c)
-            out = tuple(acc.result().items())
-        self._cache[key] = out
-        return out
-
-    def _bullet_mono_elem(self, a: Mono, u: Elem) -> Raw:
-        """Split the action of one element over the factors of ``a``."""
         acc = _Sum()
-        for i, ai in enumerate(a):
-            rest = a[:i] + a[i + 1:]
-            _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u)))
-        return acc.result()
+        if len(a) == 1:
+            _add_into(acc, (((e,), c) for e, c in self.brace(a[0], b)))
+        elif not a:
+            _add_into(acc, () if b else (((), 1),))
+        else:
+            for left, right in _splittings(b, 2):
+                _add_into(acc, _bilinear(
+                    lambda m, n: ((_sorted(m + n), 1),),
+                    self._bullet_mono(a[:1], left), self._bullet_mono(a[1:], right),
+                ).items())
+        out = self._cache[key] = tuple(acc.result().items())
+        return out
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         acc = _Sum()
@@ -253,7 +244,7 @@ class SymTensor(SymLin):
 def _engine_of(ctx: ComPreLieContext) -> OudomGuin:
     """The context's engine over its pre-Lie product of words."""
     if ctx._word_engine is None:
-        ctx._word_engine = OudomGuin(partial(_prelie_words, ctx))
+        ctx._word_engine = OudomGuin(partial(_word_brace, ctx))
     return ctx._word_engine
 
 
@@ -268,51 +259,42 @@ def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMo
 
 
 # ---------------------------------------------------------------------------
-# closed formulas for a word acting on a list of word factors
+# the brace of words
 # ---------------------------------------------------------------------------
 
-def _distribute(
-    ctx: ComPreLieContext, w: Word, factors: list[Word], shares: int
-) -> Iterator[tuple[Tensor, tuple[Word, ...]]]:
-    """Every assignment of the factors to ``shares`` shares, the first
-    ``len(w)`` of them being the letters of ``w``: yields the word
-    combination in which each letter absorbs its share through an iterated
-    shuffle, with the letter endomorphism applied once per absorbed factor,
-    nesting from the last letter outward; and the factors of any further
-    share, which pass through unchanged."""
-    i = len(w)
-    for blocks in _splittings(factors, shares):
-        t = Tensor.unit()
-        for b in range(i - 1, -1, -1):
-            for u in blocks[b]:
+def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tuple:
+    """``w{w1,...,wk}``: the factors are dealt in all ways over the letters
+    of ``w``.  A letter x that absorbs m factors writes f^m(x) before the
+    shuffle of its share with the rest of the word after it, nesting from
+    the last letter outward; a deal in which some f^m(x) is 0 is skipped
+    before anything is shuffled.  One factor is the pre-Lie product."""
+    if len(factors) < 2:
+        return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
+    letters = w.letters
+    acc = _Sum()
+    for blocks in _splittings(factors, len(letters)):
+        at = [j for j, block in enumerate(blocks) if block]
+        images = [iterate_endo_letter(ctx.f, len(blocks[j]), letters[j]) for j in at]
+        if not all(images):
+            continue
+        t = Tensor.of(Word(letters[at[-1] + 1:]))
+        for i in range(len(at) - 1, -1, -1):
+            for u in blocks[at[i]]:
                 t = shuffle(t, u)
-            acc = _Sum()
-            _prepend_image(iterate_endo_letter(ctx.f, len(blocks[b]), w[b]), t.terms.items(), acc)
-            t = Tensor._from_clean(acc.result())
-        yield t, tuple(u for block in blocks[i:] for u in block)
+            # the letters since the previous dealt one pass through unchanged
+            between = letters[at[i - 1] + 1 if i else 0:at[i]]
+            step = _Sum()
+            _prepend_image(images[i], t.terms.items(), step, between)
+            t = Tensor._from_clean(step.result())
+        _add_into(acc, t.items())
+    return tuple(acc.result().items())
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
-    """One-pass formula for ``w`` acting on ``w1 x ... x wk``.
-
-    The factors are distributed in all ways over the letters of ``w``; each
-    letter absorbs its share through an iterated shuffle, with the letter
-    endomorphism applied as many times as the share size, nesting from the
-    last letter outward.
-    """
-    acc = _Sum()
-    for t, _ in _distribute(ctx, w, factors, len(w)):
-        _add_into(acc, t.items())
-    return SymTensor.from_tensor(Tensor._from_clean(acc.result()))
-
-
-def closed_star(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
-    """One-pass formula for ``w * (w1 x ... x wk)``: as the closed action,
-    with one extra share of factors passing through unchanged."""
-    acc = _Sum()
-    for t, passthrough in _distribute(ctx, w, factors, len(w) + 1):
-        _add_into(acc, ((SymMonomial((x,) + passthrough), c) for x, c in t.items()))
-    return SymTensor._from_clean(acc.result())
+    """``w`` acting on ``w1 x ... x wk``: the brace ``w{w1,...,wk}``."""
+    return SymTensor._from_clean(
+        {SymMonomial._from_clean((x,)): c for x, c in _word_brace(ctx, w, tuple(factors))}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .enveloping import (
 )
 from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
-from .trees import PartitionedTree, _from_nested, _grafts, _nodes, free_bullet, parse_tree, singleton
+from .trees import PartitionedTree, _from_nested, _grafts, _nodes, _tree_brace, parse_tree, singleton
 from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Sum
 from .words import check_coefficient, parse_word
 
@@ -313,11 +313,7 @@ def y_bracket_check(lam: Rat, k: int, l: int, symbol: str = "x") -> tuple[Tensor
 # the enveloping product on forests
 # ---------------------------------------------------------------------------
 
-def _tree_base(t1: PartitionedTree, t2: PartitionedTree) -> Iterable[tuple[PartitionedTree, Rat]]:
-    return free_bullet(t1, t2).items()
-
-
-_TREE_ENGINE = OudomGuin(_tree_base)
+_TREE_ENGINE = OudomGuin(_tree_brace)
 
 
 def forest_bullet(a, b) -> ForestPoly:

@@ -331,12 +331,23 @@ def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:
     That span is the kernel of the letterwise projection modulo Im(f):
     reducing a letter by a basis of Im(f) is a projection of the letter
     space with kernel Im(f), so t is a member exactly when its letterwise
-    residue is 0.  The zero tensor is a member; a nonzero degree-0 part
-    never is, nor is a word with a letter outside the alphabet.
+    residue is 0.  Under the biletter shift Im(f) is spanned by the letters
+    of shift >= 1, so a member is a combination in which every word has
+    one.  The zero tensor is a member; a nonzero degree-0 part never is,
+    nor is a word with a letter outside the alphabet (under the shift, a
+    plain letter or an undeclared decoration).
     """
     if not t or t.coefficient(Word(())):
         return not t
-    image = SpanBasis(v.terms for v in image_span_letters(ctx.f))
+    f = ctx.f
+    if f.columns is None:
+        declared = set(f.alphabet)
+        return all(
+            all(x.shift is not None and (not declared or Letter(x.name) in declared) for x in w)
+            and any(x.shift for x in w)
+            for w in t.terms
+        )
+    image = SpanBasis(v.terms for v in image_span_letters(f))
     residue = {
         x: {w[0]: c for w, c in image.reduce({Word((x,)): 1}).items()} for x in ctx.alphabet
     }

@@ -397,13 +397,33 @@ def _grafted(block, branch) -> Iterator[tuple]:
         yield block[:i] + ((dec, child_blocks + (branch,)),) + block[i + 1:]
 
 
+def _braced(root, branches: tuple) -> Iterator[tuple]:
+    """The multi-graft ``root{b1,...,bk}``, not canonical: ``root`` with
+    each branch hung under one of its vertices, once per deal.  One branch
+    goes under each vertex in vertex-number order; several are hung at the
+    highest vertex of the deal first, which keeps the lower numbers."""
+    if len(branches) == 1:
+        yield from _rewrites(root, lambda b: _grafted(b, branches[0]))
+        return
+    for deal in itertools.product(range(sum(1 for _ in _nodes(root))), repeat=len(branches)):
+        out = root
+        for s, i in sorted(zip(deal, range(len(branches))), reverse=True):
+            hung = _rewrites(out, lambda b: _grafted(b, branches[i]))
+            out = next(itertools.islice(hung, s, None))
+        yield out
+
+
+def _tree_brace(t: PartitionedTree, branches: Sequence[PartitionedTree]) -> Iterator[tuple]:
+    """``t{s1,...,sk}`` as (tree, 1) pairs, one per deal."""
+    return ((_from_nested(g), 1) for g in _braced(t.root, tuple(s.root for s in branches)))
+
+
 def graft_at(t: PartitionedTree, s: int, t2: PartitionedTree) -> PartitionedTree:
     """Graft every root of ``t2`` onto vertex ``s`` of ``t``; the blocks of
     both trees survive unchanged."""
     if not 1 <= s <= t.size:
         raise ValueError(f"vertex {s} outside 1..{t.size}")
-    raw = _rewrites(t.root, lambda b: _grafted(b, t2.root))
-    return _from_nested(next(itertools.islice(raw, s - 1, None)))
+    return _from_nested(next(itertools.islice(_braced(t.root, (t2.root,)), s - 1, None)))
 
 
 def tree_shuffle(t: PartitionedTree, t2: PartitionedTree) -> PartitionedTree:
@@ -433,7 +453,7 @@ def free_bullet(a, b) -> TreeTensor:
 
 def _grafts(t: PartitionedTree, t2: PartitionedTree) -> Iterator[PartitionedTree]:
     """``t2`` grafted at each vertex of ``t`` in turn."""
-    return map(_from_nested, _rewrites(t.root, lambda b: _grafted(b, t2.root)))
+    return map(_from_nested, _braced(t.root, (t2.root,)))
 
 
 def shuffle_trees(a, b) -> TreeTensor:

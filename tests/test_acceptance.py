@@ -43,9 +43,9 @@ from comprelie.endo import (
 )
 from comprelie.enveloping import (
     SymMonomial,
+    _splittings,
     SymTensor,
     closed_action,
-    closed_star,
     dual_coproduct,
     extend_bullet,
     full_coproduct,
@@ -348,19 +348,28 @@ def test_criterion_04_enveloping_star():
                             rhs = star(ctx, a, star(ctx, b, c))
                             assert lhs == rhs, (a, b, c)
 
-    # closed formulas against the recursive extension, same letter budget
+    # the brace against the extension's rule A . (B u) = (A . B) . u - A . (B . u),
+    # and the star as the sum over the splittings of its right operand,
+    # same letter budget
     for w in words_over([X0, X1], 4):
+        a = SymMonomial.of(w)
         budget = 4 - len(w)
         for m in monos:
             if m.total_letters() > budget:
                 continue
-            factors = list(m.factors)
-            assert closed_action(ctx, w, factors) == extend_bullet(
-                ctx, SymMonomial.of(w), m
-            ), (w, m, "action")
-            assert closed_star(ctx, w, factors) == star(
-                ctx, SymMonomial.of(w), m
-            ), (w, m, "star")
+            action = extend_bullet(ctx, a, m)
+            assert closed_action(ctx, w, list(m.factors)) == action, (w, m, "action")
+            if m.factors:
+                rest, u = SymMonomial(m.factors[:-1]), SymMonomial.of(m.factors[-1])
+                rule = extend_bullet(ctx, extend_bullet(ctx, a, rest), u) - extend_bullet(
+                    ctx, a, extend_bullet(ctx, rest, u)
+                )
+                assert action == rule, (w, m, "rule")
+            split = SymTensor()
+            for outside, inside in _splittings(m.factors, 2):
+                part = extend_bullet(ctx, a, SymMonomial(inside))
+                split = split + part * SymTensor.of(SymMonomial(outside))
+            assert star(ctx, a, m) == split, (w, m, "star")
 
 
 # ---------------------------------------------------------------------------

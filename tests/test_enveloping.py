@@ -6,20 +6,24 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
 
 from comprelie.characters import TruncatedSeries, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel, iterate_endo_letter, nilpotency_index
+from comprelie import enveloping
 from comprelie.enveloping import (
     ONE,
     _delta_tilde_word,
+    _sorted,
     _splittings,
+    _word_brace,
+    OudomGuin,
     SymMonomial,
     SymTensor,
     closed_action,
-    closed_star,
     dual_coproduct,
     extend_bullet,
     full_coproduct,
@@ -27,7 +31,9 @@ from comprelie.enveloping import (
     star,
     sym_pairing,
 )
-from comprelie.prelie import ComPreLieContext, prelie
+from comprelie.forests import Forest, ForestPoly, forest_bullet, forest_star
+from comprelie.prelie import ComPreLieContext, _prelie_words, prelie
+from comprelie.trees import all_rooted_trees, free_bullet
 from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, _add_into, _Sum, parse_word, shuffle
 
 W = parse_word
@@ -39,6 +45,52 @@ FLIESS = fliess_channel(1, 1)
 UPPER3 = Endo.matrix(
     ["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
 )
+FULL3 = Endo.matrix(
+    ["a", "b", "c"], [[1, 2, 0], [Fraction(1, 2), 0, -1], [0, 3, Fraction(-1, 3)]]
+)
+_rng = random.Random("a random rational map")
+RANDOM2 = Endo.matrix(
+    ["a", "b"], [[Fraction(_rng.randint(-3, 3), _rng.randint(1, 4)) for _ in "ab"] for _ in "ab"]
+)
+
+
+class RecursiveOudomGuin(OudomGuin):
+    """The reference extension, from a binary pre-Lie product ``base``:
+    the action of one element splits over the factors of the left
+    operand, and A . (B u) = (A . B) . u - A . (B . u) peels the right
+    operand one factor at a time.  Its cost grows quickly with the factors
+    of the right operand; the engine deals them through the brace."""
+
+    def __init__(self, base):
+        super().__init__(brace=None)
+        self.base = base
+
+    def _bullet_mono(self, a, b):
+        key = (a, b)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if len(b) == 0:
+            out = ((a, 1),)
+        elif len(b) == 1:
+            out = tuple(self._bullet_mono_elem(a, b[0]).items())
+        else:
+            rest, last = b[:-1], b[-1]
+            acc = _Sum()
+            for m, c in self._bullet_mono(a, rest):
+                _add_into(acc, self._bullet_mono(m, (last,)), c)
+            for m, c in self._bullet_mono_elem(rest, last).items():
+                _add_into(acc, self._bullet_mono(a, m), -c)
+            out = tuple(acc.result().items())
+        self._cache[key] = out
+        return out
+
+    def _bullet_mono_elem(self, a, u) -> dict:
+        acc = _Sum()
+        for i, ai in enumerate(a):
+            rest = a[:i] + a[i + 1:]
+            _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u)))
+        return acc.result()
 
 
 def S(*srcs: str) -> SymMonomial:
@@ -136,11 +188,11 @@ def test_two_letter_closed_action_single_factor():
     assert fx  # sanity: the endomorphism does move b
 
 
-def test_closed_star_of_empty_word_prepends_factor():
+def test_star_of_empty_word_prepends_factor():
     ctx = ComPreLieContext(NIL)
-    factors = [W("a"), W("ba")]
-    got = closed_star(ctx, W("e"), factors)
-    assert got == mono_tensor(SymMonomial(tuple(factors) + (EMPTY_WORD,)))
+    factors = (W("a"), W("ba"))
+    got = star(ctx, SymMonomial.of(W("e")), SymMonomial(factors))
+    assert got == mono_tensor(SymMonomial(factors + (EMPTY_WORD,)))
 
 
 WORDS_FOR_EQUIV = [W("e"), W("a"), W("b"), W("ab"), W("ba")]
@@ -153,20 +205,102 @@ FACTOR_LISTS = (
 
 def test_closed_action_matches_recursive_rules():
     ctx = ComPreLieContext(NIL)
+    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
     for w in WORDS_FOR_EQUIV:
         for factors in FACTOR_LISTS:
             lhs = closed_action(ctx, w, factors)
-            rhs = extend_bullet(ctx, SymMonomial.of(w), SymMonomial(tuple(factors)))
+            rhs = ref.bullet(SymTensor, SymMonomial.of(w), SymMonomial(tuple(factors)))
             assert lhs == rhs, (w, factors)
 
 
-def test_closed_star_matches_recursive_star():
+def test_star_matches_the_reference_star():
     ctx = ComPreLieContext(NIL)
+    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
     for w in WORDS_FOR_EQUIV:
         for factors in FACTOR_LISTS:
-            lhs = closed_star(ctx, w, factors)
-            rhs = star(ctx, SymMonomial.of(w), SymMonomial(tuple(factors)))
-            assert lhs == rhs, (w, factors)
+            a, b = SymMonomial.of(w), SymMonomial(tuple(factors))
+            assert star(ctx, a, b) == ref.star(SymTensor, a, b), (w, factors)
+
+
+def _sample_monomial(rng: random.Random, letters, max_factors: int) -> SymMonomial:
+    """Up to ``max_factors`` words of 0-2 letters, the first repeated now
+    and then, so that the unit, empty-word factors and repeated factors
+    all occur."""
+    words = [Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))))
+             for _ in range(rng.randint(0, max_factors))]
+    if words and rng.random() < 0.3:
+        words.append(words[0])
+    return SymMonomial(tuple(words))
+
+
+@pytest.mark.parametrize(
+    "f", [FULL3, UPPER3, fliess_channel(2, 1), RANDOM2],
+    ids=["FULL3", "UPPER3", "fliess(2,1)", "random"],
+)
+def test_the_brace_engine_matches_the_reference_recursion(f):
+    ctx = ComPreLieContext(f)
+    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
+    rng = random.Random(f"brace {f.alphabet}")
+    # the unit and empty-word factors, then random monomials
+    samples = [(ONE, ONE), (ONE, S("e")), (S("e"), ONE), (S("e", "e"), S("e", "e"))]
+    samples += [(_sample_monomial(rng, f.alphabet, 3), _sample_monomial(rng, f.alphabet, 3))
+                for _ in range(60)]
+    x, y = f.alphabet[:2]
+    samples.append((SymMonomial.of(Word((x, y))), SymMonomial.of(*[Word((y,))] * 3)))
+    for a, b in samples:
+        assert extend_bullet(ctx, a, b) == ref.bullet(SymTensor, a, b), (a, b)
+        assert star(ctx, a, b) == ref.star(SymTensor, a, b), (a, b)
+
+
+def test_forest_products_match_the_reference_recursion():
+    ref = RecursiveOudomGuin(lambda t1, t2: free_bullet(t1, t2).items())
+    ab = [Letter("a"), Letter("b")]
+    pool = [t for n in (1, 2, 3) for t in all_rooted_trees(n, ab)]
+    rng = random.Random("forest brace")
+    cases = 0
+    while cases < 60:
+        a = Forest(tuple(rng.choice(pool) for _ in range(rng.randint(0, 2))))
+        b = Forest(tuple(rng.choice(pool[:6]) for _ in range(rng.randint(0, 3))))
+        if rng.random() < 0.3 and b.trees:
+            b = Forest(b.trees + b.trees[:1])  # a repeated factor
+        if a.n_vertices + b.n_vertices > 5:
+            continue
+        assert forest_bullet(a, b) == ref.bullet(ForestPoly, a, b), (a, b)
+        assert forest_star(a, b) == ref.star(ForestPoly, a, b), (a, b)
+        cases += 1
+
+
+@pytest.mark.parametrize("f", [NIL, UPPER3], ids=["index-2", "index-3"])
+def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shuffle(*args, **kwargs)
+
+    monkeypatch.setattr(enveloping, "shuffle", counted)
+    rng = random.Random(f"zero deals {f.alphabet}")
+    shuffled = dealt = 0
+    for _ in range(20):
+        w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3))))
+        factors = tuple(Word((rng.choice(f.alphabet),)) for _ in range(rng.randint(2, 3)))
+        # one shuffle per factor, in the deals where every letter keeps a
+        # nonzero image
+        expected = sum(
+            len(factors)
+            for blocks in _splittings(factors, len(w))
+            if all(iterate_endo_letter(f, len(b), x) for x, b in zip(w, blocks))
+        )
+        calls.clear()
+        got = _word_brace(ComPreLieContext(f), w, factors)
+        assert len(calls) == expected, (w, factors)
+        shuffled += expected
+        dealt += len(factors) * len(w) ** len(factors)
+        ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+        assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
+            SymTensor, SymMonomial.of(w), SymMonomial(factors)
+        )
+    assert 0 < shuffled < dealt  # some deals were skipped, and some were not
 
 
 # ---------------------------------------------------------------------------

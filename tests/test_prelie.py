@@ -468,10 +468,27 @@ def test_image_span_edge_answers_are_kept():
         assert image_span_contains(ctx, Tensor({}))
         assert not image_span_contains(ctx, Tensor.of(Word(())))
         assert not image_span_contains(ctx, Tensor.of(W("az")))  # z is outside the alphabet
+    # the enumeration needs a finite alphabet; the residue route answers
     shift = ctx_of(Endo.biletter_shift(["d"]))
-    for check in (image_span_contains, enumerated_image_span_contains):
-        with pytest.raises(ValueError):
-            check(shift, Tensor.of(Word((Letter("d", 1),))))
+    with pytest.raises(ValueError):
+        enumerated_image_span_contains(shift, Tensor.of(Word((Letter("d", 1),))))
+    assert image_span_contains(shift, Tensor.of(Word((Letter("d", 1),))))
+
+
+@pytest.mark.parametrize("decorations", [(), ("a", "b")], ids=["any", "declared"])
+def test_image_span_under_the_biletter_shift(decorations):
+    # Im f is spanned by the letters of shift >= 1: a member is a
+    # combination in which every word has one
+    ctx = ctx_of(Endo.biletter_shift(decorations))
+    a0, a1, b0 = Letter("a", 0), Letter("a", 1), Letter("b", 0)
+    product = prelie(ctx, Tensor.of(Word((a0,))), Tensor.of(Word((b0,))))
+    assert product == Tensor.of(Word((a1, b0)))  # 0:a . 0:b = 1:a.0:b
+    for member in (Tensor.of(Word((a1,))), product, T("1:a - 2*0:b.2:a.0:a")):
+        assert image_span_contains(ctx, member), member
+    for other in (Tensor.of(Word((a0,))), T("1:a + 0:a.0:b"), Tensor.of(Word(())), T("a.1:a")):
+        assert not image_span_contains(ctx, other), other
+    # an undeclared decoration is outside the alphabet
+    assert image_span_contains(ctx, T("1:c")) == (not decorations)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ same coefficient types and the same key order."""
 
 from __future__ import annotations
 
+import importlib
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import comprelie as cp
 from comprelie import forests
 from comprelie.enveloping import OudomGuin
+from comprelie.trees import _tree_brace
 from comprelie.words import Letter, Word, _add_into, _Sum
 
 
@@ -234,7 +236,11 @@ def _sample(name: str, f: cp.Endo) -> list:
 
 def _reference_route(monkeypatch) -> None:
     """Put the reference accumulation behind every kernel: each comprelie
-    module looks ``_Sum`` and ``_add_into`` up at call time."""
+    module looks ``_Sum`` and ``_add_into`` up at call time.  The layers
+    load lazily, so each is imported first: the sample may not have
+    reached every one of them yet."""
+    for layer in ("words", "prelie", "enveloping", "characters", "exactla", "forests"):
+        importlib.import_module(f"comprelie.{layer}")
     patched = set()
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("comprelie") and hasattr(mod, "_Sum"):
@@ -251,10 +257,10 @@ def test_every_kernel_matches_the_reference_accumulation(name, monkeypatch):
     # forest products are kept by one engine for the process: start both
     # routes from an empty one
     with monkeypatch.context() as m:
-        m.setattr(forests, "_TREE_ENGINE", OudomGuin(forests._tree_base))
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace))
         fast = _sample(name, _maps()[name])
     with monkeypatch.context() as m:
-        m.setattr(forests, "_TREE_ENGINE", OudomGuin(forests._tree_base))
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace))
         _reference_route(m)
         slow = _sample(name, _maps()[name])
     assert typed_deep(fast) == typed_deep(slow)
