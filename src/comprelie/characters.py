@@ -8,6 +8,13 @@ and the group law is ``u diamond v = u comp v + v`` with the zero series as
 identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
 
+A composition works on words coded as tuples of small ints, which hash and
+compare in C.  Each call codes the letters of its operands, of ``x0`` and
+of the f^i images (each f^i(x) looked up once), and keeps the images of
+suffixes, the divided powers and the shuffled pairs of coded words in
+memos that live for that call alone; it builds a ``Word`` only for each
+term of its output.
+
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
 channel i, its composition gates the ``x0`` correction by whether a
@@ -21,9 +28,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
-from .prelie import ComPreLieContext, _prepend_image, _require_nilpotent, graded_series
-from .words import EMPTY_WORD, Frozen, Letter, Rat, Tensor, Word, _add_into, _linear, _set, _Sum
-from .words import shuffle
+from .prelie import ComPreLieContext, _require_nilpotent, graded_series
+from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _set
+from .words import _shuffle_tuples, _Sum
 
 
 class TruncatedSeries:
@@ -88,18 +95,88 @@ def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
-def _compose_words(series: TruncatedSeries, step: Callable[[Letter, Tensor], dict]) -> Tensor:
-    """The linear extension over ``series`` of the map on words that sends
-    e to 1 and xw to step(x, image of w), memoized on the suffixes."""
-    memo: dict[Word, Tensor] = {EMPTY_WORD: Tensor.unit()}
+class _Codes:
+    """Small-int codes for the letters one composition meets, numbered in
+    order of first use; they live for one call."""
 
-    def rec(w: Word) -> Tensor:
-        hit = memo.get(w)
+    __slots__ = ("letters", "index")
+
+    def __init__(self):
+        self.letters: list[Letter] = []
+        self.index: dict[Letter, int] = {}
+
+    def code(self, x: Letter) -> int:
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.letters)
+            self.letters.append(x)
+        return i
+
+    def terms(self, t: Tensor) -> dict[tuple[int, ...], Rat]:
+        code = self.code
+        return {tuple(map(code, w.letters)): c for w, c in t.items()}
+
+    def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
+        return tuple((self.code(y), c) for y, c in image.items())
+
+    def series(self, L: int, terms: dict) -> TruncatedSeries:
+        """The decoded series; its words are already cut at L."""
+        letter = self.letters.__getitem__
+        out = TruncatedSeries.__new__(TruncatedSeries)
+        out.trunc = L
+        out.tensor = Tensor._from_clean({Word(tuple(map(letter, t))): c for t, c in terms.items()})
+        return out
+
+
+def _bounded_shuffle(L: int) -> Callable[[tuple, tuple], Iterable[tuple[tuple, int]]]:
+    """The shuffle of two coded words, memoized for one call; a pair of
+    more than L - 1 letters in all gives nothing before any interleaving
+    is built, since a letter is prepended to every shuffled word."""
+    memo: dict = {}
+
+    def pair(a: tuple, b: tuple):
+        if len(a) + len(b) >= L:
+            return ()
+        hit = memo.get((a, b))
         if hit is None:
-            hit = memo[w] = Tensor._from_clean(step(w[0], rec(w[1:])))
+            hit = memo[a, b] = _shuffle_tuples(a, b)
         return hit
 
-    return Tensor._from_clean(_linear(lambda w: rec(w).items(), series.items()))
+    return pair
+
+
+def _prepend_codes(image: tuple[tuple[int, Rat], ...], tail: dict, acc: _Sum) -> None:
+    """acc += (sum_y image[y] * y) concatenated before each term of ``tail``."""
+    for y, cy in image:
+        head = (y,)
+        _add_into(acc, ((head + t, c) for t, c in tail.items()), cy)
+
+
+def _compose_codes(words: dict, branches: Sequence[list[tuple]], pair, L: int) -> dict:
+    """The linear extension over the coded ``words`` of the map that sends
+    e to 1 and xw to xW + sum over x's branches (image, partner) of
+    image (W sh partner), where W is the image of w, an image is a tuple of
+    (code, coefficient) pairs and a partner a coded series; terms longer
+    than L are dropped.  The images of suffixes are filled shortest first,
+    in a loop, so a word of any length composes without recursion."""
+    memo: dict[tuple, dict] = {(): {(): 1}}
+    for w in words:
+        for j in range(len(w) - 1, -1, -1):
+            suffix = w[j:]
+            if suffix in memo:
+                continue
+            x, base = w[j], memo[w[j + 1:]]
+            # f^0(x) = x only prepends x: the unit shuffle is left out; with
+            # no branch the prepended words are distinct and need no sum
+            head = (x,)
+            if not branches[x]:
+                memo[suffix] = {head + t: c for t, c in base.items() if len(t) < L}
+                continue
+            acc = _Sum((head + t, c) for t, c in base.items() if len(t) < L)
+            for image, partner in branches[x]:
+                _prepend_codes(image, _bilinear(pair, base.items(), partner.items()), acc)
+            memo[suffix] = acc.result()
+    return _linear(lambda w: memo[w].items(), words.items())
 
 
 def tilde_compose(
@@ -109,24 +186,28 @@ def tilde_compose(
     u._check_compatible(v)
     L = u.trunc
     N = _require_nilpotent(ctx)
-    # divided powers v^(sh i)/i!, built as v_pows[i-1] sh v / i; rec only
-    # shuffles them into words of length <= L-1, so longer words are skipped
-    v_pows = [Tensor.unit()]
+    codes = _Codes()
+    words = codes.terms(u.tensor)
+    heads = list(codes.letters)
+    pair = _bounded_shuffle(L)
+    # divided powers v^(sh i)/i!, built as powers[i-1] sh v / i; they are
+    # only shuffled into words of length <= L-1, so longer words are skipped
+    coded_v = codes.terms(v.tensor)
+    powers = [{(): 1}]
     for i in range(1, N):
-        power = shuffle(v_pows[-1], v.tensor, max_len=L - 1)
-        v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
+        power = _bilinear(pair, powers[-1].items(), coded_v.items())
+        powers.append(power if i == 1 else {t: Fraction(1, i) * c for t, c in power.items()})
 
-    def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
-        # i = 0: f^0(x) = x before base, the unit shuffle left out
-        acc = _Sum((Word((x,) + t.letters), c) for t, c in base.items() if len(t) < L)
+    def branches(x: Letter) -> list[tuple]:
+        out = []
         for i in range(1, N):
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
-            _prepend_image(image, shuffle(base, v_pows[i], max_len=L - 1).items(), acc)
-        return acc.result()
+            out.append((codes.image(image), powers[i]))
+        return out
 
-    return TruncatedSeries(L, _compose_words(u, step))
+    return codes.series(L, _compose_codes(words, [branches(x) for x in heads], pair, L))
 
 
 def diamond(
@@ -203,16 +284,14 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     di = d[i - 1]
     if di.trunc != L:
         raise ValueError(f"mismatched truncations: {di.trunc} vs {L}")
-    x0 = Letter("x0")
-
-    def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
-        acc = _Sum((Word((x,) + t.letters), cf) for t, cf in base.items() if len(t) < L)
-        if _letter_index(x) == i:
-            mixed = shuffle(base, di.tensor, max_len=L - 1)
-            _add_into(acc, ((Word((x0,) + t.letters), cf) for t, cf in mixed.items()))
-        return acc.result()
-
-    return FliessElement(i, TruncatedSeries(L, _compose_words(c.series, step)))
+    codes = _Codes()
+    words = codes.terms(c.series.tensor)
+    heads = list(codes.letters)
+    # a letter on the channel writes x0 before one shuffle copy of d_i
+    gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
+    branches = [gate if _letter_index(x) == i else [] for x in heads]
+    composed = _compose_codes(words, branches, _bounded_shuffle(L), L)
+    return FliessElement(i, codes.series(L, composed))
 
 
 def fliess_diamond(

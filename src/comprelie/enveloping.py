@@ -284,7 +284,7 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
             # the letters since the previous dealt one pass through unchanged
             between = letters[at[i - 1] + 1 if i else 0:at[i]]
             step = _Sum()
-            _prepend_image(images[i], t.terms.items(), step, between)
+            _prepend_image(images[i], [(w.letters, c) for w, c in t.items()], step, between)
             t = Tensor._from_clean(step.result())
         _add_into(acc, t.items())
     return tuple(acc.result().items())

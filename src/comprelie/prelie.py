@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _linear, _shuffle_words, _Sum, shuffle
+from .words import _linear, _shuffle_tuples, _Sum, shuffle
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -69,14 +69,15 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
 
 
 def _prepend_image(
-    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[Word, Rat]], acc: _Sum,
-    head: tuple[Letter, ...] = (),
+    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[tuple[Letter, ...], Rat]],
+    acc: _Sum, head: tuple[Letter, ...] = (),
 ) -> None:
-    """acc += head (sum_y image[y] * y) concatenated before each tail term;
-    ``tail_terms`` is iterated once per letter of the image."""
+    """acc += head (sum_y image[y] * y) concatenated before each tail term,
+    a tuple of letters; ``tail_terms`` is iterated once per letter of the
+    image."""
     for y, cy in image.items():
         front = head + (y,)
-        _add_into(acc, ((Word(front + w.letters), c) for w, c in tail_terms), cy)
+        _add_into(acc, ((Word(front + t), c) for t, c in tail_terms), cy)
 
 
 def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
@@ -88,7 +89,8 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     for j in range(len(u) - 1, -1, -1):
         image = ctx.f.image_letter(u[j])
         if image:
-            _prepend_image(image, _shuffle_words(u[j + 1:], v), acc, u.letters[:j])
+            tails = _shuffle_tuples(u.letters[j + 1:], v.letters)
+            _prepend_image(image, tails, acc, u.letters[:j])
     out = ctx._products[u, v] = tuple(acc.result().items())
     return out
 
@@ -115,7 +117,7 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     place (the fixed-point prefix), with ``f`` applied there.
     """
     acc = _Sum()
-    for positions, out in _interleavings(u, v):
+    for positions, out in _interleavings(u.letters, v.letters):
         for i in range(_fixed_prefix(positions)):
             _add_into(
                 acc,

@@ -326,11 +326,14 @@ def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:
 def _bilinear(op: Callable, pairs_a: Iterable[tuple[Hashable, Rat]], pairs_b: Iterable) -> dict:
     """The bilinear extension of a product given on basis keys: sum
     ca * cb * op(ka, kb), as a zero-free dict.  ``pairs_b`` is iterated
-    once per pair of ``pairs_a``."""
+    once per pair of ``pairs_a``.  A pair whose ``op`` returns an empty
+    sequence costs no coefficient product."""
     acc = _Sum()
     for ka, ca in pairs_a:
         for kb, cb in pairs_b:
-            _add_into(acc, op(ka, kb), ca * cb)
+            terms = op(ka, kb)
+            if terms:
+                _add_into(acc, terms, ca * cb)
     return acc.result()
 
 
@@ -454,19 +457,18 @@ class Tensor(Lin):
 # shuffle / half-shuffle / concatenation / deconcatenation
 # ---------------------------------------------------------------------------
 
-def _interleavings(u: Word, v: Word) -> Iterator[tuple[tuple[int, ...], tuple[Letter, ...]]]:
-    """Every (k,l)-interleaving of u and v: the slots that u's letters take
-    among k+l, and the merged letters.  There are C(k+l, k) of them."""
-    n = len(u) + len(v)
-    for positions in itertools.combinations(range(n), len(u)):
-        out: list[Letter | None] = [None] * n
-        for p, x in zip(positions, u.letters):
-            out[p] = x
-        it = iter(v.letters)
-        for p in range(n):
-            if out[p] is None:
-                out[p] = next(it)
-        yield positions, tuple(out)  # type: ignore[misc]
+def _interleavings(u: Sequence, v: Sequence) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Every (k,l)-interleaving of the sequences u and v: the slots that
+    u's entries take among k+l, and the merged tuple.  There are
+    C(k+l, k) of them, in the lexicographic order of the slots."""
+    rest = list(v)
+    for positions in itertools.combinations(range(len(u) + len(rest)), len(u)):
+        out = rest.copy()
+        put = out.insert
+        # u's slots ascend, so each entry lands before the v entries after it
+        for p, x in zip(positions, u):
+            put(p, x)
+        yield positions, tuple(out)
 
 
 def _fixed_prefix(positions: Sequence[int]) -> int:
@@ -478,10 +480,17 @@ def _fixed_prefix(positions: Sequence[int]) -> int:
     return m
 
 
+def _shuffle_tuples(u: tuple, v: tuple) -> list[tuple[tuple, int]]:
+    """All interleavings of the tuples u and v, merged with multiplicities
+    in the order in which they first appear.  Uncached: the kernels that
+    call it on the suffixes of long words keep no copy past their call."""
+    return list(Counter(out for _, out in _interleavings(u, v)).items())
+
+
 @functools.lru_cache(maxsize=None)
 def _shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """All interleavings of u and v, merged with multiplicities."""
-    return tuple(Counter(Word(letters) for _, letters in _interleavings(u, v)).items())
+    """All interleavings of the words u and v, merged with multiplicities."""
+    return tuple((Word(t), m) for t, m in _shuffle_tuples(u.letters, v.letters))
 
 
 def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> Tensor:

@@ -27,7 +27,8 @@ from comprelie.endo import (
 )
 from comprelie.enveloping import dual_coproduct
 from comprelie.prelie import ComPreLieContext
-from comprelie.words import EMPTY_WORD, Tensor, Word, parse_tensor, parse_word, shuffle
+from comprelie import words as words_mod
+from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, parse_tensor, parse_word, shuffle
 
 W = parse_word
 T = parse_tensor
@@ -356,3 +357,32 @@ def test_nilpotency_index_is_computed_once_per_context(monkeypatch):
         inverse(ctx, u)
         dual_coproduct(ctx, parse_word(w))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# long words and process-wide caches
+# ---------------------------------------------------------------------------
+
+def test_long_words_compose_without_recursion():
+    # one frame per letter would pass the default recursion limit
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    x1, x2 = Word((Letter("x1"),)), Word((Letter("x2"),) * 1200)
+    u, v = TruncatedSeries(1200, Tensor.of(x2)), TruncatedSeries(1200, Tensor.of(x1))
+    assert tilde_compose(ctx, u, v) == u  # f(x2) = 0: each x2 only prepends itself
+    element = FliessElement(1, u)
+    assert fliess_tilde(element, (v, v)) == element  # x2 is off channel 1
+
+
+def test_compositions_leave_the_shuffle_cache_alone():
+    from comprelie.prelie import prelie
+
+    cache = words_mod._shuffle_words
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    u = TruncatedSeries(5, parse_tensor("x1.x2 + 1/2*x2.x1.x1 - x0.x1"))
+    v = TruncatedSeries(5, parse_tensor("2 + x1 - 3*x2.x1"))
+    before = cache.cache_info().currsize
+    prelie(ctx, Word((Letter("x1"),) * 40), Word((Letter("x2"),)))
+    tilde_compose(ctx, u, v)
+    inverse(ctx, u)
+    fliess_tilde(FliessElement(1, u), (v, u))
+    assert cache.cache_info().currsize == before

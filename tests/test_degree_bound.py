@@ -80,14 +80,15 @@ def test_results_are_compatible_with_truncation(f, L):
 
 @pytest.mark.parametrize("f", MAPS, ids=["fliess(2,1)", "index-3"])
 def test_no_shuffled_pair_is_longer_than_the_truncation(f, monkeypatch):
+    # the composition shuffles int-coded words through the tuple kernel
     pair_lengths: list[int] = []
-    inner = words._shuffle_words
+    inner = words._shuffle_tuples
 
     def counting(u, v):
         pair_lengths.append(len(u) + len(v))
         return inner(u, v)
 
-    monkeypatch.setattr(words, "_shuffle_words", counting)
+    monkeypatch.setattr(characters, "_shuffle_tuples", counting)
     ctx = ComPreLieContext(f)
     rng = random.Random(len(f.alphabet))
     L = 4
@@ -107,14 +108,14 @@ def test_no_shuffled_pair_is_longer_than_the_truncation(f, monkeypatch):
 def test_composition_never_shuffles_by_the_unit(f, monkeypatch):
     # f^0(x) = x only prepends x: with no empty word in v, no shuffle has
     # an empty right operand
-    right_operands: list[Word] = []
-    inner = words._shuffle_words
+    right_operands: list[tuple] = []
+    inner = words._shuffle_tuples
 
     def counting(u, v):
         right_operands.append(v)
         return inner(u, v)
 
-    monkeypatch.setattr(words, "_shuffle_words", counting)
+    monkeypatch.setattr(characters, "_shuffle_tuples", counting)
     ctx = ComPreLieContext(f)
     rng = random.Random(7 + len(f.alphabet))
     for L in (2, 3, 4):
