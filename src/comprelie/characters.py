@@ -11,9 +11,10 @@ for the coefficients retained.
 A composition works on words coded as tuples of small ints, which hash and
 compare in C.  Each call codes the letters of its operands, of ``x0`` and
 of the f^i images (each f^i(x) looked up once), and keeps the images of
-suffixes, the divided powers and the shuffled pairs of coded words in
-memos that live for that call alone; it builds a ``Word`` only for each
-term of its output.
+suffixes and the divided powers in memos that live for that call alone;
+it builds a ``Word`` only for each term of its output.  Its shuffles go
+through the call memo of ``words`` bounded at L - 1 letters, as a letter
+is prepended to every shuffled word: no longer word is ever built.
 
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
@@ -25,12 +26,12 @@ product over channels.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
 from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _set
-from .words import _shuffle_tuples, _Sum
+from .words import _call_memo, _shuffle_tuples, _Sum
 
 
 class TruncatedSeries:
@@ -128,23 +129,6 @@ class _Codes:
         return out
 
 
-def _bounded_shuffle(L: int) -> Callable[[tuple, tuple], Iterable[tuple[tuple, int]]]:
-    """The shuffle of two coded words, memoized for one call; a pair of
-    more than L - 1 letters in all gives nothing before any interleaving
-    is built, since a letter is prepended to every shuffled word."""
-    memo: dict = {}
-
-    def pair(a: tuple, b: tuple):
-        if len(a) + len(b) >= L:
-            return ()
-        hit = memo.get((a, b))
-        if hit is None:
-            hit = memo[a, b] = _shuffle_tuples(a, b)
-        return hit
-
-    return pair
-
-
 def _prepend_codes(image: tuple[tuple[int, Rat], ...], tail: dict, acc: _Sum) -> None:
     """acc += (sum_y image[y] * y) concatenated before each term of ``tail``."""
     for y, cy in image:
@@ -189,7 +173,7 @@ def tilde_compose(
     codes = _Codes()
     words = codes.terms(u.tensor)
     heads = list(codes.letters)
-    pair = _bounded_shuffle(L)
+    pair = _call_memo(_shuffle_tuples, L - 1)
     # divided powers v^(sh i)/i!, built as powers[i-1] sh v / i; they are
     # only shuffled into words of length <= L-1, so longer words are skipped
     coded_v = codes.terms(v.tensor)
@@ -290,7 +274,7 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     # a letter on the channel writes x0 before one shuffle copy of d_i
     gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
     branches = [gate if _letter_index(x) == i else [] for x in heads]
-    composed = _compose_codes(words, branches, _bounded_shuffle(L), L)
+    composed = _compose_codes(words, branches, _call_memo(_shuffle_tuples, L - 1), L)
     return FliessElement(i, codes.series(L, composed))
 
 

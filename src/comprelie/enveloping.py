@@ -30,8 +30,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _prelie_words, _prepend_image, _require_nilpotent
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum, shuffle
-from .words import BasisKey, _set, _split_coeff, parse_word
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum
+from .words import BasisKey, _call_memo, _set, _shuffle_words, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -56,10 +56,11 @@ class OudomGuin:
     """Extends a pre-Lie product to sorted-tuple monomials through its
     symmetric brace: ``brace(a, factors)`` returns ``a{b1,...,bk}``, one
     basis element acting on a tuple of them, as (element, coefficient)
-    pairs, a key possibly repeated.  A monomial deals the right operand
-    between its first factor and the rest; the unit acts as zero on every
-    monomial but the unit.  Monomials are kept sorted, so the basis
-    elements must be totally ordered.  The public products take and
+    pairs with distinct elements and nonzero coefficients, which a
+    one-factor monomial wraps as they are.  A monomial deals the right
+    operand between its first factor and the rest; the unit acts as zero
+    on every monomial but the unit.  Monomials are kept sorted, so the
+    basis elements must be totally ordered.  The public products take and
     return combinations of one :class:`SymLin` subclass."""
 
     def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]]):
@@ -87,18 +88,19 @@ class OudomGuin:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        acc = _Sum()
         if len(a) == 1:
-            _add_into(acc, (((e,), c) for e, c in self.brace(a[0], b)))
+            out = tuple(((e,), c) for e, c in self.brace(a[0], b))
         elif not a:
-            _add_into(acc, () if b else (((), 1),))
+            out = () if b else (((), 1),)
         else:
+            acc = _Sum()
             for left, right in _splittings(b, 2):
                 _add_into(acc, _bilinear(
                     lambda m, n: ((_sorted(m + n), 1),),
                     self._bullet_mono(a[:1], left), self._bullet_mono(a[1:], right),
                 ).items())
-        out = self._cache[key] = tuple(acc.result().items())
+            out = tuple(acc.result().items())
+        self._cache[key] = out
         return out
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
@@ -267,34 +269,36 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     of ``w``.  A letter x that absorbs m factors writes f^m(x) before the
     shuffle of its share with the rest of the word after it, nesting from
     the last letter outward; a deal in which some f^m(x) is 0 is skipped
-    before anything is shuffled.  One factor is the pre-Lie product."""
+    before anything is shuffled.  One factor is the pre-Lie product.  The
+    deals repeat shuffled pairs of words, which are kept for this call."""
     if len(factors) < 2:
         return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
     letters = w.letters
+    pair = _call_memo(_shuffle_words)
     acc = _Sum()
     for blocks in _splittings(factors, len(letters)):
         at = [j for j, block in enumerate(blocks) if block]
         images = [iterate_endo_letter(ctx.f, len(blocks[j]), letters[j]) for j in at]
         if not all(images):
             continue
-        t = Tensor.of(Word(letters[at[-1] + 1:]))
+        t = {Word(letters[at[-1] + 1:]): 1}
         for i in range(len(at) - 1, -1, -1):
             for u in blocks[at[i]]:
-                t = shuffle(t, u)
+                t = _bilinear(pair, t.items(), ((u, 1),))
             # the letters since the previous dealt one pass through unchanged
             between = letters[at[i - 1] + 1 if i else 0:at[i]]
             step = _Sum()
             _prepend_image(images[i], [(w.letters, c) for w, c in t.items()], step, between)
-            t = Tensor._from_clean(step.result())
+            t = step.result()
         _add_into(acc, t.items())
     return tuple(acc.result().items())
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
-    """``w`` acting on ``w1 x ... x wk``: the brace ``w{w1,...,wk}``."""
-    return SymTensor._from_clean(
-        {SymMonomial._from_clean((x,)): c for x, c in _word_brace(ctx, w, tuple(factors))}
-    )
+    """``w`` acting on ``w1 x ... x wk``: the brace ``w{w1,...,wk}``, read
+    from the context's engine, whose memo entry ``extend_bullet`` shares."""
+    out = _engine_of(ctx)._bullet_mono((w,), _sorted(tuple(factors)))
+    return SymTensor._from_clean({SymMonomial._from_clean(m): c for m, c in out})
 
 
 # ---------------------------------------------------------------------------

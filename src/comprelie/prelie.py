@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _linear, _shuffle_tuples, _Sum, shuffle
+from .words import _call_memo, _linear, _shuffle_tuples, _shuffle_words, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -310,20 +310,20 @@ def span_dimension_of_products(
     unknown = set(ops) - {"prelie", "shuffle"}
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
-    products = [op for name, op in (("prelie", partial(prelie, ctx)), ("shuffle", shuffle))
-                if name in ops]
-    parts: dict[int, list[Tensor]] = {d: [] for d in range(1, degree + 1)}
+    kernels = (("prelie", partial(_prelie_words, ctx)), ("shuffle", _call_memo(_shuffle_words)))
+    products = [kernel for name, kernel in kernels if name in ops]
+    parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:
         for d, found in parts.items():
             part = g.graded_part(d)
             if part:
-                found.append(part)
-    basis: dict[int, list[Tensor]] = {}
+                found.append(part.terms)
+    basis: dict[int, list[dict]] = {}
     for d, found in parts.items():
         span = SpanBasis()
-        made = (op(a, b) for e in range(1, d) for a in basis[e] for b in basis[d - e]
-                for op in products)
-        basis[d] = [t for t in itertools.chain(found, made) if span.add(t.terms)]
+        made = (_bilinear(op, a.items(), b.items()) for e in range(1, d)
+                for a in basis[e] for b in basis[d - e] for op in products)
+        basis[d] = [t for t in itertools.chain(found, made) if span.add(t)]
     return span.rank
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -48,10 +49,10 @@ from .words import (
     _bilinear,
     _linear,
     _set,
+    _shuffle_tuples,
     _split_coeff,
     _split_signed,
     check_coefficient,
-    concat,
     parse_letter,
     shuffle,
 )
@@ -413,9 +414,10 @@ def _braced(root, branches: tuple) -> Iterator[tuple]:
         yield out
 
 
-def _tree_brace(t: PartitionedTree, branches: Sequence[PartitionedTree]) -> Iterator[tuple]:
-    """``t{s1,...,sk}`` as (tree, 1) pairs, one per deal."""
-    return ((_from_nested(g), 1) for g in _braced(t.root, tuple(s.root for s in branches)))
+def _tree_brace(t: PartitionedTree, branches: Sequence[PartitionedTree]) -> list[tuple]:
+    """``t{s1,...,sk}`` as (tree, count) pairs, one per distinct graft."""
+    grafts = _braced(t.root, tuple(s.root for s in branches))
+    return list(Counter(map(_from_nested, grafts)).items())
 
 
 def graft_at(t: PartitionedTree, s: int, t2: PartitionedTree) -> PartitionedTree:
@@ -485,19 +487,30 @@ def linear_extensions(t: PartitionedTree) -> list[tuple[int, ...]]:
     return out
 
 
-def _fold(block, node_value) -> Tensor:
-    """A block's value: the shuffle of its nodes' values; a node's value is
-    ``node_value(decoration, [value of each child block])``.  A forest's
-    linear extensions interleave its trees', so writing each node's letter
-    before the shuffle of its child values sums the linear extensions."""
-    values = (node_value(dec, [_fold(b, node_value) for b in bs]) for dec, bs in block)
-    return functools.reduce(shuffle, values)
+def _shuffled(a: dict, b: dict) -> dict:
+    """The shuffle of two combinations of letter tuples."""
+    return _bilinear(_shuffle_tuples, a.items(), b.items())
 
 
-def _headed(image: Mapping[Letter, Rat], kids: list[Tensor]) -> Tensor:
-    """The letter combination ``image`` before the shuffle of ``kids``."""
-    head = Tensor._from_clean({Word((y,)): c for y, c in image.items()})
-    return concat(head, functools.reduce(shuffle, kids, Tensor.unit()))
+def _fold(block, node_value, shuffled=_shuffled):
+    """A block's value: the ``shuffled`` product of its nodes' values, a
+    node's being ``node_value(decoration, [value of each child block])``.
+    Writing each node's letter before the shuffle of its child values sums
+    the linear extensions, since a forest's interleave its trees'."""
+    values = (node_value(dec, [_fold(b, node_value, shuffled) for b in bs]) for dec, bs in block)
+    return functools.reduce(shuffled, values)
+
+
+def _headed_fold(root, image) -> Tensor:
+    """The fold in which a node writes the letter combination
+    ``image(decoration, fertility)`` before the shuffle of its child
+    values, on letter tuples; each output word is built once."""
+
+    def node_value(dec, kids: list[dict]) -> dict:
+        tail = functools.reduce(_shuffled, kids, {(): 1}).items()
+        return _bilinear(lambda y, w: (((y,) + w, 1),), image(dec, len(kids)).items(), tail)
+
+    return Tensor._from_clean({Word(w): c for w, c in _fold(root, node_value).items()})
 
 
 def _symbol_name(dec) -> str:
@@ -526,7 +539,7 @@ def phi_cpl(t: PartitionedTree, mode: str = "direct") -> Tensor:
     if mode == "recursive":
         images = {Letter(n): Tensor.of(Word((Letter(n, 0),))) for n in names.values()}
         return universal_eval(_BILETTER_CTX, t, images)
-    return _fold(t.root, lambda dec, kids: _headed({Letter(names[dec], len(kids)): 1}, kids))
+    return _headed_fold(t.root, lambda dec, k: {Letter(names[dec], k): 1})
 
 
 def universal_eval(
@@ -555,7 +568,8 @@ def universal_eval(
             raise ValueError("expected a combination of single words")
         return Tensor._from_clean({m.factors[0]: c for m, c in out.items()})
 
-    return _fold(t.root, node_value)
+    # node values stay words: those the engine hands back keep their hashes
+    return _fold(t.root, node_value, shuffle)
 
 
 def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
@@ -564,12 +578,11 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
     to the vertex decorations, multilinearly.  A fold of the tree, in
     which a node writes f^k of its decoration, k its fertility."""
 
-    def node_value(dec, kids: list[Tensor]) -> Tensor:
+    def image(dec, k: int) -> dict:
         pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
-        image = _linear(lambda x: iterate_endo_letter(ctx.f, len(kids), x).items(), pairs)
-        return _headed(image, kids)
+        return _linear(lambda x: iterate_endo_letter(ctx.f, k, x).items(), pairs)
 
-    return _fold(t.root, node_value)
+    return _headed_fold(t.root, image)
 
 
 # ---------------------------------------------------------------------------

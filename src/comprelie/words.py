@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections import Counter
@@ -482,45 +481,44 @@ def _fixed_prefix(positions: Sequence[int]) -> int:
 
 def _shuffle_tuples(u: tuple, v: tuple) -> list[tuple[tuple, int]]:
     """All interleavings of the tuples u and v, merged with multiplicities
-    in the order in which they first appear.  Uncached: the kernels that
-    call it on the suffixes of long words keep no copy past their call."""
+    in the order in which they first appear: the one pair kernel of the
+    shuffle."""
     return list(Counter(out for _, out in _interleavings(u, v)).items())
 
 
-@functools.lru_cache(maxsize=None)
-def _shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """All interleavings of the words u and v, merged with multiplicities."""
-    return tuple((Word(t), m) for t, m in _shuffle_tuples(u.letters, v.letters))
+def _shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
+    """The pair kernel on words."""
+    return [(Word(t), m) for t, m in _shuffle_tuples(u.letters, v.letters)]
 
 
-def shuffle(a: Word | Tensor, b: Word | Tensor, max_len: int | None = None) -> Tensor:
-    """Shuffle product, extended bilinearly.
+def _call_memo(kernel: Callable, bound: int | None = None) -> Callable:
+    """``kernel`` on pairs, memoized for as long as the returned function
+    lives: one call that repeats pairs.  With ``bound``, a pair of more
+    than ``bound`` letters in all gives nothing before the kernel runs."""
+    memo: dict = {}
 
-    With ``max_len``, a pair of words whose lengths sum past it is skipped
-    before any interleaving is built.  Every interleaving of ``w1`` and
-    ``w2`` has length ``|w1| + |w2|``, so the result is exactly the full
-    shuffle restricted to words of length <= ``max_len``; truncated series
-    composition uses this to never build the words it would discard.
-    """
-    # the one product that keeps its own loop: the length test must skip
-    # a pair before any call is made, and a per-pair kernel under
-    # _bilinear made truncated composition about 1.7x slower
+    def pair(a, b):
+        if bound is not None and len(a) + len(b) > bound:
+            return ()
+        hit = memo.get((a, b))
+        if hit is None:
+            hit = memo[a, b] = kernel(a, b)
+        return hit
+
+    return pair
+
+
+def shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
+    """Shuffle product, extended bilinearly."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    acc = _Sum()
-    for w1, c1 in ta.items():
-        room = None if max_len is None else max_len - len(w1)
-        for w2, c2 in tb.items():
-            if room is not None and len(w2) > room:
-                continue
-            _add_into(acc, _shuffle_words(w1, w2), c1 * c2)
-    return Tensor._from_clean(acc.result())
+    return Tensor._from_clean(_bilinear(_shuffle_words, ta.items(), tb.items()))
 
 
 def _half_shuffle_words(u: Word, v: Word) -> Iterable[tuple[Word, int]]:
     if len(u) == 0:
         return ()  # e < w = 0
-    head = (u[0],)
-    return ((Word(head + w.letters), m) for w, m in _shuffle_words(u[1:], v))
+    head = u.letters[:1]
+    return [(Word(head + t), m) for t, m in _shuffle_tuples(u.letters[1:], v.letters)]
 
 
 def half_shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:

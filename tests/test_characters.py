@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +29,14 @@ from comprelie.endo import (
     nilpotency_index,
     transpose_endo,
 )
-from comprelie.enveloping import dual_coproduct
-from comprelie.prelie import ComPreLieContext
-from comprelie import words as words_mod
-from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, parse_tensor, parse_word, shuffle
+from comprelie.enveloping import SymMonomial, closed_action, dual_coproduct, star
+from comprelie.prelie import ComPreLieContext, prelie, span_dimension_of_products
+from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, half_shuffle, parse_tensor, parse_word
+from comprelie.words import shuffle
 
 W = parse_word
 T = parse_tensor
+SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
 
 NIL = Endo.matrix(["a", "b"], [[0, Fraction(1, 2)], [0, 0]])
 F11 = fliess_channel(1, 1)
@@ -373,16 +378,106 @@ def test_long_words_compose_without_recursion():
     assert fliess_tilde(element, (v, v)) == element  # x2 is off channel 1
 
 
-def test_compositions_leave_the_shuffle_cache_alone():
-    from comprelie.prelie import prelie
+UPPER3 = Endo.matrix(
+    ["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+)
+F21 = fliess_channel(2, 1)
 
-    cache = words_mod._shuffle_words
-    ctx = ComPreLieContext(fliess_channel(2, 1))
-    u = TruncatedSeries(5, parse_tensor("x1.x2 + 1/2*x2.x1.x1 - x0.x1"))
-    v = TruncatedSeries(5, parse_tensor("2 + x1 - 3*x2.x1"))
-    before = cache.cache_info().currsize
-    prelie(ctx, Word((Letter("x1"),) * 40), Word((Letter("x2"),)))
+
+def _letters(src: str, n: int) -> Word:
+    return Word((Letter(src),) * n)
+
+
+def _compositions(n: int) -> None:
+    ctx = ComPreLieContext(F21)
+    u = TruncatedSeries(n, parse_tensor("x1.x2 + 1/2*x2.x1.x1 - x0.x1"))
+    v = TruncatedSeries(n, parse_tensor("2 + x1 - 3*x2.x1"))
     tilde_compose(ctx, u, v)
     inverse(ctx, u)
     fliess_tilde(FliessElement(1, u), (v, u))
-    assert cache.cache_info().currsize == before
+
+
+STARS = [(("cab", "bc"), ("ca", "cbc")), (("ccb", "cbc"), ("bca", "cab"))]
+
+
+def _star(n: int) -> None:
+    a, b = (SymMonomial(tuple(map(W, m))) for m in STARS[n])
+    star(ComPreLieContext(UPPER3), a, b)
+
+
+def _span(n: int) -> None:
+    ctx = ComPreLieContext(F21)
+    span_dimension_of_products(ctx, [T("x1"), T("x2 + x0"), T("x1.x2")], n)
+
+
+def _prelie(n: int) -> None:
+    prelie(ComPreLieContext(F21), _letters("x1", 10 * n), _letters("x2", 1))
+
+
+def _closed_action(n: int) -> None:
+    closed_action(ComPreLieContext(UPPER3), _letters("c", n), [W("b"), W("a")])
+
+
+# each case runs once on a small n to warm the interpreter, then on a larger
+# one under tracemalloc
+RETENTION = {
+    "prelie": (_prelie, 1, 4),
+    "compositions": (_compositions, 2, 5),
+    "closed_action": (_closed_action, 2, 12),
+    "star": (_star, 0, 1),
+    "span": (_span, 2, 4),
+    "shuffle": (lambda n: shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
+    "half_shuffle": (lambda n: half_shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
+}
+
+
+@pytest.mark.parametrize("case", RETENTION)
+def test_an_operation_leaves_no_memo_behind(case):
+    # every memo ends with its call or with the context built for it
+    op, warm, n = RETENTION[case]
+    op(warm)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op(n)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, f"{case} left {retained} bytes"
+
+
+def lru_caches(source: str) -> list[int]:
+    """The line of each use of ``functools.lru_cache`` or ``functools.cache``,
+    by either name, as a decorator, a call or an import."""
+    names = {"lru_cache", "cache"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in names]
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_detector_sees_a_process_wide_cache():
+    hand_written = (
+        "import functools\n"
+        "from functools import cache, partial\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(u, v):\n"
+        "    return u\n"
+        "g = functools.cache(f)\n"
+        "h = partial(f, 1)\n"
+    )
+    assert lru_caches(hand_written) == [2, 3, 6]
+
+
+def test_no_module_keeps_a_process_wide_function_cache():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    seen = [(path.name, line) for path in paths
+            for line in lru_caches(path.read_text(encoding="utf-8"))]
+    assert seen == []

@@ -3,7 +3,7 @@
 ``characters`` composes series on words coded as tuples of small ints.
 The reference below is the earlier route on ``Word`` keys: a recursion
 over the suffixes of each word of the left operand, a ``step`` per letter
-and the public bounded ``shuffle``.  Both must give the same terms with
+and the public ``shuffle``, cut at L - 1 letters.  Both must give the same terms with
 the same coefficient types (``int`` or ``Fraction``), since the printed
 output and every later product depend on both.
 """
@@ -49,6 +49,11 @@ def _compose_words(series: TruncatedSeries, step: Callable[[Letter, Tensor], dic
     return Tensor._from_clean(_linear(lambda w: rec(w).items(), series.items()))
 
 
+def _cut_shuffle(a: Tensor, b: Tensor, n: int) -> Tensor:
+    """The shuffle of a and b without its words longer than n."""
+    return Tensor._from_clean({w: c for w, c in shuffle(a, b).items() if len(w) <= n})
+
+
 def _prepend(image: dict, tail: Tensor, acc: _Sum) -> None:
     for y, cy in image.items():
         _add_into(acc, ((Word((y,) + t.letters), c) for t, c in tail.items()), cy)
@@ -59,7 +64,7 @@ def reference_tilde_compose(ctx, u: TruncatedSeries, v: TruncatedSeries) -> Trun
     N = _require_nilpotent(ctx)
     v_pows = [Tensor.unit()]
     for i in range(1, N):
-        power = shuffle(v_pows[-1], v.tensor, max_len=L - 1)
+        power = _cut_shuffle(v_pows[-1], v.tensor, L - 1)
         v_pows.append(power if i == 1 else power.scale(Fraction(1, i)))
 
     def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
@@ -68,7 +73,7 @@ def reference_tilde_compose(ctx, u: TruncatedSeries, v: TruncatedSeries) -> Trun
             image = iterate_endo_letter(ctx.f, i, x)
             if not image:
                 break
-            _prepend(image, shuffle(base, v_pows[i], max_len=L - 1), acc)
+            _prepend(image, _cut_shuffle(base, v_pows[i], L - 1), acc)
         return acc.result()
 
     return TruncatedSeries(L, _compose_words(u, step))
@@ -81,7 +86,7 @@ def reference_fliess_tilde(c: FliessElement, d) -> TruncatedSeries:
     def step(x: Letter, base: Tensor) -> dict[Word, Rat]:
         acc = _Sum((Word((x,) + t.letters), cf) for t, cf in base.items() if len(t) < L)
         if _letter_index(x) == i:
-            _prepend({Letter("x0"): 1}, shuffle(base, di.tensor, max_len=L - 1), acc)
+            _prepend({Letter("x0"): 1}, _cut_shuffle(base, di.tensor, L - 1), acc)
         return acc.result()
 
     return TruncatedSeries(L, _compose_words(c.series, step))

@@ -213,6 +213,21 @@ def test_closed_action_matches_recursive_rules():
             assert lhs == rhs, (w, factors)
 
 
+def test_closed_action_is_one_combination_for_both_factor_orders():
+    # the second call, with the factors reversed, reads what the first left
+    # in the context's engine
+    ctx = ComPreLieContext(UPPER3)
+    w, factors = W("bcb"), [W("cb"), W("b")]
+    typed = lambda t: {m: (type(c), c) for m, c in t.items()}
+    first = closed_action(ctx, w, factors)
+    second = closed_action(ctx, w, factors[::-1])
+    assert typed(first) == typed(second)
+    a, b = SymMonomial.of(w), SymMonomial(tuple(factors))
+    assert typed(first) == typed(extend_bullet(ctx, a, b))
+    assert first == RecursiveOudomGuin(partial(_prelie_words, ctx)).bullet(SymTensor, a, b)
+    assert {type(c) for _, c in first.items()} == {int, Fraction}
+
+
 def test_star_matches_the_reference_star():
     ctx = ComPreLieContext(NIL)
     ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
@@ -270,32 +285,50 @@ def test_forest_products_match_the_reference_recursion():
         cases += 1
 
 
+def shuffled_pairs(f: Endo, w: Word, factors: tuple, skip_zero_deals: bool) -> set:
+    """The distinct (word, factor) pairs that the brace w{factors} shuffles,
+    found deal by deal through the public ``shuffle``."""
+    pairs = set()
+    for blocks in _splittings(factors, len(w)):
+        at = [j for j, block in enumerate(blocks) if block]
+        images = [iterate_endo_letter(f, len(blocks[j]), w[j]) for j in at]
+        if skip_zero_deals and not all(images):
+            continue
+        t = Tensor.of(w[at[-1] + 1:])
+        for i in range(len(at) - 1, -1, -1):
+            for u in blocks[at[i]]:
+                pairs.update((x, u) for x in t.terms)
+                t = shuffle(t, u)
+            between = w.letters[at[i - 1] + 1 if i else 0:at[i]]
+            t = Tensor((Word(between + (y,) + x.letters), cy * c)
+                       for y, cy in images[i].items() for x, c in t.items())
+    return pairs
+
+
 @pytest.mark.parametrize("f", [NIL, UPPER3], ids=["index-2", "index-3"])
 def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
     calls = []
+    kernel = enveloping._shuffle_words
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return shuffle(*args, **kwargs)
+        return kernel(*args)
 
-    monkeypatch.setattr(enveloping, "shuffle", counted)
+    monkeypatch.setattr(enveloping, "_shuffle_words", counted)
     rng = random.Random(f"zero deals {f.alphabet}")
     shuffled = dealt = 0
     for _ in range(20):
         w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3))))
         factors = tuple(Word((rng.choice(f.alphabet),)) for _ in range(rng.randint(2, 3)))
-        # one shuffle per factor, in the deals where every letter keeps a
-        # nonzero image
-        expected = sum(
-            len(factors)
-            for blocks in _splittings(factors, len(w))
-            if all(iterate_endo_letter(f, len(b), x) for x, b in zip(w, blocks))
-        )
+        # the brace keeps its shuffled pairs for the call: the kernel runs
+        # once for each distinct pair of the deals in which every letter
+        # keeps a nonzero image
+        expected = len(shuffled_pairs(f, w, factors, skip_zero_deals=True))
         calls.clear()
         got = _word_brace(ComPreLieContext(f), w, factors)
         assert len(calls) == expected, (w, factors)
         shuffled += expected
-        dealt += len(factors) * len(w) ** len(factors)
+        dealt += len(shuffled_pairs(f, w, factors, skip_zero_deals=False))
         ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
         assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
             SymTensor, SymMonomial.of(w), SymMonomial(factors)

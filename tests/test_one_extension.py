@@ -1,9 +1,8 @@
 """Every product and linear map goes through one bilinear extension.
 
 ``words._bilinear`` is the one double loop over (key, coefficient) pairs
-around ``_add_into``; every other product hands it a kernel on basis
-elements.  ``shuffle`` keeps its own loop, because it must skip a pair of
-words past ``max_len`` before making any call.
+around ``_add_into``; every other product, ``shuffle`` included, hands it
+a kernel on basis elements.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
-ALLOWED = {"_bilinear", "shuffle"}
+ALLOWED = {"_bilinear"}
 
 
 def _iterates_pairs(loop: ast.For) -> bool:
@@ -63,7 +62,7 @@ def test_the_detector_sees_a_hand_written_double_loop():
     assert double_loops(hand_written) == [("product", 5)]
 
 
-def test_only_the_extension_and_shuffle_loop_around_add_into():
+def test_only_the_extension_loops_around_add_into():
     seen = set()
     offenders = []
     for path in sorted(SRC.glob("*.py")):
