@@ -16,9 +16,10 @@ Rescaling the one-symbol row recovers the Faa di Bruno bracket
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .endo import Endo, diagonal_weights
 from .enveloping import (
@@ -134,6 +135,18 @@ def _cuts(node) -> Iterator[tuple[tuple, tuple]]:
         yield (dec, sum((k for k, _ in picked), ())), sum((c for _, c in picked), ())
 
 
+def _edge_cuts(node) -> Iterator[tuple[tuple, tuple]]:
+    """The cuts of ``_cuts`` that cut one edge, in its order, as (trunk
+    node, cut-off block) pairs: child by child, its edge, then the edges
+    below it.  (``_cuts`` yields its empty cut last.)"""
+    dec, blocks = node
+    for i, b in enumerate(blocks):
+        head, tail = blocks[:i], blocks[i + 1:]
+        yield (dec, head + tail), b
+        for k, c in _edge_cuts(b[0]):
+            yield (dec, head + ((k,),) + tail), c
+
+
 def tree_coproduct(t: PartitionedTree) -> dict[tuple[Forest, Forest], Rat]:
     """Admissible cuts of one tree: antichains of edges.  The root side
     goes left, the cut-off branches right; the empty cut and the total
@@ -179,12 +192,10 @@ def pairing(a, b) -> Rat:
 # grafting operators and the t elements
 # ---------------------------------------------------------------------------
 
-def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
-    """Graft one ``d``-decorated leaf at every vertex, each graft weighted
-    by the eigenvalue of the host vertex's symbol.  A derivation."""
-    leaf = singleton(Letter(d) if isinstance(d, str) else d)
-    _check_factor(leaf)
-    wmap = Endo.diagonal(lam).weights
+def _graft_leaf(x: ForestPoly, leaf: PartitionedTree, wmap: Mapping[Letter, Rat]) -> ForestPoly:
+    """``leaf`` grafted at every vertex of ``x``, each graft weighted by
+    ``wmap`` at the host vertex's symbol: the one grafting kernel of
+    ``n_d``, ``t_word`` and the projected cobracket."""
 
     def grafts(f: Forest):
         for i, t in enumerate(f.factors):
@@ -194,22 +205,34 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
                 if w:
                     yield Forest._from_clean(rest + (g,)), w
 
-    return ForestPoly._from_clean(_linear(grafts, ForestPoly._coerce(x).items()))
+    return ForestPoly._from_clean(_linear(grafts, x.items()))
 
 
-def phi_lambda(x, lam: Mapping) -> ForestPoly:
-    """Scale each forest by the eigenvalue sum over its vertices."""
-    wmap = Endo.diagonal(lam).weights
-
-    def scaled(f: Forest):
-        return ((f, sum(_weight(wmap, dec) for t in f.factors for dec, _ in _nodes(t.root))),)
-
-    return ForestPoly._from_clean(_linear(scaled, ForestPoly._coerce(x).items()))
+def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
+    """Graft one ``d``-decorated leaf at every vertex, each graft weighted
+    by the eigenvalue of the host vertex's symbol.  A derivation."""
+    leaf = singleton(Letter(d) if isinstance(d, str) else d)
+    _check_factor(leaf)
+    return _graft_leaf(ForestPoly._coerce(x), leaf, Endo.diagonal(lam).weights)
 
 
-def tree_projection(x) -> ForestPoly:
-    """Keep the single-tree forests; the unit and proper products go to 0."""
-    return ForestPoly._from_clean({f: c for f, c in ForestPoly._coerce(x).items() if f.is_tree()})
+def _t_elements(wmap: Mapping[Letter, Rat]) -> Callable[[tuple[Letter, ...]], ForestPoly]:
+    """t of nonempty letter tuples under one resolved weight map, each
+    distinct prefix grafted once: t(u x) = n_x(t(u)).  The memo lives as
+    long as the returned function."""
+    memo: dict[tuple[Letter, ...], ForestPoly] = {}
+
+    def t_of(letters: tuple[Letter, ...]) -> ForestPoly:
+        built = next((k for k in range(len(letters), 0, -1) if letters[:k] in memo), 0)
+        for i in range(built, len(letters)):
+            leaf = singleton(letters[i])
+            _check_factor(leaf)
+            memo[letters[:i + 1]] = (
+                _graft_leaf(memo[letters[:i]], leaf, wmap) if i else ForestPoly.of(Forest.of(leaf))
+            )
+        return memo[letters]
+
+    return t_of
 
 
 def t_word(w, lam: Mapping) -> ForestPoly:
@@ -218,10 +241,7 @@ def t_word(w, lam: Mapping) -> ForestPoly:
     letters = _as_letters(w)
     if not letters:
         raise ValueError("t elements need a nonempty word")
-    acc = ForestPoly.of(Forest.of(singleton(letters[0])))
-    for d in letters[1:]:
-        acc = n_d(acc, d, lam)
-    return acc
+    return _t_elements(Endo.diagonal(lam).weights)(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +257,9 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     each by the eigenvalues of w along the prefix that u keeps in place;
     it is the transpose of ``prelie_closed`` under the diagonal map of
     the eigenvalues (see :func:`dual_prelie_coeff`).  The projected mode
-    cuts the tree expansion of t_w, keeps the tree x tree part and solves
-    for the t-basis coordinates; it needs all weights nonzero so the t
-    elements stay independent.
+    reads the one-edge cuts of t_w's trees, their tree x tree cuts
+    (``ck_coproduct`` stays the full cut coproduct), and solves for the
+    t-basis coordinates; nonzero weights keep the t elements independent.
     """
     letters = _as_letters(w)
     if not letters:
@@ -262,15 +282,18 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     for x in letters:
         if not _weight(wmap, x):
             raise ValueError("projected mode needs nonzero weights")
-    target: dict[tuple[Forest, Forest], Rat] = {}
-    for (left, right), c in ck_coproduct(t_word(letters, wmap)).items():
-        if left.is_tree() and right.is_tree():
-            target[(left, right)] = c
+    t_of = _t_elements(wmap)
+
+    def tree_tree_cuts(f: Forest):  # f is one tree; its tree x tree cuts cut one edge
+        return Counter(
+            (Forest._from_clean((_from_nested((k,)),)), Forest._from_clean((PartitionedTree(c),)))
+            for k, c in _edge_cuts(f.factors[0].root[0])
+        ).items()
+
+    target = _linear(tree_tree_cuts, t_of(letters).items())
     pairs = list(dict.fromkeys(map(words, splittings)))
-    # one t_word per distinct subword: the same u or v recurs across splittings
-    t_of = {x: t_word(x, wmap) for x in dict.fromkeys(part for pair in pairs for part in pair)}
     vectors = [
-        {(f, g): a * b for f, a in t_of[u].items() for g, b in t_of[v].items()}
+        {(f, g): a * b for f, a in t_of(u.letters).items() for g, b in t_of(v.letters).items()}
         for u, v in pairs
     ]
     coeffs = express_in(vectors, target)

@@ -101,14 +101,6 @@ def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     return Tensor._from_clean(_bilinear(partial(_prelie_words, ctx), ta.items(), tb.items()))
 
 
-def apply_at(f: Endo, w: Word, i: int) -> Tensor:
-    """Apply ``f`` to the letter at position ``i`` (0-based), linearly."""
-    acc: dict[Word, Rat] = {}
-    for y, c in f.image_letter(w[i]).items():
-        acc[Word(w.letters[:i] + (y,) + w.letters[i + 1:])] = c
-    return Tensor(acc)
-
-
 def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     """Closed form of the product of two words.
 

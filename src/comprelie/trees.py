@@ -458,13 +458,6 @@ def _grafts(t: PartitionedTree, t2: PartitionedTree) -> Iterator[PartitionedTree
     return map(_from_nested, _braced(t.root, (t2.root,)))
 
 
-def shuffle_trees(a, b) -> TreeTensor:
-    a, b = TreeTensor._coerce(a), TreeTensor._coerce(b)
-    return TreeTensor._from_clean(
-        _bilinear(lambda t, t2: ((tree_shuffle(t, t2), 1),), a.items(), b.items())
-    )
-
-
 # ---------------------------------------------------------------------------
 # linear extensions and the word images
 # ---------------------------------------------------------------------------

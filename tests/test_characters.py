@@ -30,6 +30,7 @@ from comprelie.endo import (
     transpose_endo,
 )
 from comprelie.enveloping import SymMonomial, closed_action, dual_coproduct, star
+from comprelie.forests import delta_cobracket
 from comprelie.prelie import ComPreLieContext, prelie, span_dimension_of_products
 from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, half_shuffle, parse_tensor, parse_word
 from comprelie.words import shuffle
@@ -428,6 +429,14 @@ RETENTION = {
     "span": (_span, 2, 4),
     "shuffle": (lambda n: shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
     "half_shuffle": (lambda n: half_shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
+    # one word under a new weight map on the second run: t elements kept
+    # past the call would stay behind, while the tree encodings the first
+    # run added to the bounded process-wide memo add nothing
+    "projected_cobracket": (
+        lambda n: delta_cobracket(W("abbaba"), {"a": Fraction(n, 7), "b": Fraction(-5, 3)},
+                                  mode="projected"),
+        2, 3,
+    ),
 }
 
 

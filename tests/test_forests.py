@@ -24,14 +24,12 @@ from comprelie.forests import (
     n_d,
     pairing,
     parse_forest,
-    phi_lambda,
     symmetry_factor,
     t_word,
-    tree_projection,
     y_bracket_check,
 )
 from comprelie.prelie import ComPreLieContext, prelie
-from comprelie.trees import all_rooted_trees, parse_tree
+from comprelie.trees import PartitionedTree, _from_nested, _nodes, all_rooted_trees, parse_tree
 from comprelie.words import Letter, Tensor, Word, parse_tensor, parse_word
 
 P = parse_tree
@@ -62,6 +60,19 @@ def _bump(acc, key, c):
         acc[key] = c2
     else:
         acc.pop(key, None)
+
+
+def phi_lambda(x, lam):
+    """Scale each forest by the eigenvalue sum over its vertices."""
+    def weight(f):
+        return sum(lam[dec.name] for t in f.trees for dec, _ in _nodes(t.root))
+
+    return ForestPoly({f: c * weight(f) for f, c in ForestPoly._coerce(x).items()})
+
+
+def tree_projection(x):
+    """Keep the single-tree forests; the unit and proper products go to 0."""
+    return ForestPoly({f: c for f, c in ForestPoly._coerce(x).items() if f.is_tree()})
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +163,20 @@ def test_coproduct_four_vertex_example():
         (F("a[c]"), F("b * d")): 1,
     }
     assert ck_coproduct(t) == expected
+
+
+def test_one_edge_cuts_are_the_tree_tree_part_of_the_coproduct():
+    # the projected cobracket reads the one-edge cuts in place of the
+    # tree (x) tree part of ck_coproduct: same terms, coefficients and order
+    for n in range(1, 6):
+        for t in all_rooted_trees(n, AB):
+            cuts = Counter(
+                (Forest.of(_from_nested((k,))), Forest.of(PartitionedTree(c)))
+                for k, c in forests._edge_cuts(t.root[0])
+            )
+            cop = ck_coproduct(t).items()
+            assert list(cuts.items()) == [(lr, c) for lr, c in cop if all(f.is_tree() for f in lr)]
+            assert sum(cuts.values()) == n - 1
 
 
 def test_coproduct_coassociative_and_multiplicative():
@@ -301,6 +326,35 @@ def test_cobracket_modes_agree():
     for w in ("abc", *short):  # every word of length 1-5 over {a, b}
         closed = delta_cobracket(w, lam, mode="closed")
         assert closed == delta_cobracket(w, lam, mode="projected")
+
+
+@pytest.mark.parametrize(
+    "lam", [{"a": 1, "b": 1}, {"a": 2, "b": Fraction(-1, 3)}, {"a": Fraction(3, 2), "b": 4}]
+)
+def test_projected_mode_is_the_closed_mode(lam):
+    for n in range(1, 6):
+        for w in map("".join, itertools.product("ab", repeat=n)):
+            assert delta_cobracket(w, lam, mode="projected") == delta_cobracket(w, lam)
+
+
+def test_t_elements_keep_their_errors():
+    lam = {"a": 1, "b": 2}
+    with pytest.raises(ValueError, match="no weight supplied for symbol c"):
+        t_word("cab", lam)
+    # c is only ever grafted, so its weight is never read
+    assert t_word("abc", lam) == ForestPoly.of(F("a[b,c]")) + ForestPoly.of(F("a[b[c]]"), 2)
+    assert t_word("aba", {"a": 0, "b": 2}) == ForestPoly()
+    assert n_d(P("a[b]"), "a", {"a": 0, "b": 0}) == ForestPoly()
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError, match="exact rational"):
+            t_word("ab", {"a": bad, "b": 1})
+        with pytest.raises(TypeError, match="exact rational"):
+            n_d(P("a"), "b", {"a": bad, "b": 1})
+        with pytest.raises(TypeError, match="exact rational"):
+            delta_cobracket("ab", {"a": bad, "b": 1}, mode="projected")
+    for zero in ({"a": 0, "b": 1}, {"a": 1, "b": Fraction(0)}):
+        with pytest.raises(ValueError, match="nonzero"):
+            delta_cobracket("aba", zero, mode="projected")
 
 
 def test_cobracket_is_dual_to_the_closed_product():
@@ -500,19 +554,28 @@ def test_star_dual_to_coproduct():
 
 
 def test_projected_cobracket_builds_each_t_word_once(monkeypatch):
-    calls: list = []
-    t_word_once = forests.t_word
-
-    def counting(w, lam):
-        calls.append(tuple(w))
-        return t_word_once(w, lam)
-
-    monkeypatch.setattr(forests, "t_word", counting)
     w = W("abab")
     n = len(w)
     subwords = {
-        tuple(w[i] for i in s) for k in range(1, n) for s in itertools.combinations(range(n), k)
+        tuple(w[i] for i in s) for k in range(2, n + 1) for s in itertools.combinations(range(n), k)
     }
+    expected = sorted(str(t_word(u, LAM)) for u in subwords)
+    calls: list = []
+    graft_leaf = forests._graft_leaf
+
+    def counting(x, leaf, wmap):
+        out = graft_leaf(x, leaf, wmap)
+        calls.append(str(out))
+        return out
+
+    def refused(*args):
+        raise AssertionError("the projected mode takes no admissible cut")
+
+    monkeypatch.setattr(forests, "_graft_leaf", counting)
+    monkeypatch.setattr(forests, "ck_coproduct", refused)
+    monkeypatch.setattr(forests, "_cuts", refused)
     delta_cobracket(w, LAM, mode="projected")
-    # the whole word once for the target, then each distinct subword once
-    assert len(calls) == len(set(calls)) == 1 + len(subwords)
+    # one graft per distinct subword of two letters or more, the word itself
+    # included, each building that subword's t element
+    assert len(subwords) == 9
+    assert sorted(calls) == expected

@@ -15,7 +15,6 @@ from comprelie.endo import Endo, apply_endo, diagonal_weights, fliess_channel, i
 from comprelie.exactla import SpanBasis
 from comprelie.prelie import (
     ComPreLieContext,
-    apply_at,
     associativity_witness,
     graded_series,
     image_span_contains,
@@ -40,6 +39,13 @@ from comprelie.words import (
 
 W = parse_word
 T = parse_tensor
+
+
+def apply_at(f, w, i):
+    """Apply ``f`` to the letter at position ``i`` (0-based), linearly."""
+    head, tail = w.letters[:i], w.letters[i + 1:]
+    return Tensor({Word(head + (y,) + tail): c for y, c in f.image_letter(w[i]).items()})
+
 
 # one fractional matrix and one square-zero matrix exercise different branches
 FRAC = Endo.matrix(["a", "b"], [[1, Fraction(1, 2)], [Fraction(-1, 3), 2]])
