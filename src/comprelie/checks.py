@@ -205,9 +205,7 @@ def _check_tree_morphism(rng: random.Random) -> str | None:
     from .trees import all_partitioned_trees, free_bullet, phi_cpl
 
     ctx = ComPreLieContext(Endo.biletter_shift())
-    pool = []
-    for n in (1, 2, 3):
-        pool.extend(all_partitioned_trees(n, [Letter("a"), Letter("b")]))
+    pool = [t for n in (1, 2, 3) for t in all_partitioned_trees(n, [Letter("a"), Letter("b")])]
     for _ in range(4):
         t1, t2 = rng.choice(pool), rng.choice(pool)
         lhs = Tensor._from_clean(
@@ -222,9 +220,7 @@ def _check_tree_morphism(rng: random.Random) -> str | None:
 def _check_tree_routes(rng: random.Random) -> str | None:
     from .trees import all_partitioned_trees, phi_cpl
 
-    pool = []
-    for n in (1, 2, 3, 4):
-        pool.extend(all_partitioned_trees(n, [Letter("d")]))
+    pool = [t for n in (1, 2, 3, 4) for t in all_partitioned_trees(n, [Letter("d")])]
     for t in rng.sample(pool, 6):
         if phi_cpl(t, mode="recursive") != phi_cpl(t, mode="direct"):
             return f"routes disagree at {t}"

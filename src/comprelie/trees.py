@@ -22,8 +22,9 @@ there and only the path it touched is re-encoded and re-sorted; the
 result shares the untouched blocks with its operands.  A hit returns the
 caller's own block, not the stored one: ``vec({a: 2})`` and
 ``vec({a: Fraction(2)})`` are equal, and each tree keeps its own
-coefficient types.  The memo is emptied once it holds
-``_ENCODINGS_BOUND`` blocks.
+coefficient types.  The memo is emptied once it holds ``_ENCODINGS_BOUND``
+blocks.  The enumerations build each tree once, already canonical, and
+never touch it (``BENCH_24.json``: ``trees`` ran 2,971 -> 4,249 ops/s).
 """
 
 from __future__ import annotations
@@ -87,18 +88,18 @@ _ENCODINGS_BOUND = 2**16
 
 
 def _norm_block(nodes):
-    """The encoding and canonical form of the block ``nodes``.  A block
-    equal to one in ``_ENCODINGS`` is canonical, so it comes back as it
-    is, sharing its objects with the caller; only a new block is sorted."""
+    """The encoding and canonical form of the block ``nodes``.  A block in
+    ``_ENCODINGS`` is canonical, so it comes back as it is, sharing its
+    objects with the caller; only a new block is sorted, and no entry rewritten."""
     enc = _ENCODINGS.get(nodes)
     if enc is not None:
         return enc, nodes
     normed = sorted((_norm_node(dec, bs) for dec, bs in nodes), key=lambda p: p[0])
     enc = tuple(e for e, _ in normed)
     struct = tuple(s for _, s in normed)
-    if len(_ENCODINGS) >= _ENCODINGS_BOUND:
+    if len(_ENCODINGS) >= _ENCODINGS_BOUND and struct not in _ENCODINGS:
         _ENCODINGS.clear()
-    _ENCODINGS[struct] = enc
+    _ENCODINGS.setdefault(struct, enc)
     return enc, struct
 
 
@@ -356,22 +357,21 @@ def parse_tree(text: str) -> PartitionedTree:
     return _from_nested(root)
 
 
+def _dec_str(dec) -> str:
+    return str(dec) if isinstance(dec, Letter) else "(" + "+".join(f"{c}*{x}" for x, c in dec) + ")"
+
+
+def _node_str(dec_text: str, block_texts: Sequence[str]) -> str:
+    return dec_text + "[" + ",".join(block_texts) + "]" if block_texts else dec_text
+
+
+def _block_str(node_texts: Sequence[str]) -> str:
+    return node_texts[0] if len(node_texts) == 1 else "{" + ",".join(node_texts) + "}"
+
+
 def tree_to_str(t: PartitionedTree) -> str:
-    def dec_str(dec) -> str:
-        if isinstance(dec, Letter):
-            return str(dec)
-        return "(" + "+".join(f"{c}*{x}" for x, c in dec) + ")"
-
-    def node_str(node) -> str:
-        dec, child_blocks = node
-        if not child_blocks:
-            return dec_str(dec)
-        return dec_str(dec) + "[" + ",".join(block_str(b) for b in child_blocks) + "]"
-
     def block_str(block) -> str:
-        if len(block) == 1:
-            return node_str(block[0])
-        return "{" + ",".join(node_str(x) for x in block) + "}"
+        return _block_str([_node_str(_dec_str(dec), [block_str(b) for b in bs]) for dec, bs in block])
 
     return block_str(t.root)
 
@@ -582,38 +582,42 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
 # enumeration and rank certificates
 # ---------------------------------------------------------------------------
 
-def _grow(n: int, decorations: Sequence[Letter], step) -> list[PartitionedTree]:
-    """The trees with ``n`` vertices grown from the one-vertex trees, one
-    vertex at a time: ``step(t, d)`` yields the trees that one new
-    ``d``-decorated vertex makes from ``t``.  Deduplicated, sorted by
-    printed form."""
+def _runs(pool: list, total: int) -> list[tuple]:
+    """Each multiset of ``pool`` entries with sizes summing to ``total``, once,
+    as columns.  An entry is ``(encoding, size, form, text)`` and the pool is
+    sorted by encoding, so each multiset's forms come in canonical order."""
+    runs: list[list[tuple]] = [[()]] + [[] for _ in range(total)]
+    for entry in reversed(pool):  # runs[t]: those of total t from this entry on
+        for t in range(entry[1], total + 1):
+            runs[t] += [(entry,) + run for run in runs[t - entry[1]]]
+    return [tuple(zip(*run)) or ((), (), (), ()) for run in runs[total]]
+
+
+def _enumerate(n: int, decorations: Sequence, rooted: bool) -> list[PartitionedTree]:
+    """The trees with ``n`` vertices, sorted by printed form.  A node of size k
+    is a decoration over blocks of total size k - 1; a block of size k is nodes
+    of total size k, drawn from the nodes of size <= k (of size k if rooted)."""
     if n < 1:
         raise ValueError("trees have at least one vertex")
-    level: set[PartitionedTree] = {singleton(d) for d in decorations}
-    for _ in range(n - 1):
-        level = {g for t in level for d in decorations for g in step(t, d)}
-    return sorted(level, key=str)
-
-
-def _leaf_grafts_or_joins(t: PartitionedTree, d) -> Iterator[PartitionedTree]:
-    """A new ``d``-decorated vertex as a leaf in its own block under any
-    vertex, or as one more member of any block."""
-    leaf = (d, ())
-    grown = _rewrites(t.root, lambda b: (*_grafted(b, (leaf,)), b + (leaf,)))
-    return map(_from_nested, grown)
+    heads = {_dec_enc(d): (d, _dec_str(d)) for d in decorations}
+    node_pool, block_pool, blocks = [], [], []
+    for k in range(1, n + 1):
+        block_pool = sorted(block_pool + blocks, key=lambda b: b[0])
+        nodes = [((e, encs), k, (d, forms), _node_str(text, texts))
+                 for encs, _, forms, texts in _runs(block_pool, k - 1) for e, (d, text) in heads.items()]
+        node_pool = nodes if rooted else sorted(node_pool + nodes, key=lambda x: x[0])
+        blocks = [(encs, k, forms, _block_str(texts)) for encs, _, forms, texts in _runs(node_pool, k)]
+    return [PartitionedTree(root) for *_, root, _ in sorted(blocks, key=lambda b: b[3])]
 
 
 def all_partitioned_trees(n: int, decorations: Sequence[Letter]) -> list[PartitionedTree]:
-    """Every decorated partitioned tree with ``n`` vertices, canonical and
-    deduplicated.  Grown one vertex at a time: a new leaf either starts
-    its own block under some vertex or joins an existing block."""
-    return _grow(n, decorations, _leaf_grafts_or_joins)
+    """Every decorated partitioned tree with ``n`` vertices, each once."""
+    return _enumerate(n, decorations, rooted=False)
 
 
 def all_rooted_trees(n: int, decorations: Sequence[Letter]) -> list[PartitionedTree]:
-    """Every decorated rooted tree (all blocks singletons) with ``n``
-    vertices."""
-    return _grow(n, decorations, lambda t, d: _grafts(t, singleton(d)))
+    """Every decorated rooted tree (all blocks singletons) with ``n`` vertices."""
+    return _enumerate(n, decorations, rooted=True)
 
 
 def injectivity_rank(degree: int, symbol: str = "d") -> tuple[int, int]:

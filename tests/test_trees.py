@@ -22,6 +22,10 @@ from comprelie.prelie import (
 from comprelie.trees import (
     PartitionedTree,
     TreeTensor,
+    _from_nested,
+    _grafted,
+    _grafts,
+    _rewrites,
     all_partitioned_trees,
     all_rooted_trees,
     free_bullet,
@@ -377,9 +381,76 @@ def test_universal_eval_missing_image():
 # ---------------------------------------------------------------------------
 
 def test_tree_counts():
-    d = [Letter("d")]
-    assert [len(all_rooted_trees(n, d)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
-    assert [len(all_partitioned_trees(n, d)) for n in range(1, 5)] == [1, 2, 5, 14]
+    d, ab = [Letter("d")], [Letter("a"), Letter("b")]
+    # OEIS A000081 and A038055
+    assert [len(all_rooted_trees(n, d)) for n in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
+    assert [len(all_rooted_trees(n, ab)) for n in range(1, 7)] == [2, 4, 14, 52, 214, 916]
+    assert [len(all_partitioned_trees(n, d)) for n in range(1, 8)] == [1, 2, 5, 14, 42, 134, 444]
+
+
+def _ref_enumerate(n, decorations, step):
+    """The trees with n vertices as the library once enumerated them:
+    grown from the one-vertex trees one vertex at a time, ``step(t, d)``
+    yielding the trees one new d-decorated vertex makes from t, every
+    candidate normalised, deduplicated and sorted by printed form."""
+    if n < 1:
+        raise ValueError("trees have at least one vertex")
+    level = {singleton(d) for d in decorations}
+    for _ in range(n - 1):
+        level = {g for t in level for d in decorations for g in step(t, d)}
+    return sorted(level, key=str)
+
+
+def _ref_leaf_grafts_or_joins(t, d):
+    """A new d-decorated vertex as a leaf in its own block under any
+    vertex, or as one more member of any block."""
+    leaf = (d, ())
+    grown = _rewrites(t.root, lambda b: (*_grafted(b, (leaf,)), b + (leaf,)))
+    return map(_from_nested, grown)
+
+
+def _ref_leaf_grafts(t, d):
+    return _grafts(t, singleton(d))
+
+
+def _memo_snapshot():
+    """The blocks the memo holds and the identity of each encoding."""
+    from comprelie import trees
+
+    return [(block, id(enc)) for block, enc in trees._ENCODINGS.items()]
+
+
+def test_enumeration_matches_the_grow_and_normalise_reference():
+    a, b, c, d = (Letter(x) for x in "abcd")
+    mixed = [a, vec({a: 2, b: Fraction(-1, 3)}), vec({b: Fraction(4)})]
+    cases = (
+        [(n, [d]) for n in range(1, 6)]
+        + [(n, [a, b]) for n in range(1, 6)]
+        + [(n, [a, b, c]) for n in range(1, 4)]
+        + [(n, mixed) for n in range(1, 5)]
+        + [(n, [b, a, b, Letter("a", 1), a]) for n in range(1, 4)]
+        + [(n, []) for n in (1, 3)]
+    )
+    routes = ((all_partitioned_trees, _ref_leaf_grafts_or_joins), (all_rooted_trees, _ref_leaf_grafts))
+    for n, decs in cases:
+        for enumerate_trees, step in routes:
+            expected = _ref_enumerate(n, decs, step)
+            memo = _memo_snapshot()
+            got = enumerate_trees(n, decs)
+            assert _memo_snapshot() == memo
+            assert got == expected
+            assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
+
+
+def test_enumeration_needs_a_vertex_before_it_reads_decorations():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("the decorations were read")
+
+    for enumerate_trees in (all_partitioned_trees, all_rooted_trees):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^trees have at least one vertex$"):
+                enumerate_trees(n, Unread())
 
 
 def test_injectivity_ranks():
@@ -700,10 +771,40 @@ def test_memo_stays_under_its_bound(monkeypatch):
     monkeypatch.setattr(trees, "_ENCODINGS_BOUND", 8)
     monkeypatch.setattr(trees, "_ENCODINGS", {})
     monkeypatch.setattr(trees, "_norm_block", watched)
-    got = [t for n in range(1, 5) for t in all_partitioned_trees(n, ab)]
+    got = [parse_tree(str(t)) for t in expected]
     assert len(got) > 8 and max(sizes) == 8
     assert got == expected
     assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
+
+
+def test_a_reordered_block_keeps_the_entry_it_sorts_to(monkeypatch):
+    # grafts and one-edge cuts hand over blocks out of canonical order; one
+    # that sorts to a block the memo holds must leave that entry alone
+    from comprelie import trees
+    from comprelie.forests import delta_cobracket
+
+    lam = {"a": Fraction(2, 7), "b": Fraction(-5, 3)}
+    monkeypatch.setattr(trees, "_ENCODINGS", {})
+    delta_cobracket("abbaba", lam, mode="projected")
+
+    class Spy(dict):
+        rewritten: list = []
+
+        def __setitem__(self, block, enc):
+            if block in self:
+                self.rewritten.append(block)
+            super().__setitem__(block, enc)
+
+        def clear(self):
+            self.rewritten.extend(self)
+            super().clear()
+
+    spy = Spy(trees._ENCODINGS)
+    monkeypatch.setattr(trees, "_ENCODINGS", spy)
+    memo = _memo_snapshot()
+    delta_cobracket("abbaba", lam, mode="projected")
+    assert spy.rewritten == []
+    assert _memo_snapshot()[: len(memo)] == memo
 
 
 def test_graft_shares_the_blocks_it_did_not_touch():
