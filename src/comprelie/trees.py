@@ -9,22 +9,16 @@ extension turns a tree into a combination of words in indexed letters.
 
 A tree is held as its root block in a canonical nested form: a node is
 ``(decoration, tuple of child blocks)``, a block is a tuple of nodes, and
-both are sorted by a recursive encoding, so isomorphic trees compare
+both are sorted by one comparison, ``_order``, so isomorphic trees compare
 equal.  Grafts, joins, the root-block merge and the admissible cuts are
 recursions on this form; the word maps are one fold over it, which sums
 the linear extensions by shuffling subtrees.  The parent and block
 arrays are views derived from it, built only for the public accessors.
 
-Normalising keeps one memo, ``_ENCODINGS``, keyed by each canonical block
-(the nested tuple itself) and holding its encoding.  An operation hands
-the untouched blocks of its operands on by reference, so they are found
-there and only the path it touched is re-encoded and re-sorted; the
-result shares the untouched blocks with its operands.  A hit returns the
-caller's own block, not the stored one: ``vec({a: 2})`` and
-``vec({a: Fraction(2)})`` are equal, and each tree keeps its own
-coefficient types.  The memo is emptied once it holds ``_ENCODINGS_BOUND``
-blocks.  The enumerations build each tree once, already canonical, and
-never touch it (``BENCH_24.json``: ``trees`` ran 2,971 -> 4,249 ops/s).
+Normalising keeps no state: ``_order`` skips a part both sides share, and
+a part found in order comes back as the caller's own object, so a result
+shares the blocks an operation did not touch, coefficient types and all.
+The enumerations build each tree once, already canonical.
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .endo import Endo, iterate_endo_letter
@@ -68,39 +63,48 @@ def vec(mapping: Mapping[Letter, Rat]) -> tuple[tuple[Letter, Rat], ...]:
 
 def _dec_enc(d) -> tuple:
     if isinstance(d, Letter):
-        return (0, d.name, -1 if d.shift is None else d.shift)
-    enc = []
-    for x, c in d:
-        q = Fraction(c)
-        enc.append((x.name, -1 if x.shift is None else x.shift, q.numerator, q.denominator))
-    return (1, tuple(enc))
+        return (0, *d._key())
+    return (1, tuple((*x._key(), *Fraction(c).as_integer_ratio()) for x, c in d))
 
 
-def _norm_node(dec, child_blocks):
-    normed = sorted((_norm_block(b) for b in child_blocks), key=lambda p: p[0])
-    enc = (_dec_enc(dec), tuple(e for e, _ in normed))
-    struct = (dec, tuple(s for _, s in normed))
-    return enc, struct
+def _order(p, q) -> int:
+    """-1, 0 or 1 as block ``p`` sorts before, with or after ``q``: node by node,
+    by ``_dec_enc`` of the decoration, then child block by child block, a prefix first."""
+    if p is q:
+        return 0
+    for (d, bs), (e, cs) in zip(p, q):
+        if d is not e and d != e and (x := _dec_enc(d)) != (y := _dec_enc(e)):
+            return -1 if x < y else 1
+        if bs is not cs:
+            for b, c in zip(bs, cs):
+                if r := _order(b, c):
+                    return r
+            if len(bs) != len(cs):
+                return -1 if len(bs) < len(cs) else 1
+    return (len(p) > len(q)) - (len(p) < len(q))
 
 
-_ENCODINGS: dict[tuple, tuple] = {}
-_ENCODINGS_BOUND = 2**16
+_BLOCK_ORDER = functools.cmp_to_key(_order)
+
+
+def _norm_node(node):
+    """``node`` with its child blocks canonical and sorted by ``_order``."""
+    bs = node[1]
+    if len(bs) == 1:
+        kid = _norm_block(bs[0])
+        return node if kid is bs[0] else (node[0], (kid,))
+    kids = sorted(map(_norm_block, bs), key=_BLOCK_ORDER)
+    return node if all(map(is_, kids, bs)) else (node[0], tuple(kids))
 
 
 def _norm_block(nodes):
-    """The encoding and canonical form of the block ``nodes``.  A block in
-    ``_ENCODINGS`` is canonical, so it comes back as it is, sharing its
-    objects with the caller; only a new block is sorted, and no entry rewritten."""
-    enc = _ENCODINGS.get(nodes)
-    if enc is not None:
-        return enc, nodes
-    normed = sorted((_norm_node(dec, bs) for dec, bs in nodes), key=lambda p: p[0])
-    enc = tuple(e for e, _ in normed)
-    struct = tuple(s for _, s in normed)
-    if len(_ENCODINGS) >= _ENCODINGS_BOUND and struct not in _ENCODINGS:
-        _ENCODINGS.clear()
-    _ENCODINGS.setdefault(struct, enc)
-    return enc, struct
+    """The block ``nodes`` sorted by ``_order`` at every level, a node as its
+    one-node block; a part already canonical comes back as the caller's own."""
+    if len(nodes) == 1:
+        node = _norm_node(nodes[0]) if nodes[0][1] else nodes[0]
+        return nodes if node is nodes[0] else (node,)
+    out = sorted(map(_norm_node, nodes), key=lambda node: _BLOCK_ORDER((node,)))
+    return nodes if all(map(is_, out, nodes)) else tuple(out)
 
 
 def _nodes(block) -> Iterator[tuple]:
@@ -155,6 +159,11 @@ class PartitionedTree(BasisKey):
             raise ValueError("a partitioned tree needs at least one vertex")
         if len(parents) != m:
             raise ValueError("decorations and parents disagree on the vertex count")
+        for dec in decorations:  # a Letter, or a vec of (Letter, exact rational) pairs
+            if not isinstance(dec, Letter) and (type(dec) is not tuple or not all(
+                    type(p) is tuple and len(p) == 2 and isinstance(p[0], Letter)
+                    and isinstance(p[1], (int, Fraction)) for p in dec)):
+                raise TypeError(f"a decoration is a Letter or a vec of exact rationals, got {dec!r}")
         for v, p in enumerate(parents, start=1):
             if p is None:
                 continue
@@ -266,9 +275,8 @@ def _nested_from_arrays(decorations, parents, blocks):
 
 
 def _from_nested(root_block) -> PartitionedTree:
-    """The tree on the canonical form of ``root_block``; sub-blocks that
-    are already canonical, found in ``_ENCODINGS``, are kept as they are."""
-    return PartitionedTree(_norm_block(root_block)[1])
+    """The tree on the canonical form of ``root_block``, sharing its canonical parts."""
+    return PartitionedTree(_norm_block(root_block))
 
 
 def singleton(dec) -> PartitionedTree:

@@ -545,14 +545,6 @@ def deconcatenate(w: Word) -> list[tuple[Word, Word]]:
     return [(w[:i], w[i:]) for i in range(len(w), -1, -1)]
 
 
-def deconcatenate_iter(w: Word, parts: int) -> Iterator[tuple[Word, ...]]:
-    """All ordered splittings of ``w`` into ``parts`` (possibly empty) factors."""
-    n = len(w)
-    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(w[bounds[i]:bounds[i + 1]] for i in range(parts))
-
-
 # ---------------------------------------------------------------------------
 # Lyndon words
 # ---------------------------------------------------------------------------

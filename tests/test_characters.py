@@ -430,8 +430,8 @@ RETENTION = {
     "shuffle": (lambda n: shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
     "half_shuffle": (lambda n: half_shuffle(W("abcab"[:n]), W("bcabca"[:n + 1])), 2, 5),
     # one word under a new weight map on the second run: t elements kept
-    # past the call would stay behind, while the tree encodings the first
-    # run added to the bounded process-wide memo add nothing
+    # past the call would stay behind; the trees it cuts are normalised
+    # with no memo, so they leave nothing either
     "projected_cobracket": (
         lambda n: delta_cobracket(W("abbaba"), {"a": Fraction(n, 7), "b": Fraction(-5, 3)},
                                   mode="projected"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,13 @@ from comprelie.prelie import (
     specialization_map,
 )
 from comprelie.trees import (
+    _BLOCK_ORDER,
     PartitionedTree,
     TreeTensor,
     _from_nested,
     _grafted,
     _grafts,
+    _nodes,
     _rewrites,
     all_partitioned_trees,
     all_rooted_trees,
@@ -108,6 +111,10 @@ def test_build_validation():
         PartitionedTree.build((a, b), (None, None), ((1,), (2,)))
     with pytest.raises(ValueError, match="at least one vertex"):
         PartitionedTree.build((), (), ())
+    # a bad decoration is refused by build, not at the tree's first hash
+    for bad in ([(a, 2)], ((a, [2]),), ([a, 2],)):
+        with pytest.raises(TypeError):
+            PartitionedTree.build((b, bad), (None, 1), ((1,), (2,)))
 
 
 def test_shape_accessors():
@@ -413,13 +420,6 @@ def _ref_leaf_grafts(t, d):
     return _grafts(t, singleton(d))
 
 
-def _memo_snapshot():
-    """The blocks the memo holds and the identity of each encoding."""
-    from comprelie import trees
-
-    return [(block, id(enc)) for block, enc in trees._ENCODINGS.items()]
-
-
 def test_enumeration_matches_the_grow_and_normalise_reference():
     a, b, c, d = (Letter(x) for x in "abcd")
     mixed = [a, vec({a: 2, b: Fraction(-1, 3)}), vec({b: Fraction(4)})]
@@ -435,9 +435,7 @@ def test_enumeration_matches_the_grow_and_normalise_reference():
     for n, decs in cases:
         for enumerate_trees, step in routes:
             expected = _ref_enumerate(n, decs, step)
-            memo = _memo_snapshot()
             got = enumerate_trees(n, decs)
-            assert _memo_snapshot() == memo
             assert got == expected
             assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
 
@@ -696,8 +694,31 @@ def test_maps_never_build_the_arrays(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the memo of canonical block encodings
+# the canonical form: one comparison, no state
 # ---------------------------------------------------------------------------
+
+def _ref_dec_enc(d):
+    if isinstance(d, Letter):
+        return (0, d.name, -1 if d.shift is None else d.shift)
+    enc = []
+    for x, c in d:
+        q = Fraction(c)
+        enc.append((x.name, -1 if x.shift is None else x.shift, q.numerator, q.denominator))
+    return (1, tuple(enc))
+
+
+def _ref_norm_node(dec, child_blocks):
+    normed = sorted((_ref_norm_block(b) for b in child_blocks), key=lambda p: p[0])
+    return (_ref_dec_enc(dec), tuple(e for e, _ in normed)), (dec, tuple(s for _, s in normed))
+
+
+def _ref_norm_block(nodes):
+    """The encoding and canonical form of the block ``nodes``, as the library
+    once normalised: every node and block encoded as a nested tuple of
+    decoration encodings and sorted by that encoding."""
+    normed = sorted((_ref_norm_node(dec, bs) for dec, bs in nodes), key=lambda p: p[0])
+    return tuple(e for e, _ in normed), tuple(s for _, s in normed)
+
 
 def _scrambled(block, rng):
     """``block`` with its nodes, and every node's child blocks, in random
@@ -707,19 +728,9 @@ def _scrambled(block, rng):
     return tuple((dec, tuple(rng.sample(bs, len(bs)))) for dec, bs in nodes)
 
 
-def _warm_and_cold(raws):
-    from comprelie import trees
-
-    warm = [trees._from_nested(raw) for raw in raws]
-    cold = []
-    for raw in raws:
-        trees._ENCODINGS.clear()
-        cold.append(trees._from_nested(raw))
-    return warm, cold
-
-
-def test_warm_memo_normalises_like_an_empty_one():
-    rng = random.Random(11)
+def _pools():
+    """Every tree on 1-5 vertices over {a, b}, and on 1-4 vertices over a
+    letter and two vectors, the vector trees rebuilt by ``build``."""
     a, b = Letter("a"), Letter("b")
     plain = [t for n in range(1, 6) for t in all_partitioned_trees(n, [a, b])]
     mixed = [
@@ -727,24 +738,41 @@ def test_warm_memo_normalises_like_an_empty_one():
         for n in range(1, 5)
         for t in all_partitioned_trees(n, [a, vec({a: 2, b: Fraction(-1, 3)}), vec({b: Fraction(4)})])
     ]
-    for expected in (plain, mixed):
-        warm, cold = _warm_and_cold([_scrambled(t.root, rng) for t in expected])
-        assert warm == cold == expected
-        assert [repr(t.root) for t in warm] == [repr(t.root) for t in cold]
+    return plain, mixed
 
 
-def test_memo_hit_keeps_the_callers_coefficient_types():
-    from comprelie import trees
+def test_scrambled_trees_normalise_to_the_enumerated_ones():
+    rng = random.Random(11)
+    for expected in _pools():
+        raws = [_scrambled(t.root, rng) for t in expected]
+        got = [_from_nested(raw) for raw in raws]
+        assert got == expected
+        assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
+        assert [t.root for t in got] == [_ref_norm_block(raw)[1] for raw in raws]
+        assert [repr(t.root) for t in got] == [repr(_ref_norm_block(raw)[1]) for raw in raws]
+        # a canonical block comes back as the caller's own object
+        assert all(_from_nested(t.root).root is t.root for t in expected)
 
+
+def test_block_order_sorts_as_the_encodings():
+    rng = random.Random(5)
+    for pool in _pools():
+        blocks = [t.root for t in pool] + [b for t in pool for _, bs in _nodes(t.root) for b in bs]
+        rng.shuffle(blocks)
+        by_order = sorted(blocks, key=_BLOCK_ORDER)
+        by_encoding = sorted(blocks, key=lambda b: _ref_norm_block(b)[0])
+        assert [id(b) for b in by_order] == [id(b) for b in by_encoding]
+
+
+def test_a_tree_keeps_the_callers_coefficient_types():
     a, b = Letter("a"), Letter("b")
     two, two_q = vec({a: 2}), vec({a: Fraction(2)})
     assert two == two_q
 
     def coeff_types(t):
-        return [type(c) for dec, _ in trees._nodes(t.root) if not isinstance(dec, Letter) for _, c in dec]
+        return [type(c) for dec, _ in _nodes(t.root) if not isinstance(dec, Letter) for _, c in dec]
 
     for first, second in ((two_q, two), (two, two_q)):
-        trees._ENCODINGS.clear()
         for dec in (first, second):
             t = PartitionedTree.build((dec,), (None,), ((1,),))
             assert coeff_types(t) == [type(dec[0][1])]
@@ -755,63 +783,40 @@ def test_memo_hit_keeps_the_callers_coefficient_types():
             assert coeff_types(g) == [type(dec[0][1])]
 
 
-def test_memo_stays_under_its_bound(monkeypatch):
-    from comprelie import trees
-
-    ab = [Letter("a"), Letter("b")]
-    expected = [t for n in range(1, 5) for t in all_partitioned_trees(n, ab)]
-    sizes = []
-    real = trees._norm_block
-
-    def watched(nodes):
-        out = real(nodes)
-        sizes.append(len(trees._ENCODINGS))
-        return out
-
-    monkeypatch.setattr(trees, "_ENCODINGS_BOUND", 8)
-    monkeypatch.setattr(trees, "_ENCODINGS", {})
-    monkeypatch.setattr(trees, "_norm_block", watched)
-    got = [parse_tree(str(t)) for t in expected]
-    assert len(got) > 8 and max(sizes) == 8
-    assert got == expected
-    assert [repr(t.root) for t in got] == [repr(t.root) for t in expected]
+def _module_containers():
+    """The size of each module-level dict, list and set of every loaded
+    ``comprelie`` module."""
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items())
+        if name == "comprelie" or name.startswith("comprelie.")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
 
 
-def test_a_reordered_block_keeps_the_entry_it_sorts_to(monkeypatch):
-    # grafts and one-edge cuts hand over blocks out of canonical order; one
-    # that sorts to a block the memo holds must leave that entry alone
-    from comprelie import trees
-    from comprelie.forests import delta_cobracket
+def test_tree_operations_leave_module_state_alone():
+    # canonical forms are computed, never remembered: no module-level
+    # container grows or shrinks across new grafts, joins, cuts and parses
+    from comprelie.forests import Forest, delta_cobracket, forest_star
 
-    lam = {"a": Fraction(2, 7), "b": Fraction(-5, 3)}
-    monkeypatch.setattr(trees, "_ENCODINGS", {})
-    delta_cobracket("abbaba", lam, mode="projected")
+    def batch(x, y):
+        t, t2 = P(f"{x}[{{{y},{x}[{y}]}},{y}]"), P(f"{{{y}[{x},{x}],{x}}}")
+        free_bullet(t, t2)
+        tree_shuffle(t2, t)
+        forest_star(Forest((P(f"{x}[{y},{x}[{y}]]"), P(y))), Forest((P(f"{y}[{x},{x}]"),)))
+        delta_cobracket(x + y + y + x + y, {x: Fraction(3, 7), y: Fraction(-2, 5)}, mode="projected")
 
-    class Spy(dict):
-        rewritten: list = []
-
-        def __setitem__(self, block, enc):
-            if block in self:
-                self.rewritten.append(block)
-            super().__setitem__(block, enc)
-
-        def clear(self):
-            self.rewritten.extend(self)
-            super().clear()
-
-    spy = Spy(trees._ENCODINGS)
-    monkeypatch.setattr(trees, "_ENCODINGS", spy)
-    memo = _memo_snapshot()
-    delta_cobracket("abbaba", lam, mode="projected")
-    assert spy.rewritten == []
-    assert _memo_snapshot()[: len(memo)] == memo
+    batch("p", "q")
+    before = _module_containers()
+    batch("u", "v")
+    after = _module_containers()
+    assert {k: (n, after.get(k)) for k, n in before.items() if after.get(k) != n} == {}
 
 
 def test_graft_shares_the_blocks_it_did_not_touch():
     # vertex 1 is the first root node; the other root nodes' child blocks
-    # are untouched and must be held by reference, not re-normalised
-    from comprelie import trees
-
+    # are untouched and must be held by reference, not copied
     t = P("{a[b[c]],a[{b,c}],b[a,c[{a,b}]]}")
     t2 = P("c[b]")
     untouched = [blk for _, bs in t.root[1:] for blk in bs]
@@ -823,8 +828,3 @@ def test_graft_shares_the_blocks_it_did_not_touch():
     assert g == _ref_graft_at(t, 1, t2)
     assert untouched and all(id(blk) in held(g) for blk in untouched)
     assert id(t2.root) in held(g)
-    # control: normalised from an empty memo, nothing is shared
-    trees._ENCODINGS.clear()
-    cold = graft_at(t, 1, t2)
-    assert cold == g
-    assert not any(id(blk) in held(cold) for blk in untouched)

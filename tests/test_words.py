@@ -18,7 +18,6 @@ from comprelie.words import (
     _fixed_prefix,
     concat,
     deconcatenate,
-    deconcatenate_iter,
     half_shuffle,
     lyndon_words,
     parse_tensor,
@@ -78,19 +77,6 @@ def test_deconcatenate():
         (W("a"), W("b")),
         (W("e"), W("ab")),
     ]
-
-
-def test_deconcatenate_iter_counts():
-    w = W("abcd")
-    # splitting into p parts = choosing p-1 cut positions with repetition
-    for parts in (1, 2, 3):
-        splits = list(deconcatenate_iter(w, parts))
-        assert len(splits) == comb(len(w) + parts - 1, parts - 1)
-        for split in splits:
-            joined = Word(())
-            for piece in split:
-                joined = joined + piece
-            assert joined == w
 
 
 def test_lyndon_words():
