@@ -1,4 +1,4 @@
-"""Admissible upper words, their factorization, and Dyck paths.
+"""Admissible upper words, the words that split into them, and Dyck paths.
 
 An upper word is the top row of a biword: a finite sequence of naturals.
 It is *admissible* when every suffix starting at position i sums to at
@@ -51,31 +51,6 @@ def is_admissible(w: Sequence[int]) -> bool:
 def is_sigma_admissible(w: Sequence[int]) -> bool:
     """Suffix-bound test; equivalent to admitting a factorization."""
     return _suffix_bounded(w)
-
-
-def sigma_factorize(w: Sequence[int]) -> list[UpperWord] | None:
-    """Split into the unique sequence of admissible factors, or None.
-
-    The first factor must end at the first position where the prefix sum
-    falls behind the position count by exactly one; any longer admissible
-    prefix would contain a suffix violating its own bound.
-    """
-    w = tuple(w)
-    out: list[UpperWord] = []
-    start = 0
-    running = 0
-    for i, a in enumerate(w):
-        running += a
-        if running == i - start:
-            factor = w[start : i + 1]
-            if not is_admissible(factor):
-                return None
-            out.append(factor)
-            start = i + 1
-            running = 0
-    if start != len(w):
-        return None
-    return out
 
 
 class DyckPath(Frozen):

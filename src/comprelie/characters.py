@@ -8,13 +8,13 @@ and the group law is ``u diamond v = u comp v + v`` with the zero series as
 identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
 
-A composition works on words coded as tuples of small ints, which hash and
-compare in C.  Each call codes the letters of its operands, of ``x0`` and
-of the f^i images (each f^i(x) looked up once), and keeps the images of
-suffixes and the divided powers in memos that live for that call alone;
-it builds a ``Word`` only for each term of its output.  Its shuffles go
-through the call memo of ``words`` bounded at L - 1 letters, as a letter
-is prepended to every shuffled word: no longer word is ever built.
+A composition codes the letters of its operands, of ``x0`` and of the f^i
+images (each f^i(x) looked up once) as small ints with ``words._Codes``,
+like the pre-Lie product and the brace of words, and prepends through
+``words._prepend``; the images of suffixes and the divided powers are
+memos that live for that call alone, and a ``Word`` is built only for each
+term of the output.  Its shuffles go through the call memo of ``words``
+bounded at L - 1 letters, as a letter is prepended to every shuffled word.
 
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .endo import iterate_endo_letter
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
-from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _set
-from .words import _call_memo, _shuffle_tuples, _Sum
+from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _prepend, _set
+from .words import _call_memo, _Codes, _shuffle_tuples, _Sum
 
 
 class TruncatedSeries:
@@ -96,53 +96,13 @@ def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
-class _Codes:
-    """Small-int codes for the letters one composition meets, numbered in
-    order of first use; they live for one call."""
-
-    __slots__ = ("letters", "index")
-
-    def __init__(self):
-        self.letters: list[Letter] = []
-        self.index: dict[Letter, int] = {}
-
-    def code(self, x: Letter) -> int:
-        i = self.index.get(x)
-        if i is None:
-            i = self.index[x] = len(self.letters)
-            self.letters.append(x)
-        return i
-
-    def terms(self, t: Tensor) -> dict[tuple[int, ...], Rat]:
-        code = self.code
-        return {tuple(map(code, w.letters)): c for w, c in t.items()}
-
-    def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
-        return tuple((self.code(y), c) for y, c in image.items())
-
-    def series(self, L: int, terms: dict) -> TruncatedSeries:
-        """The decoded series; its words are already cut at L."""
-        letter = self.letters.__getitem__
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.trunc = L
-        out.tensor = Tensor._from_clean({Word(tuple(map(letter, t))): c for t, c in terms.items()})
-        return out
-
-
-def _prepend_codes(image: tuple[tuple[int, Rat], ...], tail: dict, acc: _Sum) -> None:
-    """acc += (sum_y image[y] * y) concatenated before each term of ``tail``."""
-    for y, cy in image:
-        head = (y,)
-        _add_into(acc, ((head + t, c) for t, c in tail.items()), cy)
-
-
-def _compose_codes(words: dict, branches: Sequence[list[tuple]], pair, L: int) -> dict:
-    """The linear extension over the coded ``words`` of the map that sends
-    e to 1 and xw to xW + sum over x's branches (image, partner) of
-    image (W sh partner), where W is the image of w, an image is a tuple of
-    (code, coefficient) pairs and a partner a coded series; terms longer
-    than L are dropped.  The images of suffixes are filled shortest first,
-    in a loop, so a word of any length composes without recursion."""
+def _compose_codes(codes: _Codes, words: dict, branches: Sequence, pair, L: int) -> TruncatedSeries:
+    """The series at truncation L of the linear extension over the coded
+    ``words`` of the map that sends e to 1 and xw to xW + sum over x's
+    branches (image, partner) of image (W sh partner), where W is the image
+    of w, an image is a tuple of (code, coefficient) pairs and a partner a
+    coded series.  The images of suffixes are filled shortest first, in a
+    loop, so a word of any length composes without recursion."""
     memo: dict[tuple, dict] = {(): {(): 1}}
     for w in words:
         for j in range(len(w) - 1, -1, -1):
@@ -156,11 +116,15 @@ def _compose_codes(words: dict, branches: Sequence[list[tuple]], pair, L: int) -
             if not branches[x]:
                 memo[suffix] = {head + t: c for t, c in base.items() if len(t) < L}
                 continue
-            acc = _Sum((head + t, c) for t, c in base.items() if len(t) < L)
+            acc = _Sum()
+            _add_into(acc, ((head + t, c) for t, c in base.items() if len(t) < L))
             for image, partner in branches[x]:
-                _prepend_codes(image, _bilinear(pair, base.items(), partner.items()), acc)
+                _prepend(image, _bilinear(pair, base.items(), partner.items()).items(), acc)
             memo[suffix] = acc.result()
-    return _linear(lambda w: memo[w].items(), words.items())
+    composed = _linear(lambda w: memo[w].items(), words.items())
+    out = TruncatedSeries.__new__(TruncatedSeries)  # its words are already cut at L
+    out.trunc, out.tensor = L, Tensor._from_clean(dict(codes.decode(composed.items())))
+    return out
 
 
 def tilde_compose(
@@ -191,7 +155,7 @@ def tilde_compose(
             out.append((codes.image(image), powers[i]))
         return out
 
-    return codes.series(L, _compose_codes(words, [branches(x) for x in heads], pair, L))
+    return _compose_codes(codes, words, [branches(x) for x in heads], pair, L)
 
 
 def diamond(
@@ -274,8 +238,8 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     # a letter on the channel writes x0 before one shuffle copy of d_i
     gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
     branches = [gate if _letter_index(x) == i else [] for x in heads]
-    composed = _compose_codes(words, branches, _call_memo(_shuffle_tuples, L - 1), L)
-    return FliessElement(i, codes.series(L, composed))
+    pair = _call_memo(_shuffle_tuples, L - 1)
+    return FliessElement(i, _compose_codes(codes, words, branches, pair, L))
 
 
 def fliess_diamond(

@@ -29,9 +29,9 @@ from math import factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import iterate_endo_letter
-from .prelie import ComPreLieContext, _prelie_words, _prepend_image, _require_nilpotent
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum
-from .words import BasisKey, _call_memo, _set, _shuffle_words, _split_coeff, parse_word
+from .prelie import ComPreLieContext, _prelie_words, _require_nilpotent
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Codes, _prepend, _Sum
+from .words import BasisKey, _call_memo, _set, _shuffle_tuples, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -270,28 +270,30 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     shuffle of its share with the rest of the word after it, nesting from
     the last letter outward; a deal in which some f^m(x) is 0 is skipped
     before anything is shuffled.  One factor is the pre-Lie product.  The
-    deals repeat shuffled pairs of words, which are kept for this call."""
+    words are coded for this call, whose memo keeps the shuffled pairs the
+    deals repeat, and one ``Word`` is built per output term."""
     if len(factors) < 2:
         return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
-    letters = w.letters
-    pair = _call_memo(_shuffle_words)
+    codes = _Codes()
+    letters = codes.word(w)
+    pair = _call_memo(_shuffle_tuples)
     acc = _Sum()
-    for blocks in _splittings(factors, len(letters)):
+    for blocks in _splittings([codes.word(u) for u in factors], len(letters)):
         at = [j for j, block in enumerate(blocks) if block]
-        images = [iterate_endo_letter(ctx.f, len(blocks[j]), letters[j]) for j in at]
+        images = [iterate_endo_letter(ctx.f, len(blocks[j]), w.letters[j]) for j in at]
         if not all(images):
             continue
-        t = {Word(letters[at[-1] + 1:]): 1}
+        t = {letters[at[-1] + 1:]: 1}
         for i in range(len(at) - 1, -1, -1):
             for u in blocks[at[i]]:
                 t = _bilinear(pair, t.items(), ((u, 1),))
             # the letters since the previous dealt one pass through unchanged
             between = letters[at[i - 1] + 1 if i else 0:at[i]]
             step = _Sum()
-            _prepend_image(images[i], [(w.letters, c) for w, c in t.items()], step, between)
+            _prepend(codes.image(images[i]), t.items(), step, between)
             t = step.result()
         _add_into(acc, t.items())
-    return tuple(acc.result().items())
+    return tuple(codes.decode(acc.result().items()))
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

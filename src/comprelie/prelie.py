@@ -15,10 +15,10 @@ import itertools
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import Endo, _compose_image, image_span_letters, iterate_endo_letter, nilpotency_index
+from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _call_memo, _linear, _shuffle_tuples, _shuffle_words, _Sum
+from .words import _call_memo, _Codes, _linear, _prepend, _shuffle_tuples, _shuffle_words, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -68,30 +68,21 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
     return n
 
 
-def _prepend_image(
-    image: Mapping[Letter, Rat], tail_terms: Iterable[tuple[tuple[Letter, ...], Rat]],
-    acc: _Sum, head: tuple[Letter, ...] = (),
-) -> None:
-    """acc += head (sum_y image[y] * y) concatenated before each tail term,
-    a tuple of letters; ``tail_terms`` is iterated once per letter of the
-    image."""
-    for y, cy in image.items():
-        front = head + (y,)
-        _add_into(acc, ((Word(front + t), c) for t, c in tail_terms), cy)
-
-
 def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
+    """``u . v``, kept in the context's memo.  A cold product works on the
+    words coded for this call and builds one ``Word`` per output term."""
     hit = ctx._products.get((u, v))
     if hit is not None:
         return hit
+    codes = _Codes()
+    cu, cv = codes.word(u), codes.word(v)
     acc = _Sum()
     # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
     for j in range(len(u) - 1, -1, -1):
         image = ctx.f.image_letter(u[j])
         if image:
-            tails = _shuffle_tuples(u.letters[j + 1:], v.letters)
-            _prepend_image(image, tails, acc, u.letters[:j])
-    out = ctx._products[u, v] = tuple(acc.result().items())
+            _prepend(codes.image(image), _shuffle_tuples(cu[j + 1:], cv), acc, cu[:j])
+    out = ctx._products[u, v] = tuple(codes.decode(acc.result().items()))
     return out
 
 
@@ -173,26 +164,6 @@ def _check_intertwining(F: LetterMap, source: Endo, target: Endo, x: Letter) -> 
     lhs = _linear(lambda y: F(y).items(), source.image_letter(x).items())
     if lhs != _compose_image(target, F(x)):
         raise ValueError(f"letter map does not intertwine the endomorphisms at {x}")
-
-
-def specialization_map(f: Endo, assignment: Mapping[str, Letter | str]) -> LetterMap:
-    """The letter map sending the indexed letter ``k:d`` to f^k(assignment[d]).
-
-    Composing with the word extension turns upper-word/decoration pairs into
-    concrete elements of the target algebra.
-    """
-    assign = {
-        d: x if isinstance(x, Letter) else Letter(x) for d, x in assignment.items()
-    }
-
-    def F(x: Letter) -> Mapping[Letter, Rat]:
-        if x.shift is None:
-            raise ValueError(f"specialization expects indexed letters, got {x}")
-        if x.name not in assign:
-            raise ValueError(f"no assignment for decoration {x.name!r}")
-        return iterate_endo_letter(f, x.shift, assign[x.name])
-
-    return F
 
 
 # ---------------------------------------------------------------------------

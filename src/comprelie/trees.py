@@ -159,11 +159,17 @@ class PartitionedTree(BasisKey):
             raise ValueError("a partitioned tree needs at least one vertex")
         if len(parents) != m:
             raise ValueError("decorations and parents disagree on the vertex count")
-        for dec in decorations:  # a Letter, or a vec of (Letter, exact rational) pairs
-            if not isinstance(dec, Letter) and (type(dec) is not tuple or not all(
+        decorations = list(decorations)
+        for i, dec in enumerate(decorations):  # a Letter or a vec of (Letter, rational) pairs
+            if isinstance(dec, Letter):
+                continue
+            if type(dec) is not tuple or not all(
                     type(p) is tuple and len(p) == 2 and isinstance(p[0], Letter)
-                    and isinstance(p[1], (int, Fraction)) for p in dec)):
+                    and isinstance(p[1], (int, Fraction)) for p in dec):
                 raise TypeError(f"a decoration is a Letter or a vec of exact rationals, got {dec!r}")
+            if not all(c for _, c in dec) or len(dict(dec)) != len(dec):
+                raise ValueError(f"a vec needs distinct letters and nonzero coefficients: {dec!r}")
+            decorations[i] = vec(dict(dec))  # the pairs in vec's order
         for v, p in enumerate(parents, start=1):
             if p is None:
                 continue

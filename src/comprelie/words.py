@@ -190,6 +190,39 @@ def word(letters: Iterable[Letter | str]) -> Word:
     return Word(tuple(x if isinstance(x, Letter) else Letter(x) for x in letters))
 
 
+class _Codes:
+    """Small-int codes for the letters one call of a word kernel meets, in
+    order of first use.  Coding is a bijection, so int tuples, which hash in
+    C, merge and order terms as the words would."""
+
+    __slots__ = ("letters", "index")
+
+    def __init__(self):
+        self.letters: list[Letter] = []
+        self.index: dict[Letter, int] = {}
+
+    def code(self, x: Letter) -> int:
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.letters)
+            self.letters.append(x)
+        return i
+
+    def word(self, w: Word) -> tuple[int, ...]:
+        return tuple(map(self.code, w.letters))
+
+    def terms(self, t: Lin) -> dict[tuple[int, ...], Rat]:
+        return {self.word(w): c for w, c in t.items()}
+
+    def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
+        return tuple((self.code(y), c) for y, c in image.items())
+
+    def decode(self, terms: Iterable[tuple[tuple[int, ...], Rat]]) -> list[tuple[Word, Rat]]:
+        """The coded terms as (word, coefficient) pairs, each ``Word`` built once."""
+        letter = self.letters.__getitem__
+        return [(Word(tuple(map(letter, t))), c) for t, c in terms]
+
+
 class _Sum:
     """A sum of (key, coefficient) pairs being formed, kept exact without
     Fraction arithmetic: one int numerator per key over one running common
@@ -310,6 +343,14 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
             if frac is None:
                 frac = acc.frac = set()
             frac.add(i)
+
+
+def _prepend(image: Iterable[tuple], tails: Iterable[tuple], acc: _Sum, head: tuple = ()) -> None:
+    """acc += head (sum of c_y * y over the (y, c_y) pairs of ``image``) before
+    each (tuple, coefficient) pair of ``tails``, which is read once per y."""
+    for y, cy in image:
+        front = head + (y,)
+        _add_into(acc, ((front + t, c) for t, c in tails), cy)
 
 
 def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:

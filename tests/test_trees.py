@@ -18,7 +18,6 @@ from comprelie.prelie import (
     _letterwise,
     induced_morphism,
     prelie,
-    specialization_map,
 )
 from comprelie.trees import (
     _BLOCK_ORDER,
@@ -44,6 +43,7 @@ from comprelie.trees import (
     vec,
 )
 from comprelie.words import Letter, Tensor, Word, _linear, parse_tensor, shuffle
+from test_prelie import specialization_map
 
 T = parse_tensor
 P = parse_tree
@@ -115,6 +115,26 @@ def test_build_validation():
     for bad in ([(a, 2)], ((a, [2]),), ([a, 2],)):
         with pytest.raises(TypeError):
             PartitionedTree.build((b, bad), (None, 1), ((1,), (2,)))
+
+
+def test_build_puts_vec_pairs_out_of_order_in_order():
+    a, b = Letter("a"), Letter("b")
+    t = PartitionedTree.build((b, ((b, 1), (a, 2))), (None, 1), ((1,), (2,)))
+    assert t == PartitionedTree.build((b, vec({a: 2, b: 1})), (None, 1), ((1,), (2,)))
+    assert str(t) == "b[(2*a+1*b)]"
+    assert parse_tree(str(t)) == t
+
+
+def test_build_refuses_a_zero_vec_coefficient():
+    a, b = Letter("a"), Letter("b")
+    with pytest.raises(ValueError, match="nonzero"):
+        PartitionedTree.build((b, ((a, 0), (b, 1))), (None, 1), ((1,), (2,)))
+
+
+def test_build_refuses_a_letter_twice_in_a_vec():
+    a, b = Letter("a"), Letter("b")
+    with pytest.raises(ValueError, match="distinct"):
+        PartitionedTree.build((b, ((a, 1), (a, 2))), (None, 1), ((1,), (2,)))
 
 
 def test_shape_accessors():
