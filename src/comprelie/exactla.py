@@ -2,15 +2,14 @@
 
 Vectors are mappings ``basis key -> rational`` with orderable, hashable keys
 (words, monomials, tree isoclasses...).  :class:`SpanBasis` keeps a reduced
-row-echelon set of rows so that rank growth, membership, and coordinates are
-cheap to query while vectors stream in; :func:`express_in` solves for
-coordinates by reducing through the same basis.
+row-echelon set of rows so that rank growth, membership, and residues are
+cheap to query while vectors stream in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .words import Rat, _add_into, _Sum
 
@@ -73,22 +72,3 @@ class SpanBasis:
 
 def rank_of(vectors: Iterable[Mapping[Hashable, Rat]]) -> int:
     return SpanBasis(vectors).rank
-
-
-def express_in(
-    vectors: Sequence[Mapping[Hashable, Rat]], target: Mapping[Hashable, Rat]
-) -> list[Rat] | None:
-    """Coefficients c with ``sum c_i * vectors[i] == target``, else None.
-
-    When the vectors are dependent one valid solution is returned.
-    """
-    # each vector carries a marker key (1, i) after its keys (0, k); a
-    # marker sorts after every basis key, so it becomes a pivot only once
-    # no basis key is left, and the target's residue holds -c_i at (1, i)
-    span = SpanBasis(
-        {**{(0, k): c for k, c in v.items()}, (1, i): 1} for i, v in enumerate(vectors)
-    )
-    residue = span.reduce({(0, k): c for k, c in target.items()})
-    if any(k[0] == 0 for k in residue):
-        return None
-    return [-residue.get((1, i), 0) for i in range(len(vectors))]

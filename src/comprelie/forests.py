@@ -7,8 +7,8 @@ pre-Lie algebra on the symbols.  When every symbol carries an eigenvalue,
 iterated leaf grafting produces elements t_w indexed by words; their span
 is closed under the coproduct, and the induced cobracket dualizes to the
 weighted-interleaving pre-Lie product on words.  Both routes to the
-cobracket read one deshuffle list; the closed one is the transpose of
-``prelie_closed`` under the diagonal map, sharing its fixed-prefix rule.
+cobracket read one deshuffle list; the closed one transposes ``prelie_closed``
+under the diagonal map, the projected one reads the cuts of t_w's path trees.
 Rescaling the one-symbol row recovers the Faa di Bruno bracket
 [y_k, y_l] = (k-l) y_{k+l}.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .endo import Endo, diagonal_weights
@@ -30,7 +30,6 @@ from .enveloping import (
     diagonal_pairing,
     multiplicative_coproduct,
 )
-from .exactla import express_in
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, _from_nested, _grafts, _nodes, _tree_brace, parse_tree, singleton
 from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Sum
@@ -248,6 +247,14 @@ def t_word(w, lam: Mapping) -> ForestPoly:
 # the cobracket on t elements and its dual product
 # ---------------------------------------------------------------------------
 
+def _chain(letters: tuple[Letter, ...]) -> Forest:
+    """The path tree x1 -> ... -> xn as a one-tree forest (canonical as built)."""
+    node = (letters[-1], ())
+    for x in reversed(letters[:-1]):
+        node = (x, ((node,),))
+    return Forest._from_clean((PartitionedTree((node,)),))
+
+
 def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, Word], Rat]:
     """Cobracket of ``t_w``, expressed in the t basis as a
     (left word, right word) -> coefficient mapping.
@@ -257,9 +264,11 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     each by the eigenvalues of w along the prefix that u keeps in place;
     it is the transpose of ``prelie_closed`` under the diagonal map of
     the eigenvalues (see :func:`dual_prelie_coeff`).  The projected mode
-    reads the one-edge cuts of t_w's trees, their tree x tree cuts
-    (``ck_coproduct`` stays the full cut coproduct), and solves for the
-    t-basis coordinates; nonzero weights keep the t elements independent.
+    cuts one edge of each tree of t_w (the tree x tree part of its cut
+    coproduct) and reads the coordinate of (u, v) off chain(u) x chain(v):
+    the path chain(u) is in t(u), with coefficient Lambda(u) (the weights
+    of u but its last letter multiplied), and in no other t of |u| letters.
+    Rebuilding the cuts checks the coordinates.  Types match across modes.
     """
     letters = _as_letters(w)
     if not letters:
@@ -279,9 +288,8 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         return acc.result()
     if mode != "projected":
         raise ValueError(f"unknown mode {mode!r}")
-    for x in letters:
-        if not _weight(wmap, x):
-            raise ValueError("projected mode needs nonzero weights")
+    if not all(_weight(wmap, x) for x in letters):
+        raise ValueError("projected mode needs nonzero weights")
     t_of = _t_elements(wmap)
 
     def tree_tree_cuts(f: Forest):  # f is one tree; its tree x tree cuts cut one edge
@@ -290,16 +298,28 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
             for k, c in _edge_cuts(f.factors[0].root[0])
         ).items()
 
+    def t_tensor_t(pair: tuple[Word, Word]):  # t(u) x t(v)
+        tu, tv = (t_of(x.letters).items() for x in pair)
+        return (((f, g), a * b) for f, a in tu for g, b in tv)
+
     target = _linear(tree_tree_cuts, t_of(letters).items())
-    pairs = list(dict.fromkeys(map(words, splittings)))
-    vectors = [
-        {(f, g): a * b for f, a in t_of(u.letters).items() for g, b in t_of(v.letters).items()}
-        for u, v in pairs
-    ]
-    coeffs = express_in(vectors, target)
-    if coeffs is None:
+    # v's root hangs below a letter of w before it (else no coordinate); as
+    # in the closed mode, a coordinate is a Fraction if one such weight is
+    hosts: dict[tuple[Word, Word], int] = {}
+    for s in splittings:
+        if s[1][0]:
+            pair = words(s)
+            hosts[pair] = max(hosts.get(pair, 0), s[1][0])
+    coords = {}
+    for (u, v), n in hosts.items():
+        c = target.get((_chain(u.letters), _chain(v.letters)))
+        if c:
+            q = Fraction(c) / prod(wmap[x] for x in u.letters[:-1] + v.letters[:-1])
+            frac = q.denominator != 1 or any(isinstance(wmap[x], Fraction) for x in letters[:n])
+            coords[u, v] = q if frac else q.numerator
+    if _linear(t_tensor_t, coords.items()) != target:
         raise RuntimeError("cobracket landed outside the t basis; internal error")
-    return {pair: c for pair, c in zip(pairs, coeffs) if c}
+    return coords
 
 
 def dual_prelie_coeff(lam: Mapping, u, v) -> Tensor:

@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _call_memo, _Codes, _linear, _prepend, _shuffle_tuples, _shuffle_words, _Sum
+from .words import _call_memo, _Codes, _linear, _merge_into, _prepend, _shuffle_tuples
+from .words import _shuffle_words, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -74,12 +75,15 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     hit = ctx._products.get((u, v))
     if hit is not None:
         return hit
+    # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
+    images = list(map(ctx.f.image_letter, reversed(u.letters)))
+    if not any(images):  # a zero product codes nothing
+        ctx._products[u, v] = ()
+        return ()
     codes = _Codes()
     cu, cv = codes.word(u), codes.word(v)
     acc = _Sum()
-    # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
-    for j in range(len(u) - 1, -1, -1):
-        image = ctx.f.image_letter(u[j])
+    for j, image in zip(range(len(u) - 1, -1, -1), images):
         if image:
             _prepend(codes.image(image), _shuffle_tuples(cu[j + 1:], cv), acc, cu[:j])
     out = ctx._products[u, v] = tuple(codes.decode(acc.result().items()))
@@ -113,8 +117,14 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
-    """Antisymmetrization of the pre-Lie product."""
-    return prelie(ctx, a, b) - prelie(ctx, b, a)
+    """Antisymmetrization of the pre-Lie product: the sum of ``b . a``
+    merged into that of ``a . b``, whose terms, coefficient types and
+    order are those of ``prelie(ctx, a, b) - prelie(ctx, b, a)``."""
+    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
+    product = partial(_prelie_words, ctx)
+    acc = _bilinear(product, ta.items(), tb.items(), _Sum())
+    _merge_into(acc, _bilinear(product, tb.items(), ta.items(), _Sum()), -1)
+    return Tensor._from_clean(acc.result())
 
 
 # ---------------------------------------------------------------------------

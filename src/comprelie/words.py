@@ -345,6 +345,37 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
             frac.add(i)
 
 
+def _merge_into(acc: _Sum, other: _Sum, sign: int) -> None:
+    """acc += sign * other, numerator by numerator: each live key of
+    ``other``, in its order, adds as ``_add_into(acc, other.result().items(),
+    sign)`` would add it, keeping its Fraction flag, and no coefficient is
+    converted."""
+    den = other.den
+    g = den // gcd(acc.den, den)
+    if g > 1:
+        acc._grow(g)
+    mult = sign * (acc.den // den)
+    pos, num, frac = acc.pos, acc.num, acc.frac
+    onum, ofrac = other.num, other.frac
+    n = len(num)  # the next free slot
+    for k, j in other.pos.items():
+        d = onum[j] * mult  # nonzero: j is a live slot
+        i = pos.setdefault(k, n)
+        if i == n:
+            num.append(d)
+            n += 1
+        else:
+            d += num[i]
+            num[i] = d
+            if not d:  # cancelled: the slot stays dead
+                del pos[k]
+                continue
+        if ofrac and j in ofrac:
+            if frac is None:
+                frac = acc.frac = set()
+            frac.add(i)
+
+
 def _prepend(image: Iterable[tuple], tails: Iterable[tuple], acc: _Sum, head: tuple = ()) -> None:
     """acc += head (sum of c_y * y over the (y, c_y) pairs of ``image``) before
     each (tuple, coefficient) pair of ``tails``, which is read once per y."""
@@ -363,18 +394,21 @@ def _linear(op: Callable, pairs: Iterable[tuple[Hashable, Rat]]) -> dict:
     return acc.result()
 
 
-def _bilinear(op: Callable, pairs_a: Iterable[tuple[Hashable, Rat]], pairs_b: Iterable) -> dict:
+def _bilinear(
+    op: Callable, pairs_a: Iterable[tuple[Hashable, Rat]], pairs_b: Iterable, acc: _Sum | None = None
+) -> dict | _Sum:
     """The bilinear extension of a product given on basis keys: sum
-    ca * cb * op(ka, kb), as a zero-free dict.  ``pairs_b`` is iterated
+    ca * cb * op(ka, kb), as a zero-free dict; or added into ``acc``,
+    which is returned unread, when one is given.  ``pairs_b`` is iterated
     once per pair of ``pairs_a``.  A pair whose ``op`` returns an empty
     sequence costs no coefficient product."""
-    acc = _Sum()
+    out = _Sum() if acc is None else acc
     for ka, ca in pairs_a:
         for kb, cb in pairs_b:
             terms = op(ka, kb)
             if terms:
-                _add_into(acc, terms, ca * cb)
-    return acc.result()
+                _add_into(out, terms, ca * cb)
+    return out.result() if acc is None else out
 
 
 class Lin:

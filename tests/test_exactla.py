@@ -1,12 +1,34 @@
-"""Exact linear algebra: solving for coordinates and the growing span basis."""
+"""Exact linear algebra: the growing span basis, and solving for
+coordinates by reducing through it."""
 
 from __future__ import annotations
 
 import ast
 from fractions import Fraction
 from pathlib import Path
+from typing import Hashable, Mapping, Sequence
 
-from comprelie.exactla import SpanBasis, express_in, rank_of
+from comprelie.exactla import SpanBasis, rank_of
+from comprelie.words import Rat
+
+
+def express_in(
+    vectors: Sequence[Mapping[Hashable, Rat]], target: Mapping[Hashable, Rat]
+) -> list[Rat] | None:
+    """Coefficients c with ``sum c_i * vectors[i] == target``, else None.
+
+    When the vectors are dependent one valid solution is returned.
+    """
+    # each vector carries a marker key (1, i) after its keys (0, k); a
+    # marker sorts after every basis key, so it becomes a pivot only once
+    # no basis key is left, and the target's residue holds -c_i at (1, i)
+    span = SpanBasis(
+        {**{(0, k): c for k, c in v.items()}, (1, i): 1} for i, v in enumerate(vectors)
+    )
+    residue = span.reduce({(0, k): c for k, c in target.items()})
+    if any(k[0] == 0 for k in residue):
+        return None
+    return [-residue.get((1, i), 0) for i in range(len(vectors))]
 
 
 def combine(coeffs, vectors) -> dict:

@@ -337,6 +337,63 @@ def test_projected_mode_is_the_closed_mode(lam):
             assert delta_cobracket(w, lam, mode="projected") == delta_cobracket(w, lam)
 
 
+def _path_text(w: str) -> str:
+    return w[0] + "".join("[" + x for x in w[1:]) + "]" * (len(w) - 1)
+
+
+def test_a_path_tree_is_in_its_own_t_element_only():
+    # chain(x1...xn) = x1 -> ... -> xn has coefficient lambda(x1)...lambda(x(n-1))
+    # in t(x1...xn) and is in no other t element of n letters: the projected
+    # cobracket reads its coordinates off these trees
+    lam = {"a": 2, "b": Fraction(-1, 3), "c": 5}
+    for n in range(1, 6):
+        ws = ["".join(p) for p in itertools.product("abc", repeat=n)]
+        ts = {w: t_word(w, lam) for w in ws}
+        for w in ws:
+            chain = F(_path_text(w))
+            assert forests._chain(W(w).letters) == chain
+            path_weight = 1
+            for x in w[:-1]:
+                path_weight *= lam[x]
+            assert ts[w].coefficient(chain) == path_weight
+            assert [w2 for w2 in ws if ts[w2].coefficient(chain)] == [w]
+
+
+@pytest.mark.parametrize(
+    "lam", [{"a": 1, "b": 1}, {"a": 2, "b": Fraction(-1, 3)}, {"a": Fraction(3, 2), "b": 4}]
+)
+def test_projected_coefficients_have_the_closed_types(lam):
+    # Fraction(2) == 2, so the equality of the modes cannot see a type
+    for n in range(1, 6):
+        for w in map("".join, itertools.product("ab", repeat=n)):
+            closed = delta_cobracket(w, lam)
+            projected = delta_cobracket(w, lam, mode="projected")
+            assert [(k, type(c)) for k, c in projected.items()] == [
+                (k, type(closed[k])) for k in projected
+            ]
+            assert projected == closed
+
+
+def test_the_projected_reconstruction_check_can_fail(monkeypatch):
+    edge_cuts = forests._edge_cuts
+    dropped: list = []
+
+    def dropping_one(node):
+        for cut in edge_cuts(node):
+            if dropped:
+                yield cut
+            else:
+                dropped.append(cut)
+
+    # a word of three letters would not do: its subwords' t elements are
+    # single paths, so every cut of t_w is read off and rebuilt as it is
+    assert delta_cobracket("abab", LAM, mode="projected") == delta_cobracket("abab", LAM)
+    monkeypatch.setattr(forests, "_edge_cuts", dropping_one)
+    with pytest.raises(RuntimeError, match="outside the t basis"):
+        delta_cobracket("abab", LAM, mode="projected")
+    assert len(dropped) == 1
+
+
 def test_t_elements_keep_their_errors():
     lam = {"a": 1, "b": 2}
     with pytest.raises(ValueError, match="no weight supplied for symbol c"):

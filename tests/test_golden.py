@@ -15,6 +15,7 @@ only when given ``--write``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -24,7 +25,8 @@ from pathlib import Path
 from comprelie.characters import FliessElement, TruncatedSeries, fliess_tilde, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel
 from comprelie.enveloping import SymMonomial, SymTensor, closed_action, extend_bullet, star
-from comprelie.prelie import ComPreLieContext, prelie
+from comprelie.forests import delta_cobracket, t_word
+from comprelie.prelie import ComPreLieContext, lie_bracket, prelie
 from comprelie.trees import all_partitioned_trees, phi_cpl
 from comprelie.words import Letter, Tensor, Word
 
@@ -37,6 +39,9 @@ F21 = fliess_channel(2, 1)
 FULL2 = Endo.matrix(["a", "b"], [[1, Fraction(1, 2)], [Fraction(-1, 3), 2]])
 NILPOTENT = (UPPER3, F21)
 MAPS = (UPPER3, F21, FULL2)
+# the nonzero weights of the t elements: the projected cobracket refuses a zero
+WEIGHTS = ({"a": 1, "b": 1}, {"a": 2, "b": Fraction(-1, 3)}, {"a": Fraction(3, 2), "b": 4})
+AB_WORDS = ["".join(p) for n in range(1, 6) for p in itertools.product("ab", repeat=n)]
 
 
 def _coeff(rng: random.Random):
@@ -58,21 +63,30 @@ def _sym(rng: random.Random, f: Endo) -> SymTensor:
     return SymTensor((m, _coeff(rng)) for m in monos)
 
 
+def _order(k) -> tuple:
+    """The sort key of a basis key, or of a tuple of them (a tensor pair)."""
+    return tuple(map(_order, k)) if isinstance(k, tuple) else k._key()
+
+
 def _lines(terms) -> list[str]:
-    return [f"{k!r} {type(c).__name__} {c}" for k, c in sorted(terms, key=lambda kc: kc[0]._key())]
+    return [f"{k!r} {type(c).__name__} {c}" for k, c in sorted(terms, key=lambda kc: _order(kc[0]))]
 
 
 def outputs() -> dict[str, list[str]]:
     """Every kernel family's outputs on its inputs, one line per term."""
     out: dict[str, list[str]] = {name: [] for name in (
         "prelie", "closed_action", "star", "extend_bullet",
-        "tilde_compose", "inverse", "fliess_tilde", "phi_cpl_recursive")}
+        "tilde_compose", "inverse", "fliess_tilde", "phi_cpl_recursive",
+        "lie_bracket", "t_word", "cobracket_closed", "cobracket_projected")}
     for f in MAPS:
         rng = random.Random(f"golden prelie {f.alphabet}")
         ctx = ComPreLieContext(f)
         for _ in range(30):
             a, b = _tensor(rng, f, 3, 0, 3), _tensor(rng, f, 3, 0, 3)
             out["prelie"] += ["--", *_lines(prelie(ctx, a, b).items())]
+        for _ in range(20):
+            a, b = _tensor(rng, f, 3, 0, 3), _tensor(rng, f, 3, 0, 3)
+            out["lie_bracket"] += ["--", *_lines(lie_bracket(ComPreLieContext(f), a, b).items())]
     for f in NILPOTENT + (FULL2,):
         rng = random.Random(f"golden braces {f.alphabet}")
         ctx = ComPreLieContext(f)
@@ -101,6 +115,12 @@ def outputs() -> dict[str, list[str]]:
     for n in (1, 2, 3, 4):
         for t in all_partitioned_trees(n, [Letter("a"), Letter("b")]):
             out["phi_cpl_recursive"] += ["--", *_lines(phi_cpl(t, mode="recursive").items())]
+    for lam in WEIGHTS:
+        for w in AB_WORDS:
+            out["t_word"] += ["--", *_lines(t_word(w, lam).items())]
+            out["cobracket_closed"] += ["--", *_lines(delta_cobracket(w, lam).items())]
+            projected = delta_cobracket(w, lam, mode="projected")
+            out["cobracket_projected"] += ["--", *_lines(projected.items())]
     return out
 
 
@@ -114,6 +134,8 @@ def digests() -> dict[str, str]:
 def test_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests() == expected
+    # the two cobracket routes print alike, coefficient types included
+    assert expected["cobracket_projected"] == expected["cobracket_closed"]
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import comprelie as cp
 from comprelie import forests
 from comprelie.enveloping import OudomGuin
 from comprelie.trees import _tree_brace
-from comprelie.words import Letter, Word, _add_into, _Sum
+from comprelie.words import Letter, Word, _add_into, _merge_into, _Sum
 
 
 class RefSum:
@@ -47,6 +47,10 @@ def ref_add_into(acc: RefSum, pairs, scale=1) -> None:
             terms[k] = c2
         elif k in terms:
             del terms[k]
+
+
+def ref_merge_into(acc: RefSum, other: RefSum, sign) -> None:
+    ref_add_into(acc, other.terms.items(), sign)
 
 
 def typed(d: dict) -> list:
@@ -100,6 +104,26 @@ def test_the_accumulator_matches_plain_arithmetic(calls):
         for k in "abcde":
             assert (type(acc.get(k)), acc.get(k)) == (type(ref.get(k)), ref.get(k))
     assert typed(acc.result()) == typed(ref.result())
+
+
+def _summed(calls) -> _Sum:
+    acc = _Sum()
+    for scale, pairs in calls:
+        _add_into(acc, pairs, scale)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(CALLS, CALLS, st.sampled_from((1, -1)))
+# b cancels in the first sum, so its slot is dead, and comes back from the second
+@example([(1, [("b", Fraction(1, 2)), ("a", 1), ("b", Fraction(-1, 2))])],
+         [(Fraction(1, 3), [("b", 1), ("a", 3)])], -1)
+def test_a_merge_adds_as_the_result_would(first, second, sign):
+    merged, plain = _summed(first), _summed(first)
+    _merge_into(merged, _summed(second), sign)
+    _add_into(plain, _summed(second).result().items(), sign)
+    assert list(merged.keys()) == list(plain.keys())
+    assert typed(merged.result()) == typed(plain.result())
 
 
 class CountedKey:
@@ -234,19 +258,25 @@ def _sample(name: str, f: cp.Endo) -> list:
     return out
 
 
+REFERENCES = {"_Sum": RefSum, "_add_into": ref_add_into, "_merge_into": ref_merge_into}
+
+
 def _reference_route(monkeypatch) -> None:
     """Put the reference accumulation behind every kernel: each comprelie
-    module looks ``_Sum`` and ``_add_into`` up at call time.  The layers
-    load lazily, so each is imported first: the sample may not have
+    module looks ``_Sum``, ``_add_into`` and ``_merge_into`` up at call
+    time, and each name is replaced on the modules that have it.  The
+    layers load lazily, so each is imported first: the sample may not have
     reached every one of them yet."""
     for layer in ("words", "prelie", "enveloping", "characters", "exactla", "forests"):
         importlib.import_module(f"comprelie.{layer}")
     patched = set()
     for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("comprelie") and hasattr(mod, "_Sum"):
-            monkeypatch.setattr(mod, "_Sum", RefSum)
-            monkeypatch.setattr(mod, "_add_into", ref_add_into)
-            patched.add(mod.__name__)
+        if not getattr(mod, "__name__", "").startswith("comprelie"):
+            continue
+        for name, reference in REFERENCES.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, reference)
+                patched.add(mod.__name__)
     assert {"comprelie.words", "comprelie.prelie", "comprelie.enveloping",
             "comprelie.characters", "comprelie.exactla"} <= patched
     assert "comprelie.forests" in patched
