@@ -9,11 +9,11 @@ identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
 
 A composition codes the letters of its operands, of ``x0`` and of the f^i
-images (each f^i(x) looked up once) as small ints with ``words._Codes``,
-like the pre-Lie product and the brace of words, and prepends through
-``words._prepend``; the images of suffixes and the divided powers are
-memos that live for that call alone, and a ``Word`` is built only for each
-term of the output.  Its shuffles go through the call memo of ``words``
+images (each f^i(x) stepped once from f^(i-1)(x)) as small ints with
+``words._Codes``, like the pre-Lie product and the brace of words, and
+prepends through ``words._prepend``; the images of suffixes and the
+divided powers are memos that live for that call alone, and a ``Word`` is
+built only for each term of the output.  Its shuffles go through the call memo of ``words``
 bounded at L - 1 letters, as a letter is prepended to every shuffled word.
 
 The input-output (Fliess-operator) groups of control theory are the
@@ -25,10 +25,11 @@ product over channels.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .endo import iterate_endo_letter
+from .endo import letter_iterates
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
 from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _prepend, _set
 from .words import _call_memo, _Codes, _shuffle_tuples, _Sum
@@ -147,13 +148,9 @@ def tilde_compose(
         powers.append(power if i == 1 else {t: Fraction(1, i) * c for t, c in power.items()})
 
     def branches(x: Letter) -> list[tuple]:
-        out = []
-        for i in range(1, N):
-            image = iterate_endo_letter(ctx.f, i, x)
-            if not image:
-                break
-            out.append((codes.image(image), powers[i]))
-        return out
+        # f^i(x) for 1 <= i < N, stepped once each, up to the first zero
+        images = itertools.islice(letter_iterates(ctx.f, x), 1, None)
+        return [(codes.image(image), power) for power, image in zip(powers[1:], images)]
 
     return _compose_codes(codes, words, [branches(x) for x in heads], pair, L)
 
@@ -203,8 +200,7 @@ class FliessElement(Frozen):
             return NotImplemented
         return (self.channel, self.series) == (other.channel, other.series)
 
-    def __hash__(self) -> int:
-        return hash((self.channel, self.series))
+    __hash__ = None  # equal elements compare equal, but a series has no hash
 
     def __repr__(self) -> str:
         return f"FliessElement(channel={self.channel!r}, series={self.series!r})"

@@ -292,16 +292,17 @@ def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word]) -> int:
     terms it extends, and i tail parts; N is the nilpotency index of the
     map and m_i the most letters in an image of f^i.  Counted only until
     it passes the budget."""
-    from .endo import iterate_endo_letter
+    from .endo import letter_iterates
     from .prelie import _require_nilpotent
 
     lengths = [len(w) for w in words]
     if not lengths:
         return 0  # no word: nothing to refuse, whatever the map
-    m = [
-        max((len(iterate_endo_letter(ctx.f, i, x)) for x in ctx.alphabet), default=0)
-        for i in range(_require_nilpotent(ctx))
-    ]
+    N = _require_nilpotent(ctx)
+    m = [0] * N
+    for x in ctx.alphabet:
+        for i, image in zip(range(N), letter_iterates(ctx.f, x)):
+            m[i] = max(m[i], len(image))
     g, longest = [1], max(lengths)
     # G is nondecreasing (its i = 0 term is G(n-1)), so its last value
     # bounds every longer word once it passes the budget

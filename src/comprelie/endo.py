@@ -19,8 +19,9 @@ single-letter words), so images compose directly with the word operations.
 
 from __future__ import annotations
 
+from itertools import islice
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .words import (
     Frozen,
@@ -45,7 +46,7 @@ class Endo(Frozen):
     Maps compare by kind, alphabet and columns.
     """
 
-    __slots__ = ("kind", "alphabet", "columns", "_powers")
+    __slots__ = ("kind", "alphabet", "columns")
 
     def __init__(
         self,
@@ -64,8 +65,6 @@ class Endo(Frozen):
                 {x: MappingProxyType(dict(col)) for x, col in columns.items()}
             )
         _set(self, "columns", columns)
-        # (k, x) -> f^k(x) for 1 <= k <= n on a finite map; see iterate_endo_letter
-        _set(self, "_powers", {})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -77,8 +76,7 @@ class Endo(Frozen):
     __hash__ = None  # equal maps compare equal, but column mappings have no hash
 
     def __reduce__(self):
-        # the read-only views do not pickle: rebuild from plain column
-        # dicts, and leave the letter powers to be recomputed
+        # the read-only views do not pickle: rebuild from plain column dicts
         columns = None if self.columns is None else {x: dict(c) for x, c in self.columns.items()}
         return type(self), (self.kind, self.alphabet, columns)
 
@@ -166,38 +164,35 @@ def iterate_endo(f: Endo, k: int, v: Tensor) -> Tensor:
     return Tensor._from_clean(_linear(image, v.items()))
 
 
-def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
-    """f^k(x), a fresh letter -> coefficient dict.
-
-    On a finite map of n letters the powers up to f^n are kept on ``f``,
-    at most n * n images; the kernels ask for powers below the nilpotency
-    index, itself at most n.  A higher power starts from f^n, and the
-    biletter shift, whose alphabet is infinite, keeps none."""
-    top = min(k, len(f.alphabet)) if f.columns is not None else 0
-    memo = f._powers
-    j = max(top, 0)
-    while j and (j, x) not in memo:
-        j -= 1
-    img = memo[(j, x)] if j else {x: 1}
-    while j < k and img:
-        j += 1
+def letter_iterates(f: Endo, x: Letter) -> Iterator[dict[Letter, Rat]]:
+    """f^0(x) = x, f^1(x), f^2(x), ..., each a fresh dict that applies
+    ``f`` once to the one before, up to the last nonzero power.  The
+    kernels that sum over powers step one of these per letter and call,
+    so each power is computed once and nothing is kept between calls."""
+    img = {x: 1}
+    while img:
+        yield img
         img = _compose_image(f, img)
-        if j <= top:
-            memo[(j, x)] = img
-    return dict(img)
+
+
+def iterate_endo_letter(f: Endo, k: int, x: Letter) -> dict[Letter, Rat]:
+    """f^k(x), a fresh letter -> coefficient dict; ``k <= 0`` gives x."""
+    return next(islice(letter_iterates(f, x), max(k, 0), None), {})
 
 
 def nilpotency_index(f: Endo) -> int | None:
     """Least N with the N-th power identically zero, or None.
 
-    A nilpotent map on n letters has f^n = 0: the search reads f^k, k <= n,
-    from the powers :func:`iterate_endo_letter` keeps on ``f``.  A diagonal
-    map is nilpotent only when it is zero; the biletter shift never is.
+    A nilpotent map on n letters has f^n = 0: the search steps the images
+    of all letters together, n steps at most.  A diagonal map is nilpotent
+    only when it is zero; the biletter shift never is.
     """
     if f.kind == "biletter_shift":
         return None
+    images = [{x: 1} for x in f.alphabet]
     for power in range(1, len(f.alphabet) + 1):
-        if not any(iterate_endo_letter(f, power, x) for x in f.alphabet):
+        images = [img for img in (_compose_image(f, img) for img in images) if img]
+        if not images:
             return power
     return None
 

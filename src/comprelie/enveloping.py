@@ -28,7 +28,7 @@ from functools import partial
 from math import factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .endo import iterate_endo_letter
+from .endo import letter_iterates
 from .prelie import ComPreLieContext, _prelie_words, _require_nilpotent
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Codes, _prepend, _Sum
 from .words import BasisKey, _call_memo, _set, _shuffle_tuples, _split_coeff, parse_word
@@ -270,17 +270,22 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     shuffle of its share with the rest of the word after it, nesting from
     the last letter outward; a deal in which some f^m(x) is 0 is skipped
     before anything is shuffled.  One factor is the pre-Lie product.  The
-    words are coded for this call, whose memo keeps the shuffled pairs the
-    deals repeat, and one ``Word`` is built per output term."""
+    words and each nonzero f^m(x) are coded once for the call, whose memo
+    keeps the shuffled pairs the deals repeat; one ``Word`` per output term."""
     if len(factors) < 2:
         return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
     codes = _Codes()
     letters = codes.word(w)
+    powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
+    for x in dict.fromkeys(letters):
+        images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, len(factors) + 1)
+        for m, image in enumerate(images, 1):
+            powers[x, m] = codes.image(image)
     pair = _call_memo(_shuffle_tuples)
     acc = _Sum()
     for blocks in _splittings([codes.word(u) for u in factors], len(letters)):
         at = [j for j, block in enumerate(blocks) if block]
-        images = [iterate_endo_letter(ctx.f, len(blocks[j]), w.letters[j]) for j in at]
+        images = [powers.get((letters[j], len(blocks[j])), ()) for j in at]
         if not all(images):
             continue
         t = {letters[at[-1] + 1:]: 1}
@@ -290,7 +295,7 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
             # the letters since the previous dealt one pass through unchanged
             between = letters[at[i - 1] + 1 if i else 0:at[i]]
             step = _Sum()
-            _prepend(codes.image(images[i]), t.items(), step, between)
+            _prepend(images[i], t.items(), step, between)
             t = step.result()
         _add_into(acc, t.items())
     return tuple(codes.decode(acc.result().items()))
@@ -329,10 +334,7 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
         return {(EMPTY_WORD, ONE): 1}
     x, u = w[0], w[1:]
     acc = _Sum()
-    for i in range(n):
-        image = iterate_endo_letter(ctx.f, i, x)
-        if not image:
-            break
+    for i, image in zip(range(n), letter_iterates(ctx.f, x)):
         # unshuffle u into i+1 ordered (possibly empty) parts, the adjoint
         # of the iterated shuffle product; the head part feeds the
         # recursion, the tail parts multiply into the monomial leg

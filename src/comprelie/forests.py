@@ -268,7 +268,10 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     coproduct) and reads the coordinate of (u, v) off chain(u) x chain(v):
     the path chain(u) is in t(u), with coefficient Lambda(u) (the weights
     of u but its last letter multiplied), and in no other t of |u| letters.
-    Rebuilding the cuts checks the coordinates.  Types match across modes.
+    Rebuilding the cuts checks only that they lie in the span of the
+    t(u) x t(v), which a lost cut may still do (for 3 letters any one
+    does); comparing with the closed mode, as the tests and ``verify`` do,
+    catches it.  Types match across modes.
     """
     letters = _as_letters(w)
     if not letters:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from comprelie.endo import (
     image_span_letters,
     iterate_endo,
     iterate_endo_letter,
+    letter_iterates,
     nilpotency_index,
     transpose_endo,
 )
@@ -192,32 +194,36 @@ def test_diagonal_maps_store_a_column_table():
 UPPER = [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
 
 
-def test_letter_powers_are_kept_per_map_and_handed_out_fresh():
+def test_letter_powers_are_computed_per_call_and_handed_out_fresh():
     f = Endo.matrix(list("abc"), UPPER)
-    c = Letter("c")
+    a, b, c = Letter("a"), Letter("b"), Letter("c")
     first = iterate_endo_letter(f, 2, c)
-    assert first == {Letter("a"): Fraction(-2, 3)}
-    first[Letter("b")] = 5  # a caller's copy: the kept power is untouched
-    assert iterate_endo_letter(f, 2, c) == {Letter("a"): Fraction(-2, 3)}
+    assert first == {a: Fraction(-2, 3)}
+    first[b] = 5  # a caller's copy: the next call does not see it
+    assert iterate_endo_letter(f, 2, c) == {a: Fraction(-2, 3)}
     assert iterate_endo_letter(f, 3, c) == {}
-    assert set(f._powers) == {(1, c), (2, c), (3, c)}
-    assert f == Endo.matrix(list("abc"), UPPER)  # the memo is outside equality
+    assert f == Endo.matrix(list("abc"), UPPER)
     with pytest.raises(ValueError):
         iterate_endo_letter(f, 1, Letter("z"))
-    assert (1, Letter("z")) not in f._powers
     shift = Endo.biletter_shift()
     assert iterate_endo_letter(shift, 2, Letter("d", 0)) == {Letter("d", 2): 1}
-    assert shift._powers == {}
-    # past the alphabet size nothing more is kept
+    # past the nilpotency index every power is zero
     assert iterate_endo_letter(f, 10, c) == {}
-    a = Letter("a")
     g = diagonal_weights({"a": 2})
     assert iterate_endo_letter(g, 5, a) == {a: 32}
-    assert set(g._powers) == {(1, a)}
     assert iterate_endo_letter(g, 0, a) == iterate_endo_letter(g, -1, a) == {a: 1}
+    # the iterates step f once each and stop after the last nonzero power
+    powers = list(letter_iterates(f, c))
+    assert powers == [{c: 1}, {a: Fraction(1, 2), b: Fraction(-2, 3)}, {a: Fraction(-2, 3)}]
+    assert len(set(map(id, powers))) == 3
+    assert list(itertools.islice(letter_iterates(g, a), 4)) == [{a: 1}, {a: 2}, {a: 4}, {a: 8}]
+    for x in (a, b, c):
+        iterates = list(letter_iterates(f, x))
+        assert iterates == [iterate_endo_letter(f, k, x) for k in range(len(iterates))]
+        assert iterate_endo_letter(f, len(iterates), x) == {}
 
 
-def test_maps_and_contexts_pickle_without_their_letter_powers():
+def test_maps_and_contexts_pickle_by_their_columns():
     maps = [
         Endo.matrix("ab", [[0, 1], [0, 0]]),
         Endo.matrix(list("abc"), UPPER),
@@ -229,10 +235,9 @@ def test_maps_and_contexts_pickle_without_their_letter_powers():
     for f in maps:
         letters = f.alphabet if f.columns is not None else (Letter("d", 0), Letter("d", 3))
         for x in letters:
-            iterate_endo_letter(f, 2, x)  # fill the memo first
+            iterate_endo_letter(f, 2, x)  # reading powers first changes nothing
         g = pickle.loads(pickle.dumps(f))
         assert g == f and g.kind == f.kind and g.alphabet == f.alphabet
-        assert g._powers == {}
         for x in letters:
             assert g.image_letter(x) == f.image_letter(x)
             for k in range(4):

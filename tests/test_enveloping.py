@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import pickle
 import random
+import types
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -34,7 +36,8 @@ from comprelie.enveloping import (
 from comprelie.forests import Forest, ForestPoly, forest_bullet, forest_star
 from comprelie.prelie import ComPreLieContext, _prelie_words, prelie
 from comprelie.trees import all_rooted_trees, free_bullet
-from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, _add_into, _Sum, parse_word, shuffle
+from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, _add_into, _Codes, _Sum, parse_word
+from comprelie.words import shuffle
 
 W = parse_word
 
@@ -357,6 +360,44 @@ def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
     built.clear()
     brace = _word_brace(ctx, w, factors)
     assert brace and len(built) == len(brace)
+
+
+def test_a_cold_brace_computes_each_power_of_a_letter_once(monkeypatch):
+    # c^6 acting on b, a, ba deals the three factors over six letters in
+    # 6^3 ways, each asking for f^m(c) with m <= 3: the call computes and
+    # codes each of those powers once, whatever it reads them through
+    a, b, c = UPPER3.alphabet
+    w, factors = Word((c,) * 6), [Word((b,)), Word((a,)), Word((b, a))]
+    expected = closed_action(ComPreLieContext(UPPER3), w, factors)
+    images, coded = [], []
+
+    def tap(powers):
+        for image in powers:
+            images.append(image)
+            yield image
+
+    def counted(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            if isinstance(out, types.GeneratorType):
+                return tap(out)
+            images.append(out)
+            return out
+        return wrapper
+
+    for name, fn in list(vars(enveloping).items()):
+        if inspect.isfunction(fn) and fn.__module__ == "comprelie.endo":
+            monkeypatch.setattr(enveloping, name, counted(fn))
+    code_image = _Codes.image
+
+    def counted_code(self, image):
+        coded.append(image)
+        return code_image(self, image)
+
+    monkeypatch.setattr(_Codes, "image", counted_code)
+    assert closed_action(ComPreLieContext(UPPER3), w, factors) == expected
+    assert 0 < len(images) <= 4  # f^0(c), ..., f^3(c) at most
+    assert 0 < len(coded) <= 3  # the nonzero powers among f^1(c), ..., f^3(c)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from pathlib import Path
 
 from comprelie.characters import FliessElement, TruncatedSeries, fliess_tilde, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel
-from comprelie.enveloping import SymMonomial, SymTensor, closed_action, extend_bullet, star
-from comprelie.forests import delta_cobracket, t_word
+from comprelie.enveloping import SymMonomial, SymTensor, closed_action, dual_coproduct, extend_bullet, star
+from comprelie.forests import Forest, ForestPoly, ck_coproduct, delta_cobracket, forest_star, t_word
 from comprelie.prelie import ComPreLieContext, lie_bracket, prelie
-from comprelie.trees import all_partitioned_trees, phi_cpl
+from comprelie.trees import all_partitioned_trees, all_rooted_trees, phi_cpl, phi_into, vec
 from comprelie.words import Letter, Tensor, Word
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -42,6 +42,7 @@ MAPS = (UPPER3, F21, FULL2)
 # the nonzero weights of the t elements: the projected cobracket refuses a zero
 WEIGHTS = ({"a": 1, "b": 1}, {"a": 2, "b": Fraction(-1, 3)}, {"a": Fraction(3, 2), "b": 4})
 AB_WORDS = ["".join(p) for n in range(1, 6) for p in itertools.product("ab", repeat=n)]
+AB = [Letter("a"), Letter("b")]
 
 
 def _coeff(rng: random.Random):
@@ -72,12 +73,20 @@ def _lines(terms) -> list[str]:
     return [f"{k!r} {type(c).__name__} {c}" for k, c in sorted(terms, key=lambda kc: _order(kc[0]))]
 
 
+def _forests(rng: random.Random, trees: list) -> ForestPoly:
+    """Two forests of one or two of the given rooted trees."""
+    forests = (Forest(rng.choice(trees) for _ in range(rng.randint(1, 2))) for _ in range(2))
+    return ForestPoly((m, _coeff(rng)) for m in forests)
+
+
 def outputs() -> dict[str, list[str]]:
     """Every kernel family's outputs on its inputs, one line per term."""
     out: dict[str, list[str]] = {name: [] for name in (
         "prelie", "closed_action", "star", "extend_bullet",
         "tilde_compose", "inverse", "fliess_tilde", "phi_cpl_recursive",
-        "lie_bracket", "t_word", "cobracket_closed", "cobracket_projected")}
+        "lie_bracket", "t_word", "cobracket_closed", "cobracket_projected",
+        "dual_coproduct", "phi_into", "phi_cpl_direct", "ck_coproduct", "forest_star",
+        "all_partitioned_trees", "all_rooted_trees")}
     for f in MAPS:
         rng = random.Random(f"golden prelie {f.alphabet}")
         ctx = ComPreLieContext(f)
@@ -112,9 +121,33 @@ def outputs() -> dict[str, list[str]]:
         for channel in (1, 2, 1, 2):
             c = FliessElement(channel, TruncatedSeries(L, _tensor(rng, F21, 6, 1, 3)))
             out["fliess_tilde"] += ["--", *_lines(fliess_tilde(c, d).series.items())]
+    for f in NILPOTENT:
+        ctx = ComPreLieContext(f)
+        for n in range(1, 6):
+            for letters in itertools.product(f.alphabet, repeat=n):
+                pairs = (((t, m), c) for t, m, c in dual_coproduct(ctx, Word(letters)))
+                out["dual_coproduct"] += ["--", *_lines(pairs)]
+        # the last letter heads the longest chain of images; the vec spans them all
+        rng = random.Random(f"golden phi_into {f.alphabet}")
+        decorations = [f.alphabet[-1], vec({x: _coeff(rng) for x in f.alphabet})]
+        for n in (1, 2, 3, 4):
+            for t in all_partitioned_trees(n, decorations):
+                out["phi_into"] += ["--", *_lines(phi_into(t, ctx).items())]
     for n in (1, 2, 3, 4):
-        for t in all_partitioned_trees(n, [Letter("a"), Letter("b")]):
+        for t in all_partitioned_trees(n, AB):
             out["phi_cpl_recursive"] += ["--", *_lines(phi_cpl(t, mode="recursive").items())]
+            out["phi_cpl_direct"] += ["--", *_lines(phi_cpl(t).items())]
+        out["all_partitioned_trees"] += ["--", *map(repr, all_partitioned_trees(n, AB))]
+    for n in (1, 2, 3, 4, 5):
+        out["all_rooted_trees"] += ["--", *map(repr, all_rooted_trees(n, AB))]
+    rooted = [t for n in (1, 2, 3) for t in all_rooted_trees(n, AB)]
+    rng = random.Random("golden forests")
+    for t in rooted + all_rooted_trees(4, AB):
+        out["ck_coproduct"] += ["--", *_lines(ck_coproduct(t).items())]
+    for _ in range(20):
+        out["ck_coproduct"] += ["--", *_lines(ck_coproduct(_forests(rng, rooted)).items())]
+        a, b = _forests(rng, rooted), _forests(rng, rooted)
+        out["forest_star"] += ["--", *_lines(forest_star(a, b).items())]
     for lam in WEIGHTS:
         for w in AB_WORDS:
             out["t_word"] += ["--", *_lines(t_word(w, lam).items())]
@@ -134,8 +167,10 @@ def digests() -> dict[str, str]:
 def test_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests() == expected
-    # the two cobracket routes print alike, coefficient types included
+    # the two routes of the cobracket, and of phi_cpl, print alike,
+    # coefficient types included
     assert expected["cobracket_projected"] == expected["cobracket_closed"]
+    assert expected["phi_cpl_direct"] == expected["phi_cpl_recursive"]
 
 
 if __name__ == "__main__":

@@ -6,16 +6,21 @@ refuse assignment, and the validating constructors keep their errors."""
 
 from __future__ import annotations
 
+import ast
 import pickle
+from fractions import Fraction
+from pathlib import Path
+from typing import Mapping
 
 import pytest
 
+import comprelie
 from comprelie.admissible import DyckPath
-from comprelie.characters import FliessElement, TruncatedSeries
-from comprelie.endo import Endo, fliess_channel
-from comprelie.enveloping import Monomial, SymMonomial
+from comprelie.characters import FliessElement, TruncatedSeries, inverse, tilde_compose
+from comprelie.endo import Endo, fliess_channel, nilpotency_index
+from comprelie.enveloping import Monomial, SymMonomial, closed_action, dual_coproduct, star
 from comprelie.forests import Forest, parse_forest
-from comprelie.prelie import ComPreLieContext, GradedSeries, graded_series
+from comprelie.prelie import ComPreLieContext, GradedSeries, graded_series, prelie
 from comprelie.trees import PartitionedTree, parse_tree
 from comprelie.words import Letter, Word, parse_tensor, parse_word
 
@@ -185,3 +190,79 @@ def test_endo_columns_are_read_only_copies():
     assert f.image_letter(A) == {A: 1}
     with pytest.raises(TypeError):
         f.columns[A] = {}
+
+
+# ---------------------------------------------------------------------------
+# no value holds a memo
+# ---------------------------------------------------------------------------
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_container(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("dict", "list", "set", "defaultdict", "Counter")
+    return isinstance(node, _CONTAINERS)
+
+
+def test_no_frozen_value_stores_a_container_at_construction():
+    # a dict, list or set set up by a frozen value's __init__ is a place
+    # to keep state the value's equality, hash and pickle do not see
+    source = Path(comprelie.__file__).resolve().parent
+    classes = [
+        node for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {c.name: [b.id for b in c.bases if isinstance(b, ast.Name)] for c in classes}
+
+    def frozen(name: str) -> bool:
+        return name == "Frozen" or any(map(frozen, bases.get(name, ())))
+
+    checked, stored = [], []
+    for c in classes:
+        if not frozen(c.name):
+            continue
+        checked.append(c.name)
+        for fn in c.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                stored += [
+                    f"{c.name}.{call.args[1].value}" for call in ast.walk(fn)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "_set" and len(call.args) == 3
+                    and _is_container(call.args[2])
+                ]
+    assert {"Endo", "Word", "PartitionedTree", "FliessElement"} <= set(checked)
+    assert stored == []
+
+
+def _slots(x) -> dict:
+    """Every slot of ``x``, mappings read as plain nested dicts."""
+
+    def plain(v):
+        return {k: plain(c) for k, c in v.items()} if isinstance(v, Mapping) else v
+
+    names = [s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ())]
+    return {s: plain(getattr(x, s, None)) for s in names}
+
+
+UPPER3 = Endo.matrix(
+    ["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]]
+)
+
+
+@pytest.mark.parametrize("f", [UPPER3, fliess_channel(2, 1)], ids=["index-3", "fliess(2,1)"])
+def test_kernels_leave_their_map_unchanged(f):
+    before = _slots(f)
+    ctx = ComPreLieContext(f)
+    x, y, z = f.alphabet
+    u, v = Word((z, y, z)), Word((y, z))
+    assert prelie(ctx, u, v)
+    star(ctx, SymMonomial.of(u), SymMonomial.of(v, Word((y,))))
+    closed_action(ctx, Word((z,) * 4), [Word((y,)), Word((x,)), v])
+    dual_coproduct(ctx, Word((z, y, z, x)))
+    series = TruncatedSeries(4, parse_tensor(" + ".join(map(str, (z, v, u)))))
+    tilde_compose(ctx, series, series)
+    inverse(ctx, series)
+    assert nilpotency_index(f) is not None
+    assert _slots(f) == before
