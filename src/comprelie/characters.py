@@ -26,6 +26,7 @@ product over channels.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -155,6 +156,24 @@ def tilde_compose(
     return _compose_codes(codes, words, [branches(x) for x in heads], pair, L)
 
 
+def _compose_terms(letters: int, trunc: int, lu: int, lv: int, stop: int) -> int:
+    """At most how many terms ``tilde_compose`` and ``diamond`` return: the
+    number of words of length 1..E over ``letters`` letters, counted only
+    until it passes ``stop``.  E is the truncation or, if shorter, the
+    longest word the composition can build from words of length at most
+    ``lu`` (left) and ``lv`` (right): each left letter brings at most one
+    right word per power of the map below its nilpotency index, and a map
+    on n letters has index at most n."""
+    longest = min(trunc, max(lv, lu * (1 + (letters - 1) * lv)))
+    total, power = 0, 1
+    for _ in range(longest):
+        power *= letters
+        total += power
+        if total > stop:
+            break
+    return total
+
+
 def diamond(
     ctx: ComPreLieContext, u: TruncatedSeries, v: TruncatedSeries
 ) -> TruncatedSeries:
@@ -264,3 +283,22 @@ def fibonacci_dims(n: int, k_max: int) -> list[int]:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     return graded_series([0, n, 1], 1, k_max).coefficients
+
+
+def _log_r(n: int) -> float:
+    """log10 of r = (n + sqrt(n^2 + 4)) / 2, the growth rate of
+    ``fibonacci_dims``: d_k = (r**k - (-1/r)**k) / sqrt(n^2 + 4)."""
+    return math.log10(n) + math.log10((1 + math.sqrt(1 + 4 / (n * n))) / 2)
+
+
+def _series_chars(n: int, k_max: int) -> int:
+    """About how many characters ``fibonacci_dims(n, k_max)`` prints in:
+    the last dimension has about k_max * log10(r) digits and all of them
+    half of k_max**2 * log10(r)."""
+    return round(k_max * k_max * _log_r(n) / 2)
+
+
+def _series_digits(n: int, k_max: int) -> int:
+    """About how many digits the last of ``fibonacci_dims(n, k_max)`` has:
+    d_k is within 1 of r**k / sqrt(n^2 + 4)."""
+    return int(k_max * _log_r(n) - math.log10(n * n + 4) / 2) + 1

@@ -14,6 +14,12 @@ Output is plain text by default; ``--format json`` (or the environment
 variable ``COMPRELIE_FORMAT``) switches every verb to a single JSON
 document on stdout.  Exit status: 0 on success, 1 when ``verify`` finds
 a failing check, 2 on usage or syntax errors.
+
+A verb whose output could explode exits 2 before any work once its size
+estimate passes its ``_*_BUDGET`` here; ``_refuse_over`` is the one place
+that refuses.  Each estimate sits beside the kernel it bounds, in
+``prelie``, ``enveloping``, ``characters`` or ``trees``; library calls are
+not budgeted.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Each verb imports the layers it calls where it calls them, ``json`` only
 # where it prints JSON, and ``verify`` its checks (``checks``), so a process
@@ -34,7 +40,6 @@ from typing import Iterable, Sequence
 from .words import (
     Rat,
     Tensor,
-    Word,
     _bilinear,
     _linear,
     parse_rational,
@@ -208,198 +213,6 @@ def _ctx_from(args) -> ComPreLieContext:
     return ComPreLieContext(parse_endo_spec(args.endo))
 
 
-def _cmd_prelie(args) -> int:
-    from .prelie import prelie, prelie_closed
-
-    ctx = _ctx_from(args)
-    a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
-    _check_prelie_budget("prelie", ctx, itertools.product(a.terms, b.terms))
-    if args.closed:
-        closed = _bilinear(lambda u, v: prelie_closed(ctx, u, v).items(), a.items(), b.items())
-        out = Tensor._from_clean(closed)
-    else:
-        out = prelie(ctx, a, b)
-    _emit(args.format, [str(out)], {"result": str(out)})
-    return 0
-
-
-def _cmd_bracket(args) -> int:
-    from .prelie import lie_bracket
-
-    ctx = _ctx_from(args)
-    a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
-    ab, ba = itertools.product(a.terms, b.terms), itertools.product(b.terms, a.terms)
-    _check_prelie_budget("bracket", ctx, itertools.chain(ab, ba))
-    out = lie_bracket(ctx, a, b)
-    _emit(args.format, [str(out)], {"result": str(out)})
-    return 0
-
-
-def _check_prelie_budget(verb: str, ctx: ComPreLieContext, pairs: Iterable) -> None:
-    letters = _prelie_letters(ctx, pairs)
-    if letters > _PRELIE_BUDGET:
-        raise CliError(
-            f"{verb} could write at least {letters} letters of words, "
-            f"over the budget of {_PRELIE_BUDGET}"
-        )
-
-
-def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable[tuple[Word, Word]]) -> int:
-    """At most how many letters the pre-Lie products of the word pairs
-    write: for each pair (u, v) and each letter u_j, the loop feeds its
-    accumulator |f(u_j)| * C(|u|-1-j+|v|, |v|) words of |u|+|v| letters.
-    Counted only until it passes the budget."""
-    total = 0
-    for u, v in pairs:
-        for j, x in enumerate(u):
-            images = len(ctx.f.image_letter(x))
-            if images:
-                total += images * math.comb(len(u) - 1 - j + len(v), len(v)) * (len(u) + len(v))
-                if total > _PRELIE_BUDGET:
-                    return total
-    return total
-
-
-def _cmd_star(args) -> int:
-    from .enveloping import star
-
-    ctx = _ctx_from(args)
-    out = star(ctx, _as_sym_arg(args.left), _as_sym_arg(args.right))
-    _emit(args.format, [str(out)], {"result": str(out)})
-    return 0
-
-
-def _cmd_coproduct(args) -> int:
-    from .enveloping import dual_coproduct
-
-    ctx = _ctx_from(args)
-    t = _as_tensor_arg(args.expr)
-    rows = _coproduct_terms(ctx, t.terms)
-    if rows > _COPRODUCT_BUDGET:
-        raise CliError(
-            f"coproduct could print at least {rows} rows, over the budget of {_COPRODUCT_BUDGET}"
-        )
-    pairs = _linear(lambda w: (((l, r), c) for l, r, c in dual_coproduct(ctx, w)), t.items())
-    _emit_pairs(args.format, pairs)
-    return 0
-
-
-def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word]) -> int:
-    """At most how many rows ``coproduct`` prints: the sum over the words
-    of G(|w|), the number of terms the dual coproduct generates.  G(0) = 1
-    and G(n) = sum_{i<N} m_i sum_h C(n-1, h) i^(n-1-h) G(h): the f^i term
-    of a word deals its other n-1 letters into a head of h letters, whose
-    terms it extends, and i tail parts; N is the nilpotency index of the
-    map and m_i the most letters in an image of f^i.  Counted only until
-    it passes the budget."""
-    from .endo import letter_iterates
-    from .prelie import _require_nilpotent
-
-    lengths = [len(w) for w in words]
-    if not lengths:
-        return 0  # no word: nothing to refuse, whatever the map
-    N = _require_nilpotent(ctx)
-    m = [0] * N
-    for x in ctx.alphabet:
-        for i, image in zip(range(N), letter_iterates(ctx.f, x)):
-            m[i] = max(m[i], len(image))
-    g, longest = [1], max(lengths)
-    # G is nondecreasing (its i = 0 term is G(n-1)), so its last value
-    # bounds every longer word once it passes the budget
-    while len(g) <= longest and g[-1] <= _COPRODUCT_BUDGET:
-        n = len(g)
-        g.append(m[0] * g[-1] + sum(
-            m[i] * sum(math.comb(n - 1, h) * i ** (n - 1 - h) * g[h] for h in range(n))
-            for i in range(1, len(m))
-        ))
-    total = 0
-    for n in lengths:
-        total += g[min(n, len(g) - 1)]
-        if total > _COPRODUCT_BUDGET:
-            break
-    return total
-
-
-def _cmd_compose(args) -> int:
-    from .characters import TruncatedSeries, diamond, tilde_compose
-
-    ctx = _ctx_from(args)
-    L = args.trunc
-    u = TruncatedSeries(L, _as_tensor_arg(args.left))
-    v = TruncatedSeries(L, _as_tensor_arg(args.right))
-    letters = set(ctx.alphabet).union(*(w.letters for w in (*u.tensor.terms, *v.tensor.terms)))
-    lu, lv = (max(map(len, s.tensor.terms), default=0) for s in (u, v))
-    terms = _compose_terms(len(letters), L, lu, lv)
-    if terms > _COMPOSE_BUDGET:
-        raise CliError(
-            f"compose --trunc {L} could print at least {terms} terms, "
-            f"over the budget of {_COMPOSE_BUDGET}"
-        )
-    out = tilde_compose(ctx, u, v) if args.tilde else diamond(ctx, u, v)
-    _emit(args.format, [str(out)], {"trunc": L, "result": str(out)})
-    return 0
-
-
-def _compose_terms(letters: int, trunc: int, lu: int, lv: int) -> int:
-    """At most how many terms ``compose`` prints: the number of words of
-    length 1..E over ``letters`` letters, counted only until it passes
-    the budget.  E is the truncation or, if shorter, the longest word the
-    composition can build from words of length at most ``lu`` (left) and
-    ``lv`` (right): each left letter brings at most one right word per
-    power of the map below its nilpotency index, and a map on n letters
-    has index at most n."""
-    longest = min(trunc, max(lv, lu * (1 + (letters - 1) * lv)))
-    total, power = 0, 1
-    for _ in range(longest):
-        power *= letters
-        total += power
-        if total > _COMPOSE_BUDGET:
-            break
-    return total
-
-
-def _log_r(n: int) -> float:
-    """log10 of r = (n + sqrt(n^2 + 4)) / 2, the growth rate of the
-    ``series`` dimensions: d_k = (r**k - (-1/r)**k) / sqrt(n^2 + 4)."""
-    return math.log10(n) + math.log10((1 + math.sqrt(1 + 4 / (n * n))) / 2)
-
-
-def _series_chars(n: int, k_max: int) -> int:
-    """About how many characters ``series`` prints: the last dimension
-    has about k_max * log10(r) digits and all of them half of
-    k_max**2 * log10(r)."""
-    return round(k_max * k_max * _log_r(n) / 2)
-
-
-def _series_digits(n: int, k_max: int) -> int:
-    """About how many digits the last dimension ``series`` prints has:
-    d_k is within 1 of r**k / sqrt(n^2 + 4)."""
-    return int(k_max * _log_r(n) - math.log10(n * n + 4) / 2) + 1
-
-
-def _cmd_series(args) -> int:
-    from .characters import fibonacci_dims
-
-    k_max = max(args.max, 0)
-    chars = _series_chars(args.fliess, k_max) if args.fliess >= 1 else 0
-    if chars > _SERIES_BUDGET:
-        raise CliError(
-            f"series --max {args.max} would print about {chars} characters, "
-            f"over the budget of {_SERIES_BUDGET}"
-        )
-    # CPython refuses to print an int longer than this limit (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = _series_digits(args.fliess, k_max) if args.fliess >= 1 else 0
-    if limit and digits > limit:
-        raise CliError(
-            f"series --max {args.max} would print a dimension of about {digits} digits, "
-            f"over Python's limit of {limit} digits for printing one integer"
-        )
-    dims = fibonacci_dims(args.fliess, args.max)
-    _emit(args.format, [",".join(str(d) for d in dims)], {"dims": dims})
-    return 0
-
-
 # words listed by one `dyck --list`: length 12 (266,798 words, about 3 s)
 # fits, length 13 (950,912 words) does not; the count grows about 4x per step
 _DYCK_LIST_BUDGET = 300_000
@@ -426,12 +239,101 @@ _COPRODUCT_BUDGET = 5_000_000
 # second) fits, and --max 12000 would pass CPython's 4300-digit print limit
 _SERIES_BUDGET = 5_000_000
 
-
 # words printed by one `tree-map`, in either mode: the star on 9 vertices
 # (40,320 words) prints in 1.4-2.0 s at 59-64 MB peak RSS on a 2-CPU Xeon VM
 # with CPython 3.11, and the star on 10 (362,880 words) takes 17.2 s at 407
 # MB in the direct mode there
 _TREE_MAP_BUDGET = 50_000
+
+
+def _refuse_over(budget, estimate: int, claim: str, unit: str, over="the budget of {}") -> None:
+    """The one refusal, before any work: exit 2 with "<claim> <estimate>
+    <unit>, over <over>" (the budget in its ``{}``) when the estimate passes."""
+    if estimate > budget:
+        raise CliError(f"{claim} {estimate} {unit}, over {over.format(budget)}")
+
+
+def _cmd_prelie(args) -> int:
+    from .prelie import _prelie_letters, prelie, prelie_closed
+
+    ctx = _ctx_from(args)
+    a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
+    letters = _prelie_letters(ctx, itertools.product(a.terms, b.terms), _PRELIE_BUDGET)
+    _refuse_over(_PRELIE_BUDGET, letters, "prelie could write at least", "letters of words")
+    if args.closed:
+        closed = _bilinear(lambda u, v: prelie_closed(ctx, u, v).items(), a.items(), b.items())
+        out = Tensor._from_clean(closed)
+    else:
+        out = prelie(ctx, a, b)
+    _emit(args.format, [str(out)], {"result": str(out)})
+    return 0
+
+
+def _cmd_bracket(args) -> int:
+    from .prelie import _prelie_letters, lie_bracket
+
+    ctx = _ctx_from(args)
+    a, b = _as_tensor_arg(args.left), _as_tensor_arg(args.right)
+    ab, ba = itertools.product(a.terms, b.terms), itertools.product(b.terms, a.terms)
+    letters = _prelie_letters(ctx, itertools.chain(ab, ba), _PRELIE_BUDGET)
+    _refuse_over(_PRELIE_BUDGET, letters, "bracket could write at least", "letters of words")
+    out = lie_bracket(ctx, a, b)
+    _emit(args.format, [str(out)], {"result": str(out)})
+    return 0
+
+
+def _cmd_star(args) -> int:
+    from .enveloping import star
+
+    ctx = _ctx_from(args)
+    out = star(ctx, _as_sym_arg(args.left), _as_sym_arg(args.right))
+    _emit(args.format, [str(out)], {"result": str(out)})
+    return 0
+
+
+def _cmd_coproduct(args) -> int:
+    from .enveloping import _coproduct_terms, dual_coproduct
+
+    ctx = _ctx_from(args)
+    t = _as_tensor_arg(args.expr)
+    rows = _coproduct_terms(ctx, t.terms, _COPRODUCT_BUDGET)
+    _refuse_over(_COPRODUCT_BUDGET, rows, "coproduct could print at least", "rows")
+    pairs = _linear(lambda w: (((l, r), c) for l, r, c in dual_coproduct(ctx, w)), t.items())
+    _emit_pairs(args.format, pairs)
+    return 0
+
+
+def _cmd_compose(args) -> int:
+    from .characters import TruncatedSeries, _compose_terms, diamond, tilde_compose
+
+    ctx = _ctx_from(args)
+    L = args.trunc
+    u = TruncatedSeries(L, _as_tensor_arg(args.left))
+    v = TruncatedSeries(L, _as_tensor_arg(args.right))
+    letters = set(ctx.alphabet).union(*(w.letters for w in (*u.tensor.terms, *v.tensor.terms)))
+    lu, lv = (max(map(len, s.tensor.terms), default=0) for s in (u, v))
+    terms = _compose_terms(len(letters), L, lu, lv, _COMPOSE_BUDGET)
+    _refuse_over(_COMPOSE_BUDGET, terms, f"compose --trunc {L} could print at least", "terms")
+    out = tilde_compose(ctx, u, v) if args.tilde else diamond(ctx, u, v)
+    _emit(args.format, [str(out)], {"trunc": L, "result": str(out)})
+    return 0
+
+
+def _cmd_series(args) -> int:
+    from .characters import _series_chars, _series_digits, fibonacci_dims
+
+    k_max = max(args.max, 0)
+    claim = f"series --max {args.max} would print"
+    chars = _series_chars(args.fliess, k_max) if args.fliess >= 1 else 0
+    _refuse_over(_SERIES_BUDGET, chars, claim + " about", "characters")
+    # CPython refuses to print an int longer than this limit (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _series_digits(args.fliess, k_max) if args.fliess >= 1 else 0
+    over = "Python's limit of {} digits for printing one integer"
+    _refuse_over(limit or math.inf, digits, claim + " a dimension of about", "digits", over)
+    dims = fibonacci_dims(args.fliess, args.max)
+    _emit(args.format, [",".join(str(d) for d in dims)], {"dims": dims})
+    return 0
 
 
 def _cmd_dyck(args) -> int:
@@ -448,11 +350,8 @@ def _cmd_dyck(args) -> int:
         return 0
     if args.list is not None:
         total = count_admissible(args.list) + count_sigma(args.list)
-        if total > _DYCK_LIST_BUDGET:
-            raise CliError(
-                f"dyck --list {args.list} would list {total} words, over the budget of "
-                f"{_DYCK_LIST_BUDGET}; use --count for the numbers"
-            )
+        over = "the budget of {}; use --count for the numbers"
+        _refuse_over(_DYCK_LIST_BUDGET, total, f"dyck --list {args.list} would list", "words", over)
         words = admissible_words(args.list)
         sigmas = sigma_admissible_words(args.list)
         lines = ["admissible: " + " ".join(upper_to_str(w) for w in words)]
@@ -474,35 +373,16 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_tree_map(args) -> int:
-    from .trees import TreeTensor, phi_cpl
+    from .trees import TreeTensor, _tree_map_words, phi_cpl
 
     value = parse_expression(args.expr)
     if not isinstance(value, TreeTensor):
         value = TreeTensor.parse(args.expr)
     words = _tree_map_words(value.terms)
-    if words > _TREE_MAP_BUDGET:
-        raise CliError(
-            f"tree-map --mode {args.mode} could print up to {words} words, "
-            f"over the budget of {_TREE_MAP_BUDGET}"
-        )
+    _refuse_over(_TREE_MAP_BUDGET, words, f"tree-map --mode {args.mode} could print up to", "words")
     out = Tensor._from_clean(_linear(lambda t: phi_cpl(t, mode=args.mode).items(), value.items()))
     _emit(args.format, [str(out)], {"result": str(out)})
     return 0
-
-
-def _tree_map_words(trees: Iterable) -> int:
-    """At most how many words ``tree-map`` prints: a tree writes one word
-    per linear extension, and it has n! / prod(subtree sizes) of them (the
-    hook-length formula; a vertex is numbered before its descendants)."""
-    total = 0
-    for t in trees:
-        sizes = [1] * t.size
-        for v in range(t.size - 1, 0, -1):
-            p = t.parents[v]
-            if p is not None:
-                sizes[p - 1] += sizes[v]
-        total += math.factorial(t.size) // math.prod(sizes)
-    return total
 
 
 def _cmd_fdb(args) -> int:

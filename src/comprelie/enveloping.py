@@ -25,7 +25,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import letter_iterates
@@ -351,6 +351,39 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
                 )
     out = ctx._coproducts[w] = acc.result()
     return out
+
+
+def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word], stop: int) -> int:
+    """At most how many terms the dual coproducts of the words have: the
+    sum over the words of G(|w|), the number of terms ``_delta_tilde_word``
+    generates.  G(0) = 1 and G(n) = sum_{i<N} m_i sum_h C(n-1, h)
+    i^(n-1-h) G(h): the f^i term of a word deals its other n-1 letters
+    into a head of h letters, whose terms it extends, and i tail parts; N
+    is the nilpotency index of the map and m_i the most letters in an
+    image of f^i.  Counted only until it passes ``stop``."""
+    lengths = [len(w) for w in words]
+    if not lengths:
+        return 0  # no word: nothing to bound, whatever the map
+    N = _require_nilpotent(ctx)
+    m = [0] * N
+    for x in ctx.alphabet:
+        for i, image in zip(range(N), letter_iterates(ctx.f, x)):
+            m[i] = max(m[i], len(image))
+    g, longest = [1], max(lengths)
+    # G is nondecreasing (its i = 0 term is G(n-1)), so its last value
+    # bounds every longer word once it passes ``stop``
+    while len(g) <= longest and g[-1] <= stop:
+        n = len(g)
+        g.append(m[0] * g[-1] + sum(
+            m[i] * sum(comb(n - 1, h) * i ** (n - 1 - h) * g[h] for h in range(n))
+            for i in range(1, len(m))
+        ))
+    total = 0
+    for n in lengths:
+        total += g[min(n, len(g) - 1)]
+        if total > stop:
+            break
+    return total
 
 
 def dual_coproduct(ctx: ComPreLieContext, w: Word) -> list[tuple[Word, SymMonomial, Rat]]:

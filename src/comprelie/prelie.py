@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
+from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
@@ -88,6 +89,22 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
             _prepend(codes.image(image), _shuffle_tuples(cu[j + 1:], cv), acc, cu[:j])
     out = ctx._products[u, v] = tuple(codes.decode(acc.result().items()))
     return out
+
+
+def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
+    """At most how many letters the pre-Lie products of the word pairs
+    write: for each pair (u, v) and each letter u_j, ``_prelie_words``
+    feeds its accumulator |f(u_j)| * C(|u|-1-j+|v|, |v|) words of |u|+|v|
+    letters.  Counted only until it passes ``stop``."""
+    total = 0
+    for u, v in pairs:
+        for j, x in enumerate(u):
+            images = len(ctx.f.image_letter(x))
+            if images:
+                total += images * comb(len(u) - 1 - j + len(v), len(v)) * (len(u) + len(v))
+                if total > stop:
+                    return total
+    return total
 
 
 def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:

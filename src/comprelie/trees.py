@@ -27,11 +27,11 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .endo import Endo, iterate_endo_letter
+from .endo import Endo, letter_iterates
 from .enveloping import SymTensor, extend_bullet
 from .exactla import rank_of
 from .prelie import ComPreLieContext
@@ -44,10 +44,12 @@ from .words import (
     Word,
     _bilinear,
     _linear,
+    _prepend,
     _set,
     _shuffle_tuples,
     _split_coeff,
     _split_signed,
+    _Sum,
     check_coefficient,
     parse_letter,
     shuffle,
@@ -515,9 +517,28 @@ def _headed_fold(root, image) -> Tensor:
 
     def node_value(dec, kids: list[dict]) -> dict:
         tail = functools.reduce(_shuffled, kids, {(): 1}).items()
-        return _bilinear(lambda y, w: (((y,) + w, 1),), image(dec, len(kids)).items(), tail)
+        acc = _Sum()
+        _prepend(image(dec, len(kids)).items(), tail, acc)
+        return acc.result()
 
     return Tensor._from_clean({Word(w): c for w, c in _fold(root, node_value).items()})
+
+
+def _hooks(nodes) -> tuple[int, int]:
+    """The vertex count under ``nodes`` and the product of the subtree sizes
+    of those vertices, by a direct recursion (shallower than the parse's)."""
+    size, product = 0, 1
+    for _, child_blocks in nodes:
+        n, p = _hooks([m for b in child_blocks for m in b])
+        size, product = size + n + 1, product * p * (n + 1)
+    return size, product
+
+
+def _tree_map_words(trees: Iterable[PartitionedTree]) -> int:
+    """At most how many words the word maps of the trees have: a tree
+    writes one word per linear extension, and it has n! / prod(subtree
+    sizes) of them (the hook-length formula)."""
+    return sum(factorial(n) // p for n, p in (_hooks(t.root) for t in trees))
 
 
 def _symbol_name(dec) -> str:
@@ -585,9 +606,19 @@ def phi_into(t: PartitionedTree, ctx: ComPreLieContext) -> Tensor:
     to the vertex decorations, multilinearly.  A fold of the tree, in
     which a node writes f^k of its decoration, k its fertility."""
 
+    def pairs(dec) -> tuple:
+        return ((dec, 1),) if isinstance(dec, Letter) else dec
+
+    top: dict[Letter, int] = {}  # each letter's highest fertility
+    for dec, child_blocks in _nodes(t.root):
+        for x, _ in pairs(dec):
+            top[x] = max(top.get(x, 0), len(child_blocks))
+    # (x, k) -> f^k(x) when nonzero: each power is stepped once per call
+    powers = {(x, k): image for x, n in top.items()
+              for k, image in zip(range(n + 1), letter_iterates(ctx.f, x))}
+
     def image(dec, k: int) -> dict:
-        pairs = ((dec, 1),) if isinstance(dec, Letter) else dec
-        return _linear(lambda x: iterate_endo_letter(ctx.f, k, x).items(), pairs)
+        return _linear(lambda x: powers.get((x, k), {}).items(), pairs(dec))
 
     return _headed_fold(t.root, image)
 

@@ -5,7 +5,9 @@ hashed with their coefficient types, equal the digests in
 Each digest is a SHA-256 over the terms of every output of one kernel
 family, sorted by key: the key's ``repr``, the coefficient's type name and
 its value.  ``Fraction(2) == 2``, so an equality test cannot see an int
-coefficient turn into a Fraction; a digest can.
+coefficient turn into a Fraction; a digest can.  The ``cli`` family hashes
+the exit code, stdout and stderr of ``comprelie`` commands run in-process:
+every verb in both formats, and each refusal one step past its budget.
 
 Run this file as a script (``PYTHONPATH=src python tests/test_golden.py``)
 to print which digests differ from the stored ones; it rewrites the file
@@ -14,14 +16,18 @@ only when given ``--write``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from comprelie.cli import main
 from comprelie.characters import FliessElement, TruncatedSeries, fliess_tilde, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel
 from comprelie.enveloping import SymMonomial, SymTensor, closed_action, dual_coproduct, extend_bullet, star
@@ -79,6 +85,62 @@ def _forests(rng: random.Random, trees: list) -> ForestPoly:
     return ForestPoly((m, _coeff(rng)) for m in forests)
 
 
+LONG_X1 = ".".join(["x1"] * 159)  # x1^159 . x2 writes 2,035,200 letters
+CLI_COMMANDS = [
+    ["prelie", "x1.x2 + 1/2*x1", "x2 - x1.x1"],
+    ["prelie", "--closed", "x1.x2 + 1/2*x1", "x2 - x1.x1"],
+    ["prelie", "ab", "2*b - a", "--endo", "diag(a=2,b=1/3)"],
+    ["prelie", "1:d.0:d", "0:d", "--endo", "biletter-shift"],
+    ["bracket", "x1.x2 - x0", "x1 + 3*x2.x1"],
+    ["star", "x1 * x2", "x1.x1 + 2*x2"],
+    ["coproduct", "x1.x2.x1 - 1/2*x1.x1"],
+    ["compose", "x1 + 1/2*x2.x1", "x1.x2 - x2", "--trunc", "4"],
+    ["compose", "x1 + 1/2*x2.x1", "x1.x2 - x2", "--trunc", "4", "--tilde"],
+    ["series", "--fliess", "2", "--max", "12"],
+    ["dyck", "--count", "6"],
+    *(["dyck", "--list", str(n)] for n in range(1, 11)),
+    ["dyck", "--path", "2100"],
+    ["tree-map", "a[b,{c,d}] - 2*{a,b[c]}"],
+    ["tree-map", "a[b,{c,d}] - 2*{a,b[c]}", "--mode", "recursive"],
+    ["fdb", "t-word", "abc", "--weights", "a=2,b=3,c=1/5"],
+    ["fdb", "delta", "abab", "--weights", "a=1,b=-2/3"],
+    ["fdb", "delta", "abab", "--weights", "a=1,b=-2/3", "--mode", "projected"],
+    ["fdb", "bracket", "2", "3", "--eigenvalue", "1/2"],
+    ["verify", "--seed", "0"],
+    ["prelie", "x1.(x2", "x1"],
+    ["coproduct", "x1", "--endo", "diag(x1=1)"],
+    # the refusals, each one step past its budget
+    ["prelie", LONG_X1, "x2"],
+    ["bracket", "x2", LONG_X1],
+    ["coproduct", ".".join(["x1"] * 12)],
+    ["compose", "x1.x2.x0", "x1.x2.x0", "--trunc", "9"],
+    ["series", "--fliess", "2", "--max", "5112"],
+    ["series", "--fliess", "1000", "--max", "1435"],
+    ["dyck", "--list", "13"],
+    ["tree-map", "a[b,c,d,e,f,g,h,i,j]"],
+]
+
+
+def cli_lines() -> list[str]:
+    """The exit code, stdout and stderr of each command in both formats,
+    under CPython's default limit of 4300 digits for printing an int; the
+    wall times ``verify`` prints in JSON are left out."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    lines = []
+    try:
+        for argv in CLI_COMMANDS:
+            for fmt in ("text", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["--format", fmt, *argv])
+                text = re.sub(r', "elapsed_ms": [0-9.e+-]+', "", out.getvalue())
+                lines += ["--", repr([fmt, *argv]), f"exit {code}", text, "stderr", err.getvalue()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return lines
+
+
 def outputs() -> dict[str, list[str]]:
     """Every kernel family's outputs on its inputs, one line per term."""
     out: dict[str, list[str]] = {name: [] for name in (
@@ -87,6 +149,7 @@ def outputs() -> dict[str, list[str]]:
         "lie_bracket", "t_word", "cobracket_closed", "cobracket_projected",
         "dual_coproduct", "phi_into", "phi_cpl_direct", "ck_coproduct", "forest_star",
         "all_partitioned_trees", "all_rooted_trees")}
+    out["cli"] = cli_lines()
     for f in MAPS:
         rng = random.Random(f"golden prelie {f.alphabet}")
         ctx = ComPreLieContext(f)
