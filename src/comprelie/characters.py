@@ -294,8 +294,9 @@ def _log_r(n: int) -> float:
 def _series_chars(n: int, k_max: int) -> int:
     """About how many characters ``fibonacci_dims(n, k_max)`` prints in:
     the last dimension has about k_max * log10(r) digits and all of them
-    half of k_max**2 * log10(r)."""
-    return round(k_max * k_max * _log_r(n) / 2)
+    half of k_max**2 * log10(r), a float product until it could overflow."""
+    log_r = _log_r(n) if k_max < 10 ** 150 else Fraction(_log_r(n))
+    return round(k_max * k_max * log_r / 2)
 
 
 def _series_digits(n: int, k_max: int) -> int:

@@ -582,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

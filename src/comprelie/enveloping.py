@@ -11,9 +11,9 @@ One element acting on a monomial is the symmetric brace ``a{b1,...,bk}``.
 With the extended action the product ``A * B = (A . B') x B''`` (sum over
 splittings of B's factor multiset) is associative — the enveloping algebra
 of the underlying Lie algebra.  The engine below builds both from any
-brace; the rest of the module gives the brace of words and builds the
-dual coproduct that exists when the letter endomorphism is locally
-nilpotent.
+brace.  The brace of words is the pre-Lie product's sum with each letter
+taking a share of the factors; the dual coproduct exists when the letter
+endomorphism is locally nilpotent.
 
 The monomial type, the commutative product, the multiplicative extension
 of a coproduct and the diagonal pairing are shared with the forests.
@@ -265,13 +265,12 @@ def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMo
 # ---------------------------------------------------------------------------
 
 def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tuple:
-    """``w{w1,...,wk}``: the factors are dealt in all ways over the letters
-    of ``w``.  A letter x that absorbs m factors writes f^m(x) before the
-    shuffle of its share with the rest of the word after it, nesting from
-    the last letter outward; a deal in which some f^m(x) is 0 is skipped
-    before anything is shuffled.  One factor is the pre-Lie product.  The
-    words and each nonzero f^m(x) are coded once for the call, whose memo
-    keeps the shuffled pairs the deals repeat; one ``Word`` per output term."""
+    """``w{B}`` for the factors B: the pre-Lie product's sum over the letters
+    w_i, unrolled over the nonempty shares T of B, of ``w[:i] f^|T|(w_i)
+    (w[i+1:]{B - T} sh T)``, with ``w[i+1:]{} = w[i+1:]``.  A share whose
+    power is 0 is never shuffled; the recursion nests at most k deep for k
+    factors.  The call codes the words and each nonzero f^m(x) once and keeps
+    each suffix's brace and shuffled pair; one ``Word`` per output term."""
     if len(factors) < 2:
         return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
     codes = _Codes()
@@ -279,26 +278,25 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
     for x in dict.fromkeys(letters):
         images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, len(factors) + 1)
-        for m, image in enumerate(images, 1):
-            powers[x, m] = codes.image(image)
+        powers.update(((x, m), codes.image(image)) for m, image in enumerate(images, 1))
     pair = _call_memo(_shuffle_tuples)
-    acc = _Sum()
-    for blocks in _splittings([codes.word(u) for u in factors], len(letters)):
-        at = [j for j, block in enumerate(blocks) if block]
-        images = [powers.get((letters[j], len(blocks[j])), ()) for j in at]
-        if not all(images):
-            continue
-        t = {letters[at[-1] + 1:]: 1}
-        for i in range(len(at) - 1, -1, -1):
-            for u in blocks[at[i]]:
-                t = _bilinear(pair, t.items(), ((u, 1),))
-            # the letters since the previous dealt one pass through unchanged
-            between = letters[at[i - 1] + 1 if i else 0:at[i]]
-            step = _Sum()
-            _prepend(images[i], t.items(), step, between)
-            t = step.result()
-        _add_into(acc, t.items())
-    return tuple(codes.decode(acc.result().items()))
+    braces: dict = {}
+
+    def brace(i: int, rest: tuple) -> dict:  # letters[i:]{rest}
+        if (i, rest) not in braces:
+            acc = _Sum()
+            splits = [s for s in _splittings(rest, 2) if s[1]]
+            for j, (left, share) in itertools.product(range(i, len(letters)), splits):
+                image = powers.get((letters[j], len(share)))
+                if image:
+                    t = brace(j + 1, left) if left else {letters[j + 1:]: 1}
+                    for u in share:
+                        t = _bilinear(pair, t.items(), ((u, 1),))
+                    _prepend(image, t.items(), acc, letters[i:j])
+            braces[i, rest] = acc.result()
+        return braces[i, rest]
+
+    return tuple(codes.decode(brace(0, tuple(sorted(map(codes.word, factors)))).items()))
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

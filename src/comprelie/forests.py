@@ -96,14 +96,6 @@ class Forest(Monomial):
         return self.n_vertices
 
 
-def parse_forest(text: str) -> Forest:
-    """``"a[b] * c"`` is the two-tree forest; ``"1"`` is the empty one."""
-    text = text.strip()
-    if text == "1":
-        return Forest()
-    return Forest(tuple(parse_tree(tok) for tok in text.split("*")))
-
-
 class ForestPoly(SymLin):
     """A finitely supported rational combination of forests."""
 
@@ -115,6 +107,15 @@ class ForestPoly(SymLin):
     def _coerce(cls, x):
         """As for any combination, with a tree read as a one-tree forest."""
         return super()._coerce(Forest.of(x) if isinstance(x, PartitionedTree) else x)
+
+
+def parse_forest(text: str) -> Forest:
+    """One term of :class:`ForestPoly` with coefficient 1: ``"a[b] * c"`` is
+    the two-tree forest, ``"1"`` the empty one."""
+    forest, coeff = ForestPoly._read_term(text.strip())
+    if coeff != 1:
+        raise ValueError(f"a forest takes no coefficient, got {text!r}")
+    return forest
 
 
 # ---------------------------------------------------------------------------

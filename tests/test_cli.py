@@ -437,6 +437,23 @@ def test_series_over_budget_exits_two_before_any_work(capsys, monkeypatch):
     assert "n must be" in run(capsys, "series", "--fliess", "0", "--max", "100000")[2]
 
 
+def test_series_with_a_max_past_a_float_refuses_in_one_line(capsys, monkeypatch):
+    def dims(n, k_max):
+        raise AssertionError("computed before the budget check")
+
+    monkeypatch.setattr(characters, "fibonacci_dims", dims)
+    # k_max**2 passes a float's range near 10**154: the estimate is then
+    # taken exactly, and the refusal reads as any other, with no traceback
+    for k_max in (10**150, 10**399, 3**800):
+        code, out, err = run(capsys, "series", "--fliess", "2", "--max", str(k_max))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: series --max {k_max} would print about ")
+        assert err.count("\n") == 1 and str(_series_chars(2, k_max)) in err
+    # below 10**150 the estimate is the float product it always was
+    for k_max in (5112, 10**20, 10**149):
+        assert _series_chars(2, k_max) == round(k_max * k_max * characters._log_r(2) / 2)
+
+
 def test_series_past_the_int_print_limit_exits_two_before_any_work(capsys, monkeypatch):
     if sys.get_int_max_str_digits() != 4300:
         pytest.skip("sized for CPython's default limit of 4300 digits")

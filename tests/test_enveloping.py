@@ -323,20 +323,73 @@ def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
     for _ in range(20):
         w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3))))
         factors = tuple(Word((rng.choice(f.alphabet),)) for _ in range(rng.randint(2, 3)))
-        # the brace keeps its shuffled pairs for the call: the kernel runs
-        # once for each distinct pair of the deals in which every letter
-        # keeps a nonzero image
-        expected = len(shuffled_pairs(f, w, factors, skip_zero_deals=True))
+        # the brace keeps its shuffled pairs for the call and shuffles no
+        # share whose power is 0: the kernel runs at most once for each
+        # distinct pair of the deals in which every letter keeps a nonzero
+        # image (fewer where the shares of several deals are summed first)
         calls.clear()
         got = _word_brace(ComPreLieContext(f), w, factors)
-        assert len(calls) == expected, (w, factors)
-        shuffled += expected
+        assert len(calls) <= len(shuffled_pairs(f, w, factors, skip_zero_deals=True)), (w, factors)
+        shuffled += len(calls)
         dealt += len(shuffled_pairs(f, w, factors, skip_zero_deals=False))
         ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
         assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
             SymTensor, SymMonomial.of(w), SymMonomial(factors)
         )
-    assert 0 < shuffled < dealt  # some deals were skipped, and some were not
+    assert 0 < shuffled < dealt  # some pairs were never shuffled, and some were
+
+
+@pytest.mark.parametrize("f", [UPPER3, fliess_channel(2, 1)], ids=["index-3", "fliess(2,1)"])
+def test_a_factor_repeated_three_or_four_times_matches_the_reference(f):
+    # under fliess(2,1) only x1 takes a factor, one at most: its words are
+    # drawn with x1 twice as often, so that some braces are nonzero
+    letters = f.alphabet + f.alphabet[1:2]
+    rng = random.Random(f"repeated factors {f.alphabet}")
+    nonzero = 0
+    for _ in range(16):
+        w = Word(tuple(rng.choice(letters) for _ in range(rng.randint(3, 5))))
+        u = Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 2))))
+        factors = [u] * rng.randint(3, 4) + [Word((rng.choice(letters),))] * rng.randint(0, 1)
+        got = closed_action(ComPreLieContext(f), w, factors)
+        ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+        assert got == ref.bullet(SymTensor, SymMonomial.of(w), SymMonomial(factors)), (w, factors)
+        nonzero += bool(got)
+    assert nonzero >= 4
+
+
+def test_a_long_word_is_never_dealt_over_its_letters(monkeypatch):
+    # under fliess(2,1) only the two x1 of x0^600 x1 x1 can take a factor:
+    # the splits the brace enumerates stay linear in the length of the
+    # word (all deals of the two factors over its letters are 602^2), and
+    # the brace's own frames nest no deeper than one per factor
+    f = fliess_channel(2, 1)
+    x0, x1, x2 = f.alphabet
+    w, factors = Word((x0,) * 600 + (x1, x1)), (Word((x2,)), Word((x2,)))
+    bound = 2 ** len(factors) * len(w)
+    splits, depths = [], []
+    enumerate_splits = enveloping._splittings
+
+    def counted(items, k):
+        frame, depth = inspect.currentframe(), 0
+        while frame is not None:  # the functions of the module, not its comprehensions
+            code = frame.f_code
+            depth += code.co_filename == enveloping.__file__ and not code.co_name.startswith("<")
+            frame = frame.f_back
+        depths.append(depth)
+        for split in enumerate_splits(items, k):
+            splits.append(split)
+            assert len(splits) <= bound, "the brace deals over the letters of the word"
+            yield split
+
+    monkeypatch.setattr(enveloping, "_splittings", counted)
+    got = _word_brace(ComPreLieContext(f), w, factors)
+    assert len(got) == 2
+    assert 0 < len(splits) <= bound
+    assert 0 < max(depths) <= 1 + len(factors)
+    ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+    assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
+        SymTensor, SymMonomial.of(w), SymMonomial(factors)
+    )
 
 
 @pytest.mark.parametrize("f", [UPPER3, fliess_channel(2, 1)], ids=["index-3", "fliess(2,1)"])

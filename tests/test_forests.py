@@ -88,6 +88,20 @@ def test_forest_canonical_and_parse():
         assert F(str(F(src))) == F(src)
 
 
+def test_a_forest_reads_as_one_term_of_the_combination_grammar():
+    # factors are separated by " * " alone, as in ForestPoly.parse: a bare
+    # "*" separates nothing, a factor 1 is the unit, and a forest takes no
+    # coefficient
+    assert ForestPoly.of(F("a * 1")) == ForestPoly.parse("a * 1") == ForestPoly.of(F("a"))
+    assert ForestPoly.of(F("{1} * a")) == ForestPoly.parse("{1} * a") != ForestPoly.of(F("a"))
+    for text in ("a[b]*c", "2*a", "1/2*a * b"):
+        with pytest.raises(ValueError):
+            F(text)
+    with pytest.raises(ValueError, match="trailing input"):
+        ForestPoly.parse("a[b]*c")
+    assert ForestPoly.parse("2*a") == ForestPoly.of(F("a"), 2)
+
+
 def test_forest_validation():
     with pytest.raises(ValueError, match="rooted"):
         Forest.of(P("{a,b}"))

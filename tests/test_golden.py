@@ -44,6 +44,9 @@ UPPER3 = Endo.matrix(
 F21 = fliess_channel(2, 1)
 FULL2 = Endo.matrix(["a", "b"], [[1, Fraction(1, 2)], [Fraction(-1, 3), 2]])
 NILPOTENT = (UPPER3, F21)
+# the shift never maps a letter to 0; its letters carry an index
+SHIFT = Endo.biletter_shift()
+SHIFT_LETTERS = tuple(Letter(d, k) for d in "ab" for k in (0, 1))
 MAPS = (UPPER3, F21, FULL2)
 # the nonzero weights of the t elements: the projected cobracket refuses a zero
 WEIGHTS = ({"a": 1, "b": 1}, {"a": 2, "b": Fraction(-1, 3)}, {"a": Fraction(3, 2), "b": 4})
@@ -58,7 +61,8 @@ def _coeff(rng: random.Random):
 
 
 def _word(rng: random.Random, f: Endo, lo: int, hi: int) -> Word:
-    return Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(lo, hi))))
+    letters = f.alphabet or SHIFT_LETTERS
+    return Word(tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi))))
 
 
 def _tensor(rng: random.Random, f: Endo, terms: int, lo: int, hi: int) -> Tensor:
@@ -144,7 +148,7 @@ def cli_lines() -> list[str]:
 def outputs() -> dict[str, list[str]]:
     """Every kernel family's outputs on its inputs, one line per term."""
     out: dict[str, list[str]] = {name: [] for name in (
-        "prelie", "closed_action", "star", "extend_bullet",
+        "prelie", "closed_action", "brace", "star", "extend_bullet",
         "tilde_compose", "inverse", "fliess_tilde", "phi_cpl_recursive",
         "lie_bracket", "t_word", "cobracket_closed", "cobracket_projected",
         "dual_coproduct", "phi_into", "phi_cpl_direct", "ck_coproduct", "forest_star",
@@ -170,6 +174,17 @@ def outputs() -> dict[str, list[str]]:
             a, b = _sym(rng, f), _sym(rng, f)
             out["star"] += ["--", *_lines(star(ComPreLieContext(f), a, b).items())]
             out["extend_bullet"] += ["--", *_lines(extend_bullet(ComPreLieContext(f), a, b).items())]
+    for f in NILPOTENT + (SHIFT,):
+        # cold braces of 2-4 factors, one of them repeated up to 4 times;
+        # under the nilpotent maps some letters take no share, or none past
+        # one or two factors; the shift zeroes no share, so its words are shorter
+        rng = random.Random(f"golden brace {f.alphabet}")
+        for _ in range(20):
+            w = _word(rng, f, 1, 5 if f.alphabet else 3)
+            k = rng.randint(2, 4)
+            factors = [_word(rng, f, 1, 2)] * rng.randint(1, k)
+            factors += [_word(rng, f, 1, 2) for _ in range(k - len(factors))]
+            out["brace"] += ["--", *_lines(closed_action(ComPreLieContext(f), w, factors).items())]
     for f in NILPOTENT:
         rng = random.Random(f"golden series {f.alphabet}")
         ctx = ComPreLieContext(f)
