@@ -13,8 +13,8 @@ images (each f^i(x) stepped once from f^(i-1)(x)) as small ints with
 ``words._Codes``, like the pre-Lie product and the brace of words, and
 prepends through ``words._prepend``; the images of suffixes and the
 divided powers are memos that live for that call alone, and a ``Word`` is
-built only for each term of the output.  Its shuffles go through the call memo of ``words``
-bounded at L - 1 letters, as a letter is prepended to every shuffled word.
+built only for each term of the output.  Its shuffles go through
+``_bounded_pairs(L - 1)``, as a letter is prepended to every shuffled word.
 
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .endo import letter_iterates
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
 from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _prepend, _set
-from .words import _call_memo, _Codes, _shuffle_tuples, _Sum
+from .words import _Codes, _Memo, _shuffle_tuples, _Sum
 
 
 class TruncatedSeries:
@@ -98,6 +98,13 @@ def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
+def _bounded_pairs(bound: int):
+    """The shuffle of two coded words in a ``words._Memo`` for one call, and
+    nothing, before any lookup, for a pair of more than ``bound`` letters."""
+    memo = _Memo(_shuffle_tuples)
+    return lambda u, v: memo[u, v] if len(u) + len(v) <= bound else ()
+
+
 def _compose_codes(codes: _Codes, words: dict, branches: Sequence, pair, L: int) -> TruncatedSeries:
     """The series at truncation L of the linear extension over the coded
     ``words`` of the map that sends e to 1 and xw to xW + sum over x's
@@ -139,7 +146,7 @@ def tilde_compose(
     codes = _Codes()
     words = codes.terms(u.tensor)
     heads = list(codes.letters)
-    pair = _call_memo(_shuffle_tuples, L - 1)
+    pair = _bounded_pairs(L - 1)
     # divided powers v^(sh i)/i!, built as powers[i-1] sh v / i; they are
     # only shuffled into words of length <= L-1, so longer words are skipped
     coded_v = codes.terms(v.tensor)
@@ -253,7 +260,7 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     # a letter on the channel writes x0 before one shuffle copy of d_i
     gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
     branches = [gate if _letter_index(x) == i else [] for x in heads]
-    pair = _call_memo(_shuffle_tuples, L - 1)
+    pair = _bounded_pairs(L - 1)
     return FliessElement(i, _compose_codes(codes, words, branches, pair, L))
 
 

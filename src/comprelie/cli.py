@@ -18,8 +18,8 @@ a failing check, 2 on usage or syntax errors.
 A verb whose output could explode exits 2 before any work once its size
 estimate passes its ``_*_BUDGET`` here; ``_refuse_over`` is the one place
 that refuses.  Each estimate sits beside the kernel it bounds, in
-``prelie``, ``enveloping``, ``characters`` or ``trees``; library calls are
-not budgeted.
+``prelie``, ``enveloping``, ``characters``, ``trees`` or ``forests``;
+library calls are not budgeted.
 """
 
 from __future__ import annotations
@@ -245,6 +245,15 @@ _SERIES_BUDGET = 5_000_000
 # MB in the direct mode there
 _TREE_MAP_BUDGET = 50_000
 
+# trees of t_w for one `fdb t-word` or `fdb delta --mode projected`: 9 letters
+# (8! = 40,320) fit, abcabcabc under a=2,b=3,c=1/5 taking 0.8 s and 3.6 s at
+# 130 MB peak RSS on a 2-CPU Xeon VM with CPython 3.11; 10 (9!) do not
+_T_WORD_BUDGET = 50_000
+
+# splittings read by one `fdb delta` in the closed mode: (ab)^9 a (524,286)
+# takes 3.4 s at 103 MB peak RSS, same VM; 20 letters (1,048,574) do not fit
+_DELTA_BUDGET = 1_000_000
+
 
 def _refuse_over(budget, estimate: int, claim: str, unit: str, over="the budget of {}") -> None:
     """The one refusal, before any work: exit 2 with "<claim> <estimate>
@@ -386,28 +395,28 @@ def _cmd_tree_map(args) -> int:
 
 
 def _cmd_fdb(args) -> int:
-    from .forests import delta_cobracket, t_word, y_bracket_check
+    from .forests import _delta_splittings, _t_word_trees, delta_cobracket, t_word, y_bracket_check
 
-    if args.fdb_verb == "t-word":
-        lam = _parse_weights(args.weights)
-        poly = t_word(parse_word(args.word), lam)
-        _emit(args.format, [str(poly)], {"result": str(poly)})
-        return 0
-    if args.fdb_verb == "delta":
-        lam = _parse_weights(args.weights)
-        _emit_pairs(args.format, delta_cobracket(parse_word(args.word), lam, mode=args.mode))
-        return 0
     if args.fdb_verb == "bracket":
         lam = parse_rational(args.eigenvalue)
         computed, _ = y_bracket_check(lam, args.k, args.l)
         header = f"[y{args.k}, y{args.l}] = ({args.k - args.l})*y{args.k + args.l}"
-        _emit(
-            args.format,
-            [header, str(computed)],
-            {"identity": header, "result": str(computed)},
-        )
+        _emit(args.format, [header, str(computed)], {"identity": header, "result": str(computed)})
         return 0
-    raise CliError("fdb needs one of: t-word, delta, bracket")
+    lam, w = _parse_weights(args.weights), parse_word(args.word)
+    claim = f"fdb {args.fdb_verb} of {len(w)} letters could"
+    if args.fdb_verb == "t-word" or args.mode == "projected":  # both build t_w
+        trees = _t_word_trees(len(w), _T_WORD_BUDGET)
+        _refuse_over(_T_WORD_BUDGET, trees, claim + " build at least", "trees")
+    else:
+        splittings = _delta_splittings(len(w), _DELTA_BUDGET)
+        _refuse_over(_DELTA_BUDGET, splittings, claim + " read at least", "splittings")
+    if args.fdb_verb == "delta":
+        _emit_pairs(args.format, delta_cobracket(w, lam, mode=args.mode))
+        return 0
+    poly = t_word(w, lam)
+    _emit(args.format, [str(poly)], {"result": str(poly)})
+    return 0
 
 
 # ---------------------------------------------------------------------------

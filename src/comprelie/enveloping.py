@@ -29,9 +29,9 @@ from math import comb, factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import letter_iterates
-from .prelie import ComPreLieContext, _prelie_words, _require_nilpotent
+from .prelie import ComPreLieContext, _require_nilpotent
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Codes, _prepend, _Sum
-from .words import BasisKey, _call_memo, _set, _shuffle_tuples, _split_coeff, parse_word
+from .words import _MEMO_BOUND, BasisKey, _Memo, _set, _shuffle_tuples, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -61,15 +61,17 @@ class OudomGuin:
     operand between its first factor and the rest; the unit acts as zero
     on every monomial but the unit.  Monomials are kept sorted, so the
     basis elements must be totally ordered.  The public products take and
-    return combinations of one :class:`SymLin` subclass."""
+    return combinations of one :class:`SymLin` subclass.  ``_cache``, a
+    ``words._Memo`` of ``_bullet_mono`` bounded at ``words._MEMO_BOUND``
+    entries, keeps the action on monomial pairs."""
 
     def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]]):
         self.brace = brace
-        self._cache: dict[tuple[Mono, Mono], tuple[tuple[Mono, Rat], ...]] = {}
+        self._cache = _Memo(self._bullet_mono, _MEMO_BOUND)
 
     def bullet(self, cls: type[SymLin], a, b) -> SymLin:
         """The extended action on combinations of ``cls``'s monomials."""
-        return self._extend(self._bullet_mono, cls, a, b)
+        return self._extend(self._cache, cls, a, b)
 
     def star(self, cls: type[SymLin], a, b) -> SymLin:
         """The enveloping product on combinations of ``cls``'s monomials."""
@@ -84,31 +86,20 @@ class OudomGuin:
         return cls._from_clean({cls.monomial._from_clean(m): c for m, c in out.items()})
 
     def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
-        key = (a, b)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if len(a) == 1:
-            out = tuple(((e,), c) for e, c in self.brace(a[0], b))
-        elif not a:
-            out = () if b else (((), 1),)
-        else:
-            acc = _Sum()
-            for left, right in _splittings(b, 2):
-                _add_into(acc, _bilinear(
-                    lambda m, n: ((_sorted(m + n), 1),),
-                    self._bullet_mono(a[:1], left), self._bullet_mono(a[1:], right),
-                ).items())
-            out = tuple(acc.result().items())
-        self._cache[key] = out
-        return out
+            return tuple(((e,), c) for e, c in self.brace(a[0], b))
+        if not a:
+            return () if b else (((), 1),)
+        acc = _Sum()
+        for left, right in _splittings(b, 2):
+            first, rest = self._cache[a[:1], left], self._cache[a[1:], right]
+            _add_into(acc, _bilinear(lambda m, n: ((_sorted(m + n), 1),), first, rest).items())
+        return tuple(acc.result().items())
 
     def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
         acc = _Sum()
         for outside, inside in _splittings(b, 2):
-            _add_into(
-                acc, ((_sorted(m + outside), c) for m, c in self._bullet_mono(a, inside))
-            )
+            _add_into(acc, ((_sorted(m + outside), c) for m, c in self._cache[a, inside]))
         return tuple(acc.result().items())
 
 
@@ -272,37 +263,35 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     factors.  The call codes the words and each nonzero f^m(x) once and keeps
     each suffix's brace and shuffled pair; one ``Word`` per output term."""
     if len(factors) < 2:
-        return _prelie_words(ctx, w, factors[0]) if factors else ((w, 1),)
+        return ctx._products[w, factors[0]] if factors else ((w, 1),)
     codes = _Codes()
     letters = codes.word(w)
     powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
     for x in dict.fromkeys(letters):
         images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, len(factors) + 1)
         powers.update(((x, m), codes.image(image)) for m, image in enumerate(images, 1))
-    pair = _call_memo(_shuffle_tuples)
-    braces: dict = {}
+    pair = _Memo(_shuffle_tuples)
 
     def brace(i: int, rest: tuple) -> dict:  # letters[i:]{rest}
-        if (i, rest) not in braces:
-            acc = _Sum()
-            splits = [s for s in _splittings(rest, 2) if s[1]]
-            for j, (left, share) in itertools.product(range(i, len(letters)), splits):
-                image = powers.get((letters[j], len(share)))
-                if image:
-                    t = brace(j + 1, left) if left else {letters[j + 1:]: 1}
-                    for u in share:
-                        t = _bilinear(pair, t.items(), ((u, 1),))
-                    _prepend(image, t.items(), acc, letters[i:j])
-            braces[i, rest] = acc.result()
-        return braces[i, rest]
+        acc = _Sum()
+        splits = [s for s in _splittings(rest, 2) if s[1]]
+        for j, (left, share) in itertools.product(range(i, len(letters)), splits):
+            image = powers.get((letters[j], len(share)))
+            if image:
+                t = braces[j + 1, left] if left else {letters[j + 1:]: 1}
+                for u in share:
+                    t = _bilinear(pair, t.items(), ((u, 1),))
+                _prepend(image, t.items(), acc, letters[i:j])
+        return acc.result()
 
-    return tuple(codes.decode(brace(0, tuple(sorted(map(codes.word, factors)))).items()))
+    braces = _Memo(brace)
+    return tuple(codes.decode(braces[0, tuple(sorted(map(codes.word, factors)))].items()))
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
     """``w`` acting on ``w1 x ... x wk``: the brace ``w{w1,...,wk}``, read
     from the context's engine, whose memo entry ``extend_bullet`` shares."""
-    out = _engine_of(ctx)._bullet_mono((w,), _sorted(tuple(factors)))
+    out = _engine_of(ctx)._cache[(w,), _sorted(tuple(factors))]
     return SymTensor._from_clean({SymMonomial._from_clean(m): c for m, c in out})
 
 
@@ -310,11 +299,16 @@ def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTen
 # dual coproduct
 # ---------------------------------------------------------------------------
 
+def _coproducts_of(ctx: ComPreLieContext) -> _Memo:
+    """The context's memo of ``_delta_tilde_word``, built on first use."""
+    if ctx._coproducts is None:
+        ctx._coproducts = _Memo(partial(_delta_tilde_word, ctx), _MEMO_BOUND)
+    return ctx._coproducts
+
+
 def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMonomial], Rat]:
-    hit = ctx._coproducts.get(w)
-    if hit is not None:
-        return hit
     n = _require_nilpotent(ctx)
+    delta = _coproducts_of(ctx)
     # a leading letter x with f(x) = 0 has only its i = 0 term, so
     # delta(x u) = x delta(u): strip a run of them in one loop, not one
     # recursion each (reading f(x) refuses a letter outside the alphabet)
@@ -325,9 +319,8 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
         k += 1
     if k:
         prefix = w.letters[:k]
-        rest = _delta_tilde_word(ctx, Word(w.letters[k:])).items()
-        out = ctx._coproducts[w] = {(Word(prefix + t.letters), m): c for (t, m), c in rest}
-        return out
+        rest = delta(Word(w.letters[k:])).items()
+        return {(Word(prefix + t.letters), m): c for (t, m), c in rest}
     if len(w) == 0:
         return {(EMPTY_WORD, ONE): 1}
     x, u = w[0], w[1:]
@@ -340,15 +333,11 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
         for parts in _splittings(u.letters, i + 1):
             head = Word(parts[0])
             tail = tuple(Word(t) for t in parts[1:])
-            for (t_word, mono), c in _delta_tilde_word(ctx, head).items():
+            for (t_word, mono), c in delta(head).items():
                 merged = SymMonomial(mono.factors + tail)
-                _add_into(
-                    acc,
-                    (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items()),
-                    c * scale,
-                )
-    out = ctx._coproducts[w] = acc.result()
-    return out
+                pairs = (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items())
+                _add_into(acc, pairs, c * scale)
+    return acc.result()
 
 
 def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word], stop: int) -> int:
@@ -393,7 +382,7 @@ def dual_coproduct(ctx: ComPreLieContext, w: Word) -> list[tuple[Word, SymMonomi
     it carries 1/i!, as the monomial forgets the order of the tail parts.
     """
     return sorted(
-        ((t, m, c) for (t, m), c in _delta_tilde_word(ctx, w).items()),
+        ((t, m, c) for (t, m), c in _coproducts_of(ctx)(w).items()),
         key=lambda x: (x[0]._key(), x[1]._key()),
     )
 
@@ -420,10 +409,8 @@ def full_coproduct(ctx: ComPreLieContext, m: SymMonomial) -> PairLin:
 
     def delta_of_word(w: Word) -> PairLin:
         acc = _Sum((((ONE, SymMonomial.of(w)), 1),))
-        _add_into(
-            acc,
-            (((SymMonomial.of(t), mono), c) for (t, mono), c in _delta_tilde_word(ctx, w).items()),
-        )
+        terms = _coproducts_of(ctx)(w).items()
+        _add_into(acc, (((SymMonomial.of(t), mono), c) for (t, mono), c in terms))
         return acc.result()
 
     return multiplicative_coproduct(m, delta_of_word)

@@ -19,7 +19,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .endo import Endo, diagonal_weights
 from .enveloping import (
@@ -32,7 +32,7 @@ from .enveloping import (
 )
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, _from_nested, _grafts, _nodes, _tree_brace, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Sum
+from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Memo, _Sum
 from .words import check_coefficient, parse_word
 
 
@@ -216,23 +216,18 @@ def n_d(x, d: Letter | str, lam: Mapping) -> ForestPoly:
     return _graft_leaf(ForestPoly._coerce(x), leaf, Endo.diagonal(lam).weights)
 
 
-def _t_elements(wmap: Mapping[Letter, Rat]) -> Callable[[tuple[Letter, ...]], ForestPoly]:
-    """t of nonempty letter tuples under one resolved weight map, each
-    distinct prefix grafted once: t(u x) = n_x(t(u)).  The memo lives as
-    long as the returned function."""
-    memo: dict[tuple[Letter, ...], ForestPoly] = {}
+def _t_elements(wmap: Mapping[Letter, Rat]) -> _Memo:
+    """``memo[letters]``, t of nonempty letters under one resolved weight
+    map, each distinct prefix grafted once: t(u x) = n_x(t(u))."""
 
-    def t_of(letters: tuple[Letter, ...]) -> ForestPoly:
-        built = next((k for k in range(len(letters), 0, -1) if letters[:k] in memo), 0)
-        for i in range(built, len(letters)):
-            leaf = singleton(letters[i])
-            _check_factor(leaf)
-            memo[letters[:i + 1]] = (
-                _graft_leaf(memo[letters[:i]], leaf, wmap) if i else ForestPoly.of(Forest.of(leaf))
-            )
-        return memo[letters]
+    def t_of(*letters: Letter) -> ForestPoly:
+        grown = memo[letters[:-1]] if len(letters) > 1 else None
+        leaf = singleton(letters[-1])
+        _check_factor(leaf)
+        return ForestPoly.of(Forest.of(leaf)) if grown is None else _graft_leaf(grown, leaf, wmap)
 
-    return t_of
+    memo = _Memo(t_of)
+    return memo
 
 
 def t_word(w, lam: Mapping) -> ForestPoly:
@@ -241,7 +236,17 @@ def t_word(w, lam: Mapping) -> ForestPoly:
     letters = _as_letters(w)
     if not letters:
         raise ValueError("t elements need a nonempty word")
-    return _t_elements(Endo.diagonal(lam).weights)(letters)
+    t_of = _t_elements(Endo.diagonal(lam).weights)
+    for k in range(1, len(letters) + 1):  # prefixes shortest first, one recursion level each
+        t = t_of[letters[:k]]
+    t_of.clear()  # the memo and its kernel form a cycle: free the forests now
+    return t
+
+
+def _t_word_trees(n: int, stop: int) -> int:
+    """At most how many trees t_w of n letters has, (n - 1)!, as the k-th
+    grafted letter has k hosts; past ``stop``, only some k! > ``stop``."""
+    return factorial(min(max(n - 1, 0), stop.bit_length() + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     """Cobracket of ``t_w``, expressed in the t basis as a
     (left word, right word) -> coefficient mapping.
 
-    Both modes read one list: the splittings of the positions of w into
+    Both modes read one sequence: the splittings of the positions of w into
     two nonempty parts, the subwords u and v.  The closed mode weights
     each by the eigenvalues of w along the prefix that u keeps in place;
     it is the transpose of ``prelie_closed`` under the diagonal map of
@@ -278,7 +283,7 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
     if not letters:
         raise ValueError("t elements need a nonempty word")
     wmap = Endo.diagonal(lam).weights
-    splittings = [s for s in _splittings(tuple(range(len(letters))), 2) if all(s)]
+    splittings = filter(all, _splittings(tuple(range(len(letters))), 2))  # read once, lazily
 
     def words(parts: tuple[tuple[int, ...], ...]) -> tuple[Word, ...]:
         return tuple(Word(tuple(letters[p] for p in part)) for part in parts)
@@ -303,10 +308,10 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         ).items()
 
     def t_tensor_t(pair: tuple[Word, Word]):  # t(u) x t(v)
-        tu, tv = (t_of(x.letters).items() for x in pair)
+        tu, tv = (t_of[x.letters].items() for x in pair)
         return (((f, g), a * b) for f, a in tu for g, b in tv)
 
-    target = _linear(tree_tree_cuts, t_of(letters).items())
+    target = _linear(tree_tree_cuts, t_of[letters].items())
     # v's root hangs below a letter of w before it (else no coordinate); as
     # in the closed mode, a coordinate is a Fraction if one such weight is
     hosts: dict[tuple[Word, Word], int] = {}
@@ -321,9 +326,17 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
             q = Fraction(c) / prod(wmap[x] for x in u.letters[:-1] + v.letters[:-1])
             frac = q.denominator != 1 or any(isinstance(wmap[x], Fraction) for x in letters[:n])
             coords[u, v] = q if frac else q.numerator
-    if _linear(t_tensor_t, coords.items()) != target:
+    rebuilt = _linear(t_tensor_t, coords.items())
+    t_of.clear()  # as in ``t_word``
+    if rebuilt != target:
         raise RuntimeError("cobracket landed outside the t basis; internal error")
     return coords
+
+
+def _delta_splittings(n: int, stop: int) -> int:
+    """How many splittings of n letters into two nonempty parts the closed
+    cobracket reads, 2^n - 2; past ``stop``, only some 2^k - 2 > ``stop``."""
+    return max(2 ** min(n, stop.bit_length() + 1) - 2, 0)
 
 
 def dual_prelie_coeff(lam: Mapping, u, v) -> Tensor:

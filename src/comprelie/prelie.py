@@ -19,24 +19,25 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _call_memo, _Codes, _linear, _merge_into, _prepend, _shuffle_tuples
+from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _merge_into, _prepend, _shuffle_tuples
 from .words import _shuffle_words, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 
 class ComPreLieContext:
-    """A letter endomorphism ``f`` and the memos of what it induces, each
-    filled on first use: the pre-Lie products of words, the reduced dual
-    coproducts of words and the Oudom-Guin engine on words (the last two
-    kept by ``enveloping``), and the nilpotency index of ``f``.  Equality,
-    repr and pickle see ``f`` alone: a pickled copy starts with no memos.
-    A context is unhashable, as its map is."""
+    """A letter endomorphism ``f`` and what it induces: the memos of the
+    pre-Lie products and of the reduced dual coproducts of words, and the
+    Oudom-Guin engine on words (the last two built by ``enveloping`` on
+    first use), each memo a ``words._Memo`` of at most ``words._MEMO_BOUND``
+    entries; and the nilpotency index of ``f``.  Equality, repr and pickle
+    see ``f`` alone: a pickled copy starts with no memos.  A context is
+    unhashable, as its map is."""
 
     def __init__(self, f: Endo):
         self.f = f
-        self._products: dict = {}
-        self._coproducts: dict = {}
+        self._products = _Memo(partial(_prelie_words, self), _MEMO_BOUND)
+        self._coproducts: _Memo | None = None
         self._word_engine: object = None
 
     def __eq__(self, other) -> bool:
@@ -71,15 +72,11 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
 
 
 def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
-    """``u . v``, kept in the context's memo.  A cold product works on the
-    words coded for this call and builds one ``Word`` per output term."""
-    hit = ctx._products.get((u, v))
-    if hit is not None:
-        return hit
+    """``u . v``, the kernel of the context's product memo.  It works on
+    the words coded for this call and builds one ``Word`` per output term."""
     # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
     images = list(map(ctx.f.image_letter, reversed(u.letters)))
     if not any(images):  # a zero product codes nothing
-        ctx._products[u, v] = ()
         return ()
     codes = _Codes()
     cu, cv = codes.word(u), codes.word(v)
@@ -87,8 +84,7 @@ def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, 
     for j, image in zip(range(len(u) - 1, -1, -1), images):
         if image:
             _prepend(codes.image(image), _shuffle_tuples(cu[j + 1:], cv), acc, cu[:j])
-    out = ctx._products[u, v] = tuple(codes.decode(acc.result().items()))
-    return out
+    return tuple(codes.decode(acc.result().items()))
 
 
 def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
@@ -110,7 +106,7 @@ def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
 def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """The pre-Lie product, extended bilinearly."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    return Tensor._from_clean(_bilinear(partial(_prelie_words, ctx), ta.items(), tb.items()))
+    return Tensor._from_clean(_bilinear(ctx._products, ta.items(), tb.items()))
 
 
 def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
@@ -138,9 +134,8 @@ def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Te
     merged into that of ``a . b``, whose terms, coefficient types and
     order are those of ``prelie(ctx, a, b) - prelie(ctx, b, a)``."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    product = partial(_prelie_words, ctx)
-    acc = _bilinear(product, ta.items(), tb.items(), _Sum())
-    _merge_into(acc, _bilinear(product, tb.items(), ta.items(), _Sum()), -1)
+    acc = _bilinear(ctx._products, ta.items(), tb.items(), _Sum())
+    _merge_into(acc, _bilinear(ctx._products, tb.items(), ta.items(), _Sum()), -1)
     return Tensor._from_clean(acc.result())
 
 
@@ -300,7 +295,7 @@ def span_dimension_of_products(
     unknown = set(ops) - {"prelie", "shuffle"}
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
-    kernels = (("prelie", partial(_prelie_words, ctx)), ("shuffle", _call_memo(_shuffle_words)))
+    kernels = (("prelie", ctx._products), ("shuffle", _Memo(_shuffle_words)))
     products = [kernel for name, kernel in kernels if name in ops]
     parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:

@@ -566,21 +566,30 @@ def _shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
     return [(Word(t), m) for t, m in _shuffle_tuples(u.letters, v.letters)]
 
 
-def _call_memo(kernel: Callable, bound: int | None = None) -> Callable:
-    """``kernel`` on pairs, memoized for as long as the returned function
-    lives: one call that repeats pairs.  With ``bound``, a pair of more
-    than ``bound`` letters in all gives nothing before the kernel runs."""
-    memo: dict = {}
+_MEMO_BOUND = 1 << 14  # the most entries a memo that outlives its call keeps
 
-    def pair(a, b):
-        if bound is not None and len(a) + len(b) > bound:
-            return ()
-        hit = memo.get((a, b))
-        if hit is None:
-            hit = memo[a, b] = kernel(a, b)
-        return hit
 
-    return pair
+class _Memo(dict):
+    """``kernel`` memoized on argument tuples: a missing ``memo[key]`` is
+    computed as ``kernel(*key)`` and stored, after emptying the memo if it
+    holds ``bound`` entries; ``memo(*key)`` reads ``memo[key]``.  A hit is
+    a plain dict read, and a kernel that raises stores nothing."""
+
+    __slots__ = ("kernel", "bound")
+
+    def __init__(self, kernel: Callable, bound: int | None = None):
+        self.kernel = kernel
+        self.bound = bound
+
+    def __missing__(self, key: tuple):
+        value = self.kernel(*key)
+        if self.bound is not None and len(self) >= self.bound:
+            self.clear()
+        self[key] = value
+        return value
+
+    def __call__(self, *key):
+        return self[key]
 
 
 def shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:

@@ -13,13 +13,13 @@ import random
 import sys
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comprelie import admissible, characters, cli, enveloping
+from comprelie import admissible, characters, cli, enveloping, forests
 from comprelie.cli import (
     CliError,
     emit_report,
@@ -30,7 +30,8 @@ from comprelie.cli import (
 )
 from comprelie.characters import _compose_terms, _series_chars, _series_digits, fibonacci_dims
 from comprelie.endo import Endo, fliess_channel, save_endo
-from comprelie.enveloping import SymTensor, _coproduct_terms, dual_coproduct
+from comprelie.enveloping import SymTensor, _coproduct_terms, _splittings, dual_coproduct
+from comprelie.forests import _delta_splittings, _t_word_trees, delta_cobracket, t_word
 from comprelie.prelie import ComPreLieContext, _prelie_letters, lie_bracket, prelie
 from comprelie.trees import TreeTensor, _tree_map_words, all_partitioned_trees, linear_extensions
 from comprelie.trees import parse_tree, phi_cpl
@@ -630,6 +631,45 @@ def test_tree_map_over_budget_exits_two_before_any_work(capsys, monkeypatch):
         assert f"up to {words} words" in err
     with pytest.raises(AssertionError, match="before the budget"):
         main(["tree-map", star(9)])  # within the budget: the kernel is reached
+
+
+def test_the_fdb_estimates_bound_the_work():
+    # distinct letters give each of the (n-1)! increasing trees once
+    lam = {x: Fraction(i + 2, 3) for i, x in enumerate("abcdef")}
+    for n in range(1, 7):
+        w = "abcdef"[:n]
+        assert len(t_word(w, lam).terms) == _t_word_trees(n, 10**6) == factorial(n - 1)
+        assert len(t_word("a" * n, lam).terms) <= _t_word_trees(n, 10**6)
+        reads = sum(1 for s in _splittings(tuple(range(n)), 2) if all(s))
+        assert reads == _delta_splittings(n, 10**6) >= len(delta_cobracket(w, lam))
+    # counting stops once past the budget, so a long word costs nothing
+    assert _t_word_trees(3000, 50_000) == factorial(17)
+    assert _delta_splittings(3000, 10**6) == 2**21 - 2 and _delta_splittings(0, 1) == 0
+
+
+def test_fdb_over_budget_exits_two_before_any_work(capsys, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the budget check")
+
+    for name in ("t_word", "delta_cobracket"):
+        monkeypatch.setattr(forests, name, kernel)
+    weights = ["--weights", "a=2,b=3,c=1/5"]
+    cases = [
+        (["fdb", "t-word", "abcabcabca", *weights], "could build at least 362880 trees"),
+        (["fdb", "delta", "abcabcabca", *weights, "--mode", "projected"],
+         "could build at least 362880 trees"),
+        (["fdb", "delta", "abc" * 7, *weights], "could read at least 2097150 splittings"),
+    ]
+    for argv, claim in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert claim in err
+    # within the budgets: the kernels are reached
+    for argv in (["t-word", "abcabcabc"], ["delta", "abcabcabc", "--mode", "projected"],
+                 ["delta", "abc" * 6 + "a"]):
+        with pytest.raises(AssertionError, match="before the budget"):
+            main(["fdb", *argv, *weights])
 
 
 def test_deep_inputs_exit_two_without_a_traceback(capsys):

@@ -1,7 +1,7 @@
-"""Degree-bounded shuffles: the call memo of ``words`` bounded at L gives
-exactly the truncated shuffle, and truncated composition, its
-Fliess-operator form and the inverse never interleave two words whose
-lengths sum past the truncation."""
+"""Degree-bounded shuffles: ``characters._bounded_pairs(L)``, the memoized
+shuffle behind its length cut, gives exactly the truncated shuffle, and
+truncated composition, its Fliess-operator form and the inverse never
+interleave two words whose lengths sum past the truncation."""
 
 from __future__ import annotations
 
@@ -52,10 +52,11 @@ tensors = st.dictionaries(short_words, coeffs, max_size=4).map(Tensor)
 @settings(max_examples=60)
 @given(tensors, tensors, st.integers(-1, 9))
 def test_bounded_shuffle_is_the_truncated_shuffle(a, b, L):
-    bounded = words._call_memo(words._shuffle_words, L)
+    bounded = characters._bounded_pairs(L)
+    pa, pb = ([(w.letters, c) for w, c in t.items()] for t in (a, b))
     # the pairs twice over, so that the second pass reads the memo
     for _ in range(2):
-        got = Tensor._from_clean(words._bilinear(bounded, a.items(), b.items()))
+        got = Tensor((Word(t), c) for t, c in words._bilinear(bounded, pa, pb).items())
         assert got == truncated(shuffle(a, b), L)
 
 

@@ -416,9 +416,10 @@ def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
 
 
 def test_a_cold_brace_computes_each_power_of_a_letter_once(monkeypatch):
-    # c^6 acting on b, a, ba deals the three factors over six letters in
-    # 6^3 ways, each asking for f^m(c) with m <= 3: the call computes and
-    # codes each of those powers once, whatever it reads them through
+    # c^6 acting on b, a, ba gives each of its six letters, at each suffix
+    # brace, every nonempty share of the three factors, each share of m
+    # factors asking for f^m(c) with m <= 3: the call computes and codes
+    # each of those powers once, whatever it reads them through
     a, b, c = UPPER3.alphabet
     w, factors = Word((c,) * 6), [Word((b,)), Word((a,)), Word((b, a))]
     expected = closed_action(ComPreLieContext(UPPER3), w, factors)

@@ -122,6 +122,9 @@ CLI_COMMANDS = [
     ["series", "--fliess", "1000", "--max", "1435"],
     ["dyck", "--list", "13"],
     ["tree-map", "a[b,c,d,e,f,g,h,i,j]"],
+    ["fdb", "t-word", "abcabcabca", "--weights", "a=2,b=3,c=1/5"],
+    ["fdb", "delta", "abcabcabca", "--weights", "a=2,b=3,c=1/5", "--mode", "projected"],
+    ["fdb", "delta", "ab" * 10, "--weights", "a=1,b=-2/3"],
 ]
 
 

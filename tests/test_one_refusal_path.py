@@ -5,7 +5,7 @@ estimates live beside the kernels they bound.
 verb's output would pass a budget ("over the budget of ...") or CPython's
 limit on printing an int ("over Python's limit of ..."); each verb that
 refuses calls it.  The estimates themselves sit in the layers:
-``prelie``, ``enveloping``, ``characters`` and ``trees``.
+``prelie``, ``enveloping``, ``characters``, ``trees`` and ``forests``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ ESTIMATORS = {
     "_series_chars": "characters",
     "_series_digits": "characters",
     "_tree_map_words": "trees",
+    "_t_word_trees": "forests",
+    "_delta_splittings": "forests",
 }
 
 
@@ -87,11 +89,11 @@ def test_the_detector_sees_a_hand_written_refusal():
 def test_every_refusal_goes_through_the_one_helper():
     source = CLI.read_text(encoding="utf-8")
     assert [func for func, _ in refusals(source)] == [HELPER]
-    # the seven refusals: prelie and bracket, coproduct, compose, the two
-    # series checks, dyck --list and tree-map
+    # the nine refusals: prelie and bracket, coproduct, compose, the two
+    # series checks, dyck --list, tree-map, and fdb's trees and splittings
     assert sorted(helper_callers(source)) == sorted([
         "_cmd_prelie", "_cmd_bracket", "_cmd_coproduct", "_cmd_compose",
-        "_cmd_series", "_cmd_series", "_cmd_dyck", "_cmd_tree_map",
+        "_cmd_series", "_cmd_series", "_cmd_dyck", "_cmd_tree_map", "_cmd_fdb", "_cmd_fdb",
     ])
 
 

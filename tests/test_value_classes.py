@@ -114,7 +114,7 @@ def test_maps_and_contexts_are_unhashable_and_compare_by_value():
 
 def test_context_memos_are_outside_equality_and_pickle():
     ctx = ComPreLieContext(MAP)
-    assert (ctx._products, ctx._coproducts, ctx._word_engine) == ({}, {}, None)
+    assert (ctx._products, ctx._coproducts, ctx._word_engine) == ({}, None, None)
     ctx._products[(AB, AB)] = "cached"
     assert ctx == ComPreLieContext(MAP)
     copy = pickle.loads(pickle.dumps(ctx))
