@@ -285,7 +285,10 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
         return acc.result()
 
     braces = _Memo(brace)
-    return tuple(codes.decode(braces[0, tuple(sorted(map(codes.word, factors)))].items()))
+    top = braces[0, tuple(sorted(map(codes.word, factors)))]
+    braces.clear()  # the memo and its kernel form a cycle, which holds both
+    pair.clear()  # memos: free the suffix braces and the shuffles now
+    return tuple(codes.decode(top.items()))
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

@@ -1,36 +1,38 @@
 """Incremental exact linear algebra on sparse vectors.
 
 Vectors are mappings ``basis key -> rational`` with orderable, hashable keys
-(words, monomials, tree isoclasses...).  :class:`SpanBasis` keeps a reduced
-row-echelon set of rows so that rank growth, membership, and residues are
-cheap to query while vectors stream in.
+(words, monomials, tree isoclasses...).  :class:`SpanBasis` keeps the span as
+primitive integer rows in echelon form, so that rank growth, membership, and
+residues are cheap to query while vectors stream in.  It is fraction-free: a
+vector's denominators are cleared once, and the elimination runs in ``int``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping
 
-from .words import Rat, _add_into, _Sum
+from .words import Rat, check_coefficient
 
 
-def _div(a: Rat, b: Rat) -> Rat:
-    # keep integers integral when the division is exact; it is much faster
-    if isinstance(a, int) and isinstance(b, int):
-        return a // b if a % b == 0 else Fraction(a, b)
-    return a / b
+def _div(a: int, b: int) -> Rat:
+    return a // b if a % b == 0 else Fraction(a, b)  # an exact quotient stays an int
 
 
 class SpanBasis:
     """A growing basis of the span of the vectors added so far.
 
-    Rows are kept fully reduced: each row's pivot key appears in no other
-    row, and pivot coefficients are 1.  ``add`` reports whether the vector
-    enlarged the span.
+    ``rows`` maps each pivot key to its row, a primitive integer vector
+    whose least key is the pivot, with a positive coefficient there.  Rows
+    are never rewritten: a row may hold the pivots of later rows.  ``add``
+    reports whether the vector enlarged the span.
     """
 
     def __init__(self, vectors: Iterable[Mapping[Hashable, Rat]] = ()):
-        self.rows: dict[Hashable, dict[Hashable, Rat]] = {}
+        self.rows: dict[Hashable, dict[Hashable, int]] = {}
+        self._pivots: list = []  # the keys of ``rows``, ascending
         for v in vectors:
             self.add(v)
 
@@ -38,36 +40,44 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Mapping[Hashable, Rat]) -> dict[Hashable, Rat]:
-        """The residue of ``vec`` modulo the current span."""
-        acc = _Sum(vec.items())
-        # in reduced form a subtraction never reintroduces a pivot key,
-        # so one pass over the pivots initially present is enough
-        for k in [k for k in acc.keys() if k in self.rows]:
-            c = acc.get(k)
+    def _eliminate(self, vec: Mapping[Hashable, Rat]) -> tuple[dict[Hashable, int], int]:
+        """(r, s): an integer vector r free of pivot keys, with r / s the
+        residue of ``vec`` modulo the span."""
+        s = lcm(*(check_coefficient(c).denominator for c in vec.values() if type(c) is not int))
+        r = {k: c.numerator * (s // c.denominator) for k, c in vec.items() if c}
+        # a row brings in only keys after its pivot, so one pass over the
+        # pivots in increasing order clears them all
+        for p in self._pivots:
+            c = r.get(p)
             if c:
-                _add_into(acc, self.rows[k].items(), -c)
-        return acc.result()
+                row = self.rows[p]
+                g = gcd(row[p], c)
+                a, c = row[p] // g, c // g
+                if a != 1:  # r <- a * r, so that c * row clears p in int
+                    s *= a
+                    r = {k: x * a for k, x in r.items()}
+                for k, x in row.items():
+                    r[k] = r.get(k, 0) - c * x
+        return {k: x for k, x in r.items() if x}, s
+
+    def reduce(self, vec: Mapping[Hashable, Rat]) -> dict[Hashable, Rat]:
+        """The residue of ``vec`` modulo the current span, unique once no
+        pivot key is left; each value is an ``int`` where it is integral."""
+        r, s = self._eliminate(vec)
+        return {k: _div(x, s) for k, x in r.items()}
 
     def contains(self, vec: Mapping[Hashable, Rat]) -> bool:
-        return not self.reduce(vec)
+        return not self._eliminate(vec)[0]
 
     def add(self, vec: Mapping[Hashable, Rat]) -> bool:
         """Insert ``vec``; True iff the rank grew."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        pivot = min(red)
-        inv = red[pivot]
-        row = {k: _div(v, inv) for k, v in red.items()}
-        for k, other in self.rows.items():
-            c = other.get(pivot)
-            if c:
-                acc = _Sum(other.items())
-                _add_into(acc, row.items(), -c)
-                self.rows[k] = acc.result()
-        self.rows[pivot] = row
-        return True
+        r = self._eliminate(vec)[0]
+        if r:
+            pivot = min(r)
+            g = gcd(*r.values()) * (1 if r[pivot] > 0 else -1)
+            self.rows[pivot] = {k: x // g for k, x in r.items()}
+            insort(self._pivots, pivot)
+        return bool(r)
 
 
 def rank_of(vectors: Iterable[Mapping[Hashable, Rat]]) -> int:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _merge_into, _prepend, _shuffle_tuples
-from .words import _shuffle_words, _Sum
+from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _merge_into, _prepend, _shuffle_tuples, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -286,30 +285,58 @@ def span_dimension_of_products(
     Both products add word length, so the degree-d part is spanned by the
     generators' degree-d parts and the products ``op(a, b)`` of basis
     vectors a, b of the degrees d1 + d2 = d below it: the degrees are
-    filled once each, from 1 up, by exact row reduction.  ``generators``
-    is iterated once.  Intended for small degrees (<= 5); the bases grow
-    quickly with the alphabet.
+    filled once each, from 1 up, by exact row reduction, each from the
+    integer rows of the degrees below.  ``generators`` is iterated once.
+    Intended for small degrees (<= 5); the bases grow quickly with the
+    alphabet.  The call works on words coded for it, in ``int`` only: the
+    product has degree one in f, so with D the least common denominator of
+    f's entries each D * (u . v), read off the context's memo, is integral,
+    and a vector and its D-fold span the same line, so no span changes.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     unknown = set(ops) - {"prelie", "shuffle"}
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
-    kernels = (("prelie", ctx._products), ("shuffle", _Memo(_shuffle_words)))
-    products = [kernel for name, kernel in kernels if name in ops]
+    codes = _Codes()
+    scale = lcm(*(c.denominator for col in (ctx.f.columns or {}).values() for c in col.values()))
+    # a word is coded and decoded once per call; the memo's keys share its terms' Words
+    decoded = _Memo(lambda *t: Word(tuple(map(codes.letters.__getitem__, t))))
+    code_of: dict[Word, tuple] = {}
+
+    def coded(w: Word) -> tuple:
+        t = code_of.get(w)
+        if t is None:
+            t = code_of[w] = codes.word(w)
+            decoded.setdefault(t, w)
+        return t
+
+    def scaled_prelie(u: tuple, v: tuple) -> list[tuple[tuple, int]]:
+        return [(coded(w), _scaled(c, scale)) for w, c in ctx._products[decoded[u], decoded[v]]]
+
+    kernels = (("prelie", scaled_prelie), ("shuffle", _shuffle_tuples))
+    products = [_Memo(kernel) for name, kernel in kernels if name in ops]
     parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:
         for d, found in parts.items():
             part = g.graded_part(d)
             if part:
-                found.append(part.terms)
+                found.append({coded(w): c for w, c in part.items()})
     basis: dict[int, list[dict]] = {}
     for d, found in parts.items():
-        span = SpanBasis()
         made = (_bilinear(op, a.items(), b.items()) for e in range(1, d)
                 for a in basis[e] for b in basis[d - e] for op in products)
-        basis[d] = [t for t in itertools.chain(found, made) if span.add(t)]
+        span = SpanBasis(itertools.chain(found, made))
+        basis[d] = list(span.rows.values())
     return span.rank
+
+
+def _scaled(c: Rat, scale: int) -> int:
+    """``scale * c`` as an int: raised, never truncated, unless integral."""
+    q, r = divmod(c.numerator * scale, c.denominator)
+    if r:
+        raise ArithmeticError(f"{scale} * {c} is not an integer")
+    return q
 
 
 def image_span_contains(ctx: ComPreLieContext, t: Tensor) -> bool:

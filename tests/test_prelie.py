@@ -680,16 +680,22 @@ def fixpoint_span_dimension(
     return spans[degree].rank
 
 
+# the bench's dense rational map: its entries' least common denominator is 6
+FULL3 = Endo.matrix(list("abc"), [[1, 2, -1], [Fraction(1, 2), 0, 3], [-2, 1, Fraction(1, 3)]])
+SHIFT = Endo.biletter_shift()  # an infinite alphabet, coded by first use
+
+
 def test_the_degree_by_degree_fill_matches_the_fixpoint():
-    # 4 maps (INDEX3 among them) x 3 op sets x 18 generator sets, at
-    # degrees 2-4: generators mix lengths 0-5, so some parts fall outside
+    # 6 maps (INDEX3, FULL3 and the biletter shift among them) x 3 op sets
+    # x 18 generator sets, at degrees 2-4: generators mix lengths 0-5, so
+    # some parts fall outside
     rng = random.Random("fill")
-    maps = [INDEX3, FRAC, NIL, diagonal_weights({"a": 1, "b": 0, "c": 2})]
+    maps = [INDEX3, FRAC, NIL, diagonal_weights({"a": 1, "b": 0, "c": 2}), FULL3, SHIFT]
     values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
     cases = 0
     for f in maps:
         ctx = ctx_of(f)
-        letters = f.alphabet
+        letters = f.alphabet or (Letter("d", 0), Letter("d", 2), Letter("e", 1))
         for ops in (("prelie",), ("shuffle",), ("prelie", "shuffle")):
             for k in range(18):
                 degree = (2, 3, 3, 4)[k % 4] if len(letters) < 3 or k % 3 else 3
@@ -705,4 +711,35 @@ def test_the_degree_by_degree_fill_matches_the_fixpoint():
                     f, ops, gens, degree
                 )
                 cases += 1
-    assert cases >= 200
+    assert cases >= 300
+
+
+def test_a_span_refuses_a_letter_outside_a_matrix_alphabet():
+    ctx = ctx_of(FULL3)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        span_dimension_of_products(ctx, [T("a + z")], 2)
+    # the shuffle alone reads no image of f
+    assert span_dimension_of_products(ctx, [T("a + z")], 2, ops=("shuffle",)) == 1
+
+
+def untouched_generators():
+    raise AssertionError("the generators were read")
+    yield  # a generator function: calling it reads nothing
+
+
+@pytest.mark.parametrize("degree, ops", [(0, ("prelie",)), (-1, ("shuffle",)),
+                                         (2, ("prelie", "brace")), (0, ("lie",))])
+def test_a_span_refuses_its_arguments_before_any_work(degree, ops):
+    ctx = ctx_of(FULL3)
+    with pytest.raises(ValueError, match="degree must be|unknown ops"):
+        span_dimension_of_products(ctx, untouched_generators(), degree, ops)
+    assert not ctx._products
+
+
+def test_a_scaled_product_that_is_not_integral_raises():
+    # under NIL, D = 1: a planted product coefficient of 1/2 is not integral
+    # after the scale, and the span refuses it rather than truncate it
+    ctx = ctx_of(NIL)
+    ctx._products[W("a"), W("b")] = ((W("ab"), Fraction(1, 2)),)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        span_dimension_of_products(ctx, [T("a"), T("b")], 2, ops=("prelie",))

@@ -267,7 +267,7 @@ def _reference_route(monkeypatch) -> None:
     time, and each name is replaced on the modules that have it.  The
     layers load lazily, so each is imported first: the sample may not have
     reached every one of them yet."""
-    for layer in ("words", "prelie", "enveloping", "characters", "exactla", "forests"):
+    for layer in ("words", "prelie", "enveloping", "characters", "forests"):
         importlib.import_module(f"comprelie.{layer}")
     patched = set()
     for mod in list(sys.modules.values()):
@@ -278,7 +278,7 @@ def _reference_route(monkeypatch) -> None:
                 monkeypatch.setattr(mod, name, reference)
                 patched.add(mod.__name__)
     assert {"comprelie.words", "comprelie.prelie", "comprelie.enveloping",
-            "comprelie.characters", "comprelie.exactla"} <= patched
+            "comprelie.characters"} <= patched
     assert "comprelie.forests" in patched
 
 
