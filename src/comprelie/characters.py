@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .endo import letter_iterates
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
 from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _prepend, _set
-from .words import _Codes, _Memo, _shuffle_tuples, _Sum
+from .words import _Codes, _div, _Memo, _shuffle_tuples, _Sum
 
 
 class TruncatedSeries:
@@ -147,13 +147,13 @@ def tilde_compose(
     words = codes.terms(u.tensor)
     heads = list(codes.letters)
     pair = _bounded_pairs(L - 1)
-    # divided powers v^(sh i)/i!, built as powers[i-1] sh v / i; they are
+    # divided powers v^(sh i)/i!, built as powers[i-1] sh (v / i); they are
     # only shuffled into words of length <= L-1, so longer words are skipped
     coded_v = codes.terms(v.tensor)
     powers = [{(): 1}]
     for i in range(1, N):
-        power = _bilinear(pair, powers[-1].items(), coded_v.items())
-        powers.append(power if i == 1 else {t: Fraction(1, i) * c for t, c in power.items()})
+        v_over_i = [(t, _div(c.numerator, c.denominator * i)) for t, c in coded_v.items()]
+        powers.append(_bilinear(pair, powers[-1].items(), v_over_i))
 
     def branches(x: Letter) -> list[tuple]:
         # f^i(x) for 1 <= i < N, stepped once each, up to the first zero
@@ -267,7 +267,10 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
 def fliess_diamond(
     c: Sequence[TruncatedSeries], d: Sequence[TruncatedSeries]
 ) -> tuple[TruncatedSeries, ...]:
-    """Componentwise group law on n-tuples of series."""
+    """The group law on n-tuples of series, the direct product of the n
+    single-channel groups: component i is ``fliess_tilde`` of c_i, which
+    reads d_i alone and is ``tilde_compose`` under ``fliess_channel(n, i)``
+    (``test_fliess_matches_generic_composition_on_channel``), plus d_i."""
     if len(c) != len(d):
         raise ValueError(f"tuple sizes differ: {len(c)} vs {len(d)}")
     out = []

@@ -105,9 +105,11 @@ def _parse_weights(body: str) -> dict[str, Rat]:
             continue
         if "=" not in chunk:
             raise CliError(f"weight entries look like name=value, got {chunk!r}")
-        name, value = chunk.split("=", 1)
+        name, value = (s.strip() for s in chunk.split("=", 1))
+        if name in out:
+            raise CliError(f"weight for {name!r} given twice")
         try:
-            out[name.strip()] = parse_rational(value)
+            out[name] = parse_rational(value)
         except ValueError as exc:
             raise CliError(f"bad weight {chunk!r}: {exc}") from None
     if not out:

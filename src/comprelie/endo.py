@@ -90,6 +90,8 @@ class Endo(Frozen):
         n = len(letters)
         if n == 0:
             raise ValueError("matrix endomorphism needs a nonempty alphabet")
+        if len(set(letters)) != n:
+            raise ValueError("matrix alphabet names a letter twice")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"matrix must be {n}x{n} to match the alphabet")
         columns: dict[Letter, dict[Letter, Rat]] = {}
@@ -105,6 +107,8 @@ class Endo(Frozen):
     @classmethod
     def diagonal(cls, weights: Mapping[Letter | str, Rat]) -> "Endo":
         wmap = {_as_letter(k): check_coefficient(v) for k, v in weights.items()}
+        if len(wmap) != len(weights):  # "a" and Letter("a") name one letter
+            raise ValueError("diagonal weights name a letter twice")
         columns = {x: {x: w} if w else {} for x, w in wmap.items()}
         return cls("diagonal", tuple(sorted(wmap)), columns=columns)
 

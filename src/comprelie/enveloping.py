@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -31,7 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from .endo import letter_iterates
 from .prelie import ComPreLieContext, _require_nilpotent
 from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Codes, _prepend, _Sum
-from .words import _MEMO_BOUND, BasisKey, _Memo, _set, _shuffle_tuples, _split_coeff, parse_word
+from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _shuffle_tuples, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -331,15 +330,16 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
     for i, image in zip(range(n), letter_iterates(ctx.f, x)):
         # unshuffle u into i+1 ordered (possibly empty) parts, the adjoint
         # of the iterated shuffle product; the head part feeds the
-        # recursion, the tail parts multiply into the monomial leg
-        scale = 1 if i < 2 else Fraction(1, factorial(i))
+        # recursion, the tail parts multiply into the monomial leg; the
+        # f^i term carries 1/i!, put on the image once
+        image = [(y, _div(cy.numerator, cy.denominator * factorial(i))) for y, cy in image.items()]
         for parts in _splittings(u.letters, i + 1):
             head = Word(parts[0])
             tail = tuple(Word(t) for t in parts[1:])
             for (t_word, mono), c in delta(head).items():
                 merged = SymMonomial(mono.factors + tail)
-                pairs = (((Word((y,) + t_word.letters), merged), cy) for y, cy in image.items())
-                _add_into(acc, pairs, c * scale)
+                pairs = (((Word((y,) + t_word.letters), merged), cy) for y, cy in image)
+                _add_into(acc, pairs, c)
     return acc.result()
 
 
@@ -431,7 +431,7 @@ def diagonal_pairing(a: Lin, b: Lin, weight: Callable[[Hashable], Rat]) -> Rat:
         c2 = b.terms.get(k)
         if c2:
             total += c * c2 * weight(k)
-    return total
+    return _div(total.numerator, total.denominator)
 
 
 def pair_tensor(a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> Rat:

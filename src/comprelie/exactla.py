@@ -10,15 +10,10 @@ vector's denominators are cleared once, and the elimination runs in ``int``.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping
 
-from .words import Rat, check_coefficient
-
-
-def _div(a: int, b: int) -> Rat:
-    return a // b if a % b == 0 else Fraction(a, b)  # an exact quotient stays an int
+from .words import Rat, _div, check_coefficient
 
 
 class SpanBasis:

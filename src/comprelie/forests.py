@@ -312,20 +312,13 @@ def delta_cobracket(w, lam: Mapping, mode: str = "closed") -> dict[tuple[Word, W
         return (((f, g), a * b) for f, a in tu for g, b in tv)
 
     target = _linear(tree_tree_cuts, t_of[letters].items())
-    # v's root hangs below a letter of w before it (else no coordinate); as
-    # in the closed mode, a coordinate is a Fraction if one such weight is
-    hosts: dict[tuple[Word, Word], int] = {}
-    for s in splittings:
-        if s[1][0]:
-            pair = words(s)
-            hosts[pair] = max(hosts.get(pair, 0), s[1][0])
+    # v's root hangs below a letter of w before it (else no coordinate)
     coords = {}
-    for (u, v), n in hosts.items():
+    for u, v in dict.fromkeys(words(s) for s in splittings if s[1][0]):
         c = target.get((_chain(u.letters), _chain(v.letters)))
         if c:
-            q = Fraction(c) / prod(wmap[x] for x in u.letters[:-1] + v.letters[:-1])
-            frac = q.denominator != 1 or any(isinstance(wmap[x], Fraction) for x in letters[:n])
-            coords[u, v] = q if frac else q.numerator
+            path_weights = prod(wmap[x] for x in u.letters[:-1] + v.letters[:-1])
+            coords[u, v] = check_coefficient(Fraction(c) / path_weights)
     rebuilt = _linear(t_tensor_t, coords.items())
     t_of.clear()  # as in ``t_word``
     if rebuilt != target:

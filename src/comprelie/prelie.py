@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _merge_into, _prepend, _shuffle_tuples, _Sum
+from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _prepend, _shuffle_tuples, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
@@ -129,12 +129,12 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
-    """Antisymmetrization of the pre-Lie product: the sum of ``b . a``
-    merged into that of ``a . b``, whose terms, coefficient types and
-    order are those of ``prelie(ctx, a, b) - prelie(ctx, b, a)``."""
+    """Antisymmetrization of the pre-Lie product, ``a . b - b . a``: the
+    products ``b . a``, with a's coefficients negated, are added into the
+    sum of ``a . b``."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
     acc = _bilinear(ctx._products, ta.items(), tb.items(), _Sum())
-    _merge_into(acc, _bilinear(ctx._products, tb.items(), ta.items(), _Sum()), -1)
+    _bilinear(ctx._products, tb.items(), [(k, -c) for k, c in ta.items()], acc)
     return Tensor._from_clean(acc.result())
 
 

@@ -12,8 +12,9 @@ Conventions:
 * the empty word ``e`` is the unit for shuffle and concatenation;
 * ``e < w = 0`` and ``w < e = w`` for nonempty ``w``, while ``e < e`` is
   rejected (the half-shuffle of two empty words is undefined);
-* coefficients are exact rationals (`int` or `fractions.Fraction`); floats
-  are rejected.
+* coefficients are exact rationals and floats are rejected; one rule,
+  :func:`_div`, makes each returned coefficient an ``int`` exactly when
+  it is integral and a ``fractions.Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Un
 Rat = Union[int, Fraction]
 
 
+def _div(a: int, b: int) -> Rat:
+    """a / b for ints, under the one coefficient-type rule: an ``int``
+    exactly when it is integral, otherwise a ``Fraction``."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
 def check_coefficient(c: object) -> Rat:
-    """Accept exact rationals only; floats would silently break exactness."""
+    """An exact rational, under the rule of :func:`_div`; anything else
+    raises TypeError, as floats would silently break exactness."""
     if isinstance(c, (int, Fraction)):
-        return c
+        return _div(c.numerator, c.denominator)
     raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__}: {c!r}")
 
 
@@ -229,25 +237,22 @@ class _Sum:
     denominator ``den``, each numerator in a slot of one list.
 
     ``pos`` maps each live key to its slot, so a term costs one dict probe;
-    the numerators ``num`` and the Fraction flags (``frac``, the set of
-    flagged slots, made on the first Fraction) are read and written by
-    slot, and hash no key.  A term whose value times ``den`` is not an
-    integer grows ``den`` to the least multiple that makes it one,
-    rescaling the list; sums of ints never grow it.  A key that cancels to
-    exact zero leaves ``pos`` and a dead zero slot behind, and takes a
-    fresh slot if it comes back, so keys stay in the order in which they
-    became nonzero.  A key's coefficient comes out a Fraction if and only
-    if a Fraction contributed to it since it last cancelled, the rule
-    Python's own ``int``/``Fraction`` arithmetic follows.
+    the numerators ``num`` are read and written by slot, and hash no key.
+    A term whose value times ``den`` is not an integer grows ``den`` to the
+    least multiple that makes it one, rescaling the list; sums of ints
+    never grow it.  A key that cancels to exact zero leaves ``pos`` and a
+    dead zero slot behind, and takes a fresh slot if it comes back.  Each
+    coefficient comes out by :func:`_div`, an ``int`` exactly when it is
+    integral, so its type is a function of its value alone: no order or
+    grouping of the same terms can change it.
     """
 
-    __slots__ = ("pos", "num", "den", "frac")
+    __slots__ = ("pos", "num", "den")
 
     def __init__(self, pairs: Iterable[tuple[Hashable, Rat]] | None = None):
         self.pos: dict = {}  # live key -> slot
         self.num: list = []  # slot -> int numerator over den; 0 in a dead slot
         self.den = 1
-        self.frac: set | None = None  # slots a Fraction reached
         if pairs is not None:
             _add_into(self, pairs)
 
@@ -256,26 +261,12 @@ class _Sum:
         self.den *= g
         self.num[:] = [n * g for n in self.num]  # in place: _add_into holds the list
 
-    def keys(self):
-        return self.pos.keys()
-
-    def get(self, k) -> Rat:
-        """The coefficient of ``k`` so far (0 when absent)."""
-        i = self.pos.get(k)
-        if i is None:
-            return 0
-        frac = self.frac
-        if frac and i in frac:
-            return Fraction(self.num[i], self.den)
-        return self.num[i] // self.den
-
     def result(self) -> dict:
-        """The sum as a zero-free dict of int and Fraction coefficients,
-        each converted once, in the order of ``pos``."""
+        """The sum as a zero-free dict of coefficients, each converted
+        once, in the order of ``pos``."""
         pos, num, den = self.pos, self.num, self.den
-        if self.frac:
-            frac = self.frac
-            return {k: Fraction(num[i], den) if i in frac else num[i] // den for k, i in pos.items()}
+        if den != 1:
+            return {k: _div(num[i], den) for k, i in pos.items()}
         if not num:
             return {}
         v = num[0]
@@ -283,8 +274,8 @@ class _Sum:
             # every slot holds v (one key, or every term alike, and no
             # dead slot unless all are): a copy of pos keeps its stored
             # hashes and calls no __hash__
-            return _fromkeys(pos, v // den)
-        return {k: num[i] // den for k, i in pos.items()}
+            return _fromkeys(pos, v)
+        return {k: num[i] for k, i in pos.items()}
 
 
 _fromkeys = dict.fromkeys  # bound once: most sums end in one key
@@ -298,13 +289,11 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
     coefficients as ``scale``.  A coefficient or scale that is not an
     exact rational raises TypeError.
     """
-    pos, num, frac = acc.pos, acc.num, acc.frac
+    pos, num = acc.pos, acc.num
     if type(scale) is int:
-        sfrac = False
         mult = scale * acc.den  # an int coefficient c adds c * mult to a numerator
     else:
-        sfrac = isinstance(scale, Fraction)
-        if not sfrac:
+        if not isinstance(scale, Fraction):
             check_coefficient(scale)
         sd = scale.denominator
         if acc.den % sd:
@@ -314,12 +303,9 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
     for k, c in pairs:
         if type(c) is int:
             d = c * mult
-            flag = sfrac
         else:
-            flag = isinstance(c, Fraction)
-            if not flag:
+            if not isinstance(c, Fraction):
                 check_coefficient(c)
-                flag = sfrac
             cd = c.denominator
             if mult % cd:
                 g = cd // gcd(mult, cd)
@@ -328,52 +314,16 @@ def _add_into(acc: _Sum, pairs: Iterable[tuple[Hashable, Rat]], scale: Rat = 1) 
             d = c.numerator * (mult // cd)
         i = pos.setdefault(k, n)  # the one probe
         if i == n:  # a new key
-            if not d:
+            if d:
+                num.append(d)
+                n += 1
+            else:
                 del pos[k]
-                continue
-            num.append(d)
-            n += 1
         else:
             d += num[i]
             num[i] = d
             if not d:  # cancelled: the slot stays dead
                 del pos[k]
-                continue
-        if flag:
-            if frac is None:
-                frac = acc.frac = set()
-            frac.add(i)
-
-
-def _merge_into(acc: _Sum, other: _Sum, sign: int) -> None:
-    """acc += sign * other, numerator by numerator: each live key of
-    ``other``, in its order, adds as ``_add_into(acc, other.result().items(),
-    sign)`` would add it, keeping its Fraction flag, and no coefficient is
-    converted."""
-    den = other.den
-    g = den // gcd(acc.den, den)
-    if g > 1:
-        acc._grow(g)
-    mult = sign * (acc.den // den)
-    pos, num, frac = acc.pos, acc.num, acc.frac
-    onum, ofrac = other.num, other.frac
-    n = len(num)  # the next free slot
-    for k, j in other.pos.items():
-        d = onum[j] * mult  # nonzero: j is a live slot
-        i = pos.setdefault(k, n)
-        if i == n:
-            num.append(d)
-            n += 1
-        else:
-            d += num[i]
-            num[i] = d
-            if not d:  # cancelled: the slot stays dead
-                del pos[k]
-                continue
-        if ofrac and j in ofrac:
-            if frac is None:
-                frac = acc.frac = set()
-            frac.add(i)
 
 
 def _prepend(image: Iterable[tuple], tails: Iterable[tuple], acc: _Sum, head: tuple = ()) -> None:
@@ -444,7 +394,7 @@ class Lin:
 
     @classmethod
     def of(cls, key, coeff: Rat = 1):
-        check_coefficient(coeff)
+        coeff = check_coefficient(coeff)
         return cls._from_clean({key: coeff} if coeff else {})
 
     def coefficient(self, key) -> Rat:
@@ -482,8 +432,9 @@ class Lin:
         return self.scale(-1)
 
     def scale(self, c: Rat):
-        check_coefficient(c)
-        return self._from_clean({k: c * v for k, v in self.terms.items()} if c else {})
+        acc = _Sum()
+        _add_into(acc, self.terms.items(), c)
+        return self._from_clean(acc.result())
 
     def __rmul__(self, c: Rat):
         return self.scale(c)
@@ -717,7 +668,7 @@ def parse_rational(src: str) -> Rat:
         num, den = src.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {src!r}")
-        return Fraction(int(num), int(den))
+        return _div(int(num), int(den))
     return int(src)
 
 

@@ -232,6 +232,28 @@ def test_usage_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["prelie", "ab", "b", "--endo", "diag(a=1,a=2,b=1)"],
+        ["prelie", "ab", "b", "--endo", "diag(a=1, b=1, a =1)"],
+        ["fdb", "delta", "ab", "--weights", "a=1,b=2,b=3"],
+    ],
+)
+def test_a_weight_given_twice_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "twice" in err and len(err.splitlines()) == 1
+
+
+def test_a_matrix_file_naming_a_letter_twice_exits_two(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"kind": "matrix", "alphabet": ["a", "a"], "matrix": [["0", "1"], ["0", "0"]]}')
+    code, out, err = run(capsys, "prelie", "a", "a", "--endo", f"@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "twice" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "endo_json",
     [
         None,

@@ -115,6 +115,21 @@ def test_matrix_vector_agreement():
     assert apply_endo(f, T("a")) == T("a + 1/2*b")
 
 
+def test_a_map_names_each_letter_once():
+    # (a, a) with f(a) = a would turn a nilpotent matrix into a map that
+    # is not nilpotent; a weight given twice would silently replace one
+    with pytest.raises(ValueError, match="twice"):
+        Endo.matrix(["a", "a"], [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="twice"):
+        Endo.matrix(["a", Letter("b"), "b"], [[0] * 3] * 3)
+    with pytest.raises(ValueError, match="twice"):
+        endo_from_json('{"kind": "matrix", "alphabet": ["a", "a"], "matrix": [["0", "1"], ["0", "0"]]}')
+    with pytest.raises(ValueError, match="twice"):
+        Endo.diagonal({"a": 1, Letter("a"): 2})
+    # a shifted letter and the plain one of the same name are two letters
+    assert Endo.matrix(["a", "0:a"], [[0, 1], [0, 0]]).alphabet == (Letter("a"), Letter("a", 0))
+
+
 def test_letter_outside_alphabet():
     f = fliess_channel(1, 1)
     with pytest.raises(ValueError):

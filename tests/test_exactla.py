@@ -36,11 +36,11 @@ class FractionSpanBasis:
 
     def reduce(self, vec: Mapping[Hashable, Rat]) -> dict[Hashable, Rat]:
         acc = _Sum(vec.items())
-        # in reduced form a subtraction never reintroduces a pivot key,
-        # so one pass over the pivots initially present is enough
-        for k in [k for k in acc.keys() if k in self.rows]:
-            c = acc.get(k)
-            if c:
+        # in reduced form a row holds no other pivot key, so a subtraction
+        # neither changes nor reintroduces one: each pivot of the vector
+        # is cleared by its own coefficient, in one pass
+        for k, c in vec.items():
+            if c and k in self.rows:
                 _add_into(acc, self.rows[k].items(), -c)
         return acc.result()
 
@@ -184,6 +184,7 @@ def test_span_basis_matches_the_fraction_reference():
             for probe in (v, random_vector(rng, keys, seen), {keys[0]: Fraction(-3, 1)}):
                 got, want = span.reduce(probe), ref.reduce(probe)
                 assert got == want, (family, probe)
+                assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
                 assert all(type(c) is int for c in got.values() if c.denominator == 1)
                 assert span.contains(probe) == ref.contains(probe) == (not want)
             # the rows are primitive integer vectors led by a positive pivot

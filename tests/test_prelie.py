@@ -122,15 +122,15 @@ def test_bilinearity():
 
 def recursive_prelie(f: Endo, u: Word, v: Word) -> dict:
     """The defining recursion ``xw . v = x(w . v) + f(x)(w sh v)``, run
-    literally on a plain dict with Python's own arithmetic, a key dropped
-    when it cancels to exact zero: the reference for the runtime's
-    unrolled sum."""
+    literally on a plain dict with Python's own arithmetic, each stored
+    value an ``int`` exactly when it is integral and a key dropped when it
+    cancels to exact zero: the reference for the runtime's unrolled sum."""
     out: dict = {}
 
     def add(t: Word, c) -> None:
-        c2 = out.get(t, 0) + c
+        c2 = Fraction(out.get(t, 0) + c)
         if c2:
-            out[t] = c2
+            out[t] = c2.numerator if c2.denominator == 1 else c2
         else:
             out.pop(t, None)
 
@@ -152,7 +152,8 @@ def typed(d: dict) -> list:
 
 def test_the_unrolled_sum_matches_the_recursion():
     # 100 random rational maps on 1-3 letters, some entries zero (so some
-    # letters are skipped) and some Fraction(n, 1); 4 pairs of words each
+    # letters are skipped) and some given as Fraction(n, 1); 4 pairs of
+    # words each
     rng = random.Random("unrolled")
     values = (0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 1))
     cases = 0

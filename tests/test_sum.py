@@ -1,6 +1,7 @@
 """The exact accumulator behind every kernel (``words._Sum``/``_add_into``)
-against plain ``int``/``Fraction`` dict arithmetic: the same values, the
-same coefficient types and the same key order."""
+against plain ``int``/``Fraction`` dict arithmetic with each stored value
+made an ``int`` exactly when it is integral: the same values, the same
+coefficient types and the same key order."""
 
 from __future__ import annotations
 
@@ -17,23 +18,24 @@ import comprelie as cp
 from comprelie import forests
 from comprelie.enveloping import OudomGuin
 from comprelie.trees import _tree_brace
-from comprelie.words import Letter, Word, _add_into, _merge_into, _Sum
+from comprelie.words import Letter, Word, _add_into, _Sum
+
+
+def canonical(q):
+    """q as an ``int`` when it is integral, else as a ``Fraction``."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class RefSum:
     """The reference accumulation: a plain dict summed with Python's own
-    arithmetic, a key dropped when it cancels to exact zero."""
+    arithmetic, each stored value made canonical, a key dropped when it
+    cancels to exact zero."""
 
     def __init__(self, pairs=None):
         self.terms: dict = {}
         if pairs is not None:
             ref_add_into(self, pairs)
-
-    def keys(self):
-        return self.terms.keys()
-
-    def get(self, k):
-        return self.terms.get(k, 0)
 
     def result(self) -> dict:
         return self.terms
@@ -44,13 +46,9 @@ def ref_add_into(acc: RefSum, pairs, scale=1) -> None:
     for k, c in pairs:
         c2 = terms.get(k, 0) + scale * c
         if c2:
-            terms[k] = c2
+            terms[k] = canonical(c2)
         elif k in terms:
             del terms[k]
-
-
-def ref_merge_into(acc: RefSum, other: RefSum, sign) -> None:
-    ref_add_into(acc, other.terms.items(), sign)
 
 
 def typed(d: dict) -> list:
@@ -87,43 +85,61 @@ CALLS = st.lists(st.tuples(RATS, st.lists(st.tuples(KEYS, RATS), max_size=6)), m
 @example([(1, [("a", Fraction(1, 2)), ("a", Fraction(-1, 2))]), (1, [("a", 3), ("b", 1)])])
 # a new denominator arrives after pure ints and forces a rescale
 @example([(2, [("a", 1), ("b", -5)]), (Fraction(1, 3), [("b", 2), ("c", 1)]), (1, [("a", 1)])])
-# Fraction(n, 1), as a value and as a scale, still makes a Fraction
+# Fraction(n, 1), as a value and as a scale, gives an int
 @example([(1, [("a", Fraction(2, 1)), ("b", 2)]), (Fraction(3, 1), [("c", 1)])])
 # a key cancels, a new denominator rescales the numerators (the cancelled
-# key's dead slot too), and the key comes back last, an int this time
+# key's dead slot too), and the key comes back last
 @example([(1, [("a", Fraction(1, 2)), ("b", 1), ("a", Fraction(-1, 2))]),
           (Fraction(1, 3), [("c", 1)]), (1, [("a", 5)])])
-# a zero Fraction term turns an int coefficient into a Fraction
+# a zero Fraction term leaves an int coefficient an int
 @example([(1, [("a", 2)]), (Fraction(0), [("a", 1)]), (1, [("b", Fraction(0)), ("a", 0)])])
 def test_the_accumulator_matches_plain_arithmetic(calls):
     acc, ref = _Sum(), RefSum()
     for scale, pairs in calls:
         _add_into(acc, pairs, scale)
         ref_add_into(ref, pairs, scale)
-        assert list(acc.keys()) == list(ref.keys())
-        for k in "abcde":
-            assert (type(acc.get(k)), acc.get(k)) == (type(ref.get(k)), ref.get(k))
-    assert typed(acc.result()) == typed(ref.result())
+        assert typed(acc.result()) == typed(ref.result())
 
 
-def _summed(calls) -> _Sum:
+TERMS = st.lists(st.tuples(KEYS, RATS, RATS), max_size=16)
+
+
+def _summed(calls) -> dict:
+    """The result of one ``_add_into`` per (scale, pairs) call."""
     acc = _Sum()
     for scale, pairs in calls:
         _add_into(acc, pairs, scale)
-    return acc
+    return acc.result()
 
 
-@settings(max_examples=200, deadline=None)
-@given(CALLS, CALLS, st.sampled_from((1, -1)))
-# b cancels in the first sum, so its slot is dead, and comes back from the second
-@example([(1, [("b", Fraction(1, 2)), ("a", 1), ("b", Fraction(-1, 2))])],
-         [(Fraction(1, 3), [("b", 1), ("a", 3)])], -1)
-def test_a_merge_adds_as_the_result_would(first, second, sign):
-    merged, plain = _summed(first), _summed(first)
-    _merge_into(merged, _summed(second), sign)
-    _add_into(plain, _summed(second).result().items(), sign)
-    assert list(merged.keys()) == list(plain.keys())
-    assert typed(merged.result()) == typed(plain.result())
+def _grouped(terms, cuts) -> list:
+    """The (key, coefficient, scale) terms as ``_add_into`` calls: a run of
+    terms between two cuts that share a scale goes into one call."""
+    calls = []
+    for i, (k, c, s) in enumerate(terms):
+        if calls and i not in cuts and calls[-1][0] == s:
+            calls[-1][1].append((k, c))
+        else:
+            calls.append((s, [(k, c)]))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.integers(0, 16), st.randoms(use_true_random=False), st.sets(st.integers(0, 32)))
+# 1/2, -1/2, 3 in one call against 3, -1/2, 1/2 (the reversed order): a
+# type that followed the Fractions would make the second 3 a Fraction
+@example([("a", Fraction(1, 2), 1), ("a", Fraction(-1, 2), 1), ("a", 3, 1)], 0, random.Random(0), set())
+def test_the_coefficient_types_depend_on_the_values_alone(terms, cancelled, rng, cuts):
+    # some terms come back negated, so that their keys may cancel to zero
+    terms = terms + [(k, -c, s) for k, c, s in terms[:cancelled]]
+    shuffled = terms.copy()
+    rng.shuffle(shuffled)
+    one_call_each = _summed([(s, [(k, c)]) for k, c, s in terms])
+    want = sorted(typed(one_call_each))
+    for order in (terms, shuffled, shuffled[::-1]):
+        assert sorted(typed(_summed(_grouped(order, cuts)))) == want
+    # every integral coefficient comes out an int
+    assert all(type(c) is int for c in one_call_each.values() if c.denominator == 1)
 
 
 class CountedKey:
@@ -160,8 +176,8 @@ def test_a_term_hashes_its_key_once_and_a_rescale_none():
     assert acc.den == 70
     assert _hashes(lambda: acc._grow(3)) == 0
     # b cancels and leaves a dead slot; c is live
-    _add_into(acc, [(b, -acc.get(b)), (c, 1)])
-    assert list(acc.keys()) == [a, c]
+    _add_into(acc, [(b, -acc.result()[b]), (c, 1)])
+    assert list(acc.result()) == [a, c]
     assert _hashes(lambda: acc.result()) <= 2
     assert acc.result() == {a: Fraction(51, 5), c: 1}
     # a sum of one value copies its key map with the hashes stored there
@@ -258,15 +274,15 @@ def _sample(name: str, f: cp.Endo) -> list:
     return out
 
 
-REFERENCES = {"_Sum": RefSum, "_add_into": ref_add_into, "_merge_into": ref_merge_into}
+REFERENCES = {"_Sum": RefSum, "_add_into": ref_add_into}
 
 
 def _reference_route(monkeypatch) -> None:
     """Put the reference accumulation behind every kernel: each comprelie
-    module looks ``_Sum``, ``_add_into`` and ``_merge_into`` up at call
-    time, and each name is replaced on the modules that have it.  The
-    layers load lazily, so each is imported first: the sample may not have
-    reached every one of them yet."""
+    module looks ``_Sum`` and ``_add_into`` up at call time, and each
+    name is replaced on the modules that have it.  The layers load lazily,
+    so each is imported first: the sample may not have reached every one
+    of them yet."""
     for layer in ("words", "prelie", "enveloping", "characters", "forests"):
         importlib.import_module(f"comprelie.{layer}")
     patched = set()
