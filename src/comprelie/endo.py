@@ -279,7 +279,7 @@ def endo_to_json(f: Endo) -> str:
 def endo_from_json(src: str) -> Endo:
     import json
 
-    doc = json.loads(src)
+    doc = json.loads(src, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise ValueError("endomorphism JSON must be an object")
     kind = doc.get("kind")
@@ -297,10 +297,24 @@ def endo_from_json(src: str) -> Endo:
         weights = _field(doc, "weights")
         if not isinstance(weights, dict):
             raise ValueError("diagonal endomorphism JSON 'weights' must be an object")
-        return Endo.diagonal({parse_letter(k): _entry(v) for k, v in weights.items()})
+        f = Endo.diagonal({parse_letter(k): _entry(v) for k, v in weights.items()})
+        if "alphabet" in doc and tuple(sorted(alphabet)) != f.alphabet:
+            raise ValueError("diagonal endomorphism JSON 'alphabet' must name exactly its weights' letters")
+        return f
     if kind == "biletter_shift":
         return Endo.biletter_shift([x.name for x in alphabet])
     raise ValueError(f"unknown endomorphism kind in JSON: {kind!r}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice, which
+    ``json`` would otherwise settle silently by keeping the last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"endomorphism JSON names the key {key!r} twice")
+        doc[key] = value
+    return doc
 
 
 def _field(doc: dict, key: str):

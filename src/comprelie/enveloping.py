@@ -309,11 +309,13 @@ def _coproducts_of(ctx: ComPreLieContext) -> _Memo:
 
 
 def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMonomial], Rat]:
+    """The reduced dual coproduct of ``w``, its terms in canonical order
+    (the word's ``_key``, then the monomial's), sorted once per word."""
     n = _require_nilpotent(ctx)
     delta = _coproducts_of(ctx)
-    # a leading letter x with f(x) = 0 has only its i = 0 term, so
-    # delta(x u) = x delta(u): strip a run of them in one loop, not one
-    # recursion each (reading f(x) refuses a letter outside the alphabet)
+    # a leading letter x with f(x) = 0 has only its i = 0 term, so delta(x u)
+    # = x delta(u), in the same order: strip a run of them in one loop, not
+    # one recursion each (reading f(x) refuses a letter outside the alphabet)
     k = 0
     for x in w.letters:
         if ctx.f.image_letter(x):
@@ -340,7 +342,7 @@ def _delta_tilde_word(ctx: ComPreLieContext, w: Word) -> dict[tuple[Word, SymMon
                 merged = SymMonomial(mono.factors + tail)
                 pairs = (((Word((y,) + t_word.letters), merged), cy) for y, cy in image)
                 _add_into(acc, pairs, c)
-    return acc.result()
+    return dict(sorted(acc.result().items(), key=lambda kv: (kv[0][0]._key(), kv[0][1]._key())))
 
 
 def _coproduct_terms(ctx: ComPreLieContext, words: Iterable[Word], stop: int) -> int:
@@ -383,11 +385,9 @@ def dual_coproduct(ctx: ComPreLieContext, w: Word) -> list[tuple[Word, SymMonomi
     For ``w = xu``, the f^i(x) term deals the letters of ``u`` into a head,
     whose coproduct it extends, and i tail parts, which join the monomial;
     it carries 1/i!, as the monomial forgets the order of the tail parts.
+    Terms come in the memo's canonical order, in a list fresh every call.
     """
-    return sorted(
-        ((t, m, c) for (t, m), c in _coproducts_of(ctx)(w).items()),
-        key=lambda x: (x[0]._key(), x[1]._key()),
-    )
+    return [(t, m, c) for (t, m), c in _coproducts_of(ctx)(w).items()]
 
 
 PairLin = dict[tuple[Monomial, Monomial], Rat]

@@ -256,6 +256,22 @@ def test_a_matrix_file_naming_a_letter_twice_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize(
     "endo_json",
     [
+        '{"kind": "diagonal", "weights": {"a": "1", "a": "2"}}',
+        '{"kind": "diagonal", "alphabet": ["a", "b"], "weights": {"a": "1"}}',
+    ],
+    ids=["weight-given-twice", "alphabet-not-the-weights"],
+)
+def test_a_diagonal_file_that_would_lose_data_exits_two(capsys, tmp_path, endo_json):
+    path = tmp_path / "f.json"
+    path.write_text(endo_json)
+    code, out, err = run(capsys, "prelie", "a", "a", "--endo", f"@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "endo_json",
+    [
         None,
         '{"kind": "matrix", "alphabet": ["a", "b"], "matrix": [["0", "1/0"], ["0", "0"]]}',
         '{"kind": "matrix", "alphabet": ["a", "b"]}',

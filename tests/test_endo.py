@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -154,6 +155,39 @@ def test_json_round_trip():
         Endo.matrix(["a", "b"], [[Fraction(1, 3), 2], [0, -5]]),
     ):
         assert endo_from_json(endo_to_json(f)) == f
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        '{"kind": "diagonal", "weights": {"a": "1", "a": "2"}}',
+        '{"kind": "diagonal", "kind": "matrix", "alphabet": ["a"], "matrix": [["0"]]}',
+        '{"kind": "diagonal", "weights": {"a": "1"}, "weights": {"b": "1"}}',
+        '{"kind": "matrix", "alphabet": ["a"], "matrix": [["0"]], "alphabet": ["b"]}',
+    ],
+    ids=["weight", "kind", "weights", "alphabet"],
+)
+def test_a_json_key_given_twice_is_refused(src):
+    with pytest.raises(ValueError, match="twice"):
+        endo_from_json(src)
+
+
+@pytest.mark.parametrize(
+    "alphabet", [["a", "b"], [], ["b"], ["a", "a"], ["a", "b", "c"]],
+)
+def test_a_diagonal_alphabet_names_exactly_the_weighted_letters(alphabet):
+    src = json.dumps({"kind": "diagonal", "alphabet": alphabet, "weights": {"a": "1", "c": "2"}})
+    with pytest.raises(ValueError, match="exactly"):
+        endo_from_json(src)
+
+
+def test_a_diagonal_alphabet_in_any_order_or_none_loads():
+    f = diagonal_weights({"c": 2, "a": Fraction(1, 2)})
+    for alphabet in (["a", "c"], ["c", "a"], None):
+        doc = {"kind": "diagonal", "weights": {"c": "2", "a": "1/2"}}
+        if alphabet is not None:
+            doc["alphabet"] = alphabet
+        assert endo_from_json(json.dumps(doc)) == f
 
 
 def test_json_schema_fields():

@@ -37,7 +37,7 @@ from comprelie.enveloping import (
 from comprelie.forests import Forest, ForestPoly, forest_bullet, forest_star
 from comprelie.prelie import ComPreLieContext, _prelie_words, prelie
 from comprelie.trees import all_rooted_trees, free_bullet
-from comprelie.words import EMPTY_WORD, Letter, Tensor, Word, _add_into, _Codes, _Sum, parse_word
+from comprelie.words import EMPTY_WORD, BasisKey, Letter, Tensor, Word, _add_into, _Codes, _Sum, parse_word
 from comprelie.words import shuffle
 
 W = parse_word
@@ -583,7 +583,53 @@ def test_delta_matches_the_recursion_in_values_types_and_order(f):
         w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(0, 5))))
         ctx = ComPreLieContext(f)
         got = [(k, type(c), c) for k, c in _delta_tilde_word(ctx, w).items()]
-        assert got == [(k, type(c), c) for k, c in delta_by_recursion(ctx, w).items()]
+        # the canonical order: the word's key, then the monomial's
+        want = sorted(delta_by_recursion(ctx, w).items(), key=_canonical)
+        assert got == [(k, type(c), c) for k, c in want]
+
+
+def _canonical(term):
+    (t, m), _ = term
+    return (t._key(), m._key())
+
+
+def test_a_warm_dual_coproduct_computes_no_sort_key(monkeypatch):
+    ctx = ComPreLieContext(UPPER3)
+    words = [Word(w) for w in itertools.product(UPPER3.alphabet, repeat=4)]
+    cold = [dual_coproduct(ctx, w) for w in words]
+    calls = []
+    key = BasisKey._key
+
+    def counted(self):
+        calls.append(self)
+        return key(self)
+
+    monkeypatch.setattr(BasisKey, "_key", counted)
+    assert [dual_coproduct(ctx, w) for w in words] == cold
+    assert calls == []
+
+
+def test_changing_a_dual_coproduct_leaves_the_next_one_as_it_was():
+    ctx = ComPreLieContext(UPPER3)
+    w = W("cab")
+    first = dual_coproduct(ctx, w)
+    want = list(first)
+    first.append((w, ONE, 7))
+    assert dual_coproduct(ctx, w) == want
+    dual_coproduct(ctx, w).clear()
+    assert dual_coproduct(ctx, w) == want
+    assert dual_coproduct(ctx, w) is not dual_coproduct(ctx, w)
+
+
+def test_a_stripped_zero_image_run_keeps_the_canonical_order():
+    # f(a) = 0 under UPPER3: delta(aacb) is aa delta(cb), read from the memo
+    ctx = ComPreLieContext(UPPER3)
+    w = W("aacb")
+    got = dual_coproduct(ctx, w)
+    entry = list(ctx._coproducts[w,].items())
+    assert len(entry) > 2 and entry == sorted(entry, key=_canonical)
+    assert [(t, m, c) for (t, m), c in entry] == got
+    assert dict(entry) == delta_by_recursion(ctx, w)
 
 
 def test_long_runs_of_zero_image_letters_need_no_recursion():
