@@ -52,53 +52,52 @@ def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
 
 
 class OudomGuin:
-    """Extends a pre-Lie product to sorted-tuple monomials through its
-    symmetric brace: ``brace(a, factors)`` returns ``a{b1,...,bk}``, one
-    basis element acting on a tuple of them, as (element, coefficient)
-    pairs with distinct elements and nonzero coefficients, which a
-    one-factor monomial wraps as they are.  A monomial deals the right
-    operand between its first factor and the rest; the unit acts as zero
-    on every monomial but the unit.  Monomials are kept sorted, so the
-    basis elements must be totally ordered.  The public products take and
-    return combinations of one :class:`SymLin` subclass.  ``_cache``, a
-    ``words._Memo`` of ``_bullet_mono`` bounded at ``words._MEMO_BOUND``
-    entries, keeps the action on monomial pairs."""
+    """Extends a pre-Lie product to the monomials of ``cls``, a
+    :class:`SymLin` subclass, through its symmetric brace: ``brace(a,
+    factors)`` returns ``a{b1,...,bk}``, one basis element acting on a
+    tuple of them, as (element, coefficient) pairs with distinct elements
+    and nonzero coefficients.  A monomial deals the right operand between
+    its first factor and the rest; the unit acts as zero on every monomial
+    but the unit.  Monomials are kept sorted, so the basis elements must be
+    totally ordered.  ``_cache``, a ``words._Memo`` of ``_bullet_mono``
+    bounded at ``words._MEMO_BOUND`` entries, keeps the action on factor
+    tuples as (monomial of ``cls``, coefficient) pairs: a hit builds none."""
 
-    def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]]):
-        self.brace = brace
+    def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]], cls: type[SymLin]):
+        self.brace, self.cls = brace, cls
         self._cache = _Memo(self._bullet_mono, _MEMO_BOUND)
 
-    def bullet(self, cls: type[SymLin], a, b) -> SymLin:
+    def bullet(self, a, b) -> SymLin:
         """The extended action on combinations of ``cls``'s monomials."""
-        return self._extend(self._cache, cls, a, b)
+        return self._extend(lambda ma, mb: self._cache[ma.factors, mb.factors], a, b)
 
-    def star(self, cls: type[SymLin], a, b) -> SymLin:
+    def star(self, a, b) -> SymLin:
         """The enveloping product on combinations of ``cls``'s monomials."""
-        return self._extend(self._star_mono, cls, a, b)
+        return self._extend(self._star_mono, a, b)
 
-    @staticmethod
-    def _extend(mono_op: Callable[[Mono, Mono], Iterable], cls: type[SymLin], a, b) -> SymLin:
-        """A product of factor tuples, extended bilinearly; the output
-        tuples are wrapped back into ``cls``'s monomials."""
-        a, b = cls._coerce(a), cls._coerce(b)
-        out = _bilinear(lambda ma, mb: mono_op(ma.factors, mb.factors), a.items(), b.items())
-        return cls._from_clean({cls.monomial._from_clean(m): c for m, c in out.items()})
+    def _extend(self, mono_op: Callable[[Monomial, Monomial], Iterable], a, b) -> SymLin:
+        """A product of monomials, extended bilinearly; its terms are summed unwrapped."""
+        a, b = self.cls._coerce(a), self.cls._coerce(b)
+        return self.cls._from_clean(_bilinear(mono_op, a.items(), b.items()))
 
-    def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
+    def _bullet_mono(self, a: Mono, b: Mono) -> tuple[tuple[Monomial, Rat], ...]:
+        mono = self.cls.monomial._from_clean
         if len(a) == 1:
-            return tuple(((e,), c) for e, c in self.brace(a[0], b))
+            return tuple((mono((e,)), c) for e, c in self.brace(a[0], b))
         if not a:
-            return () if b else (((), 1),)
+            return () if b else ((mono(()), 1),)
         acc = _Sum()
         for left, right in _splittings(b, 2):
             first, rest = self._cache[a[:1], left], self._cache[a[1:], right]
-            _add_into(acc, _bilinear(lambda m, n: ((_sorted(m + n), 1),), first, rest).items())
+            _bilinear(lambda m, n: ((mono(m.factors + n.factors), 1),), first, rest, acc)
         return tuple(acc.result().items())
 
-    def _star_mono(self, a: Mono, b: Mono) -> tuple[tuple[Mono, Rat], ...]:
-        acc = _Sum()
-        for outside, inside in _splittings(b, 2):
-            _add_into(acc, ((_sorted(m + outside), c) for m, c in self._cache[a, inside]))
+    def _star_mono(self, ma: Monomial, mb: Monomial) -> tuple[tuple[Monomial, Rat], ...]:
+        # the split that keeps no factor outside adds the memo entry as it is
+        mono, acc = self.cls.monomial._from_clean, _Sum()
+        for outside, inside in _splittings(mb.factors, 2):
+            terms = self._cache[ma.factors, inside]
+            _add_into(acc, ((mono(m.factors + outside), c) for m, c in terms) if outside else terms)
         return tuple(acc.result().items())
 
 
@@ -236,18 +235,18 @@ class SymTensor(SymLin):
 def _engine_of(ctx: ComPreLieContext) -> OudomGuin:
     """The context's engine over its pre-Lie product of words."""
     if ctx._word_engine is None:
-        ctx._word_engine = OudomGuin(partial(_word_brace, ctx))
+        ctx._word_engine = OudomGuin(partial(_word_brace, ctx), SymTensor)
     return ctx._word_engine
 
 
 def extend_bullet(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The pre-Lie action of monomials on monomials."""
-    return _engine_of(ctx).bullet(SymTensor, a, b)
+    return _engine_of(ctx).bullet(a, b)
 
 
 def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMonomial) -> SymTensor:
     """The associative enveloping product."""
-    return _engine_of(ctx).star(SymTensor, a, b)
+    return _engine_of(ctx).star(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +291,9 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:
     """``w`` acting on ``w1 x ... x wk``: the brace ``w{w1,...,wk}``, read
-    from the context's engine, whose memo entry ``extend_bullet`` shares."""
-    out = _engine_of(ctx)._cache[(w,), _sorted(tuple(factors))]
-    return SymTensor._from_clean({SymMonomial._from_clean(m): c for m, c in out})
+    from the context's engine, whose memo entry ``extend_bullet`` shares, in
+    a fresh dict."""
+    return SymTensor._from_clean(dict(_engine_of(ctx)._cache[(w,), _sorted(tuple(factors))]))
 
 
 # ---------------------------------------------------------------------------

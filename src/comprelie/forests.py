@@ -366,15 +366,15 @@ def y_bracket_check(lam: Rat, k: int, l: int, symbol: str = "x") -> tuple[Tensor
 # the enveloping product on forests
 # ---------------------------------------------------------------------------
 
-_TREE_ENGINE = OudomGuin(_tree_brace)
+_TREE_ENGINE = OudomGuin(_tree_brace, ForestPoly)
 
 
 def forest_bullet(a, b) -> ForestPoly:
     """Grafting extended to forests through the derivation rules."""
-    return _TREE_ENGINE.bullet(ForestPoly, a, b)
+    return _TREE_ENGINE.bullet(a, b)
 
 
 def forest_star(a, b) -> ForestPoly:
     """The associative enveloping product on forests, dual to the
     admissible-cut coproduct under the symmetry pairing."""
-    return _TREE_ENGINE.star(ForestPoly, a, b)
+    return _TREE_ENGINE.star(a, b)

@@ -26,18 +26,34 @@ LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 class ComPreLieContext:
     """A letter endomorphism ``f`` and what it induces: the memos of the
-    pre-Lie products and of the reduced dual coproducts of words, and the
+    pre-Lie products and of the reduced dual coproducts of words, the
     Oudom-Guin engine on words (the last two built by ``enveloping`` on
-    first use), each memo a ``words._Memo`` of at most ``words._MEMO_BOUND``
-    entries; and the nilpotency index of ``f``.  Equality, repr and pickle
-    see ``f`` alone: a pickled copy starts with no memos.  A context is
-    unhashable, as its map is."""
+    first use) and the letter coding of :meth:`_coding` with its memos,
+    each memo a ``words._Memo`` of at most ``words._MEMO_BOUND`` entries;
+    and the nilpotency index of ``f``.  Equality, repr and pickle see ``f``
+    alone: a pickled copy starts with no memos.  It is unhashable, as f is."""
 
     def __init__(self, f: Endo):
         self.f = f
         self._products = _Memo(partial(_prelie_words, self), _MEMO_BOUND)
         self._coproducts: _Memo | None = None
         self._word_engine: object = None
+        self._codes: _Codes | None = None
+
+    def _coding(self) -> _Codes:
+        """The letter codes (``words._Codes``, in order of first use), read at
+        the start of a coded call, and the memos of codes made with them:
+        ``_words``, a coded word's ``Word``; ``_scaled_products``, D times the
+        product of two coded words, D the least common denominator of f's
+        entries; ``_shuffles``, their shuffle.  All are made afresh together
+        once the codes hold ``words._MEMO_BOUND`` letters: a stale code decodes wrong."""
+        if self._codes is None or len(self._codes.letters) >= _MEMO_BOUND:
+            self._codes = codes = _Codes()
+            self._words = _Memo(lambda *t: Word(tuple(map(codes.letters.__getitem__, t))), _MEMO_BOUND)
+            scale = lcm(*(c.denominator for col in (self.f.columns or {}).values() for c in col.values()))
+            self._scaled_products = _Memo(partial(_scaled_prelie, self, scale), _MEMO_BOUND)
+            self._shuffles = _Memo(_shuffle_tuples, _MEMO_BOUND)
+        return self._codes
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -113,19 +129,19 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
 
     Sum over the position subsets realizing the (k,l)-shuffles of ``uv``;
     each shuffle contributes one term per leading position of ``u`` kept in
-    place (the fixed-point prefix), with ``f`` applied there.
+    place (the fixed-point prefix), with ``f`` applied there.  It reads
+    ``f``, not the product memo, so it cross-checks :func:`prelie`, on the
+    context's letter codes: each term's ``Word`` comes from its word memo.
     """
+    codes = ctx._coding()
+    images = [codes.image(ctx.f.image_letter(x)) for x in u.letters]  # the prefix is u's
     acc = _Sum()
-    for positions, out in _interleavings(u.letters, v.letters):
+    for positions, out in _interleavings(codes.word(u), codes.word(v)):
         for i in range(_fixed_prefix(positions)):
-            _add_into(
-                acc,
-                (
-                    (Word(out[:i] + (y,) + out[i + 1:]), cy)
-                    for y, cy in ctx.f.image_letter(out[i]).items()
-                ),
-            )
-    return Tensor._from_clean(acc.result())
+            head, tail = out[:i], out[i + 1:]
+            _add_into(acc, ((head + (y,) + tail, cy) for y, cy in images[i]))
+    words = ctx._words
+    return Tensor._from_clean({words[t]: c for t, c in acc.result().items()})
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
@@ -288,47 +304,41 @@ def span_dimension_of_products(
     filled once each, from 1 up, by exact row reduction, each from the
     integer rows of the degrees below.  ``generators`` is iterated once.
     Intended for small degrees (<= 5); the bases grow quickly with the
-    alphabet.  The call works on words coded for it, in ``int`` only: the
-    product has degree one in f, so with D the least common denominator of
-    f's entries each D * (u . v), read off the context's memo, is integral,
-    and a vector and its D-fold span the same line, so no span changes.
+    alphabet.  The call reads the context's memos of coded products and
+    shuffles, in ``int`` only: the product has degree one in f, so D *
+    (u . v) is integral, and a vector and its D-fold span the same line.
+    ``a sh b`` is made for (e, i) <= (d - e, j) only, i and j the indices
+    of a and b in the bases of degrees e and d - e: its twin ``b sh a``,
+    the same vector made later, would add no row.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     unknown = set(ops) - {"prelie", "shuffle"}
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
-    codes = _Codes()
-    scale = lcm(*(c.denominator for col in (ctx.f.columns or {}).values() for c in col.values()))
-    # a word is coded and decoded once per call; the memo's keys share its terms' Words
-    decoded = _Memo(lambda *t: Word(tuple(map(codes.letters.__getitem__, t))))
-    code_of: dict[Word, tuple] = {}
-
-    def coded(w: Word) -> tuple:
-        t = code_of.get(w)
-        if t is None:
-            t = code_of[w] = codes.word(w)
-            decoded.setdefault(t, w)
-        return t
-
-    def scaled_prelie(u: tuple, v: tuple) -> list[tuple[tuple, int]]:
-        return [(coded(w), _scaled(c, scale)) for w, c in ctx._products[decoded[u], decoded[v]]]
-
-    kernels = (("prelie", scaled_prelie), ("shuffle", _shuffle_tuples))
-    products = [_Memo(kernel) for name, kernel in kernels if name in ops]
+    codes = ctx._coding()
+    kernels = {"prelie": (ctx._scaled_products, False), "shuffle": (ctx._shuffles, True)}
+    products = [kernels[name] for name in kernels if name in ops]
     parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:
         for d, found in parts.items():
             part = g.graded_part(d)
             if part:
-                found.append({coded(w): c for w, c in part.items()})
+                found.append(codes.terms(part))
     basis: dict[int, list[dict]] = {}
     for d, found in parts.items():
         made = (_bilinear(op, a.items(), b.items()) for e in range(1, d)
-                for a in basis[e] for b in basis[d - e] for op in products)
+                for i, a in enumerate(basis[e]) for j, b in enumerate(basis[d - e])
+                for op, commutes in products if not commutes or (e, i) <= (d - e, j))
         span = SpanBasis(itertools.chain(found, made))
         basis[d] = list(span.rows.values())
     return span.rank
+
+
+def _scaled_prelie(ctx: ComPreLieContext, scale: int, u: tuple, v: tuple) -> list[tuple[tuple, int]]:
+    """``scale * (u . v)`` on coded words, off the product memo: ``ctx._scaled_products``'s kernel."""
+    code, words = ctx._codes.word, ctx._words
+    return [(code(w), _scaled(c, scale)) for w, c in ctx._products[words[u], words[v]]]
 
 
 def _scaled(c: Rat, scale: int) -> int:

@@ -199,9 +199,10 @@ def word(letters: Iterable[Letter | str]) -> Word:
 
 
 class _Codes:
-    """Small-int codes for the letters one call of a word kernel meets, in
-    order of first use.  Coding is a bijection, so int tuples, which hash in
-    C, merge and order terms as the words would."""
+    """Small-int codes for the letters a word kernel meets, in order of
+    first use: those of one call, or of a context's coded memos
+    (``ComPreLieContext._coding``).  Coding is a bijection, so int tuples,
+    which hash in C, merge and order terms as the words would."""
 
     __slots__ = ("letters", "index")
 

@@ -23,7 +23,6 @@ from comprelie.enveloping import (
     _sorted,
     _splittings,
     _word_brace,
-    OudomGuin,
     SymMonomial,
     SymTensor,
     closed_action,
@@ -58,16 +57,38 @@ RANDOM2 = Endo.matrix(
 )
 
 
-class RecursiveOudomGuin(OudomGuin):
+class RecursiveOudomGuin:
     """The reference extension, from a binary pre-Lie product ``base``:
     the action of one element splits over the factors of the left
     operand, and A . (B u) = (A . B) . u - A . (B . u) peels the right
     operand one factor at a time.  Its cost grows quickly with the factors
-    of the right operand; the engine deals them through the brace."""
+    of the right operand; the engine deals them through the brace.  It
+    keeps its own recursion and memo on factor tuples, and wraps only its
+    output in ``cls``'s monomials."""
 
     def __init__(self, base):
-        super().__init__(brace=None)
         self.base = base
+        self._cache = {}
+
+    def bullet(self, cls, a, b):
+        return self._extend(self._bullet_mono, cls, a, b)
+
+    def star(self, cls, a, b):
+        return self._extend(self._star_mono, cls, a, b)
+
+    @staticmethod
+    def _extend(mono_op, cls, a, b):
+        acc = _Sum()
+        for ma, ca in cls._coerce(a).items():
+            for mb, cb in cls._coerce(b).items():
+                _add_into(acc, mono_op(ma.factors, mb.factors), ca * cb)
+        return cls({cls.monomial(m): c for m, c in acc.result().items()})
+
+    def _star_mono(self, a, b):
+        acc = _Sum()
+        for outside, inside in _splittings(b, 2):
+            _add_into(acc, ((_sorted(m + outside), c) for m, c in self._bullet_mono(a, inside)))
+        return acc.result().items()
 
     def _bullet_mono(self, a, b):
         key = (a, b)

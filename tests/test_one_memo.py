@@ -3,8 +3,9 @@ their call are bounded.
 
 ``words._Memo`` computes a missing key with its kernel and stores it in
 ``__missing__``; the kernels only compute.  The memos that outlive a call,
-a context's products and coproducts and every Oudom-Guin engine's action,
-among them the process-wide ``forests._TREE_ENGINE`` and the engine of
+a context's products and coproducts, its memos of coded words, scaled
+products and shuffles, and every Oudom-Guin engine's action, among them
+the process-wide ``forests._TREE_ENGINE`` and the engine of
 ``trees._BILETTER_CTX``, hold at most ``words._MEMO_BOUND`` entries.
 """
 
@@ -30,18 +31,18 @@ from comprelie.enveloping import (
     star,
 )
 from comprelie.forests import Forest, ForestPoly
-from comprelie.prelie import ComPreLieContext, prelie
+from comprelie.prelie import ComPreLieContext, prelie, prelie_closed, span_dimension_of_products
 from comprelie.trees import _tree_brace, all_rooted_trees, parse_tree, phi_cpl
-from comprelie.words import _MEMO_BOUND, Letter, Word, _Memo
+from comprelie.words import _MEMO_BOUND, Letter, Tensor, Word, _Memo
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
-MEMOS = {"_products", "_coproducts", "_cache"}
+MEMOS = {"_products", "_coproducts", "_cache", "_words", "_scaled_products", "_shuffles"}
 UPPER3 = Endo.matrix(["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
 
 
 def memo_stores(source: str) -> list[tuple[str, int]]:
     """(function, line) of each subscript store into an attribute named
-    ``_products``, ``_coproducts`` or ``_cache``."""
+    in ``MEMOS``."""
     found: list[tuple[str, int]] = []
 
     def visit(node: ast.AST, func: str) -> None:
@@ -70,8 +71,12 @@ def test_the_detector_sees_a_hand_written_store():
         "        memo[a] = self.braces[a] = 1\n"
         "def delta(ctx, w):\n"
         "    ctx._coproducts[w] += 1\n"
+        "def span(ctx, u, v):\n"
+        "    ctx._words[u], ctx._scaled_products[u, v], ctx._shuffles[u, v] = (), (), ()\n"
     )
-    assert memo_stores(hand_written) == [("_prelie_words", 3), ("_bullet_mono", 7), ("delta", 11)]
+    assert memo_stores(hand_written) == [
+        ("_prelie_words", 3), ("_bullet_mono", 7), ("delta", 11), ("span", 13), ("span", 13), ("span", 13)
+    ]
 
 
 def test_only_the_memo_stores_into_a_cross_call_memo():
@@ -128,10 +133,15 @@ def test_every_cross_call_memo_carries_the_bound():
     ctx = ComPreLieContext(UPPER3)
     a, b, c = UPPER3.alphabet
     dual_coproduct(ctx, Word((a, b, c)))
+    prelie_closed(ctx, Word((a, b)), Word((c,)))
+    span_dimension_of_products(ctx, [Tensor.of(Word((c,)))], 2)
     phi_cpl(parse_tree("a[b,c]"), mode="recursive")
     memos = [
         ctx._products,
         ctx._coproducts,
+        ctx._words,
+        ctx._scaled_products,
+        ctx._shuffles,
         _engine_of(ctx)._cache,
         forests._TREE_ENGINE._cache,
         trees._BILETTER_CTX._products,
@@ -146,18 +156,24 @@ def test_evicting_memos_change_no_result():
     f = fliess_channel(2, 1)
     words = [Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))) for _ in range(12)]
     small, full = ComPreLieContext(f), ComPreLieContext(f)
-    for memo in (small._products, _coproducts_of(small), _engine_of(small)._cache):
+    small._coding()
+    coded = (small._words, small._scaled_products, small._shuffles)
+    for memo in (small._products, _coproducts_of(small), _engine_of(small)._cache, *coded):
         memo.bound = 3
     for u, v, w in zip(words, words[1:], words[2:]):
         a, b = SymTensor.of(SymMonomial.of(u, v)), SymTensor.of(SymMonomial.of(w, u))
         assert star(small, a, b).terms == star(full, a, b).terms
         assert prelie(small, u, w).terms == prelie(full, u, w).terms
         assert dual_coproduct(small, u + w) == dual_coproduct(full, u + w)
-    assert max(len(small._products), len(small._coproducts), len(small._word_engine._cache)) <= 3
-    engine, reference = OudomGuin(_tree_brace), OudomGuin(_tree_brace)
+        assert prelie_closed(small, u, w).terms == prelie_closed(full, u, w).terms
+        gens = [Tensor.of(u), Tensor({v: 1, w: -2})]
+        assert span_dimension_of_products(small, gens, 4) == span_dimension_of_products(full, gens, 4)
+    memos = (small._products, small._coproducts, small._word_engine._cache, *coded)
+    assert max(map(len, memos)) <= 3
+    engine, reference = OudomGuin(_tree_brace, ForestPoly), OudomGuin(_tree_brace, ForestPoly)
     engine._cache.bound = 3
     rooted = [t for n in (1, 2, 3) for t in all_rooted_trees(n, [Letter("a"), Letter("b")])]
     for s, t, u in itertools.islice(zip(rooted, rooted[3:], rooted[5:]), 8):
         a, b = Forest((s, t)), Forest((u, s))
-        assert engine.star(ForestPoly, a, b).terms == reference.star(ForestPoly, a, b).terms
+        assert engine.star(a, b).terms == reference.star(a, b).terms
         assert len(engine._cache) <= 3

@@ -303,10 +303,10 @@ def test_every_kernel_matches_the_reference_accumulation(name, monkeypatch):
     # forest products are kept by one engine for the process: start both
     # routes from an empty one
     with monkeypatch.context() as m:
-        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace))
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace, cp.ForestPoly))
         fast = _sample(name, _maps()[name])
     with monkeypatch.context() as m:
-        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace))
+        m.setattr(forests, "_TREE_ENGINE", OudomGuin(_tree_brace, cp.ForestPoly))
         _reference_route(m)
         slow = _sample(name, _maps()[name])
     assert typed_deep(fast) == typed_deep(slow)
