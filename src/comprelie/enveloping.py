@@ -28,9 +28,9 @@ from math import comb, factorial
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .endo import letter_iterates
-from .prelie import ComPreLieContext, _require_nilpotent
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Codes, _prepend, _Sum
-from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _shuffle_tuples, _split_coeff, parse_word
+from .prelie import ComPreLieContext, _require_nilpotent, prelie
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _prepend, _Sum
+from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -233,7 +233,8 @@ class SymTensor(SymLin):
 
 
 def _engine_of(ctx: ComPreLieContext) -> OudomGuin:
-    """The context's engine over its pre-Lie product of words."""
+    """The context's engine over its pre-Lie product of words, after its letter coding."""
+    ctx._coding()
     if ctx._word_engine is None:
         ctx._word_engine = OudomGuin(partial(_word_brace, ctx), SymTensor)
     return ctx._word_engine
@@ -258,17 +259,17 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     w_i, unrolled over the nonempty shares T of B, of ``w[:i] f^|T|(w_i)
     (w[i+1:]{B - T} sh T)``, with ``w[i+1:]{} = w[i+1:]``.  A share whose
     power is 0 is never shuffled; the recursion nests at most k deep for k
-    factors.  The call codes the words and each nonzero f^m(x) once and keeps
-    each suffix's brace and shuffled pair; one ``Word`` per output term."""
+    factors.  The call codes each nonzero f^m(x) once and keeps each suffix's
+    brace, on the context's letter codes and its ``_shuffles``; each output
+    ``Word`` is read from its ``_words``.  One factor's brace is ``prelie``."""
     if len(factors) < 2:
-        return ctx._products[w, factors[0]] if factors else ((w, 1),)
-    codes = _Codes()
+        return prelie(ctx, w, factors[0]).items() if factors else ((w, 1),)
+    codes, pair = ctx._codes, ctx._shuffles
     letters = codes.word(w)
     powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
     for x in dict.fromkeys(letters):
         images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, len(factors) + 1)
         powers.update(((x, m), codes.image(image)) for m, image in enumerate(images, 1))
-    pair = _Memo(_shuffle_tuples)
 
     def brace(i: int, rest: tuple) -> dict:  # letters[i:]{rest}
         acc = _Sum()
@@ -284,9 +285,8 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
 
     braces = _Memo(brace)
     top = braces[0, tuple(sorted(map(codes.word, factors)))]
-    braces.clear()  # the memo and its kernel form a cycle, which holds both
-    pair.clear()  # memos: free the suffix braces and the shuffles now
-    return tuple(codes.decode(top.items()))
+    braces.clear()  # the memo and its kernel form a cycle: free the suffix braces now
+    return tuple((ctx._words[t], c) for t, c in top.items())
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

@@ -25,33 +25,31 @@ LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 
 class ComPreLieContext:
-    """A letter endomorphism ``f`` and what it induces: the memos of the
-    pre-Lie products and of the reduced dual coproducts of words, the
-    Oudom-Guin engine on words (the last two built by ``enveloping`` on
-    first use) and the letter coding of :meth:`_coding` with its memos,
-    each memo a ``words._Memo`` of at most ``words._MEMO_BOUND`` entries;
-    and the nilpotency index of ``f``.  Equality, repr and pickle see ``f``
-    alone: a pickled copy starts with no memos.  It is unhashable, as f is."""
+    """A letter endomorphism ``f`` and what it induces: the letter coding
+    of :meth:`_coding` with its memos, the product memo among them; the
+    memo of dual coproducts and the Oudom-Guin engine on words, built by
+    ``enveloping`` on first use; each memo bounded at ``words._MEMO_BOUND``
+    entries; and the nilpotency index of ``f``.  Equality, repr and pickle
+    see ``f`` alone: a pickled copy starts with no memos.  Unhashable, as f is."""
 
     def __init__(self, f: Endo):
         self.f = f
-        self._products = _Memo(partial(_prelie_words, self), _MEMO_BOUND)
-        self._coproducts: _Memo | None = None
-        self._word_engine: object = None
-        self._codes: _Codes | None = None
+        self._coproducts = self._word_engine = self._codes = None
+        self._scale = lcm(*(c.denominator for col in (f.columns or {}).values() for c in col.values()))
+        self._coding()
 
     def _coding(self) -> _Codes:
-        """The letter codes (``words._Codes``, in order of first use), read at
-        the start of a coded call, and the memos of codes made with them:
-        ``_words``, a coded word's ``Word``; ``_scaled_products``, D times the
-        product of two coded words, D the least common denominator of f's
-        entries; ``_shuffles``, their shuffle.  All are made afresh together
-        once the codes hold ``words._MEMO_BOUND`` letters: a stale code decodes wrong."""
+        """The letter codes (``words._Codes``, in order of first use), read
+        once at the start of a public call, and the memos made with them:
+        ``_words``, a coded word's ``Word``; ``_products``, D * (u . v) in
+        ``int``, D = ``_scale`` the least common denominator of f's entries,
+        its kernel binding f, the codes and D, not the context; ``_shuffles``,
+        u sh v.  Made with the context, and afresh together once the codes
+        hold ``_MEMO_BOUND`` letters: a stale code decodes wrong."""
         if self._codes is None or len(self._codes.letters) >= _MEMO_BOUND:
             self._codes = codes = _Codes()
             self._words = _Memo(lambda *t: Word(tuple(map(codes.letters.__getitem__, t))), _MEMO_BOUND)
-            scale = lcm(*(c.denominator for col in (self.f.columns or {}).values() for c in col.values()))
-            self._scaled_products = _Memo(partial(_scaled_prelie, self, scale), _MEMO_BOUND)
+            self._products = _Memo(partial(_prelie_words, self.f, codes, self._scale), _MEMO_BOUND)
             self._shuffles = _Memo(_shuffle_tuples, _MEMO_BOUND)
         return self._codes
 
@@ -86,20 +84,17 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
     return n
 
 
-def _prelie_words(ctx: ComPreLieContext, u: Word, v: Word) -> tuple[tuple[Word, Rat], ...]:
-    """``u . v``, the kernel of the context's product memo.  It works on
-    the words coded for this call and builds one ``Word`` per output term."""
+def _prelie_words(f: Endo, codes: _Codes, scale: int, u: tuple, v: tuple) -> tuple:
+    """``scale * (u . v)`` on coded words in ``int``, each image of f scaled by
+    :func:`_scaled`: the kernel of a context's product memo, ``scale`` its D."""
     # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
-    images = list(map(ctx.f.image_letter, reversed(u.letters)))
-    if not any(images):  # a zero product codes nothing
-        return ()
-    codes = _Codes()
-    cu, cv = codes.word(u), codes.word(v)
+    images = [f.image_letter(codes.letters[x]) for x in reversed(u)]
     acc = _Sum()
     for j, image in zip(range(len(u) - 1, -1, -1), images):
         if image:
-            _prepend(codes.image(image), _shuffle_tuples(cu[j + 1:], cv), acc, cu[:j])
-    return tuple(codes.decode(acc.result().items()))
+            scaled = [(codes.code(y), _scaled(c, scale)) for y, c in image.items()]
+            _prepend(scaled, _shuffle_tuples(u[j + 1:], v), acc, u[:j])
+    return tuple(acc.result().items())
 
 
 def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
@@ -119,9 +114,24 @@ def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
 
 
 def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
-    """The pre-Lie product, extended bilinearly."""
-    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    return Tensor._from_clean(_bilinear(ctx._products, ta.items(), tb.items()))
+    """The pre-Lie product, extended bilinearly: the context's memo entries
+    D * (u . v) of the coded words, summed, divided by D once and decoded."""
+    codes = ctx._coding()
+    return _decoded(ctx, _bilinear(ctx._products, _coded(codes, a), _coded(codes, b), _Sum()), ctx._scale)
+
+
+def _coded(codes: _Codes, x: Word | Tensor) -> list[tuple[tuple, Rat]]:
+    """The terms of ``x`` on coded words, a letter met before read off the index in C."""
+    items = ((x, 1),) if type(x) is Word else Tensor._coerce(x).items()
+    try:
+        return [(tuple(map(codes.index.__getitem__, w.letters)), c) for w, c in items]
+    except KeyError:
+        return [(codes.word(w), c) for w, c in items]
+
+
+def _decoded(ctx: ComPreLieContext, acc: _Sum, divisor: int = 1) -> Tensor:
+    """The sum of coded terms divided by ``divisor``, each ``Word`` read from ``ctx._words``."""
+    return Tensor._from_clean({ctx._words[t]: c for t, c in acc.result(divisor).items()})
 
 
 def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
@@ -130,9 +140,7 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     Sum over the position subsets realizing the (k,l)-shuffles of ``uv``;
     each shuffle contributes one term per leading position of ``u`` kept in
     place (the fixed-point prefix), with ``f`` applied there.  It reads
-    ``f``, not the product memo, so it cross-checks :func:`prelie`, on the
-    context's letter codes: each term's ``Word`` comes from its word memo.
-    """
+    ``f``, not the product memo, so it cross-checks :func:`prelie`."""
     codes = ctx._coding()
     images = [codes.image(ctx.f.image_letter(x)) for x in u.letters]  # the prefix is u's
     acc = _Sum()
@@ -140,18 +148,16 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
         for i in range(_fixed_prefix(positions)):
             head, tail = out[:i], out[i + 1:]
             _add_into(acc, ((head + (y,) + tail, cy) for y, cy in images[i]))
-    words = ctx._words
-    return Tensor._from_clean({words[t]: c for t, c in acc.result().items()})
+    return _decoded(ctx, acc)
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
-    """Antisymmetrization of the pre-Lie product, ``a . b - b . a``: the
-    products ``b . a``, with a's coefficients negated, are added into the
-    sum of ``a . b``."""
-    ta, tb = Tensor._coerce(a), Tensor._coerce(b)
-    acc = _bilinear(ctx._products, ta.items(), tb.items(), _Sum())
-    _bilinear(ctx._products, tb.items(), [(k, -c) for k, c in ta.items()], acc)
-    return Tensor._from_clean(acc.result())
+    """Antisymmetrization of the pre-Lie product, ``a . b - b . a``: ``b . a``,
+    a's coefficients negated, joins the sum of ``a . b``, divided by D once."""
+    codes = ctx._coding()
+    ta, tb = _coded(codes, a), _coded(codes, b)
+    acc = _bilinear(ctx._products, ta, tb, _Sum())
+    return _decoded(ctx, _bilinear(ctx._products, tb, [(k, -c) for k, c in ta], acc), ctx._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +310,9 @@ def span_dimension_of_products(
     filled once each, from 1 up, by exact row reduction, each from the
     integer rows of the degrees below.  ``generators`` is iterated once.
     Intended for small degrees (<= 5); the bases grow quickly with the
-    alphabet.  The call reads the context's memos of coded products and
-    shuffles, in ``int`` only: the product has degree one in f, so D *
-    (u . v) is integral, and a vector and its D-fold span the same line.
+    alphabet.  The call reads the context's memos of coded shuffles and
+    products as they are, in ``int`` only: a product entry is D * (u . v),
+    and a vector and its D-fold span the same line.
     ``a sh b`` is made for (e, i) <= (d - e, j) only, i and j the indices
     of a and b in the bases of degrees e and d - e: its twin ``b sh a``,
     the same vector made later, would add no row.
@@ -317,7 +323,7 @@ def span_dimension_of_products(
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
     codes = ctx._coding()
-    kernels = {"prelie": (ctx._scaled_products, False), "shuffle": (ctx._shuffles, True)}
+    kernels = {"prelie": (ctx._products, False), "shuffle": (ctx._shuffles, True)}
     products = [kernels[name] for name in kernels if name in ops]
     parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:
@@ -333,12 +339,6 @@ def span_dimension_of_products(
         span = SpanBasis(itertools.chain(found, made))
         basis[d] = list(span.rows.values())
     return span.rank
-
-
-def _scaled_prelie(ctx: ComPreLieContext, scale: int, u: tuple, v: tuple) -> list[tuple[tuple, int]]:
-    """``scale * (u . v)`` on coded words, off the product memo: ``ctx._scaled_products``'s kernel."""
-    code, words = ctx._codes.word, ctx._words
-    return [(code(w), _scaled(c, scale)) for w, c in ctx._products[words[u], words[v]]]
 
 
 def _scaled(c: Rat, scale: int) -> int:

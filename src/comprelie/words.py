@@ -200,9 +200,8 @@ def word(letters: Iterable[Letter | str]) -> Word:
 
 class _Codes:
     """Small-int codes for the letters a word kernel meets, in order of
-    first use: those of one call, or of a context's coded memos
-    (``ComPreLieContext._coding``).  Coding is a bijection, so int tuples,
-    which hash in C, merge and order terms as the words would."""
+    first use: a context's, or one composition's.  Coding is a bijection,
+    so int tuples, which hash in C, merge and order terms as the words would."""
 
     __slots__ = ("letters", "index")
 
@@ -262,10 +261,10 @@ class _Sum:
         self.den *= g
         self.num[:] = [n * g for n in self.num]  # in place: _add_into holds the list
 
-    def result(self) -> dict:
-        """The sum as a zero-free dict of coefficients, each converted
-        once, in the order of ``pos``."""
-        pos, num, den = self.pos, self.num, self.den
+    def result(self, divisor: int = 1) -> dict:
+        """The sum, divided by the int ``divisor``, as a zero-free dict of
+        coefficients, each converted once, in the order of ``pos``."""
+        pos, num, den = self.pos, self.num, self.den * divisor
         if den != 1:
             return {k: _div(num[i], den) for k, i in pos.items()}
         if not num:

@@ -5,17 +5,20 @@ and ``prelie_closed``, and the engine memo that holds monomials, behind
 
 Each result is checked against a route that keeps nothing between calls,
 on warm and on cold contexts; a result handed out shares nothing that a
-later call reads; and the letter table is never started afresh without
-every memo of codes.
+later call reads; the letter table is never started afresh without
+every memo of codes, the product memo among them; and no module but the
+context and the composition makes a letter table.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from comprelie.endo import Endo, fliess_channel
 from comprelie.enveloping import SymMonomial, closed_action, extend_bullet, star
 from comprelie.exactla import SpanBasis
 from comprelie.forests import Forest, forest_star
-from comprelie.prelie import ComPreLieContext, prelie, prelie_closed, span_dimension_of_products
+from comprelie.prelie import ComPreLieContext, lie_bracket, prelie, prelie_closed, span_dimension_of_products
 from comprelie.trees import parse_tree
 from comprelie.words import Letter, Tensor, Word, parse_tensor, parse_word, shuffle
 
@@ -33,7 +36,7 @@ UPPER3 = Endo.matrix(list("abc"), [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3
 MAPS = {"FULL3": FULL3, "UPPER3": UPPER3, "fliess(2,1)": fliess_channel(2, 1),
         "shift": Endo.biletter_shift()}
 PRELIE = importlib.import_module("comprelie.prelie")  # the module, not its function
-CODED = ("_words", "_scaled_products", "_shuffles")  # the memos that hold the context's codes
+CODED = ("_words", "_products", "_shuffles")  # the memos that hold the context's codes
 
 
 def letters_of(f: Endo) -> tuple[Letter, ...]:
@@ -133,15 +136,90 @@ def test_emptying_the_letter_table_empties_every_coded_memo(monkeypatch):
     # new memos with it, as a fresh context would
     old = list(ctx._codes.letters)
     monkeypatch.setattr(PRELIE, "_MEMO_BOUND", len(old))
-    got = prelie_closed(ctx, W("cb"), W("a"))
+    got = [prelie_closed(ctx, W("cb"), W("a")), prelie(ctx, W("cb"), W("a"))]
     fresh = ComPreLieContext(f)
-    assert got == prelie_closed(fresh, W("cb"), W("a")) == prelie(fresh, W("cb"), W("a"))
+    assert got == [prelie_closed(fresh, W("cb"), W("a")), prelie(fresh, W("cb"), W("a"))]
+    assert got[0] == got[1]
     # the new table codes the letters in another order: an old code would read wrong
     assert ctx._codes.letters == fresh._codes.letters != old
     for name in CODED:
         assert getattr(ctx, name) == getattr(fresh, name), name
 
 
+@pytest.mark.parametrize("name", ["FULL3", "shift"])
+def test_a_new_letter_table_comes_with_a_new_product_memo(name, monkeypatch):
+    # the memos are filled with x, y, z coded 0, 1, 2; after the reset
+    # z, y, x are, so the old key of (xy, z) is the new key of (zy, x)
+    f = MAPS[name]
+    x, y, z = letters_of(f)
+    mono = SymMonomial.of
+
+    def calls(ctx, u, v):
+        return [prelie(ctx, u, v), lie_bracket(ctx, u, v), extend_bullet(ctx, mono(u), mono(v)),
+                span_dimension_of_products(ctx, [Tensor.of(u), Tensor.of(v)], 3)]
+
+    ctx = ComPreLieContext(f)
+    calls(ctx, Word((x, y)), Word((z,)))
+    assert ctx._codes.letters[:3] == [x, y, z] and ctx._products
+    expected = calls(ComPreLieContext(f), Word((z, y)), Word((x,)))
+    monkeypatch.setattr(PRELIE, "_MEMO_BOUND", len(ctx._codes.letters))
+    assert calls(ctx, Word((z, y)), Word((x,))) == expected
+    assert ctx._codes.letters[:3] == [z, y, x]
+    assert ctx._products.kernel.args[1] is ctx._codes  # the memo codes with the new table
+
+
+SRC = Path(PRELIE.__file__).resolve().parent
+
+
+def coding_breaches(source: str, module: str) -> list[tuple[str, str, int]]:
+    """(module, function, line) of each ``_Codes()`` built outside
+    ``ComPreLieContext._coding`` and the composition (``characters``), and
+    of each read or write of a ``_Sum``'s ``pos``, ``num`` or ``den``
+    outside ``words``."""
+    found: list[tuple[str, str, int]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == "_Codes" and module != "characters" and scope != "ComPreLieContext._coding":
+                found.append((module, scope, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr in ("pos", "num", "den") and module != "words":
+            found.append((module, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_coding_detector_sees_a_hand_written_breach():
+    hand_written = (
+        "class ComPreLieContext:\n"
+        "    def _coding(self):\n"
+        "        self._codes = _Codes()\n"
+        "def _word_brace(ctx, w):\n"
+        "    codes = words._Codes()\n"
+        "    acc = _Sum()\n"
+        "    acc.den *= 6\n"
+        "    return acc.pos, acc.num\n"
+    )
+    assert coding_breaches(hand_written, "prelie") == [
+        ("prelie", "_word_brace", 5), ("prelie", "_word_brace", 7),
+        ("prelie", "_word_brace", 8), ("prelie", "_word_brace", 8),
+    ]
+    assert [line for *_, line in coding_breaches(hand_written, "characters")] == [7, 8, 8]
+    assert coding_breaches(hand_written, "words") == [("words", "_word_brace", 5)]
+
+
+def test_one_letter_table_per_context_and_sums_read_only_in_words():
+    breaches = [
+        found
+        for path in sorted(SRC.glob("*.py"))
+        for found in coding_breaches(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert breaches == []
 def test_a_changed_result_changes_no_later_result():
     ctx = ComPreLieContext(UPPER3)
     a, b = SymMonomial.of(W("bc")), SymMonomial.of(W("cb"), W("b"))

@@ -9,7 +9,6 @@ import pickle
 import random
 import types
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
 import pytest
@@ -34,7 +33,7 @@ from comprelie.enveloping import (
     sym_pairing,
 )
 from comprelie.forests import Forest, ForestPoly, forest_bullet, forest_star
-from comprelie.prelie import ComPreLieContext, _prelie_words, prelie
+from comprelie.prelie import ComPreLieContext, prelie, prelie_closed
 from comprelie.trees import all_rooted_trees, free_bullet
 from comprelie.words import EMPTY_WORD, BasisKey, Letter, Tensor, Word, _add_into, _Codes, _Sum, parse_word
 from comprelie.words import shuffle
@@ -116,6 +115,14 @@ class RecursiveOudomGuin:
             rest = a[:i] + a[i + 1:]
             _add_into(acc, ((_sorted(rest + (e,)), c) for e, c in self.base(ai, u)))
         return acc.result()
+
+
+def closed_base(f: Endo):
+    """The pre-Lie product of two words by its closed form, on a context
+    of its own: a base product for :class:`RecursiveOudomGuin` that shares
+    no memo with the engine under test."""
+    ctx = ComPreLieContext(f)
+    return lambda u, v: prelie_closed(ctx, u, v).items()
 
 
 def S(*srcs: str) -> SymMonomial:
@@ -230,7 +237,7 @@ FACTOR_LISTS = (
 
 def test_closed_action_matches_recursive_rules():
     ctx = ComPreLieContext(NIL)
-    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
+    ref = RecursiveOudomGuin(closed_base(ctx.f))
     for w in WORDS_FOR_EQUIV:
         for factors in FACTOR_LISTS:
             lhs = closed_action(ctx, w, factors)
@@ -249,13 +256,13 @@ def test_closed_action_is_one_combination_for_both_factor_orders():
     assert typed(first) == typed(second)
     a, b = SymMonomial.of(w), SymMonomial(tuple(factors))
     assert typed(first) == typed(extend_bullet(ctx, a, b))
-    assert first == RecursiveOudomGuin(partial(_prelie_words, ctx)).bullet(SymTensor, a, b)
+    assert first == RecursiveOudomGuin(closed_base(ctx.f)).bullet(SymTensor, a, b)
     assert {type(c) for _, c in first.items()} == {int, Fraction}
 
 
 def test_star_matches_the_reference_star():
     ctx = ComPreLieContext(NIL)
-    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
+    ref = RecursiveOudomGuin(closed_base(ctx.f))
     for w in WORDS_FOR_EQUIV:
         for factors in FACTOR_LISTS:
             a, b = SymMonomial.of(w), SymMonomial(tuple(factors))
@@ -279,7 +286,7 @@ def _sample_monomial(rng: random.Random, letters, max_factors: int) -> SymMonomi
 )
 def test_the_brace_engine_matches_the_reference_recursion(f):
     ctx = ComPreLieContext(f)
-    ref = RecursiveOudomGuin(partial(_prelie_words, ctx))
+    ref = RecursiveOudomGuin(closed_base(ctx.f))
     rng = random.Random(f"brace {f.alphabet}")
     # the unit and empty-word factors, then random monomials
     samples = [(ONE, ONE), (ONE, S("e")), (S("e"), ONE), (S("e", "e"), S("e", "e"))]
@@ -331,30 +338,33 @@ def shuffled_pairs(f: Endo, w: Word, factors: tuple, skip_zero_deals: bool) -> s
 
 
 @pytest.mark.parametrize("f", [NIL, UPPER3], ids=["index-2", "index-3"])
-def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f, monkeypatch):
+def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f):
     calls = []
-    kernel = enveloping._shuffle_tuples
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(args)
+            return kernel(*args)
+        return wrapper
 
-    monkeypatch.setattr(enveloping, "_shuffle_tuples", counted)
     rng = random.Random(f"zero deals {f.alphabet}")
     shuffled = dealt = 0
     for _ in range(20):
         w = Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3))))
         factors = tuple(Word((rng.choice(f.alphabet),)) for _ in range(rng.randint(2, 3)))
-        # the brace keeps its shuffled pairs for the call and shuffles no
-        # share whose power is 0: the kernel runs at most once for each
-        # distinct pair of the deals in which every letter keeps a nonzero
-        # image (fewer where the shares of several deals are summed first)
+        # the brace reads its shuffled pairs from the context's memo and
+        # shuffles no share whose power is 0: on a fresh context the
+        # memo's kernel runs at most once for each distinct pair of the
+        # deals in which every letter keeps a nonzero image (fewer where
+        # the shares of several deals are summed first)
         calls.clear()
-        got = _word_brace(ComPreLieContext(f), w, factors)
+        ctx = ComPreLieContext(f)
+        ctx._shuffles.kernel = counted(ctx._shuffles.kernel)
+        got = _word_brace(ctx, w, factors)
         assert len(calls) <= len(shuffled_pairs(f, w, factors, skip_zero_deals=True)), (w, factors)
         shuffled += len(calls)
         dealt += len(shuffled_pairs(f, w, factors, skip_zero_deals=False))
-        ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+        ref = RecursiveOudomGuin(closed_base(f))
         assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
             SymTensor, SymMonomial.of(w), SymMonomial(factors)
         )
@@ -373,7 +383,7 @@ def test_a_factor_repeated_three_or_four_times_matches_the_reference(f):
         u = Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 2))))
         factors = [u] * rng.randint(3, 4) + [Word((rng.choice(letters),))] * rng.randint(0, 1)
         got = closed_action(ComPreLieContext(f), w, factors)
-        ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+        ref = RecursiveOudomGuin(closed_base(f))
         assert got == ref.bullet(SymTensor, SymMonomial.of(w), SymMonomial(factors)), (w, factors)
         nonzero += bool(got)
     assert nonzero >= 4
@@ -408,7 +418,7 @@ def test_a_long_word_is_never_dealt_over_its_letters(monkeypatch):
     assert len(got) == 2
     assert 0 < len(splits) <= bound
     assert 0 < max(depths) <= 1 + len(factors)
-    ref = RecursiveOudomGuin(partial(_prelie_words, ComPreLieContext(f)))
+    ref = RecursiveOudomGuin(closed_base(f))
     assert SymTensor({SymMonomial.of(x): c for x, c in got}) == ref.bullet(
         SymTensor, SymMonomial.of(w), SymMonomial(factors)
     )
@@ -417,10 +427,12 @@ def test_a_long_word_is_never_dealt_over_its_letters(monkeypatch):
 @pytest.mark.parametrize("f", [UPPER3, fliess_channel(2, 1)], ids=["index-3", "fliess(2,1)"])
 def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
     # the kernels work on coded letters and build a Word only for a term
-    # of their output, not for the terms they sum on the way
+    # of their output, not for the terms they sum on the way: each on a
+    # cold context of its own, whose word memo holds none of them yet
     x0, x1, x2 = f.alphabet
     u, v = Word((x2, x1, x2)), Word((x1, x2))
     w, factors = Word((x1, x2, x1, x1)), (Word((x1,)), Word((x2, x1)), Word((x1, x2)))
+    for_product, for_brace = ComPreLieContext(f), ComPreLieContext(f)
     built = []
     init = Word.__init__
 
@@ -429,11 +441,10 @@ def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Word, "__init__", counted)
-    ctx = ComPreLieContext(f)
-    product = _prelie_words(ctx, u, v)
-    assert product and len(built) == len(product)
+    product = prelie(for_product, u, v)
+    assert product and len(built) == len(product.terms)
     built.clear()
-    brace = _word_brace(ctx, w, factors)
+    brace = _word_brace(for_brace, w, factors)
     assert brace and len(built) == len(brace)
 
 

@@ -3,17 +3,21 @@ their call are bounded.
 
 ``words._Memo`` computes a missing key with its kernel and stores it in
 ``__missing__``; the kernels only compute.  The memos that outlive a call,
-a context's products and coproducts, its memos of coded words, scaled
-products and shuffles, and every Oudom-Guin engine's action, among them
-the process-wide ``forests._TREE_ENGINE`` and the engine of
-``trees._BILETTER_CTX``, hold at most ``words._MEMO_BOUND`` entries.
+a context's coproducts, its memos on its letter codes (coded words, the
+one product memo and shuffles), and every Oudom-Guin engine's action,
+among them the process-wide ``forests._TREE_ENGINE`` and the engine of
+``trees._BILETTER_CTX``, hold at most ``words._MEMO_BOUND`` entries.  The
+product memo's kernel does not hold its context, so a dropped context that
+built no engine and no coproduct memo is freed without the cyclic collector.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,12 +35,12 @@ from comprelie.enveloping import (
     star,
 )
 from comprelie.forests import Forest, ForestPoly
-from comprelie.prelie import ComPreLieContext, prelie, prelie_closed, span_dimension_of_products
+from comprelie.prelie import ComPreLieContext, lie_bracket, prelie, prelie_closed, span_dimension_of_products
 from comprelie.trees import _tree_brace, all_rooted_trees, parse_tree, phi_cpl
 from comprelie.words import _MEMO_BOUND, Letter, Tensor, Word, _Memo
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
-MEMOS = {"_products", "_coproducts", "_cache", "_words", "_scaled_products", "_shuffles"}
+MEMOS = {"_products", "_coproducts", "_cache", "_words", "_shuffles"}
 UPPER3 = Endo.matrix(["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
 
 
@@ -72,7 +76,7 @@ def test_the_detector_sees_a_hand_written_store():
         "def delta(ctx, w):\n"
         "    ctx._coproducts[w] += 1\n"
         "def span(ctx, u, v):\n"
-        "    ctx._words[u], ctx._scaled_products[u, v], ctx._shuffles[u, v] = (), (), ()\n"
+        "    ctx._words[u], ctx._products[u, v], ctx._shuffles[u, v] = (), (), ()\n"
     )
     assert memo_stores(hand_written) == [
         ("_prelie_words", 3), ("_bullet_mono", 7), ("delta", 11), ("span", 13), ("span", 13), ("span", 13)
@@ -140,7 +144,6 @@ def test_every_cross_call_memo_carries_the_bound():
         ctx._products,
         ctx._coproducts,
         ctx._words,
-        ctx._scaled_products,
         ctx._shuffles,
         _engine_of(ctx)._cache,
         forests._TREE_ENGINE._cache,
@@ -156,9 +159,8 @@ def test_evicting_memos_change_no_result():
     f = fliess_channel(2, 1)
     words = [Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))) for _ in range(12)]
     small, full = ComPreLieContext(f), ComPreLieContext(f)
-    small._coding()
-    coded = (small._words, small._scaled_products, small._shuffles)
-    for memo in (small._products, _coproducts_of(small), _engine_of(small)._cache, *coded):
+    coded = (small._words, small._products, small._shuffles)
+    for memo in (_coproducts_of(small), _engine_of(small)._cache, *coded):
         memo.bound = 3
     for u, v, w in zip(words, words[1:], words[2:]):
         a, b = SymTensor.of(SymMonomial.of(u, v)), SymTensor.of(SymMonomial.of(w, u))
@@ -168,7 +170,7 @@ def test_evicting_memos_change_no_result():
         assert prelie_closed(small, u, w).terms == prelie_closed(full, u, w).terms
         gens = [Tensor.of(u), Tensor({v: 1, w: -2})]
         assert span_dimension_of_products(small, gens, 4) == span_dimension_of_products(full, gens, 4)
-    memos = (small._products, small._coproducts, small._word_engine._cache, *coded)
+    memos = (small._coproducts, small._word_engine._cache, *coded)
     assert max(map(len, memos)) <= 3
     engine, reference = OudomGuin(_tree_brace, ForestPoly), OudomGuin(_tree_brace, ForestPoly)
     engine._cache.bound = 3
@@ -177,3 +179,22 @@ def test_evicting_memos_change_no_result():
         a, b = Forest((s, t)), Forest((u, s))
         assert engine.star(a, b).terms == reference.star(a, b).terms
         assert len(engine._cache) <= 3
+
+
+def test_a_dropped_context_is_freed_without_the_cyclic_collector():
+    # the product memo's kernel binds f, the codes and D, not the context:
+    # with the collector off, reference counting alone frees the context
+    f = Endo.matrix(list("abc"), [[1, 2, -1], [Fraction(1, 2), 0, 3], [-2, 1, Fraction(1, 3)]])
+    u, v = Word(f.alphabet[:2]), Word(f.alphabet[2:])
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = ComPreLieContext(f)
+        assert prelie(ctx, u, v) and lie_bracket(ctx, u, v) and prelie_closed(ctx, u, v)
+        assert span_dimension_of_products(ctx, [Tensor.of(u), Tensor.of(v)], 4) > 0
+        assert ctx._products and ctx._words and ctx._shuffles
+        dropped = weakref.ref(ctx)
+        del ctx
+        assert dropped() is None
+    finally:
+        gc.enable()

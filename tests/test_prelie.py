@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -180,10 +181,14 @@ def test_a_long_left_word_is_computed():
 
 def test_the_memo_holds_only_the_pairs_asked_for():
     ctx = ctx_of(FRAC)
+
+    def asked():  # the memo's keys, on coded words, read back as words
+        return [(ctx._words[u], ctx._words[v]) for u, v in ctx._products]
+
     prelie(ctx, W("abba"), W("ba"))
-    assert list(ctx._products) == [(W("abba"), W("ba"))]
+    assert asked() == [(W("abba"), W("ba"))]
     prelie(ctx, T("a + 2*ab"), T("b"))
-    assert list(ctx._products) == [(W("abba"), W("ba")), (W("a"), W("b")), (W("ab"), W("b"))]
+    assert asked() == [(W("abba"), W("ba")), (W("a"), W("b")), (W("ab"), W("b"))]
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +743,15 @@ def test_a_span_refuses_its_arguments_before_any_work(degree, ops):
 
 
 def test_a_scaled_product_that_is_not_integral_raises():
-    # under NIL, D = 1: a planted product coefficient of 1/2 is not integral
-    # after the scale, and the span refuses it rather than truncate it
-    ctx = ctx_of(NIL)
-    ctx._products[W("a"), W("b")] = ((W("ab"), Fraction(1, 2)),)
+    # under FRAC, D = 6: a planted scale of 2 leaves the 1/3 of an image of
+    # f fractional, and the product and the span refuse it rather than
+    # truncate it, storing nothing
+    ctx = ctx_of(FRAC)
+    kernel = ctx._products.kernel
+    assert kernel.args == (FRAC, ctx._codes, 6)
+    ctx._products.kernel = partial(kernel.func, FRAC, ctx._codes, 2)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        prelie(ctx, W("ab"), W("b"))
     with pytest.raises(ArithmeticError, match="not an integer"):
         span_dimension_of_products(ctx, [T("a"), T("b")], 2, ops=("prelie",))
+    assert not ctx._products

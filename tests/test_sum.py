@@ -37,8 +37,11 @@ class RefSum:
         if pairs is not None:
             ref_add_into(self, pairs)
 
-    def result(self) -> dict:
-        return self.terms
+    def result(self, divisor: int = 1) -> dict:
+        """The terms, each divided by ``divisor`` once and made canonical."""
+        if divisor == 1:
+            return self.terms
+        return {k: canonical(Fraction(c, divisor)) for k, c in self.terms.items()}
 
 
 def ref_add_into(acc: RefSum, pairs, scale=1) -> None:
