@@ -8,13 +8,13 @@ and the group law is ``u diamond v = u comp v + v`` with the zero series as
 identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
 
-A composition codes the letters of its operands, of ``x0`` and of the f^i
-images (each f^i(x) stepped once from f^(i-1)(x)) as small ints with
-``words._Codes``, like the pre-Lie product and the brace of words, and
-prepends through ``words._prepend``; the images of suffixes and the
-divided powers are memos that live for that call alone, and a ``Word`` is
-built only for each term of the output.  Its shuffles go through
-``_bounded_pairs(L - 1)``, as a letter is prepended to every shuffled word.
+A composition codes its operands, ``x0`` and the f^i images (each f^i(x)
+stepped once from f^(i-1)(x)) on its context's letter codes, prepends
+through ``words._prepend``, shuffles through the context's ``_shuffles``
+behind the cut ``L - 1`` of ``_bounded_pairs`` (a letter is prepended to
+every shuffled word) and decodes through ``_words``: the compositions of
+one ``inverse`` share one table and one memo.  ``fliess_tilde``, with no
+context, codes and shuffles on a table and memo that end with its call.
 
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
@@ -98,20 +98,19 @@ def _truncate(t: Tensor, L: int) -> Tensor:
     return Tensor._from_clean({w: c for w, c in t.items() if len(w) <= L})
 
 
-def _bounded_pairs(bound: int):
-    """The shuffle of two coded words in a ``words._Memo`` for one call, and
-    nothing, before any lookup, for a pair of more than ``bound`` letters."""
-    memo = _Memo(_shuffle_tuples)
+def _bounded_pairs(memo: _Memo, bound: int):
+    """The shuffle of two coded words read from ``memo``, and nothing,
+    before any lookup, for a pair of more than ``bound`` letters."""
     return lambda u, v: memo[u, v] if len(u) + len(v) <= bound else ()
 
 
-def _compose_codes(codes: _Codes, words: dict, branches: Sequence, pair, L: int) -> TruncatedSeries:
+def _compose_codes(words: dict, branches, pair, L: int, word) -> TruncatedSeries:
     """The series at truncation L of the linear extension over the coded
-    ``words`` of the map that sends e to 1 and xw to xW + sum over x's
-    branches (image, partner) of image (W sh partner), where W is the image
-    of w, an image is a tuple of (code, coefficient) pairs and a partner a
-    coded series.  The images of suffixes are filled shortest first, in a
-    loop, so a word of any length composes without recursion."""
+    ``words`` of the map that sends e to 1 and xw to xW + the sum of image
+    (W sh partner) over the (image, partner) of ``branches[x]``: W is the
+    image of w, an image (code, coefficient) pairs, a partner a coded series
+    and ``word(t)`` the ``Word`` of a coded t.  The images of suffixes are
+    filled shortest first, in a loop, so no word length needs recursion."""
     memo: dict[tuple, dict] = {(): {(): 1}}
     for w in words:
         for j in range(len(w) - 1, -1, -1):
@@ -132,21 +131,20 @@ def _compose_codes(codes: _Codes, words: dict, branches: Sequence, pair, L: int)
             memo[suffix] = acc.result()
     composed = _linear(lambda w: memo[w].items(), words.items())
     out = TruncatedSeries.__new__(TruncatedSeries)  # its words are already cut at L
-    out.trunc, out.tensor = L, Tensor._from_clean(dict(codes.decode(composed.items())))
+    out.trunc, out.tensor = L, Tensor._from_clean({word(t): c for t, c in composed.items()})
     return out
 
 
 def tilde_compose(
     ctx: ComPreLieContext, u: TruncatedSeries, v: TruncatedSeries
 ) -> TruncatedSeries:
-    """The reduced composition; linear in the left argument."""
+    """The reduced composition, linear in the left argument, on the context's codes."""
     u._check_compatible(v)
     L = u.trunc
     N = _require_nilpotent(ctx)
-    codes = _Codes()
+    codes = ctx._coding()
     words = codes.terms(u.tensor)
-    heads = list(codes.letters)
-    pair = _bounded_pairs(L - 1)
+    pair = _bounded_pairs(ctx._shuffles, L - 1)
     # divided powers v^(sh i)/i!, built as powers[i-1] sh (v / i); they are
     # only shuffled into words of length <= L-1, so longer words are skipped
     coded_v = codes.terms(v.tensor)
@@ -155,12 +153,14 @@ def tilde_compose(
         v_over_i = [(t, _div(c.numerator, c.denominator * i)) for t, c in coded_v.items()]
         powers.append(_bilinear(pair, powers[-1].items(), v_over_i))
 
-    def branches(x: Letter) -> list[tuple]:
+    def branches(x: int) -> list[tuple]:
         # f^i(x) for 1 <= i < N, stepped once each, up to the first zero
-        images = itertools.islice(letter_iterates(ctx.f, x), 1, None)
+        images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, None)
         return [(codes.image(image), power) for power, image in zip(powers[1:], images)]
 
-    return _compose_codes(codes, words, [branches(x) for x in heads], pair, L)
+    # u's letters only: another call may have left letters f refuses in the table
+    heads = dict.fromkeys(itertools.chain.from_iterable(words))
+    return _compose_codes(words, {x: branches(x) for x in heads}, pair, L, ctx._words.__getitem__)
 
 
 def _compose_terms(letters: int, trunc: int, lu: int, lv: int, stop: int) -> int:
@@ -193,9 +193,10 @@ def inverse(ctx: ComPreLieContext, u: TruncatedSeries) -> TruncatedSeries:
 
     Solves v = -(u comp v) one word length at a time.  The length-n part
     of ``u comp v`` reads only the parts of v shorter than n, so one
-    composition at truncation n, fed the solution at truncation n-1,
-    fixes v up to length n.  The closing check that both diamond products
-    vanish guards the solver: failure indicates a bug, not bad input.
+    composition at truncation n, fed the solution at truncation n-1, fixes
+    v up to length n; these and the closing check that both diamond
+    products vanish share the context's shuffle memo.  The check guards
+    the solver: failure indicates a bug, not bad input.
     """
     _require_nilpotent(ctx)
     L = u.trunc
@@ -260,8 +261,9 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     # a letter on the channel writes x0 before one shuffle copy of d_i
     gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
     branches = [gate if _letter_index(x) == i else [] for x in heads]
-    pair = _bounded_pairs(L - 1)
-    return FliessElement(i, _compose_codes(codes, words, branches, pair, L))
+    pair = _bounded_pairs(_Memo(_shuffle_tuples), L - 1)
+    word = lambda t: Word(tuple(map(codes.letters.__getitem__, t)))
+    return FliessElement(i, _compose_codes(words, branches, pair, L, word))
 
 
 def fliess_diamond(

@@ -143,11 +143,14 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
     ``f``, not the product memo, so it cross-checks :func:`prelie`."""
     codes = ctx._coding()
     images = [codes.image(ctx.f.image_letter(x)) for x in u.letters]  # the prefix is u's
+    live = [i for i, image in enumerate(images) if image]  # a zero image adds nothing
     acc = _Sum()
     for positions, out in _interleavings(codes.word(u), codes.word(v)):
-        for i in range(_fixed_prefix(positions)):
-            head, tail = out[:i], out[i + 1:]
-            _add_into(acc, ((head + (y,) + tail, cy) for y, cy in images[i]))
+        prefix = _fixed_prefix(positions)
+        for i in live:
+            if i >= prefix:
+                break
+            _add_into(acc, ((out[:i] + (y,) + out[i + 1:], cy) for y, cy in images[i]))
     return _decoded(ctx, acc)
 
 

@@ -200,8 +200,8 @@ def word(letters: Iterable[Letter | str]) -> Word:
 
 class _Codes:
     """Small-int codes for the letters a word kernel meets, in order of
-    first use: a context's, or one composition's.  Coding is a bijection,
-    so int tuples, which hash in C, merge and order terms as the words would."""
+    first use: a context's, or one ``fliess_tilde`` call's.  A bijection, so
+    int tuples, which hash in C, merge and order terms as the words would."""
 
     __slots__ = ("letters", "index")
 
@@ -224,11 +224,6 @@ class _Codes:
 
     def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
         return tuple((self.code(y), c) for y, c in image.items())
-
-    def decode(self, terms: Iterable[tuple[tuple[int, ...], Rat]]) -> list[tuple[Word, Rat]]:
-        """The coded terms as (word, coefficient) pairs, each ``Word`` built once."""
-        letter = self.letters.__getitem__
-        return [(Word(tuple(map(letter, t))), c) for t, c in terms]
 
 
 class _Sum:

@@ -6,8 +6,9 @@ and ``prelie_closed``, and the engine memo that holds monomials, behind
 Each result is checked against a route that keeps nothing between calls,
 on warm and on cold contexts; a result handed out shares nothing that a
 later call reads; the letter table is never started afresh without
-every memo of codes, the product memo among them; and no module but the
-context and the composition makes a letter table.
+every memo of codes, the product memo among them; no module but the
+context and ``fliess_tilde``, which takes no context, makes a letter table;
+and a letter that a refused call leaves in the table breaks no composition.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from comprelie.characters import TruncatedSeries, diamond, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel
 from comprelie.enveloping import SymMonomial, closed_action, extend_bullet, star
 from comprelie.exactla import SpanBasis
@@ -36,6 +38,7 @@ UPPER3 = Endo.matrix(list("abc"), [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3
 MAPS = {"FULL3": FULL3, "UPPER3": UPPER3, "fliess(2,1)": fliess_channel(2, 1),
         "shift": Endo.biletter_shift()}
 PRELIE = importlib.import_module("comprelie.prelie")  # the module, not its function
+CHARACTERS = importlib.import_module("comprelie.characters")
 CODED = ("_words", "_products", "_shuffles")  # the memos that hold the context's codes
 
 
@@ -168,14 +171,51 @@ def test_a_new_letter_table_comes_with_a_new_product_memo(name, monkeypatch):
     assert ctx._products.kernel.args[1] is ctx._codes  # the memo codes with the new table
 
 
+def test_a_letter_left_by_a_refused_product_breaks_no_composition():
+    # the refused product codes z before f refuses it, so z stays in the
+    # table; the composition maps f over the letters of u alone
+    f = fliess_channel(2, 1)
+    ctx, fresh = ComPreLieContext(f), ComPreLieContext(f)
+    with pytest.raises(ValueError, match="^letter z outside the alphabet of this endomorphism$"):
+        prelie(ctx, W("z"), W("x1"))
+    assert Letter("z") in ctx._codes.index
+    u, v = TruncatedSeries(4, T("x1.x2 - 1/2*x2.x1.x1 + x0")), TruncatedSeries(4, T("x1 + 3*x2.x0"))
+    assert tilde_compose(ctx, u, v) == tilde_compose(fresh, u, v)
+    assert inverse(ctx, u) == inverse(fresh, u)
+    assert diamond(ctx, v, u) == diamond(fresh, v, u)
+
+
+def test_one_inverse_shuffles_each_pair_once(monkeypatch):
+    # its L + 1 solves and two closing checks share the context's memo, so
+    # a pair met again is a hit; counted at the kernel, whatever memo calls it
+    calls: list[tuple] = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return shuffle_tuples(u, v)
+
+    shuffle_tuples = CHARACTERS._shuffle_tuples
+    for module in (CHARACTERS, PRELIE):
+        monkeypatch.setattr(module, "_shuffle_tuples", counting)
+    f = Endo.matrix(["a", "b"], [[0, Fraction(1, 2)], [0, 0]])
+    rng = random.Random(10)
+    u = {Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))): rng.choice((1, -2, Fraction(1, 3)))
+         for _ in range(8)}
+    ctx = ComPreLieContext(f)
+    v = inverse(ctx, TruncatedSeries(10, u))
+    assert len(v.tensor.terms) > 1000
+    assert len(calls) > 1000 and len(calls) == len(set(calls))
+
+
 SRC = Path(PRELIE.__file__).resolve().parent
+CONTEXTLESS = ("characters", "fliess_tilde")  # the one kernel that takes no context
 
 
 def coding_breaches(source: str, module: str) -> list[tuple[str, str, int]]:
     """(module, function, line) of each ``_Codes()`` built outside
-    ``ComPreLieContext._coding`` and the composition (``characters``), and
-    of each read or write of a ``_Sum``'s ``pos``, ``num`` or ``den``
-    outside ``words``."""
+    ``ComPreLieContext._coding`` and ``characters.fliess_tilde``, and of
+    each read or write of a ``_Sum``'s ``pos``, ``num`` or ``den`` outside
+    ``words``."""
     found: list[tuple[str, str, int]] = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -183,7 +223,7 @@ def coding_breaches(source: str, module: str) -> list[tuple[str, str, int]]:
             scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.Call):
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if callee == "_Codes" and module != "characters" and scope != "ComPreLieContext._coding":
+            if callee == "_Codes" and scope != "ComPreLieContext._coding" and (module, scope) != CONTEXTLESS:
                 found.append((module, scope, node.lineno))
         if isinstance(node, ast.Attribute) and node.attr in ("pos", "num", "den") and module != "words":
             found.append((module, scope, node.lineno))
@@ -204,13 +244,21 @@ def test_the_coding_detector_sees_a_hand_written_breach():
         "    acc = _Sum()\n"
         "    acc.den *= 6\n"
         "    return acc.pos, acc.num\n"
+        "def tilde_compose(ctx, u, v):\n"
+        "    codes = _Codes()\n"
+        "def fliess_tilde(c, d):\n"
+        "    codes = _Codes()\n"
     )
     assert coding_breaches(hand_written, "prelie") == [
         ("prelie", "_word_brace", 5), ("prelie", "_word_brace", 7),
         ("prelie", "_word_brace", 8), ("prelie", "_word_brace", 8),
+        ("prelie", "tilde_compose", 10), ("prelie", "fliess_tilde", 12),
     ]
-    assert [line for *_, line in coding_breaches(hand_written, "characters")] == [7, 8, 8]
-    assert coding_breaches(hand_written, "words") == [("words", "_word_brace", 5)]
+    # only fliess_tilde, which takes no context, codes on a table of its own
+    assert [line for *_, line in coding_breaches(hand_written, "characters")] == [5, 7, 8, 8, 10]
+    assert coding_breaches(hand_written, "words") == [
+        ("words", "_word_brace", 5), ("words", "tilde_compose", 10), ("words", "fliess_tilde", 12),
+    ]
 
 
 def test_one_letter_table_per_context_and_sums_read_only_in_words():

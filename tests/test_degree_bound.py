@@ -1,7 +1,7 @@
-"""Degree-bounded shuffles: ``characters._bounded_pairs(L)``, the memoized
-shuffle behind its length cut, gives exactly the truncated shuffle, and
-truncated composition, its Fliess-operator form and the inverse never
-interleave two words whose lengths sum past the truncation."""
+"""Degree-bounded shuffles: ``characters._bounded_pairs(memo, L)``, a
+shuffle memo read behind a length cut, gives exactly the truncated
+shuffle, and truncated composition, its Fliess-operator form and the
+inverse never look up two words whose lengths sum past the truncation."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ tensors = st.dictionaries(short_words, coeffs, max_size=4).map(Tensor)
 @settings(max_examples=60)
 @given(tensors, tensors, st.integers(-1, 9))
 def test_bounded_shuffle_is_the_truncated_shuffle(a, b, L):
-    bounded = characters._bounded_pairs(L)
+    bounded = characters._bounded_pairs(words._Memo(words._shuffle_tuples), L)
     pa, pb = ([(w.letters, c) for w, c in t.items()] for t in (a, b))
     # the pairs twice over, so that the second pass reads the memo
     for _ in range(2):
@@ -83,17 +83,34 @@ def test_results_are_compatible_with_truncation(f, L):
             assert short_fl.series.tensor == truncated(long_fl.series.tensor, L)
 
 
+class Lookups:
+    """A shuffle memo that records the key of every lookup made in it."""
+
+    def __init__(self, memo, keys: list):
+        self.memo, self.keys = memo, keys
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return self.memo[key]
+
+
+@pytest.fixture
+def lookups(monkeypatch) -> list[tuple]:
+    """The (u, v) of each shuffle lookup that passes a composition's length
+    cut, warm or cold, whichever memo it reads: the context's or the call's."""
+    keys: list[tuple] = []
+    bounded = characters._bounded_pairs
+
+    def recording(memo, bound):
+        return bounded(Lookups(memo, keys), bound)
+
+    monkeypatch.setattr(characters, "_bounded_pairs", recording)
+    return keys
+
+
 @pytest.mark.parametrize("f", MAPS, ids=["fliess(2,1)", "index-3"])
-def test_no_shuffled_pair_is_longer_than_the_truncation(f, monkeypatch):
-    # the composition shuffles int-coded words through the tuple kernel
-    pair_lengths: list[int] = []
-    inner = words._shuffle_tuples
-
-    def counting(u, v):
-        pair_lengths.append(len(u) + len(v))
-        return inner(u, v)
-
-    monkeypatch.setattr(characters, "_shuffle_tuples", counting)
+def test_no_shuffled_pair_is_longer_than_the_truncation(f, lookups):
+    # the composition shuffles int-coded words through a memo of pairs
     ctx = ComPreLieContext(f)
     rng = random.Random(len(f.alphabet))
     L = 4
@@ -102,31 +119,25 @@ def test_no_shuffled_pair_is_longer_than_the_truncation(f, monkeypatch):
     if f is not INDEX3:
         ops.append(lambda: fliess_tilde(FliessElement(1, u), (v, u)))
     for op in ops:
-        pair_lengths.clear()
+        lookups.clear()
         op()
         # each shuffled pair lands behind a prepended letter, so no pair
         # needs more than L - 1 letters (tighter than |u| + |v| <= L)
+        pair_lengths = [len(a) + len(b) for a, b in lookups]
         assert pair_lengths and max(pair_lengths) <= L - 1
 
 
 @pytest.mark.parametrize("f", MAPS, ids=["fliess(2,1)", "index-3"])
-def test_composition_never_shuffles_by_the_unit(f, monkeypatch):
+def test_composition_never_shuffles_by_the_unit(f, lookups):
     # f^0(x) = x only prepends x: with no empty word in v, no shuffle has
     # an empty right operand
-    right_operands: list[tuple] = []
-    inner = words._shuffle_tuples
-
-    def counting(u, v):
-        right_operands.append(v)
-        return inner(u, v)
-
-    monkeypatch.setattr(characters, "_shuffle_tuples", counting)
     ctx = ComPreLieContext(f)
     rng = random.Random(7 + len(f.alphabet))
     for L in (2, 3, 4):
         u, v = (random_tensor(L, ctx.alphabet, rng) for _ in range(2))
         v = Tensor({w: c for w, c in v.items() if len(w)})
         tilde_compose(ctx, TruncatedSeries(L, u), TruncatedSeries(L, v))
+    right_operands = [b for _, b in lookups]
     assert right_operands and all(len(w) for w in right_operands)
 
 

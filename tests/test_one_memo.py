@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from comprelie import forests, trees
+from comprelie.characters import TruncatedSeries, inverse, tilde_compose
 from comprelie.endo import Endo, fliess_channel
 from comprelie.enveloping import (
     OudomGuin,
@@ -172,6 +173,16 @@ def test_evicting_memos_change_no_result():
         assert span_dimension_of_products(small, gens, 4) == span_dimension_of_products(full, gens, 4)
     memos = (small._coproducts, small._word_engine._cache, *coded)
     assert max(map(len, memos)) <= 3
+    for f in (fliess_channel(2, 1), UPPER3):
+        small, full = ComPreLieContext(f), ComPreLieContext(f)
+        small._shuffles.bound = 3
+        words = [Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))) for _ in range(18)]
+        series = [TruncatedSeries(4, {w: Fraction(2 * k - 3, 2) for k, w in enumerate(words[i:i + 3])})
+                  for i in range(0, 18, 3)]
+        for u, v in zip(series, series[1:]):
+            assert tilde_compose(small, u, v) == tilde_compose(full, u, v)
+            assert inverse(small, u) == inverse(full, u)
+        assert 0 < len(small._shuffles) <= 3
     engine, reference = OudomGuin(_tree_brace, ForestPoly), OudomGuin(_tree_brace, ForestPoly)
     engine._cache.bound = 3
     rooted = [t for n in (1, 2, 3) for t in all_rooted_trees(n, [Letter("a"), Letter("b")])]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -215,6 +216,30 @@ def test_powers_of_one_letter():
         expected = Tensor.of(word("x" * (k + l)), lam * comb(k + l, k - 1))
         assert prelie_closed(ctx, xk, xl) == expected
         assert prelie(ctx, xk, xl) == expected
+
+
+def test_closed_form_adds_nothing_at_a_letter_of_zero_image(monkeypatch):
+    # under fliess(2,1) only x1 has a nonzero image: of the positions of
+    # x0^40 x1 x1 only the last two are ever written to, once per
+    # interleaving that keeps them in place
+    prelie_module = importlib.import_module("comprelie.prelie")  # not its function
+    f = fliess_channel(2, 1)
+    x0, x1, x2 = f.alphabet
+    added: list[list] = []
+    add_into = prelie_module._add_into
+
+    def recording(acc, pairs):
+        added.append(list(pairs))
+        add_into(acc, added[-1])
+
+    monkeypatch.setattr(prelie_module, "_add_into", recording)
+    ctx = ComPreLieContext(f)
+    u, v = Word((x0,) * 40 + (x1, x1)), Word((x2,))
+    got = prelie_closed(ctx, u, v)
+    assert added and all(added)
+    assert len(added) == 1 + 2  # v last keeps both x1 in place, v between them the first
+    monkeypatch.undo()
+    assert got == prelie(ctx, u, v) and len(got.terms) == 3
 
 
 def all_words(alphabet: str, max_len: int) -> list[Word]:
