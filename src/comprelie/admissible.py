@@ -11,7 +11,8 @@ the enumerations here.
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, log10, pi
 from typing import Iterable, Sequence
 
 from .words import Frozen, _set
@@ -147,3 +148,11 @@ def count_sigma(n: int) -> int:
     if n < 0:
         raise ValueError("length must be >= 0")
     return comb(2 * n, n) // (n + 1)
+
+
+def _catalan_digits(n: int) -> int:
+    """The digits of ``count_admissible(n) + count_sigma(n)`` = C_n (1 + (n+1)/(4n-2)),
+    or one more, never fewer: C_n lies within 1 - 9/(8n) below 4**n / (n**1.5
+    sqrt(pi)).  n times a Fraction, as a huge n overflows a float."""
+    tail = 1.5 * log10(max(n, 1)) + log10(pi) / 2 - log10(1 + (n + 1) / (4 * n - 2))
+    return int(n * Fraction(log10(4)) - Fraction(tail)) + 1

@@ -8,13 +8,13 @@ and the group law is ``u diamond v = u comp v + v`` with the zero series as
 identity.  Because every operation only adds length, truncation is exact
 for the coefficients retained.
 
-A composition codes its operands, ``x0`` and the f^i images (each f^i(x)
-stepped once from f^(i-1)(x)) on its context's letter codes, prepends
-through ``words._prepend``, shuffles through the context's ``_shuffles``
+One kernel, ``_compose``, runs every composition on a ``words._Codes``:
+it prepends through ``words._prepend``, shuffles through the coding's memo
 behind the cut ``L - 1`` of ``_bounded_pairs`` (a letter is prepended to
-every shuffled word) and decodes through ``_words``: the compositions of
-one ``inverse`` share one table and one memo.  ``fliess_tilde``, with no
-context, codes and shuffles on a table and memo that end with its call.
+every shuffled word) and decodes through the coding.  Only a letter's
+images differ: f^1(x), f^2(x), ... for ``tilde_compose``, on its context's
+coding, which the compositions of one ``inverse`` share; x0 on the channel
+for ``fliess_tilde``, on a coding that ends with its call.
 
 The input-output (Fliess-operator) groups of control theory are the
 special case over the alphabet {x0, ..., xn}: an element carries an output
@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .endo import letter_iterates
 from .prelie import ComPreLieContext, _require_nilpotent, graded_series
 from .words import Frozen, Letter, Rat, Tensor, Word, _add_into, _bilinear, _linear, _prepend, _set
-from .words import _Codes, _div, _Memo, _shuffle_tuples, _Sum
+from .words import _Codes, _div, _Memo, _Sum
 
 
 class TruncatedSeries:
@@ -67,12 +67,13 @@ class TruncatedSeries:
         return self.trunc == other.trunc and self.tensor == other.tensor
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if type(other) is not type(self):
+            return NotImplemented
         self._check_compatible(other)
         return TruncatedSeries(self.trunc, self.tensor + other.tensor)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries(self.trunc, self.tensor - other.tensor)
+        return self + -other if type(other) is type(self) else NotImplemented
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.trunc, self.tensor.scale(-1))
@@ -104,13 +105,29 @@ def _bounded_pairs(memo: _Memo, bound: int):
     return lambda u, v: memo[u, v] if len(u) + len(v) <= bound else ()
 
 
-def _compose_codes(words: dict, branches, pair, L: int, word) -> TruncatedSeries:
-    """The series at truncation L of the linear extension over the coded
-    ``words`` of the map that sends e to 1 and xw to xW + the sum of image
-    (W sh partner) over the (image, partner) of ``branches[x]``: W is the
-    image of w, an image (code, coefficient) pairs, a partner a coded series
-    and ``word(t)`` the ``Word`` of a coded t.  The images of suffixes are
-    filled shortest first, in a loop, so no word length needs recursion."""
+def _compose(codes: _Codes, u: Tensor, v: Tensor, images: Callable, L: int) -> TruncatedSeries:
+    """The series at truncation L of the linear extension over the words of
+    ``u`` of the map that sends e to 1 and xw to xW + the sum over i >= 1 of
+    f^i(x) (W sh v^(sh i)/i!): W is the image of w and ``images(x)`` yields
+    the coded f^1(x), f^2(x), ... of a coded letter.  The images of suffixes
+    are filled shortest first, in a loop, so no word length needs recursion."""
+    words, coded_v = codes.terms(u), codes.terms(v)
+    pair = _bounded_pairs(codes.shuffles, L - 1)
+    # divided powers v^(sh i)/i!, power i built as powers[i-1] sh (v / i) when
+    # a letter first reaches it; shuffled only into words of length <= L-1
+    powers = [{(): 1}, coded_v]
+
+    def branch(x: int) -> list[tuple]:
+        out = []
+        for i, image in enumerate(images(x), 1):
+            if i == len(powers):
+                v_over_i = [(t, _div(c.numerator, c.denominator * i)) for t, c in coded_v.items()]
+                powers.append(_bilinear(pair, powers[-1].items(), v_over_i))
+            out.append((image, powers[i]))
+        return out
+
+    # u's letters only: another call may have left letters f refuses in the table
+    branches = {x: branch(x) for x in dict.fromkeys(itertools.chain.from_iterable(words))}
     memo: dict[tuple, dict] = {(): {(): 1}}
     for w in words:
         for j in range(len(w) - 1, -1, -1):
@@ -131,7 +148,7 @@ def _compose_codes(words: dict, branches, pair, L: int, word) -> TruncatedSeries
             memo[suffix] = acc.result()
     composed = _linear(lambda w: memo[w].items(), words.items())
     out = TruncatedSeries.__new__(TruncatedSeries)  # its words are already cut at L
-    out.trunc, out.tensor = L, Tensor._from_clean({word(t): c for t, c in composed.items()})
+    out.trunc, out.tensor = L, Tensor._from_clean(codes.decode(composed))
     return out
 
 
@@ -140,27 +157,11 @@ def tilde_compose(
 ) -> TruncatedSeries:
     """The reduced composition, linear in the left argument, on the context's codes."""
     u._check_compatible(v)
-    L = u.trunc
-    N = _require_nilpotent(ctx)
+    _require_nilpotent(ctx)
     codes = ctx._coding()
-    words = codes.terms(u.tensor)
-    pair = _bounded_pairs(ctx._shuffles, L - 1)
-    # divided powers v^(sh i)/i!, built as powers[i-1] sh (v / i); they are
-    # only shuffled into words of length <= L-1, so longer words are skipped
-    coded_v = codes.terms(v.tensor)
-    powers = [{(): 1}]
-    for i in range(1, N):
-        v_over_i = [(t, _div(c.numerator, c.denominator * i)) for t, c in coded_v.items()]
-        powers.append(_bilinear(pair, powers[-1].items(), v_over_i))
-
-    def branches(x: int) -> list[tuple]:
-        # f^i(x) for 1 <= i < N, stepped once each, up to the first zero
-        images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, None)
-        return [(codes.image(image), power) for power, image in zip(powers[1:], images)]
-
-    # u's letters only: another call may have left letters f refuses in the table
-    heads = dict.fromkeys(itertools.chain.from_iterable(words))
-    return _compose_codes(words, {x: branches(x) for x in heads}, pair, L, ctx._words.__getitem__)
+    # f^i(x) for i >= 1, each stepped once from the one before, up to the last nonzero power
+    images = lambda x: map(codes.image, itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, None))
+    return _compose(codes, u.tensor, v.tensor, images, u.trunc)
 
 
 def _compose_terms(letters: int, trunc: int, lu: int, lv: int, stop: int) -> int:
@@ -256,14 +257,10 @@ def fliess_tilde(c: FliessElement, d: Sequence[TruncatedSeries]) -> FliessElemen
     if di.trunc != L:
         raise ValueError(f"mismatched truncations: {di.trunc} vs {L}")
     codes = _Codes()
-    words = codes.terms(c.series.tensor)
-    heads = list(codes.letters)
     # a letter on the channel writes x0 before one shuffle copy of d_i
-    gate = [(((codes.code(Letter("x0")), 1),), codes.terms(di.tensor))]
-    branches = [gate if _letter_index(x) == i else [] for x in heads]
-    pair = _bounded_pairs(_Memo(_shuffle_tuples), L - 1)
-    word = lambda t: Word(tuple(map(codes.letters.__getitem__, t)))
-    return FliessElement(i, _compose_codes(words, branches, pair, L, word))
+    gate = (((codes.code(Letter("x0")), 1),),)
+    images = lambda x: gate if _letter_index(codes.letters[x]) == i else ()
+    return FliessElement(i, _compose(codes, c.series.tensor, di.tensor, images, L))
 
 
 def fliess_diamond(

@@ -18,8 +18,8 @@ a failing check, 2 on usage or syntax errors.
 A verb whose output could explode exits 2 before any work once its size
 estimate passes its ``_*_BUDGET`` here; ``_refuse_over`` is the one place
 that refuses.  Each estimate sits beside the kernel it bounds, in
-``prelie``, ``enveloping``, ``characters``, ``trees`` or ``forests``;
-library calls are not budgeted.
+``prelie``, ``enveloping``, ``characters``, ``admissible``, ``trees`` or
+``forests``; library calls are not budgeted.
 """
 
 from __future__ import annotations
@@ -37,16 +37,7 @@ from typing import Sequence
 # where it prints JSON, and ``verify`` its checks (``checks``), so a process
 # loads and compiles only what its verb uses: ``prelie`` never loads the
 # trees.
-from .words import (
-    Rat,
-    Tensor,
-    _bilinear,
-    _linear,
-    parse_rational,
-    parse_tensor,
-    parse_word,
-    rational_to_str,
-)
+from .words import Rat, Tensor, _bilinear, _linear, parse_rational, parse_tensor, parse_word, rational_to_str
 
 FORMAT_ENV = "COMPRELIE_FORMAT"
 
@@ -348,30 +339,28 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dyck(args) -> int:
-    from .admissible import admissible_words, count_admissible, count_sigma, from_dyck
+    from .admissible import _catalan_digits, admissible_words, count_admissible, count_sigma, from_dyck
     from .admissible import parse_upper, sigma_admissible_words, to_dyck, upper_to_str
 
+    flag, n = ("count", args.count) if args.count is not None else ("list", args.list)
+    if n is not None:  # --count prints the counts and --list's refusal quotes them
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        over = "Python's limit of {} digits for printing one integer"
+        claim = f"dyck --{flag} {n} needs a count of about"
+        _refuse_over(limit or math.inf, _catalan_digits(n), claim, "digits", over)
     if args.count is not None:
         a, s = count_admissible(args.count), count_sigma(args.count)
-        _emit(
-            args.format,
-            [f"admissible: {a}", f"sigma-admissible: {s}"],
-            {"length": args.count, "admissible": a, "sigma_admissible": s},
-        )
+        payload = {"length": args.count, "admissible": a, "sigma_admissible": s}
+        _emit(args.format, [f"admissible: {a}", f"sigma-admissible: {s}"], payload)
         return 0
     if args.list is not None:
         total = count_admissible(args.list) + count_sigma(args.list)
         over = "the budget of {}; use --count for the numbers"
         _refuse_over(_DYCK_LIST_BUDGET, total, f"dyck --list {args.list} would list", "words", over)
-        words = admissible_words(args.list)
-        sigmas = sigma_admissible_words(args.list)
-        lines = ["admissible: " + " ".join(upper_to_str(w) for w in words)]
-        lines.append("sigma-admissible: " + " ".join(upper_to_str(w) for w in sigmas))
-        payload = {
-            "admissible": [upper_to_str(w) for w in words],
-            "sigma_admissible": [upper_to_str(w) for w in sigmas],
-        }
-        _emit(args.format, lines, payload)
+        words = [upper_to_str(w) for w in admissible_words(args.list)]
+        sigmas = [upper_to_str(w) for w in sigma_admissible_words(args.list)]
+        lines = ["admissible: " + " ".join(words), "sigma-admissible: " + " ".join(sigmas)]
+        _emit(args.format, lines, {"admissible": words, "sigma_admissible": sigmas})
         return 0
     if args.path is not None:
         w = parse_upper(args.path)

@@ -254,17 +254,17 @@ def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMo
 # the brace of words
 # ---------------------------------------------------------------------------
 
-def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tuple:
+def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> Iterable[tuple[Word, Rat]]:
     """``w{B}`` for the factors B: the pre-Lie product's sum over the letters
     w_i, unrolled over the nonempty shares T of B, of ``w[:i] f^|T|(w_i)
     (w[i+1:]{B - T} sh T)``, with ``w[i+1:]{} = w[i+1:]``.  A share whose
     power is 0 is never shuffled; the recursion nests at most k deep for k
     factors.  The call codes each nonzero f^m(x) once and keeps each suffix's
-    brace, on the context's letter codes and its ``_shuffles``; each output
-    ``Word`` is read from its ``_words``.  One factor's brace is ``prelie``."""
+    brace, on the context's letter codes, whose memos shuffle its pairs and
+    decode its output.  One factor's brace is ``prelie``."""
     if len(factors) < 2:
         return prelie(ctx, w, factors[0]).items() if factors else ((w, 1),)
-    codes, pair = ctx._codes, ctx._shuffles
+    codes, pair = ctx._codes, ctx._codes.shuffles
     letters = codes.word(w)
     powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
     for x in dict.fromkeys(letters):
@@ -286,7 +286,7 @@ def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> tupl
     braces = _Memo(brace)
     top = braces[0, tuple(sorted(map(codes.word, factors)))]
     braces.clear()  # the memo and its kernel form a cycle: free the suffix braces now
-    return tuple((ctx._words[t], c) for t, c in top.items())
+    return codes.decode(top).items()
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

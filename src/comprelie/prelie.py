@@ -26,8 +26,8 @@ LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 class ComPreLieContext:
     """A letter endomorphism ``f`` and what it induces: the letter coding
-    of :meth:`_coding` with its memos, the product memo among them; the
-    memo of dual coproducts and the Oudom-Guin engine on words, built by
+    of :meth:`_coding` with its memos and the product memo; the memo of
+    dual coproducts and the Oudom-Guin engine on words, built by
     ``enveloping`` on first use; each memo bounded at ``words._MEMO_BOUND``
     entries; and the nilpotency index of ``f``.  Equality, repr and pickle
     see ``f`` alone: a pickled copy starts with no memos.  Unhashable, as f is."""
@@ -39,18 +39,15 @@ class ComPreLieContext:
         self._coding()
 
     def _coding(self) -> _Codes:
-        """The letter codes (``words._Codes``, in order of first use), read
-        once at the start of a public call, and the memos made with them:
-        ``_words``, a coded word's ``Word``; ``_products``, D * (u . v) in
-        ``int``, D = ``_scale`` the least common denominator of f's entries,
-        its kernel binding f, the codes and D, not the context; ``_shuffles``,
-        u sh v.  Made with the context, and afresh together once the codes
-        hold ``_MEMO_BOUND`` letters: a stale code decodes wrong."""
+        """The letter codes (``words._Codes``, with their word and shuffle
+        memos), read once at the start of a public call, and ``_products``,
+        D * (u . v) in ``int`` on them, D = ``_scale`` the least common
+        denominator of f's entries, its kernel binding f, the codes and D,
+        not the context.  Made with the context, and afresh together once
+        the codes hold ``_MEMO_BOUND`` letters: a stale code decodes wrong."""
         if self._codes is None or len(self._codes.letters) >= _MEMO_BOUND:
-            self._codes = codes = _Codes()
-            self._words = _Memo(lambda *t: Word(tuple(map(codes.letters.__getitem__, t))), _MEMO_BOUND)
+            self._codes = codes = _Codes(_MEMO_BOUND)
             self._products = _Memo(partial(_prelie_words, self.f, codes, self._scale), _MEMO_BOUND)
-            self._shuffles = _Memo(_shuffle_tuples, _MEMO_BOUND)
         return self._codes
 
     def __eq__(self, other) -> bool:
@@ -117,21 +114,8 @@ def prelie(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """The pre-Lie product, extended bilinearly: the context's memo entries
     D * (u . v) of the coded words, summed, divided by D once and decoded."""
     codes = ctx._coding()
-    return _decoded(ctx, _bilinear(ctx._products, _coded(codes, a), _coded(codes, b), _Sum()), ctx._scale)
-
-
-def _coded(codes: _Codes, x: Word | Tensor) -> list[tuple[tuple, Rat]]:
-    """The terms of ``x`` on coded words, a letter met before read off the index in C."""
-    items = ((x, 1),) if type(x) is Word else Tensor._coerce(x).items()
-    try:
-        return [(tuple(map(codes.index.__getitem__, w.letters)), c) for w, c in items]
-    except KeyError:
-        return [(codes.word(w), c) for w, c in items]
-
-
-def _decoded(ctx: ComPreLieContext, acc: _Sum, divisor: int = 1) -> Tensor:
-    """The sum of coded terms divided by ``divisor``, each ``Word`` read from ``ctx._words``."""
-    return Tensor._from_clean({ctx._words[t]: c for t, c in acc.result(divisor).items()})
+    acc = _bilinear(ctx._products, codes.terms(a).items(), codes.terms(b).items(), _Sum())
+    return Tensor._from_clean(codes.decode(acc.result(ctx._scale)))
 
 
 def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
@@ -151,16 +135,17 @@ def prelie_closed(ctx: ComPreLieContext, u: Word, v: Word) -> Tensor:
             if i >= prefix:
                 break
             _add_into(acc, ((out[:i] + (y,) + out[i + 1:], cy) for y, cy in images[i]))
-    return _decoded(ctx, acc)
+    return Tensor._from_clean(codes.decode(acc.result()))
 
 
 def lie_bracket(ctx: ComPreLieContext, a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """Antisymmetrization of the pre-Lie product, ``a . b - b . a``: ``b . a``,
     a's coefficients negated, joins the sum of ``a . b``, divided by D once."""
     codes = ctx._coding()
-    ta, tb = _coded(codes, a), _coded(codes, b)
+    ta, tb = codes.terms(a).items(), codes.terms(b).items()
     acc = _bilinear(ctx._products, ta, tb, _Sum())
-    return _decoded(ctx, _bilinear(ctx._products, tb, [(k, -c) for k, c in ta], acc), ctx._scale)
+    _bilinear(ctx._products, tb, [(k, -c) for k, c in ta], acc)
+    return Tensor._from_clean(codes.decode(acc.result(ctx._scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +311,7 @@ def span_dimension_of_products(
     if unknown:
         raise ValueError(f"unknown ops: {sorted(unknown)}")
     codes = ctx._coding()
-    kernels = {"prelie": (ctx._products, False), "shuffle": (ctx._shuffles, True)}
+    kernels = {"prelie": (ctx._products, False), "shuffle": (codes.shuffles, True)}
     products = [kernels[name] for name in kernels if name in ops]
     parts: dict[int, list[dict]] = {d: [] for d in range(1, degree + 1)}
     for g in generators:

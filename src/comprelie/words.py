@@ -198,34 +198,6 @@ def word(letters: Iterable[Letter | str]) -> Word:
     return Word(tuple(x if isinstance(x, Letter) else Letter(x) for x in letters))
 
 
-class _Codes:
-    """Small-int codes for the letters a word kernel meets, in order of
-    first use: a context's, or one ``fliess_tilde`` call's.  A bijection, so
-    int tuples, which hash in C, merge and order terms as the words would."""
-
-    __slots__ = ("letters", "index")
-
-    def __init__(self):
-        self.letters: list[Letter] = []
-        self.index: dict[Letter, int] = {}
-
-    def code(self, x: Letter) -> int:
-        i = self.index.get(x)
-        if i is None:
-            i = self.index[x] = len(self.letters)
-            self.letters.append(x)
-        return i
-
-    def word(self, w: Word) -> tuple[int, ...]:
-        return tuple(map(self.code, w.letters))
-
-    def terms(self, t: Lin) -> dict[tuple[int, ...], Rat]:
-        return {self.word(w): c for w, c in t.items()}
-
-    def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
-        return tuple((self.code(y), c) for y, c in image.items())
-
-
 class _Sum:
     """A sum of (key, coefficient) pairs being formed, kept exact without
     Fraction arithmetic: one int numerator per key over one running common
@@ -419,6 +391,8 @@ class Lin:
         return self._plus(other, -1)
 
     def _plus(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented  # no sum across algebras, nor with a bare key
         acc = _Sum(self.terms.items())
         _add_into(acc, other.terms.items(), sign)
         return self._from_clean(acc.result())
@@ -538,6 +512,50 @@ class _Memo(dict):
         return self[key]
 
 
+class _Codes:
+    """Small-int codes for the letters a word kernel meets, in order of
+    first use: a context's, or one ``fliess_tilde`` call's.  A bijection, so
+    int tuples, which hash in C, merge and order terms as the words would.
+    The one owner of the coding format, with its two memos bounded at
+    ``bound``: ``words``, a coded word's ``Word`` (its kernel binds the
+    letter list, not the table: no cycle), and ``shuffles``, u sh v."""
+
+    __slots__ = ("letters", "index", "words", "shuffles")
+
+    def __init__(self, bound: int | None = None):
+        self.letters: list[Letter] = []
+        self.index: dict[Letter, int] = {}
+        letter = self.letters.__getitem__
+        self.words = _Memo(lambda *t: Word(tuple(map(letter, t))), bound)
+        self.shuffles = _Memo(_shuffle_tuples, bound)
+
+    def code(self, x: Letter) -> int:
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.letters)
+            self.letters.append(x)
+        return i
+
+    def word(self, w: Word) -> tuple[int, ...]:
+        return tuple(map(self.code, w.letters))
+
+    def terms(self, x: Word | Lin) -> dict[tuple[int, ...], Rat]:
+        """A word's or a combination's terms, coded: known letters read off the index in C."""
+        items = ((x, 1),) if type(x) is Word else x.items()
+        try:
+            index = self.index.__getitem__
+            return {tuple(map(index, w.letters)): c for w, c in items}
+        except KeyError:
+            return {self.word(w): c for w, c in items}
+
+    def image(self, image: Mapping[Letter, Rat]) -> tuple[tuple[int, Rat], ...]:
+        return tuple((self.code(y), c) for y, c in image.items())
+
+    def decode(self, terms: Mapping[tuple[int, ...], Rat]) -> dict[Word, Rat]:
+        """Coded terms as terms of words, each ``Word`` read from ``words``."""
+        return dict(zip(map(self.words.__getitem__, terms), terms.values()))
+
+
 def shuffle(a: Word | Tensor, b: Word | Tensor) -> Tensor:
     """Shuffle product, extended bilinearly."""
     ta, tb = Tensor._coerce(a), Tensor._coerce(b)
@@ -589,6 +607,8 @@ def lyndon_words(alphabet: Iterable[Letter | str], max_len: int) -> list[Word]:
     letters = [x if isinstance(x, Letter) else Letter(x) for x in alphabet]
     if not letters:
         raise ValueError("alphabet must be nonempty")
+    if len(set(letters)) != len(letters):
+        raise ValueError("alphabet names a letter twice")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     n = len(letters)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from comprelie import characters
 from comprelie.characters import (
     FliessElement,
     TruncatedSeries,
@@ -230,21 +231,47 @@ def test_fliess_channel_gate():
 
 
 def test_fliess_matches_generic_composition_on_channel():
-    # a channel paired with its own endomorphism: the two engines agree
-    n, i = 2, 1
-    fi = fliess_channel(n, i)
-    ctx = ComPreLieContext(fi)
+    # each channel paired with its own endomorphism: the two image rules
+    # over the one composition kernel agree, for every channel of n <= 3
     rng = random.Random(3)
-    alphabet = x_alphabet(n)
-    for _ in range(4):
-        u = random_series(3, alphabet, rng)
-        v = random_series(3, alphabet, rng)
-        d = tuple(
-            v if j == i else TruncatedSeries.zero(3) for j in range(1, n + 1)
-        )
-        lhs = fliess_tilde(FliessElement(i, u), d).series
-        rhs = tilde_compose(ctx, u, v)
-        assert lhs == rhs
+    for n in (1, 2, 3):
+        alphabet = x_alphabet(n)
+        for i in range(1, n + 1):
+            ctx = ComPreLieContext(fliess_channel(n, i))
+            for _ in range(4):
+                u = random_series(3, alphabet, rng)
+                v = random_series(3, alphabet, rng)
+                d = tuple(
+                    v if j == i else TruncatedSeries.zero(3) for j in range(1, n + 1)
+                )
+                lhs = fliess_tilde(FliessElement(i, u), d).series
+                rhs = tilde_compose(ctx, u, v)
+                assert lhs == rhs, (n, i)
+
+
+def test_a_left_operand_of_zero_image_letters_makes_no_shuffle_lookup(monkeypatch):
+    # x0 and x2 have no image under fliess(2,1): every word of u only
+    # prepends its letters, so no divided power of v is built and no pair
+    # is shuffled, warm or cold, and u comes back as it is
+    lookups = []
+    bounded = characters._bounded_pairs
+
+    def recording(memo, bound):
+        pair = bounded(memo, bound)
+        return lambda a, b: lookups.append((a, b)) or pair(a, b)
+
+    monkeypatch.setattr(characters, "_bounded_pairs", recording)
+    ctx = ComPreLieContext(fliess_channel(2, 1))
+    rng = random.Random(5)
+    for L in (2, 3, 4):
+        u = random_series(L, x_alphabet(2)[::2], rng, terms=6)
+        v = random_series(L, x_alphabet(2), rng, terms=6)
+        assert tilde_compose(ctx, u, v) == u
+        assert fliess_tilde(FliessElement(1, u), (v, v)).series == u
+    assert lookups == []
+    # the same pairs with x1 in u are shuffled: the recording sees them
+    assert tilde_compose(ctx, series(3, "x1.x2"), series(3, "x2")) != series(3, "x1.x2")
+    assert lookups
 
 
 def test_cross_channel_composition_is_trivial():

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
@@ -443,6 +444,30 @@ def test_dyck_list_over_budget_exits_two_before_listing(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert str(comb(38, 19) // 20 + comb(40, 20) // 21) in err  # the count, 8,331,383,610
     assert run(capsys, "dyck", "--list", "13")[0] == 2  # 950,912 words, just over
+
+
+def test_dyck_refuses_a_count_it_could_not_print_before_counting(capsys, monkeypatch):
+    # C_n has about 0.6 n digits: at n = 10**6 computing it alone would take
+    # minutes, and printing it passes CPython's 4300-digit limit
+    def count(n):
+        raise AssertionError("counted before the digit check")
+
+    for name in ("count_admissible", "count_sigma", "admissible_words", "sigma_admissible_words"):
+        monkeypatch.setattr(admissible, name, count)
+    for flag in ("--count", "--list"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dyck", flag, "1000000")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == (f"error: dyck {flag} 1000000 needs a count of about 602051 digits, "
+                       "over Python's limit of 4300 digits for printing one integer\n")
+    monkeypatch.undo()
+    assert run(capsys, "dyck", "--count", "7152")[0] == 0  # 4300 digits, the most that print
+    assert run(capsys, "dyck", "--count", "7153")[0] == 2
+    # the estimate is never too few digits, and at most one too many
+    for n in itertools.chain(range(1, 300), range(7100, 7160)):
+        digits = admissible._catalan_digits(n)
+        assert 10 ** (digits - 2) <= admissible.count_admissible(n) + admissible.count_sigma(n) < 10 ** digits, n
 
 
 def test_dyck_list_within_budget_prints_as_before(capsys):

@@ -8,6 +8,7 @@ on warm and on cold contexts; a result handed out shares nothing that a
 later call reads; the letter table is never started afresh without
 every memo of codes, the product memo among them; no module but the
 context and ``fliess_tilde``, which takes no context, makes a letter table;
+no code but ``words._Codes`` decodes from a table or memoizes the shuffle;
 and a letter that a refused call leaves in the table breaks no composition.
 """
 
@@ -19,6 +20,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,9 @@ UPPER3 = Endo.matrix(list("abc"), [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3
 MAPS = {"FULL3": FULL3, "UPPER3": UPPER3, "fliess(2,1)": fliess_channel(2, 1),
         "shift": Endo.biletter_shift()}
 PRELIE = importlib.import_module("comprelie.prelie")  # the module, not its function
-CHARACTERS = importlib.import_module("comprelie.characters")
-CODED = ("_words", "_products", "_shuffles")  # the memos that hold the context's codes
+WORDS = importlib.import_module("comprelie.words")
+# the memos that hold the context's codes: the coding's own two and the product memo
+CODED = tuple(map(attrgetter, ("_codes.words", "_products", "_codes.shuffles")))
 
 
 def letters_of(f: Endo) -> tuple[Letter, ...]:
@@ -134,7 +137,7 @@ def test_emptying_the_letter_table_empties_every_coded_memo(monkeypatch):
     ctx = ComPreLieContext(f)
     span_dimension_of_products(ctx, [T("a + 2*c"), T("b")], 3)
     prelie_closed(ctx, W("abc"), W("ca"))
-    assert all(getattr(ctx, name) for name in CODED)
+    assert all(memo(ctx) for memo in CODED)
     # the next coded call finds the table full: it starts a new one, and
     # new memos with it, as a fresh context would
     old = list(ctx._codes.letters)
@@ -145,8 +148,8 @@ def test_emptying_the_letter_table_empties_every_coded_memo(monkeypatch):
     assert got[0] == got[1]
     # the new table codes the letters in another order: an old code would read wrong
     assert ctx._codes.letters == fresh._codes.letters != old
-    for name in CODED:
-        assert getattr(ctx, name) == getattr(fresh, name), name
+    for memo in CODED:
+        assert memo(ctx) == memo(fresh), memo
 
 
 @pytest.mark.parametrize("name", ["FULL3", "shift"])
@@ -194,8 +197,8 @@ def test_one_inverse_shuffles_each_pair_once(monkeypatch):
         calls.append((u, v))
         return shuffle_tuples(u, v)
 
-    shuffle_tuples = CHARACTERS._shuffle_tuples
-    for module in (CHARACTERS, PRELIE):
+    shuffle_tuples = WORDS._shuffle_tuples
+    for module in (WORDS, PRELIE):
         monkeypatch.setattr(module, "_shuffle_tuples", counting)
     f = Endo.matrix(["a", "b"], [[0, Fraction(1, 2)], [0, 0]])
     rng = random.Random(10)
@@ -288,3 +291,80 @@ def test_a_changed_result_changes_no_later_result():
         assert call().terms == expected, name
         first.terms.clear()
         assert call().terms == expected, name
+
+
+def decoding_breaches(source: str, module: str) -> list[tuple[str, str, int]]:
+    """(module, function, line) of each decode from a letter table and each
+    memo of the shuffle kernel made outside ``words._Codes``: a read of a
+    table's ``letters.__getitem__`` or of a coding's ``words`` memo, a
+    ``Word`` built from a table's ``letters[i]``, and a ``_Memo`` of
+    ``_shuffle_tuples``."""
+    found: list[tuple[str, str, int]] = []
+
+    def name(node: ast.AST) -> str | None:
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def table_read(node: ast.AST) -> bool:  # <table>.letters[i]; a Word's own slice is self.letters[item]
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "letters" and name(node.value.value) != "self"
+                and not isinstance(node.slice, ast.Slice))
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if module == "words" and scope.split(".")[0] == "_Codes":
+            return
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "__getitem__" and name(node.value) in ("letters", "words")
+            or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "words"
+            or isinstance(node, ast.Call) and name(node.func) == "Word"
+            and any(table_read(sub) for arg in node.args for sub in ast.walk(arg))
+            or isinstance(node, ast.Call) and name(node.func) == "_Memo"
+            and node.args and name(node.args[0]) == "_shuffle_tuples"
+        ):
+            found.append((module, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_decoding_detector_sees_a_hand_written_breach():
+    hand_written = (
+        "def prelie(ctx, a, b):\n"
+        "    return {ctx._codes.words[t]: c for t, c in acc.items()}\n"
+        "def _word_brace(ctx, w):\n"
+        "    decode = ctx._codes.words.__getitem__\n"
+        "    pair = _Memo(_shuffle_tuples)\n"
+        "def fliess_tilde(c, d):\n"
+        "    word = lambda t: Word(tuple(map(codes.letters.__getitem__, t)))\n"
+        "    pairs = words._Memo(words._shuffle_tuples, 8)\n"
+        "    out = Word(tuple(codes.letters[x] for x in t))\n"
+        "class _Codes:\n"
+        "    def decode(self, terms):\n"
+        "        return {self.words[t]: c for t, c in terms.items()}\n"
+        "    def __init__(self):\n"
+        "        self.shuffles = _Memo(_shuffle_tuples)\n"
+        "def allowed(codes, w, x, t):\n"
+        "    return Word(w.letters[1:]), codes.letters[x], codes.decode(t), _Memo(abs)\n"
+        "class Word:\n"
+        "    def __getitem__(self, item):\n"
+        "        return Word(self.letters[item])\n"
+    )
+    assert decoding_breaches(hand_written, "characters") == [
+        ("characters", "prelie", 2), ("characters", "_word_brace", 4), ("characters", "_word_brace", 5),
+        ("characters", "fliess_tilde", 7), ("characters", "fliess_tilde", 8), ("characters", "fliess_tilde", 9),
+        ("characters", "_Codes.decode", 12), ("characters", "_Codes.__init__", 14),
+    ]
+    # in words, the coding itself decodes and memoizes the shuffle
+    assert [line for *_, line in decoding_breaches(hand_written, "words")] == [2, 4, 5, 7, 8, 9]
+
+
+def test_one_decoder_and_one_shuffle_memo_owner_the_coding():
+    breaches = [
+        found
+        for path in sorted(SRC.glob("*.py"))
+        for found in decoding_breaches(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert breaches == []

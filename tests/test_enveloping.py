@@ -359,7 +359,7 @@ def test_a_deal_with_a_zero_letter_image_is_never_shuffled(f):
         # the shares of several deals are summed first)
         calls.clear()
         ctx = ComPreLieContext(f)
-        ctx._shuffles.kernel = counted(ctx._shuffles.kernel)
+        ctx._codes.shuffles.kernel = counted(ctx._codes.shuffles.kernel)
         got = _word_brace(ctx, w, factors)
         assert len(calls) <= len(shuffled_pairs(f, w, factors, skip_zero_deals=True)), (w, factors)
         shuffled += len(calls)

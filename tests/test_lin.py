@@ -174,3 +174,36 @@ def test_extensions_drop_cancelled_terms():
     # the right pairs are read once per left pair
     grid = _bilinear(lambda u, v: ((u + v, 1),), pairs, pairs)
     assert grid == {word("aa"): 1, word("ab"): -1, word("ba"): -1, word("bb"): 1}
+
+
+def test_arithmetic_across_algebras_raises_type_error():
+    # a sum is taken in one algebra: a key of another, or a bare key, is
+    # refused, as equality refuses it, not mixed into one dict of terms
+    ab = parse_expression("a + b")
+    others = [SymTensor.parse("a * b"), TreeTensor.parse("a[b]"), ForestPoly.parse("a[b]")]
+    for other in others:
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(ab, other)
+            with pytest.raises(TypeError):
+                op(other, ab)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(TypeError):
+            op(ab, word("a"))
+    with pytest.raises(TypeError):
+        SymTensor.parse("a * b") + ForestPoly.parse("a * b")
+    assert ab + Tensor.parse("2*a") - Tensor.parse("b") == Tensor.parse("3*a")
+
+
+def test_a_series_adds_only_a_series():
+    from comprelie.characters import TruncatedSeries
+
+    s = TruncatedSeries(2, parse_expression("a + b"))
+    for other in (parse_expression("a"), word("a"), 1):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(s, other)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(TypeError):
+            op(parse_expression("a"), s)
+    assert s - s + s == s and (s + s).tensor == Tensor.parse("2*a + 2*b")

@@ -41,7 +41,7 @@ from comprelie.trees import _tree_brace, all_rooted_trees, parse_tree, phi_cpl
 from comprelie.words import _MEMO_BOUND, Letter, Tensor, Word, _Memo
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "comprelie"
-MEMOS = {"_products", "_coproducts", "_cache", "_words", "_shuffles"}
+MEMOS = {"_products", "_coproducts", "_cache", "words", "shuffles"}
 UPPER3 = Endo.matrix(["a", "b", "c"], [[0, 1, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [0, 0, 0]])
 
 
@@ -77,7 +77,7 @@ def test_the_detector_sees_a_hand_written_store():
         "def delta(ctx, w):\n"
         "    ctx._coproducts[w] += 1\n"
         "def span(ctx, u, v):\n"
-        "    ctx._words[u], ctx._products[u, v], ctx._shuffles[u, v] = (), (), ()\n"
+        "    ctx._codes.words[u], ctx._products[u, v], ctx._codes.shuffles[u, v] = (), (), ()\n"
     )
     assert memo_stores(hand_written) == [
         ("_prelie_words", 3), ("_bullet_mono", 7), ("delta", 11), ("span", 13), ("span", 13), ("span", 13)
@@ -144,8 +144,8 @@ def test_every_cross_call_memo_carries_the_bound():
     memos = [
         ctx._products,
         ctx._coproducts,
-        ctx._words,
-        ctx._shuffles,
+        ctx._codes.words,
+        ctx._codes.shuffles,
         _engine_of(ctx)._cache,
         forests._TREE_ENGINE._cache,
         trees._BILETTER_CTX._products,
@@ -160,7 +160,7 @@ def test_evicting_memos_change_no_result():
     f = fliess_channel(2, 1)
     words = [Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))) for _ in range(12)]
     small, full = ComPreLieContext(f), ComPreLieContext(f)
-    coded = (small._words, small._products, small._shuffles)
+    coded = (small._codes.words, small._products, small._codes.shuffles)
     for memo in (_coproducts_of(small), _engine_of(small)._cache, *coded):
         memo.bound = 3
     for u, v, w in zip(words, words[1:], words[2:]):
@@ -175,14 +175,14 @@ def test_evicting_memos_change_no_result():
     assert max(map(len, memos)) <= 3
     for f in (fliess_channel(2, 1), UPPER3):
         small, full = ComPreLieContext(f), ComPreLieContext(f)
-        small._shuffles.bound = 3
+        small._codes.shuffles.bound = 3
         words = [Word(tuple(rng.choice(f.alphabet) for _ in range(rng.randint(1, 3)))) for _ in range(18)]
         series = [TruncatedSeries(4, {w: Fraction(2 * k - 3, 2) for k, w in enumerate(words[i:i + 3])})
                   for i in range(0, 18, 3)]
         for u, v in zip(series, series[1:]):
             assert tilde_compose(small, u, v) == tilde_compose(full, u, v)
             assert inverse(small, u) == inverse(full, u)
-        assert 0 < len(small._shuffles) <= 3
+        assert 0 < len(small._codes.shuffles) <= 3
     engine, reference = OudomGuin(_tree_brace, ForestPoly), OudomGuin(_tree_brace, ForestPoly)
     engine._cache.bound = 3
     rooted = [t for n in (1, 2, 3) for t in all_rooted_trees(n, [Letter("a"), Letter("b")])]
@@ -203,7 +203,7 @@ def test_a_dropped_context_is_freed_without_the_cyclic_collector():
         ctx = ComPreLieContext(f)
         assert prelie(ctx, u, v) and lie_bracket(ctx, u, v) and prelie_closed(ctx, u, v)
         assert span_dimension_of_products(ctx, [Tensor.of(u), Tensor.of(v)], 4) > 0
-        assert ctx._products and ctx._words and ctx._shuffles
+        assert ctx._products and ctx._codes.words and ctx._codes.shuffles
         dropped = weakref.ref(ctx)
         del ctx
         assert dropped() is None

@@ -184,7 +184,7 @@ def test_the_memo_holds_only_the_pairs_asked_for():
     ctx = ctx_of(FRAC)
 
     def asked():  # the memo's keys, on coded words, read back as words
-        return [(ctx._words[u], ctx._words[v]) for u, v in ctx._products]
+        return [(ctx._codes.words[u], ctx._codes.words[v]) for u, v in ctx._products]
 
     prelie(ctx, W("abba"), W("ba"))
     assert asked() == [(W("abba"), W("ba"))]

@@ -86,6 +86,13 @@ def test_lyndon_words():
     assert lyndon_words(ab, 3) == [W("a"), W("b"), W("ab"), W("aab"), W("abb")]
 
 
+def test_lyndon_words_refuse_a_repeated_letter():
+    # a letter named twice would list it twice, and aa, which is no Lyndon word
+    for alphabet in (["a", "a"], ["a", "b", Letter("a")]):
+        with pytest.raises(ValueError, match="^alphabet names a letter twice$"):
+            lyndon_words(alphabet, 2)
+
+
 def test_lyndon_brute_force_agreement():
     # a Lyndon word is lexicographically smaller than each proper suffix
     letters = [Letter("a"), Letter("b"), Letter("c")]
