@@ -11,8 +11,8 @@ One element acting on a monomial is the symmetric brace ``a{b1,...,bk}``.
 With the extended action the product ``A * B = (A . B') x B''`` (sum over
 splittings of B's factor multiset) is associative — the enveloping algebra
 of the underlying Lie algebra.  The engine below builds both from any
-brace.  The brace of words is the pre-Lie product's sum with each letter
-taking a share of the factors; the dual coproduct exists when the letter
+brace.  The brace of words is ``prelie._prelie_words``, whose one-factor
+case is the pre-Lie product; the dual coproduct exists when the letter
 endomorphism is locally nilpotent.
 
 The monomial type, the commutative product, the multiplicative extension
@@ -21,16 +21,15 @@ of a coproduct and the diagonal pairing are shared with the forests.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import partial
 from math import comb, factorial
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .endo import letter_iterates
-from .prelie import ComPreLieContext, _require_nilpotent, prelie
-from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _prepend, _Sum
-from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _split_coeff, parse_word
+from .prelie import ComPreLieContext, _require_nilpotent
+from .words import EMPTY_WORD, Lin, Rat, Tensor, Word, _add_into, _bilinear, _Sum
+from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _splittings, _split_coeff, parse_word
 
 # ---------------------------------------------------------------------------
 # generic Oudom-Guin engine
@@ -38,17 +37,6 @@ from .words import _MEMO_BOUND, BasisKey, _div, _Memo, _set, _split_coeff, parse
 
 Elem = Hashable  # basis elements: words here, decorated trees elsewhere
 Mono = tuple  # sorted tuple of Elem
-
-
-def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
-    """Every assignment of the items to ``k`` ordered slots, each item
-    choosing its slot independently: ``k ** len(items)`` tuples of ``k``
-    parts, every part keeping the items' order."""
-    for assignment in itertools.product(range(k), repeat=len(items)):
-        parts: list[list] = [[] for _ in range(k)]
-        for x, slot in zip(items, assignment):
-            parts[slot].append(x)
-        yield tuple(map(tuple, parts))
 
 
 class OudomGuin:
@@ -61,7 +49,8 @@ class OudomGuin:
     but the unit.  Monomials are kept sorted, so the basis elements must be
     totally ordered.  ``_cache``, a ``words._Memo`` of ``_bullet_mono``
     bounded at ``words._MEMO_BOUND`` entries, keeps the action on factor
-    tuples as (monomial of ``cls``, coefficient) pairs: a hit builds none."""
+    tuples, every brace among them, as (monomial of ``cls``, coefficient)
+    pairs: a hit builds none."""
 
     def __init__(self, brace: Callable[[Elem, Mono], Iterable[tuple[Elem, Rat]]], cls: type[SymLin]):
         self.brace, self.cls = brace, cls
@@ -255,38 +244,14 @@ def star(ctx: ComPreLieContext, a: SymTensor | SymMonomial, b: SymTensor | SymMo
 # ---------------------------------------------------------------------------
 
 def _word_brace(ctx: ComPreLieContext, w: Word, factors: Sequence[Word]) -> Iterable[tuple[Word, Rat]]:
-    """``w{B}`` for the factors B: the pre-Lie product's sum over the letters
-    w_i, unrolled over the nonempty shares T of B, of ``w[:i] f^|T|(w_i)
-    (w[i+1:]{B - T} sh T)``, with ``w[i+1:]{} = w[i+1:]``.  A share whose
-    power is 0 is never shuffled; the recursion nests at most k deep for k
-    factors.  The call codes each nonzero f^m(x) once and keeps each suffix's
-    brace, on the context's letter codes, whose memos shuffle its pairs and
-    decode its output.  One factor's brace is ``prelie``."""
-    if len(factors) < 2:
-        return prelie(ctx, w, factors[0]).items() if factors else ((w, 1),)
-    codes, pair = ctx._codes, ctx._codes.shuffles
-    letters = codes.word(w)
-    powers = {}  # (letter code, m) -> coded f^m(letter) when nonzero, m <= k
-    for x in dict.fromkeys(letters):
-        images = itertools.islice(letter_iterates(ctx.f, codes.letters[x]), 1, len(factors) + 1)
-        powers.update(((x, m), codes.image(image)) for m, image in enumerate(images, 1))
-
-    def brace(i: int, rest: tuple) -> dict:  # letters[i:]{rest}
-        acc = _Sum()
-        splits = [s for s in _splittings(rest, 2) if s[1]]
-        for j, (left, share) in itertools.product(range(i, len(letters)), splits):
-            image = powers.get((letters[j], len(share)))
-            if image:
-                t = braces[j + 1, left] if left else {letters[j + 1:]: 1}
-                for u in share:
-                    t = _bilinear(pair, t.items(), ((u, 1),))
-                _prepend(image, t.items(), acc, letters[i:j])
-        return acc.result()
-
-    braces = _Memo(brace)
-    top = braces[0, tuple(sorted(map(codes.word, factors)))]
-    braces.clear()  # the memo and its kernel form a cycle: free the suffix braces now
-    return codes.decode(top).items()
+    """``w{B}``: ``prelie._prelie_words`` on the coded words, divided by D**k
+    once and decoded; one factor's brace is the product, read from the
+    context's memo, any other is run without storing (the engine keeps it)."""
+    codes = ctx._codes
+    key = (codes.word(w), *sorted(map(codes.word, factors)))
+    terms = ctx._products[key] if len(key) == 2 else ctx._products.kernel(*key)
+    scale = ctx._scale ** len(factors)
+    return codes.decode({t: _div(c, scale) for t, c in terms}).items()
 
 
 def closed_action(ctx: ComPreLieContext, w: Word, factors: list[Word]) -> SymTensor:

@@ -26,13 +26,12 @@ from .enveloping import (
     Monomial,
     OudomGuin,
     SymLin,
-    _splittings,
     diagonal_pairing,
     multiplicative_coproduct,
 )
 from .prelie import ComPreLieContext, prelie, prelie_closed
 from .trees import PartitionedTree, _from_nested, _grafts, _nodes, _tree_brace, parse_tree, singleton
-from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Memo, _Sum
+from .words import Letter, Rat, Tensor, Word, _add_into, _fixed_prefix, _linear, _Memo, _splittings, _Sum
 from .words import check_coefficient, parse_word
 
 

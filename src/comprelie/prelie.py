@@ -2,8 +2,9 @@
 
 The product is defined by a recursion on the left word: the empty word acts
 as zero, and ``xw . w' = x(w . w') + f(x)(w sh w')``; it is computed by the
-unrolled sum ``u . v = sum_j u[:j] f(u_j) (u[j+1:] sh v)``.  A closed form
-expands the same product over shuffle position-subsets with a
+unrolled sum ``u . v = sum_j u[:j] f(u_j) (u[j+1:] sh v)``: one kernel
+computes it as the one-factor case of the brace ``u{v1,...,vk}``.  A closed
+form expands the same product over shuffle position-subsets with a
 fixed-point-prefix count; both are exposed and cross-checked.  The module
 also provides the antisymmetrized bracket, letterwise induced morphisms,
 Hilbert-style dimension series, and rank computations for generated spans.
@@ -16,21 +17,22 @@ from functools import cached_property, partial
 from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .endo import Endo, _compose_image, image_span_letters, nilpotency_index
+from .endo import Endo, _compose_image, image_span_letters, letter_iterates, nilpotency_index
 from .exactla import SpanBasis
 from .words import Letter, Rat, Tensor, Word, _add_into, _bilinear, _fixed_prefix, _interleavings
-from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _prepend, _shuffle_tuples, _Sum
+from .words import _MEMO_BOUND, _Codes, _linear, _Memo, _prepend, _splittings, _Sum
 
 LetterMap = Callable[[Letter], Mapping[Letter, Rat]]
 
 
 class ComPreLieContext:
     """A letter endomorphism ``f`` and what it induces: the letter coding
-    of :meth:`_coding` with its memos and the product memo; the memo of
-    dual coproducts and the Oudom-Guin engine on words, built by
-    ``enveloping`` on first use; each memo bounded at ``words._MEMO_BOUND``
-    entries; and the nilpotency index of ``f``.  Equality, repr and pickle
-    see ``f`` alone: a pickled copy starts with no memos.  Unhashable, as f is."""
+    of :meth:`_coding` with its memos and the product memo, whose kernel
+    the brace of words runs too; the memo of dual coproducts and the
+    Oudom-Guin engine on words, built by ``enveloping`` on first use; each
+    memo bounded at ``words._MEMO_BOUND`` entries; and the nilpotency
+    index of ``f``.  Equality, repr and pickle see ``f`` alone: a pickled
+    copy starts with no memos.  Unhashable, as f is."""
 
     def __init__(self, f: Endo):
         self.f = f
@@ -81,24 +83,46 @@ def _require_nilpotent(ctx: ComPreLieContext) -> int:
     return n
 
 
-def _prelie_words(f: Endo, codes: _Codes, scale: int, u: tuple, v: tuple) -> tuple:
-    """``scale * (u . v)`` on coded words in ``int``, each image of f scaled by
-    :func:`_scaled`: the kernel of a context's product memo, ``scale`` its D."""
-    # u[:j] f(u_j) (u[j+1:] sh v), last letter first: the recursion's order
-    images = [f.image_letter(codes.letters[x]) for x in reversed(u)]
-    acc = _Sum()
-    for j, image in zip(range(len(u) - 1, -1, -1), images):
-        if image:
-            scaled = [(codes.code(y), _scaled(c, scale)) for y, c in image.items()]
-            _prepend(scaled, _shuffle_tuples(u[j + 1:], v), acc, u[:j])
-    return tuple(acc.result().items())
+def _prelie_words(f: Endo, codes: _Codes, scale: int, u: tuple, *factors: tuple) -> tuple:
+    """``scale**k * u{v1,...,vk}`` in ``int`` on coded words: the brace of k
+    factors and, for one, the pre-Lie product.  It sums ``u[:j] f^|T|(u_j)
+    (u[j+1:]{rest} sh T)`` over the letters u_j, last first, and the nonempty
+    shares T of the factors, rest the others and ``w{} = w``, each f^m(x)
+    stepped once per distinct letter and scaled by scale**m; a zero power
+    is never shuffled, and the suffix braces live for the call."""
+    powers = {}  # (letter code, m) -> coded scale**m * f^m(letter) when nonzero
+    for x in dict.fromkeys(reversed(u)):
+        for m, image in enumerate(itertools.islice(letter_iterates(f, codes.letters[x]), 1, len(factors) + 1), 1):
+            powers[x, m] = [(codes.code(y), _scaled(c, scale ** m)) for y, c in image.items()]
+    shuffles = codes.shuffles
+
+    def brace(i: int, rest: tuple) -> dict:  # scale**|rest| * u[i:]{rest}
+        if not rest:
+            return {u[i:]: 1}
+        acc, splits = _Sum(), [s for s in _splittings(rest, 2) if s[1]]
+        for j, (left, share) in itertools.product(range(len(u) - 1, i - 1, -1), splits):
+            image = powers.get((u[j], len(share)))
+            if image:
+                if left:
+                    t = braces[j + 1, left].items()
+                else:  # a bare suffix: its first shuffle is read from the memo
+                    t, share = shuffles[u[j + 1:], share[0]], share[1:]
+                for v in share:
+                    t = _bilinear(shuffles, t, ((v, 1),)).items()
+                _prepend(image, t, acc, u[i:j])
+        return acc.result()
+
+    braces = _Memo(brace)
+    out = braces[0, factors]
+    braces.clear()  # the memo and its kernel form a cycle: free the suffix braces now
+    return tuple(out.items())
 
 
 def _prelie_letters(ctx: ComPreLieContext, pairs: Iterable, stop: int) -> int:
     """At most how many letters the pre-Lie products of the word pairs
     write: for each pair (u, v) and each letter u_j, ``_prelie_words``
-    feeds its accumulator |f(u_j)| * C(|u|-1-j+|v|, |v|) words of |u|+|v|
-    letters.  Counted only until it passes ``stop``."""
+    with one factor feeds its accumulator |f(u_j)| * C(|u|-1-j+|v|, |v|)
+    words of |u|+|v| letters.  Counted only until it passes ``stop``."""
     total = 0
     for u, v in pairs:
         for j, x in enumerate(u):

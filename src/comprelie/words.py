@@ -175,8 +175,8 @@ class Word(BasisKey):
         return self.letters[item]
 
     def __add__(self, other: "Word") -> "Word":
-        """Concatenation."""
-        return Word(self.letters + other.letters)
+        """Concatenation; a word joins only a word."""
+        return Word(self.letters + other.letters) if type(other) is Word else NotImplemented
 
     def _make_key(self) -> tuple:
         # length-lexicographic, the canonical term order: the length, then
@@ -463,6 +463,17 @@ def _interleavings(u: Sequence, v: Sequence) -> Iterator[tuple[tuple[int, ...], 
         for p, x in zip(positions, u):
             put(p, x)
         yield positions, tuple(out)
+
+
+def _splittings(items: Sequence, k: int) -> Iterator[tuple[tuple, ...]]:
+    """Every assignment of the items to ``k`` ordered slots, each part
+    keeping the items' order: ``k ** len(items)`` tuples of ``k`` parts,
+    the deals that :func:`_interleavings` merges back."""
+    for assignment in itertools.product(range(k), repeat=len(items)):
+        parts: list[list] = [[] for _ in range(k)]
+        for x, slot in zip(items, assignment):
+            parts[slot].append(x)
+        yield tuple(map(tuple, parts))
 
 
 def _fixed_prefix(positions: Sequence[int]) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import inspect
 import itertools
 import pickle
@@ -35,9 +36,10 @@ from comprelie.enveloping import (
 from comprelie.forests import Forest, ForestPoly, forest_bullet, forest_star
 from comprelie.prelie import ComPreLieContext, prelie, prelie_closed
 from comprelie.trees import all_rooted_trees, free_bullet
-from comprelie.words import EMPTY_WORD, BasisKey, Letter, Tensor, Word, _add_into, _Codes, _Sum, parse_word
+from comprelie.words import EMPTY_WORD, BasisKey, Letter, Tensor, Word, _add_into, _Sum, parse_word
 from comprelie.words import shuffle
 
+PRELIE = importlib.import_module("comprelie.prelie")  # the module, not its function
 W = parse_word
 
 NIL = Endo.matrix(["a", "b"], [[0, Fraction(1, 2)], [0, 0]])  # b -> a/2 -> 0
@@ -391,21 +393,21 @@ def test_a_factor_repeated_three_or_four_times_matches_the_reference(f):
 
 def test_a_long_word_is_never_dealt_over_its_letters(monkeypatch):
     # under fliess(2,1) only the two x1 of x0^600 x1 x1 can take a factor:
-    # the splits the brace enumerates stay linear in the length of the
-    # word (all deals of the two factors over its letters are 602^2), and
-    # the brace's own frames nest no deeper than one per factor
+    # the splits the brace kernel enumerates stay linear in the length of
+    # the word (all deals of the two factors over its letters are 602^2),
+    # and the kernel's own frames nest no deeper than one per factor
     f = fliess_channel(2, 1)
     x0, x1, x2 = f.alphabet
     w, factors = Word((x0,) * 600 + (x1, x1)), (Word((x2,)), Word((x2,)))
     bound = 2 ** len(factors) * len(w)
     splits, depths = [], []
-    enumerate_splits = enveloping._splittings
+    enumerate_splits = PRELIE._splittings
 
     def counted(items, k):
         frame, depth = inspect.currentframe(), 0
         while frame is not None:  # the functions of the module, not its comprehensions
             code = frame.f_code
-            depth += code.co_filename == enveloping.__file__ and not code.co_name.startswith("<")
+            depth += code.co_filename == PRELIE.__file__ and not code.co_name.startswith("<")
             frame = frame.f_back
         depths.append(depth)
         for split in enumerate_splits(items, k):
@@ -413,7 +415,7 @@ def test_a_long_word_is_never_dealt_over_its_letters(monkeypatch):
             assert len(splits) <= bound, "the brace deals over the letters of the word"
             yield split
 
-    monkeypatch.setattr(enveloping, "_splittings", counted)
+    monkeypatch.setattr(PRELIE, "_splittings", counted)
     got = _word_brace(ComPreLieContext(f), w, factors)
     assert len(got) == 2
     assert 0 < len(splits) <= bound
@@ -451,12 +453,13 @@ def test_a_cold_product_builds_one_word_per_output_term(f, monkeypatch):
 def test_a_cold_brace_computes_each_power_of_a_letter_once(monkeypatch):
     # c^6 acting on b, a, ba gives each of its six letters, at each suffix
     # brace, every nonempty share of the three factors, each share of m
-    # factors asking for f^m(c) with m <= 3: the call computes and codes
-    # each of those powers once, whatever it reads them through
+    # factors asking for f^m(c) with m <= 3: the call computes each of
+    # those powers once, whatever it reads them through, and scales and
+    # codes each nonzero one once, one entry at a time
     a, b, c = UPPER3.alphabet
     w, factors = Word((c,) * 6), [Word((b,)), Word((a,)), Word((b, a))]
     expected = closed_action(ComPreLieContext(UPPER3), w, factors)
-    images, coded = [], []
+    images, scaled = [], []
 
     def tap(powers):
         for image in powers:
@@ -472,19 +475,21 @@ def test_a_cold_brace_computes_each_power_of_a_letter_once(monkeypatch):
             return out
         return wrapper
 
-    for name, fn in list(vars(enveloping).items()):
+    for name, fn in list(vars(PRELIE).items()):
         if inspect.isfunction(fn) and fn.__module__ == "comprelie.endo":
-            monkeypatch.setattr(enveloping, name, counted(fn))
-    code_image = _Codes.image
+            monkeypatch.setattr(PRELIE, name, counted(fn))
+    scale = PRELIE._scaled
 
-    def counted_code(self, image):
-        coded.append(image)
-        return code_image(self, image)
+    def counted_scale(c, d):
+        scaled.append((c, d))
+        return scale(c, d)
 
-    monkeypatch.setattr(_Codes, "image", counted_code)
+    monkeypatch.setattr(PRELIE, "_scaled", counted_scale)
     assert closed_action(ComPreLieContext(UPPER3), w, factors) == expected
     assert 0 < len(images) <= 4  # f^0(c), ..., f^3(c) at most
-    assert 0 < len(coded) <= 3  # the nonzero powers among f^1(c), ..., f^3(c)
+    # the entries of the nonzero powers among f^1(c), ..., f^3(c), each once
+    nonzero = [(cy, 6 ** m) for m, image in enumerate(images[1:4], 1) for cy in image.values()]
+    assert 0 < len(scaled) == len(nonzero) and sorted(scaled) == sorted(nonzero)
 
 
 def test_a_brace_frees_its_suffix_memo_when_it_returns():
@@ -500,6 +505,82 @@ def test_a_brace_frees_its_suffix_memo_when_it_returns():
         assert out and gc.collect() < 1000
     finally:
         gc.enable()
+
+
+def test_a_cold_brace_accumulates_only_ints(monkeypatch):
+    # D * f is integral under UPPER3 (D = 6), and the kernel scales each
+    # f^m by D^m: every coefficient it puts after a prefix, of an image or
+    # of the suffix it is put before, is an int; the brace divides by D^3
+    # once, at the end
+    a, b, c = UPPER3.alphabet
+    w, factors = Word((c,) * 6), [Word((b,)), Word((a,)), Word((b, a))]
+    expected = closed_action(ComPreLieContext(UPPER3), w, factors)
+    seen = []
+    prepend = PRELIE._prepend
+
+    def typed(image, tails, acc, head=()):
+        image, tails = list(image), list(tails)
+        seen.extend(type(c) for _, c in image + tails)
+        prepend(image, tails, acc, head)
+
+    monkeypatch.setattr(PRELIE, "_prepend", typed)
+    got = closed_action(ComPreLieContext(UPPER3), w, factors)
+    assert got == expected and {type(c) for _, c in got.items()} == {int, Fraction}
+    assert seen and set(seen) == {int}
+
+
+@pytest.mark.parametrize("op", [extend_bullet, star], ids=["extend_bullet", "star"])
+def test_a_cold_engine_runs_the_kernel_once_per_brace_and_stores_only_products(op, monkeypatch):
+    # the engine's memo keeps every brace, so the kernel runs once for each
+    # (word, factors) key; a brace of one factor is a product, read from
+    # the product memo (a pair prelie asked for is not run again), and no
+    # other brace is stored there: the memo keeps two-word keys only
+    kernel, keys = PRELIE._prelie_words, []
+
+    def counted(f, codes, scale, u, *factors):
+        keys.append((u, *factors))
+        return kernel(f, codes, scale, u, *factors)
+
+    monkeypatch.setattr(PRELIE, "_prelie_words", counted)
+    ctx = ComPreLieContext(UPPER3)
+    prelie(ctx, W("bc"), W("cb"))
+    asked = set(keys)
+    assert len(asked) == 1
+    keys.clear()
+    a = SymTensor({S("bc"): 1, S("cb", "a"): Fraction(1, 2)})
+    b = SymTensor({S("cb", "b", "a"): 1, S("cb"): -2, S("b", "b"): 3, S("e", "c"): 1})
+    ref = RecursiveOudomGuin(closed_base(UPPER3))
+    expected = (ref.bullet if op is extend_bullet else ref.star)(SymTensor, a, b)
+    assert op(ctx, a, b) == expected
+    assert op(ctx, a, b) == expected  # warm: every brace is read from the engine
+    assert keys and len(keys) == len(set(keys)) and not asked & set(keys)
+    assert {len(key) for key in keys} == {1, 2, 3, 4}  # no factor up to three
+    assert set(ctx._products) == asked | {key for key in keys if len(key) == 2}
+
+
+SHIFT = Endo.biletter_shift()
+
+
+@pytest.mark.parametrize(
+    "f", [NIL, FLIESS, UPPER3, fliess_channel(2, 1), RANDOM2, FULL3, SHIFT],
+    ids=["index-2", "fliess(1,1)", "index-3", "fliess(2,1)", "random", "FULL3", "shift"],
+)
+def test_the_one_factor_brace_is_the_product_term_for_term(f):
+    # one kernel: the brace of one factor is the product, in the same term
+    # order and coefficient types; both are the closed form, which reads f
+    letters = f.alphabet or (Letter("d", 0), Letter("d", 1), Letter("e", 2))
+    rng = random.Random(f"one factor {letters}")
+    ctx, closed = ComPreLieContext(f), ComPreLieContext(f)
+    typed = lambda items: [(x, type(c), c) for x, c in items]
+    nonzero = 0
+    for _ in range(60):
+        u = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 4))))
+        v = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))))
+        brace = typed(_word_brace(ctx, u, [v]))
+        assert brace == typed(prelie(ctx, u, v).items()), (u, v)
+        assert sorted(brace) == sorted(typed(prelie_closed(closed, u, v).items())), (u, v)
+        nonzero += bool(brace)
+    assert nonzero >= 20
 
 
 # ---------------------------------------------------------------------------

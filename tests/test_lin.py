@@ -190,8 +190,13 @@ def test_arithmetic_across_algebras_raises_type_error():
     for op in (lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(TypeError):
             op(ab, word("a"))
+        with pytest.raises(TypeError):
+            op(word("a"), ab)
+        with pytest.raises(TypeError):
+            op(word("a"), 1)
     with pytest.raises(TypeError):
         SymTensor.parse("a * b") + ForestPoly.parse("a * b")
+    assert word("a") + word("b") == word("ab")
     assert ab + Tensor.parse("2*a") - Tensor.parse("b") == Tensor.parse("3*a")
 
 
